@@ -20,7 +20,7 @@ from math import log
 
 from ._data import DataFileError, data_path, read_table_rows
 from ._parallel import run_chunked
-from .order_arith import OrderSpec, frobenius_order, pow3
+from .order_arith import OrderSpec, frobenius_order, mul3, pow3
 from .primes import PrimeRange, primes_in
 from .report import CLEAR, EXCLUDED, HIT, ScanReport, Verdict, assemble_report
 
@@ -102,33 +102,40 @@ def _mulz3(a, b, f):
     )
 
 
-def _mult_matrix(spec: OrderSpec, g):
-    f = spec.reduction
-    cols = [g, _mulz3(g, (0, 1, 0), f), _mulz3(g, (0, 0, 1), f)]
-    return [[cols[j][i] for j in range(3)] for i in range(3)]
+def _adjugate(g, f):
+    """First column of the adjugate of g's multiplication matrix, and its
+    determinant (the norm of g), exact: g * (c0 + c1 x + c2 x^2) = det."""
+    cols = (g, _mulz3(g, (0, 1, 0), f), _mulz3(g, (0, 0, 1), f))
+    (m00, m10, m20), (m01, m11, m21), (m02, m12, m22) = cols
+    c0 = m11 * m22 - m12 * m21
+    c1 = m12 * m20 - m10 * m22
+    c2 = m10 * m21 - m11 * m20
+    return (c0, c1, c2), m00 * c0 + m01 * c1 + m02 * c2
 
 
 def element_norm(spec: OrderSpec, g) -> int:
     """Field norm of a + b*theta + c*theta^2 as the determinant of its
     multiplication matrix (equals the resultant of f and the triple)."""
-    m = _mult_matrix(spec, g)
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
+    return _adjugate(g, spec.reduction)[1]
 
 
 def invert_unit(spec: OrderSpec, g) -> tuple[int, int, int]:
     """Inverse of a unit triple, exact (the multiplication matrix has det +-1)."""
-    m = _mult_matrix(spec, g)
-    det = element_norm(spec, g)
+    adj, det = _adjugate(g, spec.reduction)
     if det not in (1, -1):
         raise ValueError("not a unit")
-    c00 = m[1][1] * m[2][2] - m[1][2] * m[2][1]
-    c01 = -(m[1][0] * m[2][2] - m[1][2] * m[2][0])
-    c02 = m[1][0] * m[2][1] - m[1][1] * m[2][0]
-    return (c00 * det, c01 * det, c02 * det)
+    return (adj[0] * det, adj[1] * det, adj[2] * det)
+
+
+def _inverse_mod(g, f, m: int) -> tuple[int, int, int]:
+    """Inverse of g in (Z/m)[x]/(f) from the adjugate; ArithmeticError when
+    the norm of g is not a unit mod m."""
+    adj, det = _adjugate(g, f)
+    try:
+        d = pow(det, -1, m)
+    except ValueError:
+        raise ArithmeticError(f"element is not invertible mod {m}") from None
+    return (adj[0] * d % m, adj[1] * d % m, adj[2] * d % m)
 
 
 def real_root(spec: OrderSpec) -> float:
@@ -310,17 +317,65 @@ class ZValue:
         return self.coeffs == (0, 0, 0)
 
 
-def _z_coeffs(unit, f, p: int) -> tuple[int, int, int]:
+def _frobenius(a, s1, s2, m: int) -> tuple[int, int, int]:
+    """a0 + a1*theta + a2*theta^2 -> a0 + a1*s1 + a2*s2 mod m, where s1 and s2
+    are the images of theta and theta^2."""
+    a0, a1, a2 = a
+    return (
+        (a0 + a1 * s1[0] + a2 * s2[0]) % m,
+        (a1 * s1[1] + a2 * s2[1]) % m,
+        (a1 * s1[2] + a2 * s2[2]) % m,
+    )
+
+
+def _z_coeffs(unit, f, p: int, xp=None) -> tuple[int, int, int]:
+    """z with eps^(p^3-1) = 1 + z*p mod p^2, at an inert prime p, for any
+    representative of eps mod p^2; xp is theta^p mod (f, p) when known.
+    ArithmeticError when p is not inert or the inputs are inconsistent.
+
+    O/p^2 is the Galois ring GR(p^2, 3), with Frobenius sigma.  Writing
+    eps = omega*(1 + p*y) with omega the Teichmueller lift gives z = -y and
+    eps^p * sigma(eps^-1) = 1 - p*sigma(y) mod p^2, so one power by p yields
+    sigma(z), and z = sigma^2(sigma(z)) because sigma^3 = 1 on O/p.
+    """
     m = p * p
-    fm = (f[0] % m, f[1] % m, f[2] % m)
-    u = pow3((unit[0] % m, unit[1] % m, unit[2] % m), p * p * p - 1, fm, m)
-    d0 = u[0] - 1
-    if d0 % p or u[1] % p or u[2] % p:
+    f0, f1, f2 = f
+    fm = (f0 % m, f1 % m, f2 % m)
+    fp = (f0 % p, f1 % p, f2 % p)
+    if xp is None:
+        xp = pow3((0, 1, 0), p, fp, p)
+    # sigma(theta) mod p^2: one Newton step t - f(t)/f'(t) from t = theta^p.
+    t2 = mul3(xp, xp, fm, m)
+    t3 = mul3(t2, xp, fm, m)
+    ft = [t3[i] + f2 * t2[i] + f1 * xp[i] for i in range(3)]
+    dt = [3 * t2[i] + 2 * f2 * xp[i] for i in range(3)]
+    ft[0] += f0
+    dt[0] += f1
+    if ft[0] % p or ft[1] % p or ft[2] % p:
+        raise ArithmeticError(f"theta^p is not a root of f mod {p}: corrupt inputs")
+    xp2 = (t2[0] % p, t2[1] % p, t2[2] % p)
+    if xp == (0, 1, 0) or _frobenius(xp, xp, xp2, p) == (0, 1, 0):
+        raise ArithmeticError(f"p={p} is not inert: theta^p or theta^(p^2) is theta")
+    step = mul3([c // p for c in ft], _inverse_mod(dt, fp, p), fp, p)
+    s1 = ((xp[0] - p * step[0]) % m, (xp[1] - p * step[1]) % m, (xp[2] - p * step[2]) % m)
+    s2 = mul3(s1, s1, fm, m)
+    u = (unit[0] % m, unit[1] % m, unit[2] % m)
+    w = mul3(pow3(u, p, fm, m), _frobenius(_inverse_mod(u, fm, m), s1, s2, m), fm, m)
+    d0 = w[0] - 1
+    if d0 % p or w[1] % p or w[2] % p:
         raise ArithmeticError(
-            f"unit power is not 1 mod {p}: impossible for an inert prime, "
+            f"eps^p * sigma(eps^-1) is not 1 mod {p}: impossible for an inert prime, "
             "this indicates corrupt inputs"
         )
-    return (d0 // p % p, u[1] // p % p, u[2] // p % p)
+    sz = (d0 // p, w[1] // p, w[2] // p)
+    return _frobenius(_frobenius(sz, xp, xp2, p), xp, xp2, p)
+
+
+def _z_cubed_in_fp(z, fp, p: int) -> bool:
+    """z^(3(p-1)) = 1 in F_(p^3) for nonzero z: x^(p-1) = 1 exactly when x
+    lies in F_p*, so the test is that z^3 has no theta or theta^2 part."""
+    c = mul3(mul3(z, z, fp, p), z, fp, p)
+    return c[1] == 0 and c[2] == 0
 
 
 def z_value(rec: CubicFieldRecord, p: int) -> ZValue:
@@ -346,8 +401,7 @@ def ordinary_test(rec: CubicFieldRecord, p: int) -> bool:
     if z.is_zero:
         raise ValueError(f"z = 0 at p={p}; the ordinary test needs z != 0")
     f = rec.spec.reduction
-    fp = (f[0] % p, f[1] % p, f[2] % p)
-    return pow3(z.coeffs, 3 * (p - 1), fp, p) == (1, 0, 0)
+    return _z_cubed_in_fp(z.coeffs, (f[0] % p, f[1] % p, f[2] % p), p)
 
 
 def classify_cubic_prime(rec: CubicFieldRecord, p: int, mode: str) -> Verdict:
@@ -406,14 +460,15 @@ def _cubic_chunk(args, lo: int, hi: int) -> list[Verdict]:
             out.append(Verdict(p, EXCLUDED, reason="frob_order_not_3"))
             continue
         fp = (f0 % p, f1 % p, f2 % p)
-        if pow3(x, p, fp, p) == x:
+        xp = pow3(x, p, fp, p)
+        if xp == x:
             out.append(Verdict(p, EXCLUDED, reason="frob_order_not_3"))
             continue
-        z = _z_coeffs(unit, f, p)
+        z = _z_coeffs(unit, f, p, xp)
         if ordinary:
             if z == (0, 0, 0):
                 out.append(Verdict(p, EXCLUDED, reason="z_zero"))
-            elif pow3(z, 3 * (p - 1), fp, p) == (1, 0, 0):
+            elif _z_cubed_in_fp(z, fp, p):
                 out.append(Verdict(p, HIT, aux=z))
             else:
                 out.append(Verdict(p, CLEAR))

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written against different algorithms than
 the package (trial division, exhaustive enumeration, reduction cycles of
-binary quadratic forms, float embeddings via numpy roots, sympy resultants)
-so the two sides of each check share no code path.
+binary quadratic forms, float embeddings via numpy roots, sympy resultants,
+direct powering with schoolbook polynomial arithmetic) so the two sides of
+each check share no code path.
 """
 
 from __future__ import annotations
@@ -174,3 +175,53 @@ def cubic_norm_float(poly, triple) -> int:
         prod *= a + b * r + c * r * r
     assert abs(prod.imag) < 1e-6
     return round(prod.real)
+
+
+def _cubic_mulmod(a, b, poly, m: int) -> list[int]:
+    """Schoolbook product of two residue triples, then long division by the
+    monic cubic poly (ascending coefficients), reduced mod m."""
+    f0, f1, f2 = poly[0], poly[1], poly[2]
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    c0 = a0 * b0
+    c1 = a0 * b1 + a1 * b0
+    c2 = a0 * b2 + a1 * b1 + a2 * b0
+    c3 = a1 * b2 + a2 * b1
+    c4 = a2 * b2 % m
+    # subtract c4 * x * f, then c3 * f
+    c3 = (c3 - c4 * f2) % m
+    c2 -= c4 * f1 + c3 * f2
+    c1 -= c4 * f0 + c3 * f1
+    c0 -= c3 * f0
+    return [c0 % m, c1 % m, c2 % m]
+
+
+def cubic_powmod(a, e: int, poly, m: int) -> list[int]:
+    """a^e in (Z/m)[x]/(poly) for a monic cubic, left-to-right square and
+    multiply."""
+    out = [1 % m, 0, 0]
+    for bit in bin(e)[2:]:
+        out = _cubic_mulmod(out, out, poly, m)
+        if bit == "1":
+            out = _cubic_mulmod(out, a, poly, m)
+    return out
+
+
+def cubic_is_inert(poly, p: int) -> bool:
+    """f irreducible mod p, for p prime to disc(f): x^p != x and x^(p^2) != x
+    mod (f, p), which rules out a root in F_p and in F_(p^2)."""
+    x = [0, 1, 0]
+    xp = cubic_powmod(x, p, poly, p)
+    return xp != x and cubic_powmod(xp, p, poly, p) != x
+
+
+def cubic_z_oracle(poly, unit, p: int) -> tuple[tuple[int, int, int], bool]:
+    """z from eps^(p^3-1) = 1 + z*p mod (f, p^2) at an inert prime p, and
+    whether z^(3(p-1)) = 1 mod (f, p), both by direct powering."""
+    m = p * p
+    u = cubic_powmod([c % m for c in unit], p**3 - 1, poly, m)
+    u[0] -= 1
+    assert all(c % p == 0 for c in u), "unit power is not 1 mod p"
+    z = [c // p % p for c in u]
+    ordinary = any(z) and cubic_powmod(z, 3 * (p - 1), poly, p) == [1, 0, 0]
+    return tuple(z), ordinary

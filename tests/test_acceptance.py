@@ -80,7 +80,7 @@ def test_criterion_3_cubic_ordinary_table(cubic_records, ref_tables):
     with criterion(
         3,
         "ordinary scan to 2e5 reproduces the stored table (13 rows exact; the "
-        "(-83, 7) cell is a documented policy divergence, see notes/decisions.md)",
+        "(-83, 7) cell is a documented policy divergence, see README, Data files)",
     ):
         ref = ref_tables["cubic_ordinary_table"]
         t0 = time.perf_counter()
@@ -140,7 +140,7 @@ def test_criterion_3_cubic_ordinary_table(cubic_records, ref_tables):
     "row for delta=-83 contains p=7, which lies in H5(-83) = {2,3,7,41} and is "
     "therefore excluded by the same hypothesis filter that produces the "
     "documented omission of p=7 for delta=-139; no uniform scan policy can "
-    "reproduce both rows literally (analysis in notes/decisions.md)",
+    "reproduce both rows literally (analysis in README, Data files)",
 )
 def test_criterion_3_strict_reading(cubic_records, ref_tables):
     for delta, expected in ref_tables["cubic_ordinary_table"].items():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -25,12 +26,13 @@ from unitscan.cubic import (
     _embed,
     _mulz3,
     _z_coeffs,
+    _z_cubed_in_fp,
 )
 from unitscan.order_arith import OrderSpec, frobenius_order, pow3
 from unitscan.primes import PrimeRange, primes_in
 from unitscan.report import CLEAR, EXCLUDED, HIT
 
-from _oracles import cubic_norm_float
+from _oracles import cubic_is_inert, cubic_norm_float, cubic_z_oracle, trial_division_primes
 
 DELTAS = [-23, -31, -44, -59, -76, -83, -87, -104, -107, -108, -116, -135, -139, -140]
 
@@ -256,6 +258,63 @@ def test_z_representative_independence(cubic_records):
         w = tuple(rng.randrange(p) for _ in range(3))
         shifted = tuple(u + p * p * x for u, x in zip(rec.unit, w))
         assert _z_coeffs(shifted, f, p) == base
+
+
+def test_z_rejects_inconsistent_inputs(cubic_records):
+    rec = cubic_records[-23]
+    f = rec.spec.reduction
+    p = 13
+    with pytest.raises(ArithmeticError):
+        _z_coeffs((p, 0, p), f, p)  # not a unit mod p
+    with pytest.raises(ArithmeticError):
+        _z_coeffs(rec.unit, f, p, (1, 0, 0))  # not a root of f mod p
+    with pytest.raises(ArithmeticError, match="not inert"):
+        _z_coeffs(rec.unit, f, 7)  # Frobenius order 2
+    fp = tuple(c % p for c in f)
+    with pytest.raises(ArithmeticError, match="not 1 mod"):
+        _z_coeffs(rec.unit, f, p, pow3((0, 1, 0), p * p, fp, p))  # theta^(p^2), not theta^p
+
+
+def test_z_and_ordinary_match_naive_oracle(cubic_records):
+    # every inert prime p <= 3e4 passing the hypothesis filter, all 14 fields:
+    # z against eps^(p^3-1) by direct powering, and the ordinary decision of
+    # both the readable API and the scan against z^(3(p-1)) = 1
+    pairs = 0
+    primes = trial_division_primes(5, 30_000)
+    for delta, rec in cubic_records.items():
+        poly = rec.spec.defining_poly
+        f = rec.spec.reduction
+        want_hits = []
+        for p in primes:
+            if hyp_filter(rec, p) is not None or not cubic_is_inert(poly, p):
+                continue
+            pairs += 1
+            z, ordinary = cubic_z_oracle(poly, rec.unit, p)
+            assert _z_coeffs(rec.unit, f, p) == z, (delta, p)
+            if p % 3 == 1 and z != (0, 0, 0):
+                assert ordinary_test(rec, p) == ordinary, (delta, p)
+                if ordinary:
+                    want_hits.append((p, z))
+        rep = scan_cubic(rec, PrimeRange(3, 30_000), mode=MODE_ORDINARY)
+        assert [(v.p, v.aux) for v in rep.hits] == want_hits, delta
+    assert pairs == 15_184
+
+
+def test_ordinary_criterion_exhaustive(cubic_records):
+    # x^(p-1) = 1 in F_(p^3)* exactly when x lies in F_p*; the cubing map is
+    # 3-to-1 for p = 1 mod 3, so 3(p-1) elements pass
+    rec = cubic_records[-23]
+    p = 13
+    assert frobenius_order(rec.spec, p) == 3
+    fp = tuple(c % p for c in rec.spec.reduction)
+    passed = 0
+    for z in itertools.product(range(p), repeat=3):
+        if z == (0, 0, 0):
+            continue
+        cubed = _z_cubed_in_fp(z, fp, p)
+        assert cubed == (pow3(z, 3 * (p - 1), fp, p) == (1, 0, 0)), z
+        passed += cubed
+    assert passed == 3 * (p - 1)
 
 
 def test_ordinary_examples(cubic_records):
