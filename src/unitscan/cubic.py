@@ -14,14 +14,17 @@ z^(3(p-1)) = 1.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import log
 
+import numpy as np
+
 from ._data import DataFileError, data_path, read_table_rows
 from ._parallel import run_chunked
-from .order_arith import OrderSpec, frobenius_order, mul3, pow3
-from .primes import PrimeRange, primes_in
+from .order_arith import OrderSpec, mul3, pow3
+from .primes import PrimeRange, is_prime, primes_in
 from .report import CLEAR, EXCLUDED, HIT, ScanReport, Verdict, assemble_report
 
 __all__ = [
@@ -229,6 +232,7 @@ class CubicFieldRecord:
     class_number_e: int | None
     unit: tuple[int, int, int]
     unit_certificate: str = "shipped"
+    unit_inverse: tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.delta >= 0:
@@ -244,6 +248,7 @@ class CubicFieldRecord:
             raise ValueError("unit must not be rational (+-1)")
         if element_norm(self.spec, self.unit) not in (1, -1):
             raise ValueError("unit norm is not +-1")
+        object.__setattr__(self, "unit_inverse", invert_unit(self.spec, self.unit))
 
 
 def cubic_field_record(
@@ -328,9 +333,10 @@ def _frobenius(a, s1, s2, m: int) -> tuple[int, int, int]:
     )
 
 
-def _z_coeffs(unit, f, p: int, xp=None) -> tuple[int, int, int]:
+def _z_coeffs(unit, f, p: int, xp=None, inv=None) -> tuple[int, int, int]:
     """z with eps^(p^3-1) = 1 + z*p mod p^2, at an inert prime p, for any
-    representative of eps mod p^2; xp is theta^p mod (f, p) when known.
+    representative of eps mod p^2; xp is theta^p mod (f, p) and inv is a
+    representative of eps^-1 mod p^2, each when known.
     ArithmeticError when p is not inert or the inputs are inconsistent.
 
     O/p^2 is the Galois ring GR(p^2, 3), with Frobenius sigma.  Writing
@@ -360,7 +366,9 @@ def _z_coeffs(unit, f, p: int, xp=None) -> tuple[int, int, int]:
     s1 = ((xp[0] - p * step[0]) % m, (xp[1] - p * step[1]) % m, (xp[2] - p * step[2]) % m)
     s2 = mul3(s1, s1, fm, m)
     u = (unit[0] % m, unit[1] % m, unit[2] % m)
-    w = mul3(pow3(u, p, fm, m), _frobenius(_inverse_mod(u, fm, m), s1, s2, m), fm, m)
+    if inv is None:
+        inv = _inverse_mod(u, fm, m)
+    w = mul3(pow3(u, p, fm, m), _frobenius(inv, s1, s2, m), fm, m)
     d0 = w[0] - 1
     if d0 % p or w[1] % p or w[2] % p:
         raise ArithmeticError(
@@ -378,14 +386,28 @@ def _z_cubed_in_fp(z, fp, p: int) -> bool:
     return c[1] == 0 and c[2] == 0
 
 
+def _inert_xp(delta: int, fp, p: int):
+    """theta^p mod (f, p) when p is inert (Frobenius order 3), else None, for
+    p passing the hypothesis filter and fp = f mod p.  A quadratic residue
+    discriminant rules out order 2, then theta^p != theta rules out order 1."""
+    if pow(delta % p, (p - 1) >> 1, p) != 1:
+        return None
+    xp = pow3((0, 1, 0), p, fp, p)
+    return None if xp == (0, 1, 0) else xp
+
+
 def z_value(rec: CubicFieldRecord, p: int) -> ZValue:
     """The invariant z at an inert prime passing the hypothesis filter."""
     reason = hyp_filter(rec, p)
     if reason is not None:
         raise ValueError(f"p={p} rejected by the hypothesis filter ({reason})")
-    if frobenius_order(rec.spec, p) != 3:
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    f = rec.spec.reduction
+    xp = _inert_xp(rec.delta, (f[0] % p, f[1] % p, f[2] % p), p)
+    if xp is None:
         raise ValueError(f"p={p} is not inert (Frobenius order is not 3)")
-    return ZValue(p, _z_coeffs(rec.unit, rec.spec.reduction, p))
+    return ZValue(p, _z_coeffs(rec.unit, f, p, xp, rec.unit_inverse))
 
 
 def h2_vanishing_test(rec: CubicFieldRecord, p: int) -> bool:
@@ -405,78 +427,298 @@ def ordinary_test(rec: CubicFieldRecord, p: int) -> bool:
 
 
 def classify_cubic_prime(rec: CubicFieldRecord, p: int, mode: str) -> Verdict:
-    """Per-prime verdict used by the scans (readable reference path)."""
+    """Per-prime verdict: the readable reference path, and the scans' path
+    for primes the batch kernel does not take."""
     reason = hyp_filter(rec, p)
     if reason is not None:
         return Verdict(p, EXCLUDED, reason=reason)
     if mode == MODE_ORDINARY and p % 3 == 2:
         return Verdict(p, EXCLUDED, reason="p_2_mod_3")
-    if frobenius_order(rec.spec, p) != 3:
+    f = rec.spec.reduction
+    fp = (f[0] % p, f[1] % p, f[2] % p)
+    xp = _inert_xp(rec.delta, fp, p)
+    if xp is None:
         return Verdict(p, EXCLUDED, reason="frob_order_not_3")
-    z = z_value(rec, p)
+    z = _z_coeffs(rec.unit, f, p, xp, rec.unit_inverse)
     if mode == MODE_H2:
-        if z.is_zero:
-            return Verdict(p, HIT, aux=z.coeffs)
+        if z == (0, 0, 0):
+            return Verdict(p, HIT, aux=z)
         return Verdict(p, CLEAR)
     if mode == MODE_ORDINARY:
-        if z.is_zero:
+        if z == (0, 0, 0):
             return Verdict(p, EXCLUDED, reason="z_zero")
-        if ordinary_test(rec, p):
-            return Verdict(p, HIT, aux=z.coeffs)
+        if _z_cubed_in_fp(z, fp, p):
+            return Verdict(p, HIT, aux=z)
         return Verdict(p, CLEAR)
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _cubic_chunk(args, lo: int, hi: int) -> list[Verdict]:
-    rec, mode = args
-    f = rec.spec.reduction
+# -- batched scan kernel ---------------------------------------------------------
+#
+# A scan chunk classifies its primes together, one int64 numpy lane per prime,
+# with the tests of classify_cubic_prime in the same order.  Residues mod p
+# stay below 2^25, so a sum of three products of two is below 2^52 and plain
+# int64 arithmetic is exact.  Residues mod m = p^2 < 2^50 are multiplied by
+# the float-quotient MulMod of Shoup's NTL (see _Lanes.dot).
+#
+# Bound on the record.  A product folds its x^3 and x^4 terms c3, c4 (reduced
+# into [0, m)) back in as c4*t_i - c3*f_i, where f = (f0, f1, f2) is the
+# reduction and t = (f2 f0, f2 f1 - f0, f2^2 - f1) gives x^4.  With
+# |f_i| + |t_i| < 2^12 that fold stays below 2^50 * 2^12 = 2^62, and so does
+# the Newton residue t^3 + f2 t^2 + f1 t + f0 for t^2, t^3 in [0, m), so
+# every intermediate fits int64 exactly (_Lanes.dot bounds its remainder).
+# The unit, its inverse, Delta and h_E enter only through x % m or x % p,
+# which needs |x| < 2^63.  A chunk whose record breaks the bound, and every
+# prime from 2^25 up, goes through classify_cubic_prime instead.
+
+_BATCH_PMAX = 1 << 25
+_FOLD_MAX = 1 << 12
+_INT64_MAX = (1 << 63) - 1
+
+_REASONS = (
+    None,
+    "hyp1_divides_6",
+    "hyp2_ramified",
+    "hyp3_class_number",
+    "hyp5_in_H5",
+    "p_2_mod_3",
+    "frob_order_not_3",
+    "z_zero",
+)
+_CLEAR = len(_REASONS)
+_HIT = _CLEAR + 1
+
+
+def _fold_coeffs(f) -> tuple[int, int, int]:
+    """Coefficients of x^4 mod x^3 + f2 x^2 + f1 x + f0 (see mul3)."""
     f0, f1, f2 = f
-    delta = rec.delta
-    h5 = h5_set(rec.ramified)
-    h_e = rec.class_number_e
-    unit = rec.unit
-    ordinary = mode == MODE_ORDINARY
-    out = []
-    x = (0, 1, 0)
-    for p in primes_in(PrimeRange(lo, hi)):
-        if p == 2 or p == 3:
-            out.append(Verdict(p, EXCLUDED, reason="hyp1_divides_6"))
-            continue
-        if delta % p == 0:
-            out.append(Verdict(p, EXCLUDED, reason="hyp2_ramified"))
-            continue
-        if h_e is not None and h_e % p == 0:
-            out.append(Verdict(p, EXCLUDED, reason="hyp3_class_number"))
-            continue
-        if p in h5:
-            out.append(Verdict(p, EXCLUDED, reason="hyp5_in_H5"))
-            continue
-        if ordinary and p % 3 == 2:
-            out.append(Verdict(p, EXCLUDED, reason="p_2_mod_3"))
-            continue
-        # Frobenius order 3 means p inert: quadratic residue discriminant
-        # (rules out order 2), then x^p != x mod f (rules out order 1).
-        if pow(delta % p, (p - 1) >> 1, p) != 1:
-            out.append(Verdict(p, EXCLUDED, reason="frob_order_not_3"))
-            continue
-        fp = (f0 % p, f1 % p, f2 % p)
-        xp = pow3(x, p, fp, p)
-        if xp == x:
-            out.append(Verdict(p, EXCLUDED, reason="frob_order_not_3"))
-            continue
-        z = _z_coeffs(unit, f, p, xp)
-        if ordinary:
-            if z == (0, 0, 0):
-                out.append(Verdict(p, EXCLUDED, reason="z_zero"))
-            elif _z_cubed_in_fp(z, fp, p):
-                out.append(Verdict(p, HIT, aux=z))
-            else:
-                out.append(Verdict(p, CLEAR))
+    return (f2 * f0, f2 * f1 - f0, f2 * f2 - f1)
+
+
+def _batch_ok(rec: CubicFieldRecord) -> bool:
+    """The record keeps every int64 intermediate of the kernel exact."""
+    f = rec.spec.reduction
+    if max(abs(a) + abs(b) for a, b in zip(f, _fold_coeffs(f))) >= _FOLD_MAX:
+        return False
+    ints = (*rec.unit, *rec.unit_inverse, rec.delta, rec.class_number_e or 0)
+    return all(abs(c) <= _INT64_MAX for c in ints)
+
+
+class _Lanes:
+    """(Z/m)[x]/(f) with one modulus per lane: m is an int64 array of primes
+    below 2^25 (exact int64 products) or of their squares (float quotients)."""
+
+    def __init__(self, f, m, exact: bool):
+        self.f = f
+        self.t = _fold_coeffs(f)
+        self.m = m
+        self.minv = None if exact else 1.0 / m
+
+    def dot(self, pairs, extra=0):
+        """(s = sum of a*b over the pairs + extra) mod m, for a, b in [0, m),
+        at most three pairs and |extra| < 2^62.
+
+        Float path, m < 2^50: q is s/m computed in float64 and truncated.
+        Its terms add up to at most 3m^2 + 2^62, and at most eight roundings
+        of 2^-53 each put q within 8 * 2^-53 * (3m + 2^62/m) + 1 of s/m, so
+        r = s - q*m has |r| < 2m + 8 * 2^-53 * (3m^2 + 2^62) < 2^53.  Wrapping
+        int64 arithmetic gets s and q*m right modulo 2^64, hence r exactly,
+        and r % m is the residue."""
+        s = extra
+        for a, b in pairs:
+            s = s + a * b
+        if self.minv is None:
+            return s % self.m
+        est = extra + 0.0
+        for a, b in pairs:
+            est = est + a.astype(np.float64) * b
+        r = s - (est * self.minv).astype(np.int64) * self.m
+        return r % self.m
+
+    def mul(self, a, b):
+        a0, a1, a2 = a
+        b0, b1, b2 = b
+        f, t = self.f, self.t
+        c3 = self.dot(((a1, b2), (a2, b1)))
+        c4 = self.dot(((a2, b2),))
+        return (
+            self.dot(((a0, b0),), c4 * t[0] - c3 * f[0]),
+            self.dot(((a0, b1), (a1, b0)), c4 * t[1] - c3 * f[1]),
+            self.dot(((a0, b2), (a1, b1), (a2, b0)), c4 * t[2] - c3 * f[2]),
+        )
+
+    def one(self):
+        return (np.ones_like(self.m), np.zeros_like(self.m), np.zeros_like(self.m))
+
+    def pow(self, a, e):
+        """a^e lane by lane, right-to-left binary powering."""
+        r = self.one()
+        for k in range(int(e.max(initial=0)).bit_length()):
+            if k:
+                a = self.mul(a, a)
+            ra = self.mul(r, a)
+            bit = (e >> k) & 1 == 1
+            r = tuple(np.where(bit, x, y) for x, y in zip(ra, r))
+        return r
+
+    def xpow(self, e):
+        """x^e lane by lane, left-to-right: multiplying by x is a shift."""
+        r = self.one()
+        for k in reversed(range(int(e.max(initial=0)).bit_length())):
+            r = self.mul(r, r)
+            rx = _times_x(r, self.f, self.m)
+            bit = (e >> k) & 1 == 1
+            r = tuple(np.where(bit, x, y) for x, y in zip(rx, r))
+        return r
+
+    def frobenius(self, a, s1, s2):
+        """a0 + a1*theta + a2*theta^2 -> a0 + a1*s1 + a2*s2 (see _frobenius)."""
+        a0, a1, a2 = a
+        return (
+            self.dot(((a1, s1[0]), (a2, s2[0])), a0),
+            self.dot(((a1, s1[1]), (a2, s2[1]))),
+            self.dot(((a1, s1[2]), (a2, s2[2]))),
+        )
+
+
+def _times_x(g, f, m):
+    """g * theta in (Z/m)[x]/(f) lane by lane, for g in [0, m) below 2^25."""
+    f0, f1, f2 = f
+    return ((-f0 * g[2]) % m, (g[0] - f1 * g[2]) % m, (g[1] - f2 * g[2]) % m)
+
+
+def _powmod(b, e, p):
+    """b^e mod p lane by lane, p below 2^25 and b in [0, p)."""
+    r = np.ones_like(p)
+    for k in range(int(e.max(initial=0)).bit_length()):
+        if k:
+            b = b * b % p
+        r = np.where((e >> k) & 1 == 1, r * b % p, r)
+    return r
+
+
+def _inverse_lanes(g, f, p):
+    """Inverse of g in F_p[x]/(f) lane by lane from the adjugate (see
+    _adjugate); ArithmeticError when the norm of g is 0 mod p in a lane."""
+    gx = _times_x(g, f, p)
+    (m00, m10, m20), (m01, m11, m21), (m02, m12, m22) = g, gx, _times_x(gx, f, p)
+    c0 = (m11 * m22 - m12 * m21) % p
+    c1 = (m12 * m20 - m10 * m22) % p
+    c2 = (m10 * m21 - m11 * m20) % p
+    det = (m00 * c0 + m01 * c1 + m02 * c2) % p
+    if not det.all():
+        raise ArithmeticError(f"element is not invertible mod {p[det == 0][0]}")
+    d = _powmod(det, p - 2, p)
+    return (c0 * d % p, c1 * d % p, c2 * d % p)
+
+
+def _equals(a, c):
+    """Lanes where the triple a equals the constant triple c."""
+    return (a[0] == c[0]) & (a[1] == c[1]) & (a[2] == c[2])
+
+
+def _z_lanes(unit, inv, f, p, xp):
+    """_z_coeffs lane by lane, with the same guards: z at primes p < 2^25
+    where theta^p mod (f, p) is xp, for the exact unit and its exact inverse."""
+    m = p * p
+    rp = _Lanes(f, p, exact=True)
+    rm = _Lanes(f, m, exact=False)
+    f0, f1, f2 = f
+    # sigma(theta) mod p^2: one Newton step t - f(t)/f'(t) from t = theta^p.
+    t2 = rm.mul(xp, xp)
+    t3 = rm.mul(t2, xp)
+    ft = [(t3[i] + f2 * t2[i] + f1 * xp[i]) % m for i in range(3)]
+    ft[0] = (ft[0] + f0) % m
+    bad = ~_equals([c % p for c in ft], (0, 0, 0))
+    if bad.any():
+        raise ArithmeticError(f"theta^p is not a root of f mod {p[bad][0]}: corrupt inputs")
+    xp2 = tuple(c % p for c in t2)
+    bad = _equals(xp, (0, 1, 0)) | _equals(rp.frobenius(xp, xp, xp2), (0, 1, 0))
+    if bad.any():
+        raise ArithmeticError(f"p={p[bad][0]} is not inert: theta^p or theta^(p^2) is theta")
+    dt = [(3 * xp2[i] + 2 * f2 * xp[i]) % p for i in range(3)]
+    dt[0] = (dt[0] + f1) % p
+    step = rp.mul(tuple(c // p for c in ft), _inverse_lanes(dt, f, p))
+    s1 = tuple((c - p * s) % m for c, s in zip(xp, step))
+    s2 = rm.mul(s1, s1)
+    u = tuple(c % m for c in unit)
+    w = rm.mul(rm.pow(u, p), rm.frobenius(tuple(c % m for c in inv), s1, s2))
+    d0 = w[0] - 1
+    bad = ~_equals((d0 % p, w[1] % p, w[2] % p), (0, 0, 0))
+    if bad.any():
+        raise ArithmeticError(
+            f"eps^p * sigma(eps^-1) is not 1 mod {p[bad][0]}: impossible for an inert prime, "
+            "this indicates corrupt inputs"
+        )
+    sz = (d0 // p, w[1] // p, w[2] // p)
+    return rp.frobenius(rp.frobenius(sz, xp, xp2), xp, xp2)
+
+
+def _classify_lanes(rec: CubicFieldRecord, mode: str, primes: list[int]) -> list[Verdict]:
+    """classify_cubic_prime for every prime of the list, all below 2^25, for
+    a record that passes _batch_ok."""
+    if mode not in (MODE_H2, MODE_ORDINARY):
+        raise ValueError(f"unknown mode {mode!r}")
+    if not primes:
+        return []
+    P = np.array(primes, dtype=np.int64)
+    code = np.zeros(len(primes), dtype=np.int8)
+
+    def exclude(lanes, reason):
+        code[lanes[code[lanes] == 0]] = _REASONS.index(reason)
+
+    every = np.arange(len(primes))
+    exclude(every[(P == 2) | (P == 3)], "hyp1_divides_6")
+    exclude(every[rec.delta % P == 0], "hyp2_ramified")
+    if rec.class_number_e is not None:
+        exclude(every[rec.class_number_e % P == 0], "hyp3_class_number")
+    # hyp4_even cannot fire: the only even prime failed hyp1.
+    exclude(every[np.isin(P, sorted(h5_set(rec.ramified)))], "hyp5_in_H5")
+    if mode == MODE_ORDINARY:
+        exclude(every[P % 3 == 2], "p_2_mod_3")
+    live = np.flatnonzero(code == 0)
+    p = P[live]
+    nonresidue = _powmod(rec.delta % p, (p - 1) >> 1, p) != 1
+    exclude(live[nonresidue], "frob_order_not_3")
+    live, p = live[~nonresidue], p[~nonresidue]
+    f = rec.spec.reduction
+    xp = _Lanes(f, p, exact=True).xpow(p)
+    split = _equals(xp, (0, 1, 0))
+    exclude(live[split], "frob_order_not_3")
+    live, p, xp = live[~split], p[~split], tuple(c[~split] for c in xp)
+    aux = {}
+    if len(live):
+        z = _z_lanes(rec.unit, rec.unit_inverse, f, p, xp)
+        zero = _equals(z, (0, 0, 0))
+        if mode == MODE_ORDINARY:
+            lanes = _Lanes(f, p, exact=True)
+            cube = lanes.mul(lanes.mul(z, z), z)
+            in_fp = (cube[1] == 0) & (cube[2] == 0)
+            outcome = np.where(zero, _REASONS.index("z_zero"), np.where(in_fp, _HIT, _CLEAR))
         else:
-            if z == (0, 0, 0):
-                out.append(Verdict(p, HIT, aux=z))
-            else:
-                out.append(Verdict(p, CLEAR))
+            outcome = np.where(zero, _HIT, _CLEAR)
+        code[live] = outcome
+        hit = outcome == _HIT
+        aux = dict(zip(live[hit].tolist(), zip(*(c[hit].tolist() for c in z))))
+    out = []
+    for i, (q, c) in enumerate(zip(primes, code.tolist())):
+        if c == _CLEAR:
+            out.append(Verdict(q, CLEAR))
+        elif c == _HIT:
+            out.append(Verdict(q, HIT, aux=aux[i]))
+        else:
+            out.append(Verdict(q, EXCLUDED, reason=_REASONS[c]))
+    return out
+
+
+def _cubic_chunk(args, lo: int, hi: int) -> list[Verdict]:
+    """Verdicts for the primes in [lo, hi]: the batch kernel takes those
+    below 2^25 when the record allows it, classify_cubic_prime the rest."""
+    rec, mode = args
+    primes = list(primes_in(PrimeRange(lo, hi)))
+    cut = bisect_left(primes, _BATCH_PMAX) if _batch_ok(rec) else 0
+    out = _classify_lanes(rec, mode, primes[:cut])
+    out.extend(classify_cubic_prime(rec, p, mode) for p in primes[cut:])
     return out
 
 

@@ -205,12 +205,7 @@ def wieferich_scan(
     chunk_span: int = 1 << 16,
 ) -> list[int]:
     """Primes p in the range, coprime to the base, with base^(p-1) = 1 mod p^2."""
-    if base < 2:
-        raise ValueError("base must be at least 2")
-    hits = run_chunked(
-        _wieferich_chunk, (base, segment_size), rng.lo, rng.hi, workers, chunk_span
-    )
-    return [v.p for v in hits]
+    return [v.p for v in scan_wieferich(base, rng, segment_size, workers, chunk_span).hits]
 
 
 def scan_wieferich(

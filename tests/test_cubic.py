@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 import sympy
 
@@ -23,14 +24,21 @@ from unitscan.cubic import (
     real_root,
     scan_cubic,
     z_value,
+    _BATCH_PMAX,
+    _FOLD_MAX,
+    _Lanes,
+    _batch_ok,
+    _classify_lanes,
     _embed,
+    _fold_coeffs,
     _mulz3,
     _z_coeffs,
     _z_cubed_in_fp,
+    _z_lanes,
 )
 from unitscan.order_arith import OrderSpec, frobenius_order, pow3
 from unitscan.primes import PrimeRange, primes_in
-from unitscan.report import CLEAR, EXCLUDED, HIT
+from unitscan.report import CLEAR, EXCLUDED, HIT, assemble_report
 
 from _oracles import cubic_is_inert, cubic_norm_float, cubic_z_oracle, trial_division_primes
 
@@ -355,18 +363,175 @@ def test_h2_clear_everywhere_small(cubic_records):
 
 # -- scan behaviour ---------------------------------------------------------------------
 
-@pytest.mark.parametrize("delta", [-23, -87])
+def _reference_report(rec, rng, mode):
+    """The report assembled from classify_cubic_prime, one prime at a time."""
+    verdicts = [classify_cubic_prime(rec, p, mode) for p in primes_in(rng)]
+    return assemble_report(f"cubic(delta={rec.delta})", mode, rng.lo, rng.hi, verdicts, True)
+
+
+def _assert_same_report(rep, ref, label):
+    assert rep.hits == ref.hits, label
+    assert rep.excluded == ref.excluded, label
+    assert rep.clears == ref.clears, label
+    assert rep.checksum == ref.checksum, label
+
+
+@pytest.mark.parametrize("delta", DELTAS)
 def test_scan_matches_classify(delta, cubic_records):
+    # the batch kernel against the readable classifier on every prime to the
+    # scan bounds of the paper's tables: full verdicts and checksums
     rec = cubic_records[delta]
-    for mode in (MODE_H2, MODE_ORDINARY):
-        rep = scan_cubic(rec, PrimeRange(2, 2000), mode=mode, full_verdicts=True)
-        verdicts = {v.p: v for v in rep.hits + rep.excluded}
-        for p in primes_in(PrimeRange(2, 2000)):
-            want = classify_cubic_prime(rec, p, mode)
-            if want.status == CLEAR:
-                assert p in rep.clears, (p, mode)
-            else:
-                assert verdicts[p] == want, (p, mode)
+    assert _batch_ok(rec)
+    for mode, pmax in ((MODE_ORDINARY, 200_000), (MODE_H2, 100_000)):
+        rng = PrimeRange(2, pmax)
+        rep = scan_cubic(rec, rng, mode=mode, full_verdicts=True)
+        _assert_same_report(rep, _reference_report(rec, rng, mode), mode)
+
+
+def test_batch_tiny_chunks(cubic_records):
+    # chunks with no prime, or one, leave some kernel stages without lanes
+    rng = PrimeRange(2, 400)
+    for delta in (-23, -140):
+        rec = cubic_records[delta]
+        for mode in (MODE_H2, MODE_ORDINARY):
+            ref = _reference_report(rec, rng, mode)
+            for span in (1, 2, 7):
+                rep = scan_cubic(rec, rng, mode=mode, full_verdicts=True, chunk_span=span)
+                _assert_same_report(rep, ref, (delta, mode, span))
+
+
+def _shifted_record(rec23, c):
+    # theta -> theta - c in x^3 - x - 1 (Delta = -23): same field, large
+    # coefficients; the unit theta becomes c + theta
+    assert rec23.spec.defining_poly == (-1, -1, 0, 1) and rec23.unit == (0, 1, 0)
+    spec = OrderSpec.from_poly((c**3 - c - 1, 3 * c * c - 1, 3 * c, 1))
+    return CubicFieldRecord(-23, spec, frozenset({23}), None, (c, 1, 0), "derived")
+
+
+def test_batch_bound_straddles_2_25(cubic_records, monkeypatch):
+    import unitscan.cubic as cubic_mod
+
+    rng = PrimeRange(_BATCH_PMAX - 3000, _BATCH_PMAX + 3000)
+    primes = list(primes_in(rng))
+    below = [p for p in primes if p < _BATCH_PMAX]
+    assert below and len(below) < len(primes)
+    scalar = []
+    reference = cubic_mod.classify_cubic_prime
+
+    def counted(rec, p, mode):
+        scalar.append(p)
+        return reference(rec, p, mode)
+
+    # -23 as shipped, and shifted by 6: |f_i| + |t_i| = 3971, near the fold bound
+    for rec in (cubic_records[-23], _shifted_record(cubic_records[-23], 6)):
+        assert _batch_ok(rec)
+        for mode in (MODE_H2, MODE_ORDINARY):
+            want = [reference(rec, p, mode) for p in primes]
+            assert _classify_lanes(rec, mode, below) == want[: len(below)], mode
+            scalar.clear()
+            monkeypatch.setattr(cubic_mod, "classify_cubic_prime", counted)
+            rep = scan_cubic(rec, rng, mode=mode, full_verdicts=True)
+            monkeypatch.setattr(cubic_mod, "classify_cubic_prime", reference)
+            assert scalar == primes[len(below):], mode
+            _assert_same_report(rep, _reference_report(rec, rng, mode), mode)
+
+
+def test_large_coefficients_take_scalar_path(cubic_records, monkeypatch):
+    import unitscan.cubic as cubic_mod
+
+    rec23 = cubic_records[-23]
+    f = rec23.spec.reduction
+    big_unit = rec23.unit
+    for _ in range(160):  # eps^161: coefficients beyond 2^63
+        big_unit = _mulz3(big_unit, rec23.unit, f)
+    assert max(map(abs, big_unit)) >= 1 << 63
+    big_power = CubicFieldRecord(-23, rec23.spec, rec23.ramified, None, big_unit, "derived")
+    shifted = _shifted_record(rec23, 7)  # f2 * f0 = 7035 > 2^12
+    f7 = shifted.spec.reduction
+    assert max(abs(a) + abs(b) for a, b in zip(f7, _fold_coeffs(f7))) >= _FOLD_MAX
+    huge_h = CubicFieldRecord(-23, rec23.spec, rec23.ramified, 1 << 70, rec23.unit, "derived")
+
+    def refuse(rec, mode, primes):
+        assert not primes, "the batch kernel took a record beyond its int64 bound"
+        return []
+
+    rng = PrimeRange(2, 3000)
+    base = scan_cubic(rec23, rng, mode=MODE_ORDINARY, full_verdicts=True)
+    monkeypatch.setattr(cubic_mod, "_classify_lanes", refuse)
+    for rec in (big_power, shifted, huge_h):
+        assert not _batch_ok(rec)
+        for mode in (MODE_H2, MODE_ORDINARY):
+            rep = scan_cubic(rec, rng, mode=mode, full_verdicts=True)
+            _assert_same_report(rep, _reference_report(rec, rng, mode), mode)
+    # the shifted model is the same field: same hits and clears as shipped
+    rep = scan_cubic(shifted, rng, mode=MODE_ORDINARY, full_verdicts=True)
+    assert [v.p for v in rep.hits] == [v.p for v in base.hits] == [13]
+    assert rep.clears == base.clears
+
+
+def test_float_quotient_mulmod_exact():
+    # the 40 largest primes below 2^25, where m = p^2 is closest to 2^50:
+    # operands 0, m - 1 and random, one to three pairs, and the extra term
+    # at 0, +-(2^62 - 1) and random
+    rng = random.Random(29)
+    primes = list(primes_in(PrimeRange(_BATCH_PMAX - 2000, _BATCH_PMAX)))[-40:]
+    ms = [p * p for p in primes]
+    lanes = _Lanes((0, 0, 0), np.array(ms, dtype=np.int64), exact=False)
+    operands = [[0] * len(ms), [m - 1 for m in ms]]
+    operands += [[rng.randrange(m) for m in ms] for _ in range(3)]
+    top = (1 << 62) - 1
+    extras = [[e] * len(ms) for e in (0, top, -top)]
+    extras.append([rng.randint(-top, top) for _ in ms])
+
+    def check(pairs, extra):
+        got = lanes.dot(
+            [(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)) for a, b in pairs],
+            np.array(extra, dtype=np.int64),
+        )
+        want = [(sum(a[j] * b[j] for a, b in pairs) + extra[j]) % m for j, m in enumerate(ms)]
+        assert got.tolist() == want
+
+    for a, b in itertools.product(operands, repeat=2):
+        for extra in extras:
+            check([(a, b)], extra)
+    for _ in range(100):
+        n = rng.randint(2, 3)
+        check([(rng.choice(operands), rng.choice(operands)) for _ in range(n)], rng.choice(extras))
+
+
+def _double_root(f, p):
+    return next(r for r in range(p) if (r**3 + f[2] * r * r + f[1] * r + f[0]) % p == 0
+                and (3 * r * r + 2 * f[2] * r + f[1]) % p == 0)
+
+
+def test_z_lanes_rejects_what_z_coeffs_rejects(cubic_records):
+    # each corrupt input is put in one lane next to a good lane (p = 13)
+    rec = cubic_records[-23]
+    f = rec.spec.reduction
+    inv = rec.unit_inverse
+
+    def xp_of(p, e):
+        return pow3((0, 1, 0), e, tuple(c % p for c in f), p)
+
+    def lanes(p_bad, xp_bad):
+        p = np.array([13, p_bad], dtype=np.int64)
+        xp = tuple(np.array([g, b], dtype=np.int64) for g, b in zip(xp_of(13, 13), xp_bad))
+        return p, xp
+
+    cases = [
+        (13, (1, 0, 0), rec.unit, inv, "not a root"),
+        (7, xp_of(7, 7), rec.unit, inv, "not inert"),
+        (13, xp_of(13, 13 * 13), rec.unit, inv, "not 1 mod"),
+        (13, xp_of(13, 13), rec.unit, (1, 0, 0), "not 1 mod"),
+        (23, (_double_root(f, 23), 0, 0), rec.unit, inv, "not invertible"),
+    ]
+    for p_bad, xp_bad, unit, unit_inv, message in cases:
+        with pytest.raises(ArithmeticError, match=message):
+            _z_coeffs(unit, f, p_bad, xp_bad, unit_inv)
+        with pytest.raises(ArithmeticError, match=message):
+            _z_lanes(unit, unit_inv, f, *lanes(p_bad, xp_bad))
+    good = _z_lanes(rec.unit, inv, f, *lanes(13, xp_of(13, 13)))
+    assert [c.tolist() for c in good] == [[z, z] for z in _z_coeffs(rec.unit, f, 13)]
 
 
 def test_scan_unit_normalization_invariance(cubic_records):
