@@ -21,22 +21,11 @@ from .heuristics import (
     expected_exceptional_count,
     injective_probability,
     level_raising_densities,
-    mertens_count,
     monte_carlo_injective,
     multiplicity_distribution,
     scan_wieferich,
-    wieferich_scan,
 )
-from .order_arith import (
-    Modulus,
-    OrderElem,
-    OrderSpec,
-    elem_add,
-    elem_mul,
-    elem_pow,
-    frobenius_order,
-    root_count_mod_p,
-)
+from .order_arith import OrderSpec, frobenius_order, root_count_mod_p
 from .primes import PrimeRange, is_prime, primes_in
 from .quadratic import (
     QuadFieldRecord,
@@ -47,5 +36,4 @@ from .quadratic import (
     scan_quadratic,
 )
 from .report import ScanReport, Verdict, verify_tables
-
-__version__ = "0.1.0"
+from .report import TOOL_VERSION as __version__

@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 table verification mismatch, 2 bad arguments,
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 
@@ -51,17 +52,9 @@ def _emit_reports(reports, fmt: str) -> None:
             click.echo(report_to_csv(r, header=(i == 0)), nl=False)
 
 
-def _load_quad(data_dir):
+def _load(loader, data_dir):
     try:
-        return quadratic.load_quad_fields(data_dir)
-    except DataFileError as exc:
-        click.echo(f"data error: {exc}", err=True)
-        sys.exit(3)
-
-
-def _load_cubic(data_dir):
-    try:
-        return cubic.load_cubic_fields(data_dir)
+        return loader(data_dir)
     except DataFileError as exc:
         click.echo(f"data error: {exc}", err=True)
         sys.exit(3)
@@ -96,7 +89,7 @@ def main():
 @click.option("--data-dir", default=None, help="Override the bundled data directory.")
 def scan_quad(d_key, pmax, pmin, full_verdicts, fmt, workers, data_dir):
     """Scan primes for the mod-p^2 fundamental-unit congruence in Q(sqrt(D))."""
-    records = _load_quad(data_dir)
+    records = _load(quadratic.load_quad_fields, data_dir)
     reports = []
     for rec in _pick(records, d_key, "D"):
         rep = quadratic.scan_quadratic(
@@ -118,7 +111,7 @@ def scan_quad(d_key, pmax, pmin, full_verdicts, fmt, workers, data_dir):
 @click.option("--data-dir", default=None)
 def scan_cubic_cmd(delta, pmax, pmin, mode, full_verdicts, fmt, workers, data_dir):
     """Scan inert primes of a complex cubic field (z-invariant tests)."""
-    records = _load_cubic(data_dir)
+    records = _load(cubic.load_cubic_fields, data_dir)
     reports = []
     for rec in _pick(records, delta, "delta"):
         rep = cubic.scan_cubic(
@@ -139,7 +132,7 @@ def scan_cubic_cmd(delta, pmax, pmin, mode, full_verdicts, fmt, workers, data_di
 @click.option("--data-dir", default=None)
 def h5_cmd(delta, fmt, data_dir):
     """Print the small-prime exclusion set (raw, and with 2 and 3 removed)."""
-    records = _load_cubic(data_dir)
+    records = _load(cubic.load_cubic_fields, data_dir)
     rows = []
     for rec in _pick(records, delta, "delta"):
         raw = sorted(cubic.h5_set(rec.ramified))
@@ -246,10 +239,10 @@ def mult_dist_cmd(k0, imax):
 def mertens_cmd(x):
     """Sum of 1/p for p <= x, against log log x."""
     try:
-        total, loglog = heuristics.mertens_count(x)
+        total = heuristics.expected_exceptional_count(x)
     except ValueError as exc:
         raise click.BadParameter(str(exc))
-    click.echo(f"sum 1/p (p <= {x}) = {total:.9f}   log log x = {loglog:.9f}")
+    click.echo(f"sum 1/p (p <= {x}) = {total:.9f}   log log x = {math.log(math.log(x)):.9f}")
 
 
 @heuristics_group.command("expected-count")

@@ -88,28 +88,13 @@ def h5_reduced(ramified: frozenset[int]) -> frozenset[int]:
 
 # -- exact arithmetic on unit triples ------------------------------------------
 
-def _mulz3(a, b, f):
-    """Product of two triples in Z[x]/(f), exact integers (no modulus)."""
-    f0, f1, f2 = f
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    c0 = a0 * b0
-    c1 = a0 * b1 + a1 * b0
-    c2 = a0 * b2 + a1 * b1 + a2 * b0
-    c3 = a1 * b2 + a2 * b1
-    c4 = a2 * b2
-    return (
-        c0 - c3 * f0 + c4 * f2 * f0,
-        c1 - c3 * f1 + c4 * (f2 * f1 - f0),
-        c2 - c3 * f2 + c4 * (f2 * f2 - f1),
-    )
-
-
 def _adjugate(g, f):
     """First column of the adjugate of g's multiplication matrix, and its
     determinant (the norm of g), exact: g * (c0 + c1 x + c2 x^2) = det."""
-    cols = (g, _mulz3(g, (0, 1, 0), f), _mulz3(g, (0, 0, 1), f))
-    (m00, m10, m20), (m01, m11, m21), (m02, m12, m22) = cols
+    f0, f1, f2 = f
+    gx = (-f0 * g[2], g[0] - f1 * g[2], g[1] - f2 * g[2])
+    gxx = (-f0 * gx[2], gx[0] - f1 * gx[2], gx[1] - f2 * gx[2])
+    (m00, m10, m20), (m01, m11, m21), (m02, m12, m22) = g, gx, gxx
     c0 = m11 * m22 - m12 * m21
     c1 = m12 * m20 - m10 * m22
     c2 = m10 * m21 - m11 * m20

@@ -26,9 +26,7 @@ __all__ = [
     "MonteCarloResult",
     "injective_probability",
     "monte_carlo_injective",
-    "mertens_count",
     "expected_exceptional_count",
-    "wieferich_scan",
     "scan_wieferich",
     "level_raising_densities",
     "multiplicity_distribution",
@@ -162,23 +160,13 @@ def monte_carlo_injective(p: int, n: int, m: int, trials: int, seed: int) -> Mon
     )
 
 
-def mertens_count(x: int, segment_size: int = 1 << 20) -> tuple[float, float]:
-    """(sum of 1/p over p <= x, log log x).
-
-    Float accumulation in ascending prime order; the rounding error stays
-    below 1e-9 for x up to 1e8.
-    """
-    if x < 2:
-        raise ValueError("x must be at least 2")
-    total = 0.0
-    for p in primes_in(PrimeRange(2, x), segment_size):
-        total += 1.0 / p
-    return total, math.log(math.log(x))
-
-
 def expected_exceptional_count(x: int, power: int = 1) -> float:
     """Sum of 1/p^power over p <= x (power 1: the log log X count of
-    expected exceptional primes; power >= 2: a convergent tail)."""
+    expected exceptional primes; power >= 2: a convergent tail).
+
+    Float accumulation in ascending prime order; for power 1 the rounding
+    error stays below 1e-9 for x up to 1e8.
+    """
     if x < 2:
         raise ValueError("x must be at least 2")
     if power < 1:
@@ -195,17 +183,6 @@ def _wieferich_chunk(args, lo: int, hi: int) -> list[Verdict]:
         if pow(base, p - 1, p * p) == 1:
             out.append(Verdict(p, HIT))
     return out
-
-
-def wieferich_scan(
-    base: int,
-    rng: PrimeRange,
-    segment_size: int = 1 << 20,
-    workers: int = 1,
-    chunk_span: int = 1 << 16,
-) -> list[int]:
-    """Primes p in the range, coprime to the base, with base^(p-1) = 1 mod p^2."""
-    return [v.p for v in scan_wieferich(base, rng, segment_size, workers, chunk_span).hits]
 
 
 def scan_wieferich(

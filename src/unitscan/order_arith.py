@@ -15,12 +15,11 @@ from .primes import is_prime
 
 __all__ = [
     "OrderSpec",
-    "Modulus",
-    "OrderElem",
     "poly_discriminant",
-    "elem_add",
-    "elem_mul",
-    "elem_pow",
+    "mul2",
+    "mul3",
+    "pow2",
+    "pow3",
     "root_count_mod_p",
     "frobenius_order",
 ]
@@ -72,50 +71,7 @@ class OrderSpec:
         return self.defining_poly[:-1]
 
 
-@dataclass(frozen=True)
-class Modulus:
-    """Prime-power modulus m = p^k with k in {1, 2}."""
-
-    p: int
-    k: int
-    m: int
-
-    def __post_init__(self):
-        if self.k not in (1, 2):
-            raise ValueError("exponent k must be 1 or 2")
-        if self.p >= 1 << 32:
-            raise ValueError("p must be below 2^32")
-        if self.m != self.p**self.k:
-            raise ValueError("m must equal p^k")
-        if self.m >= 1 << 63:
-            raise ValueError("modulus must stay below 2^63")
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-
-    @classmethod
-    def make(cls, p: int, k: int) -> "Modulus":
-        return cls(p, k, p**k)
-
-
-@dataclass(frozen=True)
-class OrderElem:
-    """Ring element as a residue vector on the power basis."""
-
-    coeffs: tuple[int, ...]
-
-    @classmethod
-    def reduce(cls, coeffs, mod: Modulus) -> "OrderElem":
-        return cls(tuple(int(c) % mod.m for c in coeffs))
-
-
-def _check(a: OrderElem, spec: OrderSpec, mod: Modulus) -> None:
-    if len(a.coeffs) != spec.degree:
-        raise ValueError("element length does not match the order degree")
-    if any(c < 0 or c >= mod.m for c in a.coeffs):
-        raise ValueError("element coefficients must be reduced into [0, m)")
-
-
-# -- low-level kernels on plain tuples (shared with the scanners) ------------
+# -- ring kernels on plain tuples -------------------------------------------
 
 def mul2(a, b, f, m):
     """(a0+a1 x)(b0+b1 x) mod (x^2 + f1 x + f0, m); f = (f0, f1)."""
@@ -144,6 +100,7 @@ def mul3(a, b, f, m):
 
 
 def pow2(a, e, f, m):
+    """a^e in (Z/m)[x]/(x^2 + f1 x + f0) by binary exponentiation; e >= 0."""
     f0, f1 = f
     r0, r1 = 1 % m, 0
     b0, b1 = a[0] % m, a[1] % m
@@ -159,7 +116,7 @@ def pow2(a, e, f, m):
 
 
 def pow3(a, e, f, m):
-    """Binary exponentiation in (Z/m)[x]/(f); exponents of any size."""
+    """Binary exponentiation in (Z/m)[x]/(f); exponents e >= 0 of any size."""
     f0, f1, f2 = f
     t2 = f2 * f2 - f1
     t1 = f2 * f1 - f0
@@ -187,33 +144,6 @@ def pow3(a, e, f, m):
             b1 = (c1 - c3 * f1 + c4 * t1) % m
             b2 = (c2 - c3 * f2 + c4 * t2) % m
     return r0, r1, r2
-
-
-# -- public ring operations ---------------------------------------------------
-
-def elem_add(a: OrderElem, b: OrderElem, spec: OrderSpec, mod: Modulus) -> OrderElem:
-    _check(a, spec, mod)
-    _check(b, spec, mod)
-    return OrderElem(tuple((x + y) % mod.m for x, y in zip(a.coeffs, b.coeffs)))
-
-
-def elem_mul(a: OrderElem, b: OrderElem, spec: OrderSpec, mod: Modulus) -> OrderElem:
-    """Product in (Z/m)[x]/(f), coefficients reduced into [0, m)."""
-    _check(a, spec, mod)
-    _check(b, spec, mod)
-    if spec.degree == 2:
-        return OrderElem(mul2(a.coeffs, b.coeffs, spec.reduction, mod.m))
-    return OrderElem(mul3(a.coeffs, b.coeffs, spec.reduction, mod.m))
-
-
-def elem_pow(a: OrderElem, e: int, spec: OrderSpec, mod: Modulus) -> OrderElem:
-    """a**e by binary exponentiation; a**0 = 1.  e may exceed 128 bits."""
-    if e < 0:
-        raise ValueError("exponent must be nonnegative")
-    _check(a, spec, mod)
-    if spec.degree == 2:
-        return OrderElem(pow2(a.coeffs, e, spec.reduction, mod.m))
-    return OrderElem(pow3(a.coeffs, e, spec.reduction, mod.m))
 
 
 # -- factorization type mod p -------------------------------------------------

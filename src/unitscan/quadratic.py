@@ -10,7 +10,7 @@ unit-theoretic criterion for the relevant degree-two cohomology not to vanish.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isqrt
 
 from ._data import DataFileError, data_path, read_table_rows
@@ -90,6 +90,7 @@ class QuadFieldRecord:
     field_disc: int
     class_number: int
     unit: QuadUnit
+    reduction: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not is_squarefree(self.d) or self.d < 2:
@@ -106,6 +107,7 @@ class QuadFieldRecord:
             raise ValueError("unit must not be +-1")
         if unit_norm(self.d, u.a, u.b) != u.norm_sign or u.norm_sign not in (1, -1):
             raise ValueError("unit norm is not +-1")
+        object.__setattr__(self, "reduction", order_spec_for(self.d).reduction)
 
 
 def fundamental_unit_quadratic(d: int) -> QuadUnit:
@@ -176,53 +178,40 @@ def load_quad_fields(data_dir=None) -> dict[int, QuadFieldRecord]:
     return records
 
 
+_EXCLUSION_MESSAGES = {
+    "below_min_p": "p={p} below the minimum scan prime {min_p}",
+    "ramified": "p={p} ramifies in Q(sqrt({d}))",
+    "divides_class_number": "p={p} divides the class number",
+}
+
+
 def quad_unit_test(rec: QuadFieldRecord, p: int) -> bool:
     """True exactly when eps^(p^2-1) = 1 mod p^2 Z[omega].
 
     Valid for odd unramified p coprime to the class number; anything else is
     rejected so the scan can report it as excluded rather than silently skip.
     """
-    if p < MIN_SCAN_PRIME:
-        raise ValueError(f"p={p} below the minimum scan prime {MIN_SCAN_PRIME}")
-    if rec.field_disc % p == 0:
-        raise ValueError(f"p={p} ramifies in Q(sqrt({rec.d}))")
-    if rec.class_number % p == 0:
-        raise ValueError(f"p={p} divides the class number")
-    m = p * p
-    f = order_spec_for(rec.d).reduction
-    fm = (f[0] % m, f[1] % m)
-    r = pow2((rec.unit.a % m, rec.unit.b % m), m - 1, fm, m)
-    return r == (1, 0)
+    v = classify_quad_prime(rec, p)
+    if v.status == EXCLUDED:
+        raise ValueError(_EXCLUSION_MESSAGES[v.reason].format(p=p, d=rec.d, min_p=MIN_SCAN_PRIME))
+    return v.status == HIT
 
 
 def classify_quad_prime(rec: QuadFieldRecord, p: int) -> Verdict:
+    """Per-prime verdict, shared by the scan chunk and quad_unit_test."""
     if p < MIN_SCAN_PRIME:
         return Verdict(p, EXCLUDED, reason="below_min_p")
     if rec.field_disc % p == 0:
         return Verdict(p, EXCLUDED, reason="ramified")
     if rec.class_number % p == 0:
         return Verdict(p, EXCLUDED, reason="divides_class_number")
-    return Verdict(p, HIT if quad_unit_test(rec, p) else CLEAR)
+    m = p * p
+    r = pow2((rec.unit.a, rec.unit.b), m - 1, rec.reduction, m)
+    return Verdict(p, HIT if r == (1, 0) else CLEAR)
 
 
 def _quad_chunk(rec: QuadFieldRecord, lo: int, hi: int) -> list[Verdict]:
-    f = order_spec_for(rec.d).reduction
-    f0, f1 = f
-    ua, ub = rec.unit.a, rec.unit.b
-    disc, h = rec.field_disc, rec.class_number
-    out = []
-    for p in primes_in(PrimeRange(lo, hi)):
-        if p < MIN_SCAN_PRIME:
-            out.append(Verdict(p, EXCLUDED, reason="below_min_p"))
-        elif disc % p == 0:
-            out.append(Verdict(p, EXCLUDED, reason="ramified"))
-        elif h % p == 0:
-            out.append(Verdict(p, EXCLUDED, reason="divides_class_number"))
-        else:
-            m = p * p
-            r = pow2((ua % m, ub % m), m - 1, (f0 % m, f1 % m), m)
-            out.append(Verdict(p, HIT if r == (1, 0) else CLEAR))
-    return out
+    return [classify_quad_prime(rec, p) for p in primes_in(PrimeRange(lo, hi))]
 
 
 def scan_quadratic(

@@ -177,6 +177,21 @@ def cubic_norm_float(poly, triple) -> int:
     return round(prod.real)
 
 
+def cubic_mul(a, b, poly) -> tuple[int, int, int]:
+    """Exact product of two integer triples in Z[x]/(poly): schoolbook
+    product, then long division by the monic cubic poly (ascending
+    coefficients), with no modulus."""
+    c = [0] * 5
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            c[i + j] += x * y
+    for k in (4, 3):  # subtract c_k * x^(k-3) * f
+        q = c[k]
+        for i, fi in enumerate(poly):
+            c[k - 3 + i] -= q * fi
+    return tuple(c[:3])
+
+
 def _cubic_mulmod(a, b, poly, m: int) -> list[int]:
     """Schoolbook product of two residue triples, then long division by the
     monic cubic poly (ascending coefficients), reduced mod m."""

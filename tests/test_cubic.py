@@ -31,7 +31,6 @@ from unitscan.cubic import (
     _classify_lanes,
     _embed,
     _fold_coeffs,
-    _mulz3,
     _z_coeffs,
     _z_cubed_in_fp,
     _z_lanes,
@@ -40,7 +39,13 @@ from unitscan.order_arith import OrderSpec, frobenius_order, pow3
 from unitscan.primes import PrimeRange, primes_in
 from unitscan.report import CLEAR, EXCLUDED, HIT, assemble_report
 
-from _oracles import cubic_is_inert, cubic_norm_float, cubic_z_oracle, trial_division_primes
+from _oracles import (
+    cubic_is_inert,
+    cubic_mul,
+    cubic_norm_float,
+    cubic_z_oracle,
+    trial_division_primes,
+)
 
 DELTAS = [-23, -31, -44, -59, -76, -83, -87, -104, -107, -108, -116, -135, -139, -140]
 
@@ -199,7 +204,7 @@ def test_units_minimal_in_box(delta, cubic_records):
 def test_unit_times_inverse_is_one(cubic_records):
     for rec in cubic_records.values():
         inv = invert_unit(rec.spec, rec.unit)
-        assert _mulz3(rec.unit, inv, rec.spec.reduction) == (1, 0, 0)
+        assert cubic_mul(rec.unit, inv, rec.spec.defining_poly) == (1, 0, 0)
 
 
 def test_norm_against_float_oracle(cubic_records):
@@ -440,10 +445,9 @@ def test_large_coefficients_take_scalar_path(cubic_records, monkeypatch):
     import unitscan.cubic as cubic_mod
 
     rec23 = cubic_records[-23]
-    f = rec23.spec.reduction
     big_unit = rec23.unit
     for _ in range(160):  # eps^161: coefficients beyond 2^63
-        big_unit = _mulz3(big_unit, rec23.unit, f)
+        big_unit = cubic_mul(big_unit, rec23.unit, rec23.spec.defining_poly)
     assert max(map(abs, big_unit)) >= 1 << 63
     big_power = CubicFieldRecord(-23, rec23.spec, rec23.ramified, None, big_unit, "derived")
     shifted = _shifted_record(rec23, 7)  # f2 * f0 = 7035 > 2^12

@@ -8,11 +8,9 @@ from unitscan.heuristics import (
     expected_exceptional_count,
     injective_probability,
     level_raising_densities,
-    mertens_count,
     monte_carlo_injective,
     multiplicity_distribution,
     scan_wieferich,
-    wieferich_scan,
 )
 from unitscan.primes import PrimeRange, primes_in
 
@@ -87,11 +85,9 @@ def test_monte_carlo_validation():
 
 
 def test_mertens_examples():
-    total, loglog = mertens_count(2)
-    assert total == 0.5
-    total, _ = mertens_count(10)
-    assert abs(total - (1 / 2 + 1 / 3 + 1 / 5 + 1 / 7)) < 1e-12
-    total, loglog = mertens_count(10**6)
+    assert expected_exceptional_count(2) == 0.5
+    assert abs(expected_exceptional_count(10) - (1 / 2 + 1 / 3 + 1 / 5 + 1 / 7)) < 1e-12
+    total, loglog = expected_exceptional_count(10**6), math.log(math.log(10**6))
     assert abs(total - loglog) < 0.3  # offset is the Mertens constant ~0.2615
     assert abs(total - loglog - 0.2615) < 0.01
 
@@ -99,7 +95,7 @@ def test_mertens_examples():
 def test_expected_exceptional_count():
     assert expected_exceptional_count(2, 1) == 0.5
     assert expected_exceptional_count(2, 2) == 0.25
-    s1, _ = mertens_count(10)
+    s1 = 1 / 2 + 1 / 3 + 1 / 5 + 1 / 7
     assert abs(expected_exceptional_count(10, 1) - s1) < 1e-12
     s2 = expected_exceptional_count(10**6, 2)
     assert 0.4522 < s2 < 0.4523  # the prime zeta value at 2 to 4 digits
@@ -109,14 +105,18 @@ def test_expected_exceptional_count():
         expected_exceptional_count(10, 0)
 
 
+def wieferich_hits(base, rng):
+    return [v.p for v in scan_wieferich(base, rng).hits]
+
+
 def test_wieferich_small_ranges():
-    assert wieferich_scan(2, PrimeRange(3, 1000)) == []
-    assert wieferich_scan(2, PrimeRange(1000, 1200)) == [1093]
-    assert wieferich_scan(2, PrimeRange(3500, 3600)) == [3511]
+    assert wieferich_hits(2, PrimeRange(3, 1000)) == []
+    assert wieferich_hits(2, PrimeRange(1000, 1200)) == [1093]
+    assert wieferich_hits(2, PrimeRange(3500, 3600)) == [3511]
     # base 5 skips p = 5 without error
-    assert 5 not in wieferich_scan(5, PrimeRange(3, 100))
+    assert 5 not in wieferich_hits(5, PrimeRange(3, 100))
     with pytest.raises(ValueError):
-        wieferich_scan(1, PrimeRange(3, 100))
+        wieferich_hits(1, PrimeRange(3, 100))
 
 
 def test_wieferich_mod_p2_dependence():

@@ -14,7 +14,7 @@ from unitscan.quadratic import (
     scan_quadratic,
     unit_norm,
 )
-from unitscan.order_arith import Modulus, OrderElem, elem_pow
+from unitscan.order_arith import pow2
 from unitscan.report import CLEAR, EXCLUDED, Verdict
 
 from _oracles import narrow_class_number_bqf, quad_unit_exhaustive
@@ -78,13 +78,11 @@ def test_fermat_sanity(quad_records):
     # one power of p always divides eps^(p^2-1) - 1; the test is about the lift
     for d in (2, 5, 14, 21, 29):
         rec = quad_records[d]
-        spec = order_spec_for(d)
+        f = order_spec_for(d).reduction
         for p in (3, 5, 7, 11, 13, 101, 997):
             if rec.field_disc % p == 0:
                 continue
-            mod = Modulus.make(p, 1)
-            eps = OrderElem.reduce((rec.unit.a, rec.unit.b), mod)
-            assert elem_pow(eps, p * p - 1, spec, mod) == OrderElem((1, 0))
+            assert pow2((rec.unit.a, rec.unit.b), p * p - 1, f, p) == (1, 0)
 
 
 def test_exclusion_verdicts(quad_records):
@@ -94,10 +92,12 @@ def test_exclusion_verdicts(quad_records):
     synthetic = quad_field_record(7, 5)  # pretend class number 5
     v = classify_quad_prime(synthetic, 5)
     assert v.status == EXCLUDED and v.reason == "divides_class_number"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"p=3 ramifies in Q\(sqrt\(6\)\)"):
         quad_unit_test(quad_records[6], 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="p=2 below the minimum scan prime 3"):
         quad_unit_test(quad_records[14], 2)
+    with pytest.raises(ValueError, match="p=5 divides the class number"):
+        quad_unit_test(synthetic, 5)
 
 
 def test_scan_full_verdicts(quad_records):

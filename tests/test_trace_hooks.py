@@ -1,0 +1,27 @@
+"""The benchmark's traced run swaps unitscan module attributes for timing
+wrappers (perfbench/tracing.py).  A refactor that renames or deletes one of
+them, or stops calling it through its module global, must fail here rather
+than only in the minute-long benchmark smoke check."""
+
+import importlib
+from pathlib import Path
+
+from unitscan import quadratic
+from unitscan.primes import PrimeRange
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_trace_hooks_resolve(monkeypatch, quad_records):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    before = quadratic._quad_chunk
+    with tracing.instrument(tracer):
+        assert quadratic._quad_chunk is not before
+        tracer.enter()
+        quadratic.scan_quadratic(quad_records[2], PrimeRange(3, 200))
+        tracer.exit(tracing.ROOT)
+    assert quadratic._quad_chunk is before
+    for span in ("quadratic.scan", "quadratic.chunk", "order_arith.pow2", "primes.sieve"):
+        assert tracer.calls[span] > 0, span
