@@ -23,7 +23,7 @@ import numpy as np
 
 from ._data import DataFileError, data_path, read_table_rows
 from ._parallel import run_chunked
-from .order_arith import OrderSpec, mul3, pow3
+from .order_arith import MULMOD_PMAX, OrderSpec, mul3, mulmod_lanes, pow3
 from .primes import PrimeRange, is_prime, primes_in
 from .report import CLEAR, EXCLUDED, HIT, ScanReport, Verdict, assemble_report
 
@@ -444,19 +444,19 @@ def classify_cubic_prime(rec: CubicFieldRecord, p: int, mode: str) -> Verdict:
 # with the tests of classify_cubic_prime in the same order.  Residues mod p
 # stay below 2^25, so a sum of three products of two is below 2^52 and plain
 # int64 arithmetic is exact.  Residues mod m = p^2 < 2^50 are multiplied by
-# the float-quotient MulMod of Shoup's NTL (see _Lanes.dot).
+# the float-quotient MulMod of Shoup's NTL (see order_arith.mulmod_lanes).
 #
 # Bound on the record.  A product folds its x^3 and x^4 terms c3, c4 (reduced
 # into [0, m)) back in as c4*t_i - c3*f_i, where f = (f0, f1, f2) is the
 # reduction and t = (f2 f0, f2 f1 - f0, f2^2 - f1) gives x^4.  With
 # |f_i| + |t_i| < 2^12 that fold stays below 2^50 * 2^12 = 2^62, and so does
 # the Newton residue t^3 + f2 t^2 + f1 t + f0 for t^2, t^3 in [0, m), so
-# every intermediate fits int64 exactly (_Lanes.dot bounds its remainder).
+# every intermediate fits int64 exactly (mulmod_lanes bounds its remainder).
 # The unit, its inverse, Delta and h_E enter only through x % m or x % p,
 # which needs |x| < 2^63.  A chunk whose record breaks the bound, and every
 # prime from 2^25 up, goes through classify_cubic_prime instead.
 
-_BATCH_PMAX = 1 << 25
+_BATCH_PMAX = MULMOD_PMAX
 _FOLD_MAX = 1 << 12
 _INT64_MAX = (1 << 63) - 1
 
@@ -500,25 +500,15 @@ class _Lanes:
         self.minv = None if exact else 1.0 / m
 
     def dot(self, pairs, extra=0):
-        """(s = sum of a*b over the pairs + extra) mod m, for a, b in [0, m),
-        at most three pairs and |extra| < 2^62.
-
-        Float path, m < 2^50: q is s/m computed in float64 and truncated.
-        Its terms add up to at most 3m^2 + 2^62, and at most eight roundings
-        of 2^-53 each put q within 8 * 2^-53 * (3m + 2^62/m) + 1 of s/m, so
-        r = s - q*m has |r| < 2m + 8 * 2^-53 * (3m^2 + 2^62) < 2^53.  Wrapping
-        int64 arithmetic gets s and q*m right modulo 2^64, hence r exactly,
-        and r % m is the residue."""
+        """(sum of a*b over the pairs + extra) mod m, for a, b in [0, m), at
+        most three pairs and |extra| < 2^62; squares of primes go through
+        mulmod_lanes, which proves the bound."""
+        if self.minv is not None:
+            return mulmod_lanes(pairs, self.m, self.minv, extra)
         s = extra
         for a, b in pairs:
             s = s + a * b
-        if self.minv is None:
-            return s % self.m
-        est = extra + 0.0
-        for a, b in pairs:
-            est = est + a.astype(np.float64) * b
-        r = s - (est * self.minv).astype(np.int64) * self.m
-        return r % self.m
+        return s % self.m
 
     def mul(self, a, b):
         a0, a1, a2 = a

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -18,6 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from ._parallel import run_chunked
+from .order_arith import MULMOD_PMAX, mulmod_lanes
 from .primes import PrimeRange, is_prime, primes_in
 from .report import HIT, ScanReport, Verdict, assemble_report
 
@@ -174,14 +176,31 @@ def expected_exceptional_count(x: int, power: int = 1) -> float:
     return sum(1.0 / p**power for p in primes_in(PrimeRange(2, x)))
 
 
+def _wieferich_lanes(base: int, p: np.ndarray) -> np.ndarray:
+    """base^(p-1) mod p^2 for an int64 array of primes below MULMOD_PMAX and
+    0 <= base < 2^63: left-to-right binary powering, one lane per prime."""
+    m = p * p
+    minv = 1.0 / m
+    b = np.int64(base) % m
+    e = p - 1
+    r = np.ones_like(m)
+    for k in reversed(range(int(e.max(initial=0)).bit_length())):
+        r = mulmod_lanes(((r, r),), m, minv)
+        r = np.where((e >> k) & 1 == 1, mulmod_lanes(((r, b),), m, minv), r)
+    return r
+
+
 def _wieferich_chunk(args, lo: int, hi: int) -> list[Verdict]:
+    """Hits in [lo, hi]: primes below MULMOD_PMAX go through the lane kernel
+    when base fits int64, every other prime through the builtin pow."""
     base, segment_size = args
+    primes = [p for p in primes_in(PrimeRange(lo, hi), segment_size) if base % p]
+    cut = bisect_left(primes, MULMOD_PMAX) if base < 1 << 63 else 0
     out = []
-    for p in primes_in(PrimeRange(lo, hi), segment_size):
-        if base % p == 0:
-            continue
-        if pow(base, p - 1, p * p) == 1:
-            out.append(Verdict(p, HIT))
+    if cut:
+        res = _wieferich_lanes(base, np.array(primes[:cut], dtype=np.int64))
+        out = [Verdict(primes[i], HIT) for i in np.flatnonzero(res == 1)]
+    out.extend(Verdict(p, HIT) for p in primes[cut:] if pow(base, p - 1, p * p) == 1)
     return out
 
 

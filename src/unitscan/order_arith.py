@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .primes import is_prime
 
 __all__ = [
@@ -20,6 +22,7 @@ __all__ = [
     "mul3",
     "pow2",
     "pow3",
+    "mulmod_lanes",
     "root_count_mod_p",
     "frobenius_order",
 ]
@@ -101,6 +104,8 @@ def mul3(a, b, f, m):
 
 def pow2(a, e, f, m):
     """a^e in (Z/m)[x]/(x^2 + f1 x + f0) by binary exponentiation; e >= 0."""
+    if e < 0:
+        raise ValueError(f"exponent must be non-negative, got {e}")
     f0, f1 = f
     r0, r1 = 1 % m, 0
     b0, b1 = a[0] % m, a[1] % m
@@ -117,6 +122,8 @@ def pow2(a, e, f, m):
 
 def pow3(a, e, f, m):
     """Binary exponentiation in (Z/m)[x]/(f); exponents e >= 0 of any size."""
+    if e < 0:
+        raise ValueError(f"exponent must be non-negative, got {e}")
     f0, f1, f2 = f
     t2 = f2 * f2 - f1
     t1 = f2 * f1 - f0
@@ -144,6 +151,29 @@ def pow3(a, e, f, m):
             b1 = (c1 - c3 * f1 + c4 * t1) % m
             b2 = (c2 - c3 * f2 + c4 * t2) % m
     return r0, r1, r2
+
+
+MULMOD_PMAX = 1 << 25  # primes below it have m = p^2 < 2^50, as mulmod_lanes needs
+
+
+def mulmod_lanes(pairs, m, minv, extra=0):
+    """(s = sum of a*b over the pairs + extra) mod m lane by lane, for int64
+    arrays m < 2^50 and a, b in [0, m), at most three pairs, |extra| < 2^62,
+    and minv = 1.0 / m: the float-quotient MulMod of Shoup's NTL.
+
+    q is s/m computed in float64 and truncated.  Its terms add up to at most
+    3m^2 + 2^62, and at most eight roundings of 2^-53 each put q within
+    8 * 2^-53 * (3m + 2^62/m) + 1 of s/m, so r = s - q*m has
+    |r| < 2m + 8 * 2^-53 * (3m^2 + 2^62) < 2^53.  Wrapping int64 arithmetic
+    gets s and q*m right modulo 2^64, hence r exactly, and r % m is the
+    residue."""
+    s = extra
+    est = extra + 0.0
+    for a, b in pairs:
+        s = s + a * b
+        est = est + a.astype(np.float64) * b
+    r = s - (est * minv).astype(np.int64) * m
+    return r % m
 
 
 # -- factorization type mod p -------------------------------------------------

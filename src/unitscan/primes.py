@@ -6,12 +6,16 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator
 
+import numpy as np
+
 RANGE_LIMIT = 10**9
 
 # Strong-pseudoprime witnesses covering every n < 2^64 (Sinclair / Sorenson-Webster set).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+_YIELD_SLICE = 1 << 15
 
 
 def is_prime(n: int) -> bool:
@@ -72,8 +76,8 @@ def sieve_upto(n: int) -> list[int]:
 def primes_in(rng: PrimeRange, segment_size: int = 1 << 20) -> Iterator[int]:
     """Yield the primes in [rng.lo, rng.hi] in ascending order.
 
-    Segmented odd-only sieve; memory use is bounded by segment_size bytes
-    regardless of the range, so ranges up to the budget are safe to stream.
+    Segmented odd-only sieve on a numpy mask of segment_size bytes, so memory
+    use is bounded regardless of the range and ranges up to the budget stream.
     """
     if segment_size < 8:
         raise ValueError("segment_size too small")
@@ -92,7 +96,7 @@ def primes_in(rng: PrimeRange, segment_size: int = 1 << 20) -> Iterator[int]:
         n_odds = (seg_hi - seg_lo) // 2 + 1
         if n_odds <= 0:
             continue
-        mark = bytearray([1]) * n_odds
+        mark = np.ones(n_odds, dtype=bool)
         for q in base:
             q2 = q * q
             if q2 > seg_hi:
@@ -100,12 +104,10 @@ def primes_in(rng: PrimeRange, segment_size: int = 1 << 20) -> Iterator[int]:
             first = max(q2, ((seg_lo + q - 1) // q) * q)
             if first % 2 == 0:
                 first += q
-            i0 = (first - seg_lo) // 2
-            if i0 < n_odds:
-                mark[i0::q] = bytearray((n_odds - i0 - 1) // q + 1)
-        for i in range(n_odds):
-            if mark[i]:
-                yield seg_lo + 2 * i
+            mark[(first - seg_lo) // 2 :: q] = False
+        # Python ints (callers square p), converted a bounded slice at a time
+        for i in range(0, n_odds, _YIELD_SLICE):
+            yield from (2 * np.flatnonzero(mark[i : i + _YIELD_SLICE]) + (seg_lo + 2 * i)).tolist()
 
 
 def count_primes(rng: PrimeRange, segment_size: int = 1 << 20) -> int:

@@ -1,8 +1,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from unitscan import heuristics
 from unitscan.heuristics import (
     HeuristicValue,
     expected_exceptional_count,
@@ -12,6 +14,7 @@ from unitscan.heuristics import (
     multiplicity_distribution,
     scan_wieferich,
 )
+from unitscan.order_arith import MULMOD_PMAX
 from unitscan.primes import PrimeRange, primes_in
 
 from _oracles import exhaustive_injective_fraction
@@ -131,11 +134,83 @@ def test_wieferich_mod_p2_dependence():
 
 
 def test_wieferich_report():
-    rep = scan_wieferich(2, PrimeRange(3, 5000))
+    rep = scan_wieferich(2, PrimeRange(3, 300_000))
     assert [v.p for v in rep.hits] == [1093, 3511]
     assert rep.field_id == "wieferich(base=2)"
-    rep2 = scan_wieferich(2, PrimeRange(3, 5000), workers=2)
-    assert rep2.checksum == rep.checksum
+    for workers, segment_size in ((2, 1 << 20), (1, 1 << 16), (2, 1 << 16)):
+        other = scan_wieferich(2, PrimeRange(3, 300_000), segment_size, workers)
+        assert other.checksum == rep.checksum, (workers, segment_size)
+
+
+def reference_hits(base, primes):
+    return [p for p in primes if base % p and pow(base, p - 1, p * p) == 1]
+
+
+# 1093^2 is divisible by a prime in range; 2^63 - 1 is the largest base the
+# lanes take, and 2^63 + 1 (divisible by 3, 19, 43 and 5419) fits no int64
+LANE_BASES = (2, 3, 5, 10, 1093**2, (1 << 63) - 1)
+BIG_BASE = (1 << 63) + 1
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Primes each path of _wieferich_chunk sees: the lane kernel, and the
+    builtin pow (shadowed by a module global)."""
+    calls = {"lanes": [], "scalar": []}
+    lanes = heuristics._wieferich_lanes
+
+    def counted_lanes(base, p):
+        calls["lanes"] += p.tolist()
+        return lanes(base, p)
+
+    def counted_pow(base, e, m):
+        calls["scalar"].append(e + 1)
+        return pow(base, e, m)
+
+    monkeypatch.setattr(heuristics, "_wieferich_lanes", counted_lanes)
+    monkeypatch.setattr(heuristics, "pow", counted_pow, raising=False)
+    return calls
+
+
+def test_wieferich_lanes_match_builtin_pow(kernel_calls):
+    rng = PrimeRange(2, 200_000)
+    primes = list(primes_in(rng))
+    lanes = np.array(primes, dtype=np.int64)
+    for base in LANE_BASES:
+        want = [pow(base, p - 1, p * p) for p in primes]
+        assert heuristics._wieferich_lanes(base, lanes).tolist() == want, base
+        kernel_calls["lanes"].clear()
+        assert wieferich_hits(base, rng) == reference_hits(base, primes), base
+        assert kernel_calls["lanes"] == [p for p in primes if base % p], base
+        assert kernel_calls["scalar"] == [], base
+    assert wieferich_hits(BIG_BASE, rng) == reference_hits(BIG_BASE, primes)
+    assert kernel_calls["scalar"] == [p for p in primes if BIG_BASE % p]
+
+
+def test_wieferich_bound_straddles_2_25(kernel_calls):
+    rng = PrimeRange(MULMOD_PMAX - 3000, MULMOD_PMAX + 3000)
+    primes = list(primes_in(rng))
+    below = [p for p in primes if p < MULMOD_PMAX]
+    assert below and len(below) < len(primes)
+    for base in (2, 3, 1093**2):
+        want = [pow(base, p - 1, p * p) for p in below]
+        assert heuristics._wieferich_lanes(base, np.array(below, dtype=np.int64)).tolist() == want
+        kernel_calls["lanes"].clear()
+        kernel_calls["scalar"].clear()
+        assert wieferich_hits(base, rng) == reference_hits(base, primes)
+        assert kernel_calls["lanes"] == below
+        assert kernel_calls["scalar"] == primes[len(below):]
+
+
+@pytest.mark.parametrize("span", [1, 2, 7])
+def test_wieferich_tiny_chunks(span):
+    # most chunks hold one prime or none, so most have no kernel lanes;
+    # base 5 is a hit at p = 2 (5 = 1 mod 4), base 3 at p = 11
+    cases = ((2, PrimeRange(1000, 1200)), (5, PrimeRange(2, 300)), (3, PrimeRange(2, 300)))
+    for base, rng in cases:
+        rep = scan_wieferich(base, rng, chunk_span=span)
+        assert [v.p for v in rep.hits] == reference_hits(base, primes_in(rng))
+        assert rep.checksum == scan_wieferich(base, rng).checksum
 
 
 def test_densities_examples():

@@ -57,6 +57,14 @@ def test_pow_examples():
     assert power((5, 7, 9), 0, X3_CLASSIC, 121) == (1, 0, 0)
 
 
+def test_pow_rejects_negative_exponent():
+    # a negative e never reaches 0 under e >>= 1, so the loop would not end
+    with pytest.raises(ValueError):
+        pow2((1, 1), -1, (-2, 0), 25)
+    with pytest.raises(ValueError):
+        pow3((0, 1, 0), -5, X3_CLASSIC.reduction, 49)
+
+
 def test_pow_huge_exponent_runs():
     p = 99999989  # prime near 1e8
     m = p * p

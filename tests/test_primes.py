@@ -28,6 +28,26 @@ def test_segment_size_independence():
     assert a == b
 
 
+@pytest.mark.parametrize("segment_size", [8, 64, 1 << 20])
+def test_sieve_matches_sieve_upto_across_segments(segment_size):
+    # each range covers two segment boundaries, from an even and an odd start
+    span = 2 * segment_size
+    for lo in (2, span - 5, span - 4):
+        hi = lo + 2 * span + 11
+        got = list(primes_in(PrimeRange(lo, hi), segment_size))
+        assert got == [q for q in sieve_upto(hi) if q >= lo], (lo, hi)
+        assert all(type(q) is int for q in got)
+
+
+def test_sieve_edge_ranges():
+    assert list(primes_in(PrimeRange(2, 2))) == sieve_upto(2)
+    assert list(primes_in(PrimeRange(4, 4))) == []
+    lo, hi = 10**9 - 10**5, 10**9
+    got = list(primes_in(PrimeRange(lo, hi)))
+    assert got == [n for n in range(lo, hi + 1) if is_prime(n)]
+    assert all(type(q) is int for q in got)
+
+
 def test_prime_counting():
     assert count_primes(PrimeRange(2, 10**6)) == 78498
 

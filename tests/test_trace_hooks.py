@@ -6,7 +6,7 @@ than only in the minute-long benchmark smoke check."""
 import importlib
 from pathlib import Path
 
-from unitscan import quadratic
+from unitscan import heuristics, quadratic
 from unitscan.primes import PrimeRange
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -25,3 +25,17 @@ def test_trace_hooks_resolve(monkeypatch, quad_records):
     assert quadratic._quad_chunk is before
     for span in ("quadratic.scan", "quadratic.chunk", "order_arith.pow2", "primes.sieve"):
         assert tracer.calls[span] > 0, span
+
+
+def test_wieferich_trace_hooks_resolve(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        tracer.enter()
+        rep = heuristics.scan_wieferich(2, PrimeRange(3, 5000), chunk_span=1000)
+        tracer.exit(tracing.ROOT)
+    assert [v.p for v in rep.hits] == [1093, 3511]
+    for span in ("heuristics.wieferich_scan", "heuristics.wieferich_chunk", "primes.sieve"):
+        assert tracer.calls[span] > 0, span
+    assert tracer.counts["primes.sieve"] == 668  # every prime in [3, 5000] passed through
