@@ -25,7 +25,7 @@ from .heuristics import (
     multiplicity_distribution,
     scan_wieferich,
 )
-from .order_arith import OrderSpec, frobenius_order, root_count_mod_p
+from .order_arith import OrderSpec
 from .primes import PrimeRange, is_prime, primes_in
 from .quadratic import (
     QuadFieldRecord,

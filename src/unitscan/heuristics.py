@@ -14,7 +14,6 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -38,6 +37,8 @@ __all__ = [
 # generator keyed by (seed, block index): results do not depend on how blocks
 # are distributed across workers.
 _MC_BLOCK = 1 << 14
+# Trials per elimination slice in _rank_mod_p: bounds its working copies.
+_RANK_SLICE = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -91,43 +92,36 @@ def _block_generator(seed: int, block: int) -> np.random.Generator:
 
 def _count_injective(mats: np.ndarray, p: int) -> int:
     """Number of matrices (trials, m, n) whose columns are independent mod p."""
-    t, m, n = mats.shape
-    if n == 1:
-        return int((mats[:, :, 0] != 0).any(axis=1).sum())
-    if n == 2 and p < 2**31:
-        ok = np.zeros(t, dtype=bool)
-        for i, j in combinations(range(m), 2):
-            d = (mats[:, i, 0] * mats[:, j, 1] - mats[:, i, 1] * mats[:, j, 0]) % p
-            ok |= d != 0
-        return int(ok.sum())
-    if n == 3 and p < 2**20:
-        ok = np.zeros(t, dtype=bool)
-        for i, j, k in combinations(range(m), 3):
-            a, b, c = mats[:, i, 0], mats[:, i, 1], mats[:, i, 2]
-            d, e, f = mats[:, j, 0], mats[:, j, 1], mats[:, j, 2]
-            g, h, i2 = mats[:, k, 0], mats[:, k, 1], mats[:, k, 2]
-            det = (a * (e * i2 - f * h) - b * (d * i2 - f * g) + c * (d * h - e * g)) % p
-            ok |= det != 0
-        return int(ok.sum())
-    return sum(_rank_mod_p(mat.tolist(), p) == n for mat in mats)
+    return int((_rank_mod_p(mats, p) == mats.shape[2]).sum())
 
 
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    rank = 0
-    ncols = len(rows[0])
-    for c in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][c] % p), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][c], p - 2, p)
-        rows[rank] = [v * inv % p for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][c] % p:
-                f = rows[r][c] % p
-                rows[r] = [(v - f * w) % p for v, w in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+def _rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
+    """Rank over F_p of each (m, n) matrix of a (trials, m, n) block with
+    entries in [0, p): fraction-free Gaussian elimination on all trials at
+    once, _RANK_SLICE trials at a time in lanes-last (m, n, lanes) layout.
+
+    Column c pivots on its first nonzero row (pv = 1 in lanes with none),
+    and every row becomes row*pv - row[c]*pivot_row mod p.  That zeroes the
+    pivot row too, so it never pivots again.  int64 products stay below
+    2^62 for p < 2^31; larger p use Python ints in object arrays.
+    """
+    n = mats.shape[2]
+    dtype = np.int64 if p < 1 << 31 else object
+    ranks = np.zeros(len(mats), dtype=np.int64)
+    for s in range(0, len(mats), _RANK_SLICE):
+        a = mats[s:s + _RANK_SLICE].transpose(1, 2, 0).astype(dtype, order="C")
+        for c in range(n):
+            nonzero = a[:, c] != 0
+            has = nonzero.any(axis=0)
+            ranks[s:s + _RANK_SLICE] += has
+            if c == n - 1:
+                break
+            prow = np.take_along_axis(a[:, c:], nonzero.argmax(axis=0)[None, None], axis=0)
+            rest = a[:, c + 1:]
+            rest *= np.where(has, prow[0, 0], 1)
+            rest -= a[:, c:c + 1] * prow[:, 1:]
+            rest %= p
+    return ranks
 
 
 def monte_carlo_injective(p: int, n: int, m: int, trials: int, seed: int) -> MonteCarloResult:
@@ -138,6 +132,10 @@ def monte_carlo_injective(p: int, n: int, m: int, trials: int, seed: int) -> Mon
     """
     if not is_prime(p):
         raise ValueError(f"p={p} must be prime")
+    if p >= 1 << 63:
+        raise ValueError(f"p={p} must be below 2^63 to be sampled as int64")
+    if seed < 0:
+        raise ValueError(f"seed={seed} must be non-negative")
     if n < 1 or m < n:
         raise ValueError("need 1 <= n <= m")
     if trials < 1:

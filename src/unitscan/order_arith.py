@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .primes import is_prime
-
 __all__ = [
     "OrderSpec",
     "poly_discriminant",
@@ -23,8 +21,6 @@ __all__ = [
     "pow2",
     "pow3",
     "mulmod_lanes",
-    "root_count_mod_p",
-    "frobenius_order",
 ]
 
 
@@ -175,77 +171,3 @@ def mulmod_lanes(pairs, m, minv, extra=0):
     r = s - (est * minv).astype(np.int64) * m
     return r % m
 
-
-# -- factorization type mod p -------------------------------------------------
-
-def _poly_mod_trim(coeffs, p):
-    out = [c % p for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _poly_divmod_fp(a, b, p):
-    """Remainder of a by b over F_p; both ascending coefficient lists, b != 0."""
-    b_inv = pow(b[-1], p - 2, p)
-    r = list(a)
-    db = len(b) - 1
-    while len(r) - 1 >= db and r:
-        q = r[-1] * b_inv % p
-        shift = len(r) - 1 - db
-        for i, c in enumerate(b):
-            r[i + shift] = (r[i + shift] - q * c) % p
-        while r and r[-1] == 0:
-            r.pop()
-    return r
-
-
-def poly_gcd_fp(a, b, p):
-    """Monic gcd over F_p of two ascending coefficient lists."""
-    a = _poly_mod_trim(a, p)
-    b = _poly_mod_trim(b, p)
-    while b:
-        a, b = b, _poly_divmod_fp(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def xpow_p_mod(spec_poly: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """x^p mod (f, p) by repeated squaring, as a residue vector."""
-    f = tuple(c % p for c in spec_poly[:-1])
-    deg = len(spec_poly) - 1
-    if deg == 2:
-        return pow2((0, 1), p, f, p)
-    return pow3((0, 1, 0), p, f, p)
-
-
-def root_count_mod_p(spec: OrderSpec, p: int) -> int:
-    """Number of distinct roots of f mod p, as deg gcd(x^p - x, f) over F_p.
-
-    Requires p prime to disc(f), so that f is squarefree mod p.
-    """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if spec.discriminant % p == 0:
-        raise ValueError(f"p={p} divides disc(f); factorization type is degenerate")
-    xp = xpow_p_mod(spec.defining_poly, p)
-    g = list(xp)
-    g[1] = (g[1] - 1) % p  # x^p - x
-    d = poly_gcd_fp(list(spec.defining_poly), g, p)
-    return len(d) - 1 if d else 0
-
-
-def frobenius_order(spec: OrderSpec, p: int) -> int:
-    """Order of Frobenius at p for a cubic order: 3 roots -> 1, 1 root -> 2, 0 roots -> 3."""
-    if spec.degree != 3:
-        raise ValueError("frobenius_order is defined for cubic orders only")
-    rc = root_count_mod_p(spec, p)
-    if rc == 3:
-        return 1
-    if rc == 1:
-        return 2
-    if rc == 0:
-        return 3
-    raise ArithmeticError(f"impossible root count {rc} for squarefree cubic mod {p}")

@@ -102,6 +102,16 @@ def test_heuristics_monte_carlo_deterministic(runner):
     assert out1.stdout == out2.stdout
 
 
+def test_heuristics_monte_carlo_bad_seed_and_p(runner):
+    args = ["heuristics", "monte-carlo", "-n", "1", "-m", "1", "--trials", "10"]
+    res = runner.invoke(main, [*args, "-p", "3", "--seed", "-1"])
+    assert res.exit_code == 2
+    assert "seed=-1 must be non-negative" in res.output
+    res = runner.invoke(main, [*args, "-p", "9223372036854775837"])
+    assert res.exit_code == 2
+    assert "p=9223372036854775837 must be below 2^63" in res.output
+
+
 def test_heuristics_densities(runner):
     res = runner.invoke(main, ["heuristics", "densities", "-p", "11"])
     assert res.exit_code == 0

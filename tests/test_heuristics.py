@@ -17,7 +17,7 @@ from unitscan.heuristics import (
 from unitscan.order_arith import MULMOD_PMAX
 from unitscan.primes import PrimeRange, primes_in
 
-from _oracles import exhaustive_injective_fraction
+from _oracles import exhaustive_injective_fraction, rank_mod_p
 
 ENUMERATION_GRID = [(2, 1, 1), (2, 1, 2), (2, 2, 2), (2, 2, 3), (3, 1, 1), (3, 1, 2), (3, 2, 2)]
 
@@ -74,7 +74,8 @@ def test_monte_carlo_converges_smoke():
 
 
 def test_monte_carlo_gauss_fallback_path():
-    # n = 4 forces the per-sample elimination fallback
+    # n = 4: the batched elimination runs all four columns, three of them
+    # with a pivot-row update
     r = monte_carlo_injective(2, 4, 4, trials=2000, seed=7)
     exact = injective_probability(2, 4, 4).approx  # ~0.307
     assert abs(r.frequency - exact) < 5 * math.sqrt(exact * (1 - exact) / 2000)
@@ -85,6 +86,75 @@ def test_monte_carlo_validation():
         monte_carlo_injective(3, 2, 2, trials=0, seed=1)
     with pytest.raises(ValueError):
         monte_carlo_injective(3, 3, 2, trials=10, seed=1)
+
+
+def test_monte_carlo_rejects_unsampleable_p_and_negative_seed():
+    # 2^63 + 29 is prime but has no int64 draw, 2^63 - 25 is the largest
+    # prime that has; a negative seed has no SeedSequence
+    with pytest.raises(ValueError, match="p=9223372036854775837"):
+        monte_carlo_injective(9223372036854775837, 1, 1, trials=10, seed=1)
+    with pytest.raises(ValueError, match="seed=-1"):
+        monte_carlo_injective(3, 2, 2, trials=10, seed=-1)
+    assert monte_carlo_injective(9223372036854775783, 1, 1, trials=10, seed=0).trials == 10
+
+
+def test_monte_carlo_pinned_counts():
+    # successes recorded from the earlier determinant branches and scalar
+    # elimination; the batched kernel must reproduce them exactly
+    bench = [((3, 4, 4), 10**5, 3), ((3, 2, 2), 10**6, 4), ((5, 3, 3), 10**6, 5)]
+    got = [monte_carlo_injective(p, n, m, t, seed).successes for (p, n, m), t, seed in bench]
+    assert got == [56435, 591943, 762153]
+    cases = [(2, 4, 4), (3, 4, 4), (7, 3, 5), (2147483659, 2, 3)]
+    got = [monte_carlo_injective(p, n, m, 50_000, 42).successes for p, n, m in cases]
+    assert got == [15517, 28313, 49837, 50000]
+
+
+RANK_SHAPES = [(1, 1), (3, 1), (2, 2), (3, 2), (5, 2), (3, 3), (5, 3), (4, 4), (5, 5)]
+
+
+def _structured_block(p: int, m: int, n: int, rng) -> np.ndarray:
+    """Random matrices plus zero, identity, all-(p-1), repeated-column,
+    proportional-column and low-rank ones, entries in [0, p)."""
+    mats = [np.zeros((m, n), dtype=object), np.eye(m, n, dtype=np.int64).astype(object)]
+    mats.append(np.full((m, n), p - 1, dtype=object))
+    for _ in range(6):
+        a = rng.integers(0, p, size=(m, n), dtype=np.int64).astype(object)
+        mats.append(a.copy())
+        a[:, -1] = a[:, 0]
+        mats.append(a.copy())
+        a[:, -1] = a[:, 0] * int(rng.integers(1, p)) % p
+        mats.append(a.copy())
+        r = int(rng.integers(0, n))
+        b = rng.integers(0, p, size=(m, r), dtype=np.int64).astype(object)
+        c = rng.integers(0, p, size=(r, n), dtype=np.int64).astype(object)
+        mats.append(b.dot(c) % p if r else np.zeros((m, n), dtype=object))
+    mats += list(rng.integers(0, p, size=(40, m, n), dtype=np.int64).astype(object))
+    return np.array(mats, dtype=object).astype(np.int64)
+
+
+@pytest.mark.parametrize(
+    "p", [2, 3, 5, 1_000_003, 2**31 - 1, 2147483659, 2**32 - 5, 2**61 - 1])
+def test_rank_kernel_matches_oracle(p):
+    # 2147483659 is the first prime above 2^31: it, 2^32 - 5 and 2^61 - 1
+    # take the object-array side, the rest the int64 side
+    rng = np.random.default_rng(p % 1000)
+    for m, n in RANK_SHAPES:
+        mats = _structured_block(p, m, n, rng)
+        got = heuristics._rank_mod_p(mats, p)
+        assert got.tolist() == [rank_mod_p(a.tolist(), p) for a in mats], (p, m, n)
+        assert heuristics._rank_mod_p(mats[:1], p).tolist() == got[:1].tolist()
+
+
+@pytest.mark.parametrize("p, m, n", [(3, 4, 4), (2, 5, 3), (2**31 - 1, 3, 3)])
+def test_rank_kernel_across_slices(p, m, n):
+    # two full slices and a partial one, with repeated columns and zero
+    # matrices mixed in
+    trials = 2 * heuristics._RANK_SLICE + 37
+    mats = np.random.default_rng(n).integers(0, p, size=(trials, m, n), dtype=np.int64)
+    mats[::5, :, -1] = mats[::5, :, 0]
+    mats[::7] = 0
+    got = heuristics._rank_mod_p(mats, p)
+    assert got.tolist() == [rank_mod_p(a.tolist(), p) for a in mats]
 
 
 def test_mertens_examples():
