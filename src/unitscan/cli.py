@@ -60,6 +60,13 @@ def _load(loader, data_dir):
         sys.exit(3)
 
 
+def _range(pmin: int, pmax: int) -> PrimeRange:
+    try:
+        return PrimeRange(pmin, pmax)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc))
+
+
 def _pick(records, key, what):
     if key.lower() == "all":
         return [records[k] for k in sorted(records)]
@@ -89,12 +96,11 @@ def main():
 @click.option("--data-dir", default=None, help="Override the bundled data directory.")
 def scan_quad(d_key, pmax, pmin, full_verdicts, fmt, workers, data_dir):
     """Scan primes for the mod-p^2 fundamental-unit congruence in Q(sqrt(D))."""
+    rng = _range(pmin, pmax)
     records = _load(quadratic.load_quad_fields, data_dir)
     reports = []
     for rec in _pick(records, d_key, "D"):
-        rep = quadratic.scan_quadratic(
-            rec, PrimeRange(pmin, pmax), full_verdicts=full_verdicts, workers=workers
-        )
+        rep = quadratic.scan_quadratic(rec, rng, full_verdicts=full_verdicts, workers=workers)
         _echo_summary(rep)
         reports.append(rep)
     _emit_reports(reports, fmt)
@@ -111,16 +117,11 @@ def scan_quad(d_key, pmax, pmin, full_verdicts, fmt, workers, data_dir):
 @click.option("--data-dir", default=None)
 def scan_cubic_cmd(delta, pmax, pmin, mode, full_verdicts, fmt, workers, data_dir):
     """Scan inert primes of a complex cubic field (z-invariant tests)."""
+    rng = _range(pmin, pmax)
     records = _load(cubic.load_cubic_fields, data_dir)
     reports = []
     for rec in _pick(records, delta, "delta"):
-        rep = cubic.scan_cubic(
-            rec,
-            PrimeRange(pmin, pmax),
-            mode=mode,
-            full_verdicts=full_verdicts,
-            workers=workers,
-        )
+        rep = cubic.scan_cubic(rec, rng, mode=mode, full_verdicts=full_verdicts, workers=workers)
         _echo_summary(rep)
         reports.append(rep)
     _emit_reports(reports, fmt)
@@ -158,14 +159,14 @@ def h5_cmd(delta, fmt, data_dir):
 
 
 @main.command("wieferich")
-@click.option("--base", type=int, default=2, show_default=True)
+@click.option("--base", type=click.IntRange(min=2), default=2, show_default=True)
 @click.option("--pmax", type=int, required=True)
 @click.option("--pmin", type=int, default=3, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 @click.option("--workers", type=int, default=_workers_default)
 def wieferich_cmd(base, pmax, pmin, fmt, workers):
     """Scan for primes with base^(p-1) = 1 mod p^2."""
-    rep = heuristics.scan_wieferich(base, PrimeRange(pmin, pmax), workers=workers)
+    rep = heuristics.scan_wieferich(base, _range(pmin, pmax), workers=workers)
     _echo_summary(rep)
     _emit_reports([rep], fmt)
 

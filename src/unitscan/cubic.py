@@ -23,7 +23,7 @@ import numpy as np
 
 from ._data import DataFileError, data_path, read_table_rows
 from ._parallel import run_chunked
-from .order_arith import MULMOD_PMAX, OrderSpec, mul3, mulmod_lanes, pow3
+from .order_arith import MULMOD_PMAX, Lanes, OrderSpec, mul3, pow3, pow_lanes
 from .primes import PrimeRange, is_prime, primes_in
 from .report import CLEAR, EXCLUDED, HIT, ScanReport, Verdict, assemble_report
 
@@ -262,6 +262,8 @@ def load_cubic_fields(data_dir=None) -> dict[int, CubicFieldRecord]:
             if len(row) != 10:
                 raise ValueError("expected 'delta c2 c1 c0 S h_E u0 u1 u2 cert'")
             delta = int(row[0])
+            if delta in records:
+                raise ValueError(f"duplicate delta={delta}")
             poly = (int(row[3]), int(row[2]), int(row[1]), 1)
             ramified = frozenset(int(l) for l in row[4].split(","))
             if ramified != prime_divisors(delta):
@@ -441,22 +443,20 @@ def classify_cubic_prime(rec: CubicFieldRecord, p: int, mode: str) -> Verdict:
 # -- batched scan kernel ---------------------------------------------------------
 #
 # A scan chunk classifies its primes together, one int64 numpy lane per prime,
-# with the tests of classify_cubic_prime in the same order.  Residues mod p
-# stay below 2^25, so a sum of three products of two is below 2^52 and plain
-# int64 arithmetic is exact.  Residues mod m = p^2 < 2^50 are multiplied by
-# the float-quotient MulMod of Shoup's NTL (see order_arith.mulmod_lanes).
+# with the tests of classify_cubic_prime in the same order, on order_arith.Lanes:
+# residues mod p < 2^25 multiply exactly in int64, residues mod m = p^2 < 2^50
+# by the float-quotient MulMod (Lanes.dot proves both bounds).
 #
 # Bound on the record.  A product folds its x^3 and x^4 terms c3, c4 (reduced
 # into [0, m)) back in as c4*t_i - c3*f_i, where f = (f0, f1, f2) is the
 # reduction and t = (f2 f0, f2 f1 - f0, f2^2 - f1) gives x^4.  With
-# |f_i| + |t_i| < 2^12 that fold stays below 2^50 * 2^12 = 2^62, and so does
-# the Newton residue t^3 + f2 t^2 + f1 t + f0 for t^2, t^3 in [0, m), so
-# every intermediate fits int64 exactly (mulmod_lanes bounds its remainder).
-# The unit, its inverse, Delta and h_E enter only through x % m or x % p,
-# which needs |x| < 2^63.  A chunk whose record breaks the bound, and every
-# prime from 2^25 up, goes through classify_cubic_prime instead.
+# |f_i| + |t_i| < 2^12 that fold stays below 2^50 * 2^12 = 2^62, the extra
+# term Lanes.dot allows, and so does the Newton residue t^3 + f2 t^2 + f1 t + f0
+# for t^2, t^3 in [0, m).  The unit, its inverse, Delta and h_E enter only
+# through x % m or x % p, which needs |x| < 2^63.  A chunk whose record breaks
+# the bound, and every prime from MULMOD_PMAX up, goes through
+# classify_cubic_prime instead.
 
-_BATCH_PMAX = MULMOD_PMAX
 _FOLD_MAX = 1 << 12
 _INT64_MAX = (1 << 63) - 1
 
@@ -489,26 +489,13 @@ def _batch_ok(rec: CubicFieldRecord) -> bool:
     return all(abs(c) <= _INT64_MAX for c in ints)
 
 
-class _Lanes:
-    """(Z/m)[x]/(f) with one modulus per lane: m is an int64 array of primes
-    below 2^25 (exact int64 products) or of their squares (float quotients)."""
+class _CubicLanes(Lanes):
+    """(Z/m)[x]/(f) lane by lane, on triples of residues in [0, m)."""
 
-    def __init__(self, f, m, exact: bool):
+    def __init__(self, f, m):
+        super().__init__(m)
         self.f = f
         self.t = _fold_coeffs(f)
-        self.m = m
-        self.minv = None if exact else 1.0 / m
-
-    def dot(self, pairs, extra=0):
-        """(sum of a*b over the pairs + extra) mod m, for a, b in [0, m), at
-        most three pairs and |extra| < 2^62; squares of primes go through
-        mulmod_lanes, which proves the bound."""
-        if self.minv is not None:
-            return mulmod_lanes(pairs, self.m, self.minv, extra)
-        s = extra
-        for a, b in pairs:
-            s = s + a * b
-        return s % self.m
 
     def mul(self, a, b):
         a0, a1, a2 = a
@@ -526,25 +513,11 @@ class _Lanes:
         return (np.ones_like(self.m), np.zeros_like(self.m), np.zeros_like(self.m))
 
     def pow(self, a, e):
-        """a^e lane by lane, right-to-left binary powering."""
-        r = self.one()
-        for k in range(int(e.max(initial=0)).bit_length()):
-            if k:
-                a = self.mul(a, a)
-            ra = self.mul(r, a)
-            bit = (e >> k) & 1 == 1
-            r = tuple(np.where(bit, x, y) for x, y in zip(ra, r))
-        return r
+        return pow_lanes(self.one(), e, lambda r: self.mul(r, r), lambda r: self.mul(r, a))
 
     def xpow(self, e):
-        """x^e lane by lane, left-to-right: multiplying by x is a shift."""
-        r = self.one()
-        for k in reversed(range(int(e.max(initial=0)).bit_length())):
-            r = self.mul(r, r)
-            rx = _times_x(r, self.f, self.m)
-            bit = (e >> k) & 1 == 1
-            r = tuple(np.where(bit, x, y) for x, y in zip(rx, r))
-        return r
+        """theta^e lane by lane: multiplying by theta is a shift."""
+        return pow_lanes(self.one(), e, lambda r: self.mul(r, r), self.times_x)
 
     def frobenius(self, a, s1, s2):
         """a0 + a1*theta + a2*theta^2 -> a0 + a1*s1 + a2*s2 (see _frobenius)."""
@@ -555,36 +528,25 @@ class _Lanes:
             self.dot(((a1, s1[2]), (a2, s2[2]))),
         )
 
+    def times_x(self, g):
+        f0, f1, f2 = self.f
+        m = self.m
+        return ((-f0 * g[2]) % m, (g[0] - f1 * g[2]) % m, (g[1] - f2 * g[2]) % m)
 
-def _times_x(g, f, m):
-    """g * theta in (Z/m)[x]/(f) lane by lane, for g in [0, m) below 2^25."""
-    f0, f1, f2 = f
-    return ((-f0 * g[2]) % m, (g[0] - f1 * g[2]) % m, (g[1] - f2 * g[2]) % m)
-
-
-def _powmod(b, e, p):
-    """b^e mod p lane by lane, p below 2^25 and b in [0, p)."""
-    r = np.ones_like(p)
-    for k in range(int(e.max(initial=0)).bit_length()):
-        if k:
-            b = b * b % p
-        r = np.where((e >> k) & 1 == 1, r * b % p, r)
-    return r
-
-
-def _inverse_lanes(g, f, p):
-    """Inverse of g in F_p[x]/(f) lane by lane from the adjugate (see
-    _adjugate); ArithmeticError when the norm of g is 0 mod p in a lane."""
-    gx = _times_x(g, f, p)
-    (m00, m10, m20), (m01, m11, m21), (m02, m12, m22) = g, gx, _times_x(gx, f, p)
-    c0 = (m11 * m22 - m12 * m21) % p
-    c1 = (m12 * m20 - m10 * m22) % p
-    c2 = (m10 * m21 - m11 * m20) % p
-    det = (m00 * c0 + m01 * c1 + m02 * c2) % p
-    if not det.all():
-        raise ArithmeticError(f"element is not invertible mod {p[det == 0][0]}")
-    d = _powmod(det, p - 2, p)
-    return (c0 * d % p, c1 * d % p, c2 * d % p)
+    def inverse(self, g):
+        """Inverse of g from the adjugate (see _adjugate) for prime moduli p;
+        ArithmeticError when the norm of g is 0 mod p in a lane."""
+        p = self.m
+        gx = self.times_x(g)
+        (m00, m10, m20), (m01, m11, m21), (m02, m12, m22) = g, gx, self.times_x(gx)
+        c0 = (m11 * m22 - m12 * m21) % p
+        c1 = (m12 * m20 - m10 * m22) % p
+        c2 = (m10 * m21 - m11 * m20) % p
+        det = (m00 * c0 + m01 * c1 + m02 * c2) % p
+        if not det.all():
+            raise ArithmeticError(f"element is not invertible mod {p[det == 0][0]}")
+        d = Lanes(p).pow(det, p - 2)
+        return (c0 * d % p, c1 * d % p, c2 * d % p)
 
 
 def _equals(a, c):
@@ -596,8 +558,8 @@ def _z_lanes(unit, inv, f, p, xp):
     """_z_coeffs lane by lane, with the same guards: z at primes p < 2^25
     where theta^p mod (f, p) is xp, for the exact unit and its exact inverse."""
     m = p * p
-    rp = _Lanes(f, p, exact=True)
-    rm = _Lanes(f, m, exact=False)
+    rp = _CubicLanes(f, p)
+    rm = _CubicLanes(f, m)
     f0, f1, f2 = f
     # sigma(theta) mod p^2: one Newton step t - f(t)/f'(t) from t = theta^p.
     t2 = rm.mul(xp, xp)
@@ -613,7 +575,7 @@ def _z_lanes(unit, inv, f, p, xp):
         raise ArithmeticError(f"p={p[bad][0]} is not inert: theta^p or theta^(p^2) is theta")
     dt = [(3 * xp2[i] + 2 * f2 * xp[i]) % p for i in range(3)]
     dt[0] = (dt[0] + f1) % p
-    step = rp.mul(tuple(c // p for c in ft), _inverse_lanes(dt, f, p))
+    step = rp.mul(tuple(c // p for c in ft), rp.inverse(dt))
     s1 = tuple((c - p * s) % m for c, s in zip(xp, step))
     s2 = rm.mul(s1, s1)
     u = tuple(c % m for c in unit)
@@ -653,11 +615,11 @@ def _classify_lanes(rec: CubicFieldRecord, mode: str, primes: list[int]) -> list
         exclude(every[P % 3 == 2], "p_2_mod_3")
     live = np.flatnonzero(code == 0)
     p = P[live]
-    nonresidue = _powmod(rec.delta % p, (p - 1) >> 1, p) != 1
+    nonresidue = Lanes(p).pow(rec.delta % p, (p - 1) >> 1) != 1
     exclude(live[nonresidue], "frob_order_not_3")
     live, p = live[~nonresidue], p[~nonresidue]
     f = rec.spec.reduction
-    xp = _Lanes(f, p, exact=True).xpow(p)
+    xp = _CubicLanes(f, p).xpow(p)
     split = _equals(xp, (0, 1, 0))
     exclude(live[split], "frob_order_not_3")
     live, p, xp = live[~split], p[~split], tuple(c[~split] for c in xp)
@@ -666,7 +628,7 @@ def _classify_lanes(rec: CubicFieldRecord, mode: str, primes: list[int]) -> list
         z = _z_lanes(rec.unit, rec.unit_inverse, f, p, xp)
         zero = _equals(z, (0, 0, 0))
         if mode == MODE_ORDINARY:
-            lanes = _Lanes(f, p, exact=True)
+            lanes = _CubicLanes(f, p)
             cube = lanes.mul(lanes.mul(z, z), z)
             in_fp = (cube[1] == 0) & (cube[2] == 0)
             outcome = np.where(zero, _REASONS.index("z_zero"), np.where(in_fp, _HIT, _CLEAR))
@@ -691,7 +653,7 @@ def _cubic_chunk(args, lo: int, hi: int) -> list[Verdict]:
     below 2^25 when the record allows it, classify_cubic_prime the rest."""
     rec, mode = args
     primes = list(primes_in(PrimeRange(lo, hi)))
-    cut = bisect_left(primes, _BATCH_PMAX) if _batch_ok(rec) else 0
+    cut = bisect_left(primes, MULMOD_PMAX) if _batch_ok(rec) else 0
     out = _classify_lanes(rec, mode, primes[:cut])
     out.extend(classify_cubic_prime(rec, p, mode) for p in primes[cut:])
     return out

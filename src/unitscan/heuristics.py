@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._parallel import run_chunked
-from .order_arith import MULMOD_PMAX, mulmod_lanes
+from .order_arith import MULMOD_PMAX, Lanes
 from .primes import PrimeRange, is_prime, primes_in
 from .report import HIT, ScanReport, Verdict, assemble_report
 
@@ -176,16 +176,8 @@ def expected_exceptional_count(x: int, power: int = 1) -> float:
 
 def _wieferich_lanes(base: int, p: np.ndarray) -> np.ndarray:
     """base^(p-1) mod p^2 for an int64 array of primes below MULMOD_PMAX and
-    0 <= base < 2^63: left-to-right binary powering, one lane per prime."""
-    m = p * p
-    minv = 1.0 / m
-    b = np.int64(base) % m
-    e = p - 1
-    r = np.ones_like(m)
-    for k in reversed(range(int(e.max(initial=0)).bit_length())):
-        r = mulmod_lanes(((r, r),), m, minv)
-        r = np.where((e >> k) & 1 == 1, mulmod_lanes(((r, b),), m, minv), r)
-    return r
+    0 <= base < 2^63, one lane per prime."""
+    return Lanes(p * p).pow(np.int64(base) % (p * p), p - 1)
 
 
 def _wieferich_chunk(args, lo: int, hi: int) -> list[Verdict]:

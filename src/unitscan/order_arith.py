@@ -20,7 +20,8 @@ __all__ = [
     "mul3",
     "pow2",
     "pow3",
-    "mulmod_lanes",
+    "Lanes",
+    "pow_lanes",
 ]
 
 
@@ -149,25 +150,52 @@ def pow3(a, e, f, m):
     return r0, r1, r2
 
 
-MULMOD_PMAX = 1 << 25  # primes below it have m = p^2 < 2^50, as mulmod_lanes needs
+# -- lane arithmetic: one int64 numpy lane per modulus ---------------------------
+
+MULMOD_PMAX = 1 << 25  # moduli below it multiply in plain int64; p^2 < 2^50 for primes below it
 
 
-def mulmod_lanes(pairs, m, minv, extra=0):
-    """(s = sum of a*b over the pairs + extra) mod m lane by lane, for int64
-    arrays m < 2^50 and a, b in [0, m), at most three pairs, |extra| < 2^62,
-    and minv = 1.0 / m: the float-quotient MulMod of Shoup's NTL.
+def pow_lanes(r, e, square, times):
+    """Binary powering lane by lane, from r = one and left to right over the
+    bits of e >= 0: a set bit applies times to r, and each bit but the last
+    squares it.  r is an array or a triple that np.where stacks into one."""
+    for k in reversed(range(int(e.max(initial=0)).bit_length())):
+        r = np.where((e >> k) & 1 == 1, times(r), r)
+        if k:
+            r = square(r)
+    return r
 
-    q is s/m computed in float64 and truncated.  Its terms add up to at most
-    3m^2 + 2^62, and at most eight roundings of 2^-53 each put q within
-    8 * 2^-53 * (3m + 2^62/m) + 1 of s/m, so r = s - q*m has
-    |r| < 2m + 8 * 2^-53 * (3m^2 + 2^62) < 2^53.  Wrapping int64 arithmetic
-    gets s and q*m right modulo 2^64, hence r exactly, and r % m is the
-    residue."""
-    s = extra
-    est = extra + 0.0
-    for a, b in pairs:
-        s = s + a * b
-        est = est + a.astype(np.float64) * b
-    r = s - (est * minv).astype(np.int64) * m
-    return r % m
 
+class Lanes:
+    """Z/m lane by lane, for an int64 array m of moduli below 2^50."""
+
+    def __init__(self, m):
+        self.m = m
+        self.minv = None if m.max(initial=0) < MULMOD_PMAX else 1.0 / m
+
+    def dot(self, pairs, extra=0):
+        """(s = sum of a*b over the pairs + extra) mod m, for a, b in [0, m),
+        at most three pairs and |extra| < 2^62.
+
+        While every modulus is below MULMOD_PMAX, s < 2^62 + 3 * 2^50 is
+        exact in int64.  Otherwise this is the float-quotient MulMod of
+        Shoup's NTL: q is s/m computed in float64 and truncated.  Its terms
+        add up to at most 3m^2 + 2^62, and at most eight roundings of 2^-53
+        each put q within 8 * 2^-53 * (3m + 2^62/m) + 1 of s/m, so r = s - q*m
+        has |r| < 2m + 8 * 2^-53 * (3m^2 + 2^62) < 2^53.  Wrapping int64
+        arithmetic gets s and q*m right modulo 2^64, hence r exactly, and
+        r % m is the residue."""
+        s = extra
+        for a, b in pairs:
+            s = s + a * b
+        if self.minv is not None:
+            est = extra + 0.0
+            for a, b in pairs:
+                est = est + a.astype(np.float64) * b
+            s = s - (est * self.minv).astype(np.int64) * self.m
+        return s % self.m
+
+    def pow(self, a, e):
+        return pow_lanes(
+            np.ones_like(self.m), e, lambda r: self.dot(((r, r),)), lambda r: self.dot(((r, a),))
+        )

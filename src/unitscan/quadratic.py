@@ -170,6 +170,8 @@ def load_quad_fields(data_dir=None) -> dict[int, QuadFieldRecord]:
                 unit = QuadUnit(a, b, unit_norm(d, a, b))
             elif len(row) != 2:
                 raise ValueError("expected 'D h [a b]'")
+            if d in records:
+                raise ValueError(f"duplicate D={d}")
             records[d] = quad_field_record(d, h, unit)
         except (ValueError, IndexError) as exc:
             raise DataFileError(f"bad quadratic field row {row}: {exc}") from exc

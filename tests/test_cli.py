@@ -147,6 +147,23 @@ def test_bad_arguments_exit_2(runner):
     assert runner.invoke(main, ["scan-quad", "--pmax", "100"]).exit_code == 2
     assert runner.invoke(main, ["scan-cubic", "--delta", "-23", "--pmax", "10"]).exit_code == 2
     assert runner.invoke(main, ["scan-quad", "--d", "999", "--pmax", "100"]).exit_code == 2
+    assert runner.invoke(main, ["wieferich", "--base", "1", "--pmax", "100"]).exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["scan-quad", "--d", "2"], ["scan-cubic", "--delta", "-23", "--mode", "h2"], ["wieferich"]],
+    ids=["scan-quad", "scan-cubic", "wieferich"],
+)
+@pytest.mark.parametrize(
+    "bounds",
+    [["--pmin", "100", "--pmax", "50"], ["--pmin", "1", "--pmax", "50"],
+     ["--pmin", "3", "--pmax", "1000000001"]],
+    ids=["pmax_below_pmin", "pmin_below_2", "pmax_above_limit"],
+)
+def test_bad_range_exit_2(runner, command, bounds):
+    res = runner.invoke(main, command + bounds + ["--workers", "1"])
+    assert res.exit_code == 2, res.output
 
 
 def test_missing_data_dir_exit_3(runner, tmp_path):

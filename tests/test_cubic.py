@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import sympy
 
+from unitscan._data import DataFileError, data_path
 from unitscan.cubic import (
     MODE_H2,
     MODE_ORDINARY,
@@ -19,14 +20,13 @@ from unitscan.cubic import (
     h5_set,
     hyp_filter,
     invert_unit,
+    load_cubic_fields,
     ordinary_test,
     prime_divisors,
     real_root,
     scan_cubic,
     z_value,
-    _BATCH_PMAX,
     _FOLD_MAX,
-    _Lanes,
     _batch_ok,
     _classify_lanes,
     _embed,
@@ -35,7 +35,7 @@ from unitscan.cubic import (
     _z_cubed_in_fp,
     _z_lanes,
 )
-from unitscan.order_arith import OrderSpec, pow3
+from unitscan.order_arith import MULMOD_PMAX, OrderSpec, pow3
 from unitscan.primes import PrimeRange, primes_in
 from unitscan.report import CLEAR, EXCLUDED, HIT, assemble_report
 
@@ -54,6 +54,14 @@ DELTAS = [-23, -31, -44, -59, -76, -83, -87, -104, -107, -108, -116, -135, -139,
 
 def test_all_fields_loaded(cubic_records):
     assert sorted(cubic_records) == sorted(DELTAS)
+
+
+def test_duplicate_delta_row_rejected(tmp_path):
+    rows = data_path("cubic_fields.txt").read_text()
+    first = next(l for l in rows.splitlines() if l.strip() and not l.startswith("#"))
+    (tmp_path / "cubic_fields.txt").write_text(rows + first + "\n")
+    with pytest.raises(DataFileError, match="duplicate delta=-23"):
+        load_cubic_fields(tmp_path)
 
 
 @pytest.mark.parametrize("delta", DELTAS)
@@ -416,9 +424,9 @@ def _shifted_record(rec23, c):
 def test_batch_bound_straddles_2_25(cubic_records, monkeypatch):
     import unitscan.cubic as cubic_mod
 
-    rng = PrimeRange(_BATCH_PMAX - 3000, _BATCH_PMAX + 3000)
+    rng = PrimeRange(MULMOD_PMAX - 3000, MULMOD_PMAX + 3000)
     primes = list(primes_in(rng))
-    below = [p for p in primes if p < _BATCH_PMAX]
+    below = [p for p in primes if p < MULMOD_PMAX]
     assert below and len(below) < len(primes)
     scalar = []
     reference = cubic_mod.classify_cubic_prime
@@ -471,36 +479,6 @@ def test_large_coefficients_take_scalar_path(cubic_records, monkeypatch):
     rep = scan_cubic(shifted, rng, mode=MODE_ORDINARY, full_verdicts=True)
     assert [v.p for v in rep.hits] == [v.p for v in base.hits] == [13]
     assert rep.clears == base.clears
-
-
-def test_float_quotient_mulmod_exact():
-    # the 40 largest primes below 2^25, where m = p^2 is closest to 2^50:
-    # operands 0, m - 1 and random, one to three pairs, and the extra term
-    # at 0, +-(2^62 - 1) and random
-    rng = random.Random(29)
-    primes = list(primes_in(PrimeRange(_BATCH_PMAX - 2000, _BATCH_PMAX)))[-40:]
-    ms = [p * p for p in primes]
-    lanes = _Lanes((0, 0, 0), np.array(ms, dtype=np.int64), exact=False)
-    operands = [[0] * len(ms), [m - 1 for m in ms]]
-    operands += [[rng.randrange(m) for m in ms] for _ in range(3)]
-    top = (1 << 62) - 1
-    extras = [[e] * len(ms) for e in (0, top, -top)]
-    extras.append([rng.randint(-top, top) for _ in ms])
-
-    def check(pairs, extra):
-        got = lanes.dot(
-            [(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)) for a, b in pairs],
-            np.array(extra, dtype=np.int64),
-        )
-        want = [(sum(a[j] * b[j] for a, b in pairs) + extra[j]) % m for j, m in enumerate(ms)]
-        assert got.tolist() == want
-
-    for a, b in itertools.product(operands, repeat=2):
-        for extra in extras:
-            check([(a, b)], extra)
-    for _ in range(100):
-        n = rng.randint(2, 3)
-        check([(rng.choice(operands), rng.choice(operands)) for _ in range(n)], rng.choice(extras))
 
 
 def _double_root(f, p):

@@ -207,7 +207,9 @@ def test_wieferich_report():
     rep = scan_wieferich(2, PrimeRange(3, 300_000))
     assert [v.p for v in rep.hits] == [1093, 3511]
     assert rep.field_id == "wieferich(base=2)"
-    for workers, segment_size in ((2, 1 << 20), (1, 1 << 16), (2, 1 << 16)):
+    # a segment covers 2 * segment_size integers, so only 2^10 splits the
+    # 2^16-wide chunks into several segments
+    for workers, segment_size in ((2, 1 << 20), (1, 1 << 16), (2, 1 << 16), (1, 1 << 10)):
         other = scan_wieferich(2, PrimeRange(3, 300_000), segment_size, workers)
         assert other.checksum == rep.checksum, (workers, segment_size)
 

@@ -1,16 +1,22 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 from unitscan.cubic import _inert_xp
 from unitscan.order_arith import (
+    MULMOD_PMAX,
+    Lanes,
     OrderSpec,
     mul2,
     mul3,
     poly_discriminant,
     pow2,
     pow3,
+    pow_lanes,
 )
+from unitscan.primes import PrimeRange, primes_in
 
 from _oracles import count_poly_roots_brute, cubic_is_inert
 
@@ -164,3 +170,87 @@ def test_spec_validation():
         OrderSpec.from_poly((1, 0, 0, 0, 1))  # degree 4
     assert poly_discriminant((-1, -1, 0, 1)) == -23
     assert poly_discriminant((-2, 0, 1)) == 8
+
+
+# -- lane arithmetic -------------------------------------------------------------
+
+# the 40 largest primes below 2^25: the largest moduli of the exact int64
+# path, and their squares, the largest of the float-quotient path
+TOP_PRIMES = list(primes_in(PrimeRange(MULMOD_PMAX - 2000, MULMOD_PMAX)))[-40:]
+
+
+def lanes_of(values):
+    return np.array(values, dtype=np.int64)
+
+
+@pytest.mark.parametrize("square", [False, True], ids=["exact", "float"])
+def test_float_quotient_mulmod_exact(square):
+    # operands 0, m - 1 and random, one to three pairs, and the extra term
+    # at 0, +-(2^62 - 1) and random
+    rng = random.Random(29)
+    ms = [p * p if square else p for p in TOP_PRIMES]
+    lanes = Lanes(lanes_of(ms))
+    assert (lanes.minv is not None) == square
+    operands = [[0] * len(ms), [m - 1 for m in ms]]
+    operands += [[rng.randrange(m) for m in ms] for _ in range(3)]
+    top = (1 << 62) - 1
+    extras = [[e] * len(ms) for e in (0, top, -top)]
+    extras.append([rng.randint(-top, top) for _ in ms])
+
+    def check(pairs, extra):
+        got = lanes.dot([(lanes_of(a), lanes_of(b)) for a, b in pairs], lanes_of(extra))
+        want = [(sum(a[j] * b[j] for a, b in pairs) + extra[j]) % m for j, m in enumerate(ms)]
+        assert got.tolist() == want
+
+    for a, b in itertools.product(operands, repeat=2):
+        for extra in extras:
+            check([(a, b)], extra)
+    for _ in range(100):
+        n = rng.randint(2, 3)
+        check([(rng.choice(operands), rng.choice(operands)) for _ in range(n)], rng.choice(extras))
+
+
+def test_lanes_path_follows_the_largest_modulus():
+    assert Lanes(lanes_of([3, MULMOD_PMAX - 1])).minv is None
+    assert Lanes(lanes_of([3, MULMOD_PMAX])).minv is not None
+    assert Lanes(lanes_of([])).minv is None
+
+
+def pow_cases(rng, ms):
+    """Bases (zero and m - 1 among them) and exponents (0 and 1 among them)
+    of mixed bit lengths below 2^62, one lane per modulus."""
+    bases = [0, 1, ms[2] - 1] + [rng.randrange(m) for m in ms[3:]]
+    exps = [0, 1, 2, 3] + [rng.randrange(1 << rng.randint(1, 62)) for _ in ms[4:]]
+    return bases, exps
+
+
+@pytest.mark.parametrize("square", [False, True], ids=["exact", "float"])
+def test_lanes_pow_matches_builtin_pow(square):
+    rng = random.Random(31)
+    ms = [p * p if square else p for p in TOP_PRIMES] + ([5 * 5, 7 * 7] if square else [5, 7])
+    lanes = Lanes(lanes_of(ms))
+    for _ in range(5):
+        bases, exps = pow_cases(rng, ms)
+        want = [pow(b, e, m) for b, e, m in zip(bases, exps, ms)]
+        assert lanes.pow(lanes_of(bases), lanes_of(exps)).tolist() == want
+        for e in (0, 1):
+            got = lanes.pow(lanes_of(bases), lanes_of([e] * len(ms)))
+            assert got.tolist() == [pow(b, e, m) for b, m in zip(bases, ms)]
+    assert Lanes(lanes_of([])).pow(lanes_of([]), lanes_of([])).size == 0
+
+
+def test_pow_lanes_on_pairs_matches_builtin_pow():
+    # two powers at once through the tuple branch, with plain int64 products
+    rng = random.Random(37)
+    ms = [3, 5, 7, 1009, 65521, 65537] + [rng.randrange(2, 1 << 31) for _ in range(20)]
+    m = lanes_of(ms)
+    a, e = (lanes_of(v) for v in pow_cases(rng, ms))
+    b = lanes_of([rng.randrange(k) for k in ms])
+    r = pow_lanes(
+        (np.ones_like(m), np.ones_like(m)),
+        e,
+        lambda r: (r[0] * r[0] % m, r[1] * r[1] % m),
+        lambda r: (r[0] * a % m, r[1] * b % m),
+    )
+    assert r[0].tolist() == [pow(x, y, k) for x, y, k in zip(a.tolist(), e.tolist(), ms)]
+    assert r[1].tolist() == [pow(x, y, k) for x, y, k in zip(b.tolist(), e.tolist(), ms)]

@@ -1,5 +1,6 @@
 import pytest
 
+from unitscan._data import DataFileError
 from unitscan.primes import PrimeRange, primes_in
 from unitscan.quadratic import (
     QuadFieldRecord,
@@ -8,6 +9,7 @@ from unitscan.quadratic import (
     classify_quad_prime,
     fundamental_unit_quadratic,
     is_squarefree,
+    load_quad_fields,
     order_spec_for,
     quad_field_record,
     quad_unit_test,
@@ -144,3 +146,10 @@ def test_loaded_records_cover_table(quad_records):
     assert sorted(quad_records) == SQUAREFREE_TO_30
     for rec in quad_records.values():
         assert rec.basis_kind == basis_kind(rec.d)
+
+
+def test_duplicate_d_row_rejected(tmp_path):
+    # the second row is the unit eps^3 of Q(sqrt 2), which would make p = 3 a hit
+    (tmp_path / "quad_fields.txt").write_text("2 1\n3 1\n2 1 7 5\n")
+    with pytest.raises(DataFileError, match="duplicate D=2"):
+        load_quad_fields(tmp_path)
