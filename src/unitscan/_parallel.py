@@ -2,7 +2,8 @@
 
 A scan range is cut into fixed contiguous chunks; each chunk is handled by a
 pure worker function and the chunk outputs are concatenated in range order,
-so the merged result is identical for any worker count.
+so the merged result is identical for any worker count.  This is the only
+place that decides the chunk width: the scans take none.
 """
 
 from __future__ import annotations
@@ -12,13 +13,10 @@ from multiprocessing import get_context
 
 def run_chunked(worker, args, lo: int, hi: int, workers: int = 1, chunk_span: int = 1 << 16):
     """Apply worker(args, a, b) over [lo, hi] split into chunk_span-wide pieces."""
-    chunks = []
-    a = lo
-    while a <= hi:
-        b = min(a + chunk_span - 1, hi)
-        chunks.append((args, a, b))
-        a = b + 1
-    if workers <= 1 or len(chunks) == 1:
+    if workers < 1 or chunk_span < 1:
+        raise ValueError(f"workers={workers} and chunk_span={chunk_span} must be at least 1")
+    chunks = [(args, a, min(a + chunk_span - 1, hi)) for a in range(lo, hi + 1, chunk_span)]
+    if workers == 1 or len(chunks) <= 1:
         parts = [worker(*c) for c in chunks]
     else:
         with get_context().Pool(min(workers, len(chunks))) as pool:

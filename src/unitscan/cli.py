@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 
 import click
 
@@ -29,6 +30,9 @@ from .report import (
 
 def _workers_default() -> int:
     return os.cpu_count() or 1
+
+
+_workers_option = click.option("--workers", type=click.IntRange(min=1), default=_workers_default)
 
 
 def _echo_summary(rep) -> None:
@@ -52,17 +56,14 @@ def _emit_reports(reports, fmt: str) -> None:
             click.echo(report_to_csv(r, header=(i == 0)), nl=False)
 
 
-def _load(loader, data_dir):
+@contextmanager
+def _bad_input():
+    """The one bad-input boundary: a data-file fault exits 3, a bad value 2."""
     try:
-        return loader(data_dir)
+        yield
     except DataFileError as exc:
         click.echo(f"data error: {exc}", err=True)
         sys.exit(3)
-
-
-def _range(pmin: int, pmax: int) -> PrimeRange:
-    try:
-        return PrimeRange(pmin, pmax)
     except ValueError as exc:
         raise click.BadParameter(str(exc))
 
@@ -92,12 +93,13 @@ def main():
 @click.option("--pmin", type=int, default=quadratic.MIN_SCAN_PRIME, show_default=True)
 @click.option("--full-verdicts", is_flag=True, help="Report clears and exclusions too.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
-@click.option("--workers", type=int, default=_workers_default)
+@_workers_option
 @click.option("--data-dir", default=None, help="Override the bundled data directory.")
 def scan_quad(d_key, pmax, pmin, full_verdicts, fmt, workers, data_dir):
     """Scan primes for the mod-p^2 fundamental-unit congruence in Q(sqrt(D))."""
-    rng = _range(pmin, pmax)
-    records = _load(quadratic.load_quad_fields, data_dir)
+    with _bad_input():
+        rng = PrimeRange(pmin, pmax)
+        records = quadratic.load_quad_fields(data_dir)
     reports = []
     for rec in _pick(records, d_key, "D"):
         rep = quadratic.scan_quadratic(rec, rng, full_verdicts=full_verdicts, workers=workers)
@@ -113,12 +115,13 @@ def scan_quad(d_key, pmax, pmin, full_verdicts, fmt, workers, data_dir):
 @click.option("--mode", type=click.Choice([cubic.MODE_H2, cubic.MODE_ORDINARY]), required=True)
 @click.option("--full-verdicts", is_flag=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
-@click.option("--workers", type=int, default=_workers_default)
+@_workers_option
 @click.option("--data-dir", default=None)
 def scan_cubic_cmd(delta, pmax, pmin, mode, full_verdicts, fmt, workers, data_dir):
     """Scan inert primes of a complex cubic field (z-invariant tests)."""
-    rng = _range(pmin, pmax)
-    records = _load(cubic.load_cubic_fields, data_dir)
+    with _bad_input():
+        rng = PrimeRange(pmin, pmax)
+        records = cubic.load_cubic_fields(data_dir)
     reports = []
     for rec in _pick(records, delta, "delta"):
         rep = cubic.scan_cubic(rec, rng, mode=mode, full_verdicts=full_verdicts, workers=workers)
@@ -133,7 +136,8 @@ def scan_cubic_cmd(delta, pmax, pmin, mode, full_verdicts, fmt, workers, data_di
 @click.option("--data-dir", default=None)
 def h5_cmd(delta, fmt, data_dir):
     """Print the small-prime exclusion set (raw, and with 2 and 3 removed)."""
-    records = _load(cubic.load_cubic_fields, data_dir)
+    with _bad_input():
+        records = cubic.load_cubic_fields(data_dir)
     rows = []
     for rec in _pick(records, delta, "delta"):
         raw = sorted(cubic.h5_set(rec.ramified))
@@ -163,10 +167,12 @@ def h5_cmd(delta, fmt, data_dir):
 @click.option("--pmax", type=int, required=True)
 @click.option("--pmin", type=int, default=3, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
-@click.option("--workers", type=int, default=_workers_default)
+@_workers_option
 def wieferich_cmd(base, pmax, pmin, fmt, workers):
     """Scan for primes with base^(p-1) = 1 mod p^2."""
-    rep = heuristics.scan_wieferich(base, _range(pmin, pmax), workers=workers)
+    with _bad_input():
+        rng = PrimeRange(pmin, pmax)
+    rep = heuristics.scan_wieferich(base, rng, workers=workers)
     _echo_summary(rep)
     _emit_reports([rep], fmt)
 
@@ -186,10 +192,8 @@ def _echo_value(label: str, hv) -> None:
 @click.option("-m", type=int, required=True)
 def injective_prob_cmd(p, n, m):
     """Probability that a random map F_p^n -> F_p^m is injective."""
-    try:
+    with _bad_input():
         hv = heuristics.injective_probability(p, n, m)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc))
     _echo_value(f"P(injective F_{p}^{n} -> F_{p}^{m})", hv)
 
 
@@ -201,10 +205,8 @@ def injective_prob_cmd(p, n, m):
 @click.option("--seed", type=int, default=42, show_default=True)
 def monte_carlo_cmd(p, n, m, trials, seed):
     """Seeded empirical injectivity frequency (reproducible)."""
-    try:
+    with _bad_input():
         res = heuristics.monte_carlo_injective(p, n, m, trials, seed)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc))
     click.echo(
         f"frequency = {res.frequency:.6f}  ({res.successes}/{res.trials}, "
         f"std_error = {res.std_error:.6f}, seed = {res.seed})"
@@ -215,10 +217,8 @@ def monte_carlo_cmd(p, n, m, trials, seed):
 @click.option("-p", type=int, required=True)
 def densities_cmd(p):
     """The four level-raising class densities at p."""
-    try:
+    with _bad_input():
         dens = heuristics.level_raising_densities(p)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc))
     for k in ("i", "ii", "iii", "iv"):
         _echo_value(f"density({k})", dens[k])
 
@@ -228,21 +228,17 @@ def densities_cmd(p):
 @click.option("--imax", type=int, default=5, show_default=True)
 def mult_dist_cmd(k0, imax):
     """Expected multiplicity distribution over 1 <= i <= imax."""
-    try:
+    with _bad_input():
         for i in range(1, imax + 1):
             _echo_value(f"density(multiplicity = {i})", heuristics.multiplicity_distribution(k0, i))
-    except ValueError as exc:
-        raise click.BadParameter(str(exc))
 
 
 @heuristics_group.command("mertens")
 @click.option("--x", type=int, required=True)
 def mertens_cmd(x):
     """Sum of 1/p for p <= x, against log log x."""
-    try:
+    with _bad_input():
         total = heuristics.expected_exceptional_count(x)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc))
     click.echo(f"sum 1/p (p <= {x}) = {total:.9f}   log log x = {math.log(math.log(x)):.9f}")
 
 
@@ -251,10 +247,8 @@ def mertens_cmd(x):
 @click.option("--power", type=int, default=1, show_default=True)
 def expected_count_cmd(x, power):
     """Expected number of exceptional primes up to x under the 1/p^power model."""
-    try:
+    with _bad_input():
         val = heuristics.expected_exceptional_count(x, power)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc))
     click.echo(f"sum 1/p^{power} (p <= {x}) = {val:.9f}")
 
 
@@ -266,7 +260,7 @@ def expected_count_cmd(x, power):
     show_default=True,
 )
 @click.option("--pmax", type=int, default=None, help="Scan bound (defaults per table).")
-@click.option("--workers", type=int, default=_workers_default)
+@_workers_option
 @click.option("--data-dir", default=None)
 def verify_tables_cmd(table, pmax, workers, data_dir):
     """Recompute the stored reference tables and report any differences."""
@@ -277,16 +271,11 @@ def verify_tables_cmd(table, pmax, workers, data_dir):
     }
     targets = list(names.values()) if table == "all" else [names[table]]
     ok = True
-    try:
+    with _bad_input():
         for t in targets:
             diff = report.verify_tables(t, pmax=pmax, workers=workers, data_dir=data_dir)
             click.echo(diff.render())
             ok = ok and diff.passed
-    except DataFileError as exc:
-        click.echo(f"data error: {exc}", err=True)
-        sys.exit(3)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc))
     sys.exit(0 if ok else 1)
 
 

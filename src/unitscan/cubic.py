@@ -24,7 +24,7 @@ import numpy as np
 from ._data import DataFileError, data_path, read_table_rows
 from ._parallel import run_chunked
 from .order_arith import MULMOD_PMAX, Lanes, OrderSpec, mul3, pow3, pow_lanes
-from .primes import PrimeRange, is_prime, primes_in
+from .primes import PrimeRange, is_prime, prime_divisors, primes_in
 from .report import CLEAR, EXCLUDED, HIT, ScanReport, Verdict, assemble_report
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "MODE_ORDINARY",
     "CubicFieldRecord",
     "ZValue",
-    "prime_divisors",
     "h5_set",
     "h5_reduced",
     "hyp_filter",
@@ -54,21 +53,6 @@ MODE_ORDINARY = "ordinary"
 # Artin: a complex cubic field with fundamental unit u > 1 has |disc| < 4u^3 + 24,
 # so a found unit u with 4u^(3/2) + 24 <= |disc| cannot be a proper power.
 _ARTIN_SLACK = 1e-9
-
-
-def prime_divisors(n: int) -> frozenset[int]:
-    n = abs(n)
-    out = set()
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return frozenset(out)
 
 
 @lru_cache(maxsize=None)
@@ -665,7 +649,6 @@ def scan_cubic(
     mode: str = MODE_ORDINARY,
     full_verdicts: bool = False,
     workers: int = 1,
-    chunk_span: int = 1 << 14,
 ) -> ScanReport:
     """Ascending hits over the range.
 
@@ -682,7 +665,7 @@ def scan_cubic(
             f"h_E unknown for delta={rec.delta}: the class-number exclusion was not applied"
         )
     t0 = time.perf_counter()
-    verdicts = run_chunked(_cubic_chunk, (rec, mode), rng.lo, rng.hi, workers, chunk_span)
+    verdicts = run_chunked(_cubic_chunk, (rec, mode), rng.lo, rng.hi, workers)
     return assemble_report(
         field_id=f"cubic(delta={rec.delta})",
         mode=mode,

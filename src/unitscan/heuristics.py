@@ -19,7 +19,7 @@ import numpy as np
 
 from ._parallel import run_chunked
 from .order_arith import MULMOD_PMAX, Lanes
-from .primes import PrimeRange, is_prime, primes_in
+from .primes import PrimeRange, is_prime, prime_divisors, primes_in
 from .report import HIT, ScanReport, Verdict, assemble_report
 
 __all__ = [
@@ -199,14 +199,11 @@ def scan_wieferich(
     rng: PrimeRange,
     segment_size: int = 1 << 20,
     workers: int = 1,
-    chunk_span: int = 1 << 16,
 ) -> ScanReport:
     if base < 2:
         raise ValueError("base must be at least 2")
     t0 = time.perf_counter()
-    hits = run_chunked(
-        _wieferich_chunk, (base, segment_size), rng.lo, rng.hi, workers, chunk_span
-    )
+    hits = run_chunked(_wieferich_chunk, (base, segment_size), rng.lo, rng.hi, workers)
     return assemble_report(
         field_id=f"wieferich(base={base})",
         mode="wieferich",
@@ -232,25 +229,12 @@ def level_raising_densities(p: int) -> dict[str, HeuristicValue]:
     return {k: HeuristicValue.from_fraction(v) for k, v in dens.items()}
 
 
-def _is_prime_power(q: int) -> bool:
-    if q < 2:
-        return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            while q % d == 0:
-                q //= d
-            return q == 1
-        d += 1
-    return True  # q itself prime
-
-
 def multiplicity_distribution(k0_size: int, i: int) -> HeuristicValue:
     """Density of multiplicity exactly i: (#k0)^(1-i) * (1 - 1/#k0).
 
     Geometric over i >= 1, so the partial sums telescope to 1.
     """
-    if not _is_prime_power(k0_size):
+    if not (k0_size >= 2 and len(prime_divisors(k0_size)) == 1):
         raise ValueError("k0_size must be a prime power >= 2")
     if i < 1:
         raise ValueError("i must be at least 1")

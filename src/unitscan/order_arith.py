@@ -10,6 +10,8 @@ x^3, x^4), which keeps the power maps used by the scanners cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -173,9 +175,9 @@ class Lanes:
         self.m = m
         self.minv = None if m.max(initial=0) < MULMOD_PMAX else 1.0 / m
 
-    def dot(self, pairs, extra=0):
+    def dot(self, pairs, extra=None):
         """(s = sum of a*b over the pairs + extra) mod m, for a, b in [0, m),
-        at most three pairs and |extra| < 2^62.
+        one to three pairs and |extra| < 2^62 (no extra term when None).
 
         While every modulus is below MULMOD_PMAX, s < 2^62 + 3 * 2^50 is
         exact in int64.  Otherwise this is the float-quotient MulMod of
@@ -185,13 +187,10 @@ class Lanes:
         has |r| < 2m + 8 * 2^-53 * (3m^2 + 2^62) < 2^53.  Wrapping int64
         arithmetic gets s and q*m right modulo 2^64, hence r exactly, and
         r % m is the residue."""
-        s = extra
-        for a, b in pairs:
-            s = s + a * b
+        extras = [] if extra is None else [extra]
+        s = reduce(add, [a * b for a, b in pairs] + extras)
         if self.minv is not None:
-            est = extra + 0.0
-            for a, b in pairs:
-                est = est + a.astype(np.float64) * b
+            est = reduce(add, [a.astype(np.float64) * b for a, b in pairs] + extras)
             s = s - (est * self.minv).astype(np.int64) * self.m
         return s % self.m
 

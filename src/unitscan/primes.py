@@ -11,9 +11,8 @@ import numpy as np
 RANGE_LIMIT = 10**9
 
 # Strong-pseudoprime witnesses covering every n < 2^64 (Sinclair / Sorenson-Webster set).
+# They double as the trial divisors, so is_prime settles small n exactly.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _YIELD_SLICE = 1 << 15
 
@@ -22,7 +21,7 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test, correct for all n < 2^64."""
     if n < 2:
         return False
-    for q in _SMALL_PRIMES:
+    for q in _MR_WITNESSES:
         if n == q:
             return True
         if n % q == 0:
@@ -43,6 +42,23 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def prime_divisors(n: int) -> frozenset[int]:
+    """The primes dividing n, by trial division: for small |n| such as
+    field discriminants and coefficient-field sizes."""
+    n = abs(n)
+    out = set()
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.add(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.add(n)
+    return frozenset(out)
 
 
 @dataclass(frozen=True)

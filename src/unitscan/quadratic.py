@@ -16,7 +16,7 @@ from math import isqrt
 from ._data import DataFileError, data_path, read_table_rows
 from ._parallel import run_chunked
 from .order_arith import OrderSpec, pow2
-from .primes import PrimeRange, primes_in
+from .primes import PrimeRange, prime_divisors, primes_in
 from .report import CLEAR, EXCLUDED, HIT, ScanReport, Verdict, assemble_report
 
 __all__ = [
@@ -45,16 +45,7 @@ MODE_QUAD = "quad"
 
 
 def is_squarefree(n: int) -> bool:
-    if n < 1:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        while n % d == 0:
-            n //= d
-        d += 1
-    return True
+    return n >= 1 and all(n % (q * q) for q in prime_divisors(n))
 
 
 def basis_kind(d: int) -> str:
@@ -221,11 +212,10 @@ def scan_quadratic(
     rng: PrimeRange,
     full_verdicts: bool = False,
     workers: int = 1,
-    chunk_span: int = 1 << 14,
 ) -> ScanReport:
     """Ascending verdicts over the range; hit iff the unit congruence holds."""
     t0 = time.perf_counter()
-    verdicts = run_chunked(_quad_chunk, rec, rng.lo, rng.hi, workers, chunk_span)
+    verdicts = run_chunked(_quad_chunk, rec, rng.lo, rng.hi, workers)
     return assemble_report(
         field_id=f"quad(D={rec.d})",
         mode=MODE_QUAD,

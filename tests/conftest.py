@@ -1,6 +1,8 @@
+import inspect
+
 import pytest
 
-from unitscan import load_cubic_fields, load_quad_fields
+from unitscan import _parallel, cubic, heuristics, load_cubic_fields, load_quad_fields, quadratic
 from unitscan.report import load_reference_tables
 
 
@@ -17,3 +19,22 @@ def cubic_records():
 @pytest.fixture(scope="session")
 def ref_tables():
     return load_reference_tables()
+
+
+@pytest.fixture
+def chunk_counts(monkeypatch):
+    """The number of chunks each scan's run_chunked call cuts its range into;
+    with more than one worker, more than one chunk means the pool ran."""
+    counts = []
+    signature = inspect.signature(_parallel.run_chunked)
+
+    def counted(*args, **kwargs):
+        call = signature.bind(*args, **kwargs)
+        call.apply_defaults()
+        a = call.arguments
+        counts.append(len(range(a["lo"], a["hi"] + 1, a["chunk_span"])))
+        return _parallel.run_chunked(*args, **kwargs)
+
+    for mod in (cubic, heuristics, quadratic):
+        monkeypatch.setattr(mod, "run_chunked", counted)
+    return counts

@@ -159,7 +159,7 @@ def test_criterion_5_wieferich():
     with criterion(5, "base-2 scan over [3, 1e7] yields exactly {1093, 3511} at two segment sizes"):
         t0 = time.perf_counter()
         first = scan_wieferich(2, PrimeRange(3, 10_000_000), segment_size=1 << 20, workers=1)
-        second = scan_wieferich(2, PrimeRange(3, 10_000_000), segment_size=1 << 16, workers=1)
+        second = scan_wieferich(2, PrimeRange(3, 10_000_000), segment_size=1 << 12, workers=1)
         elapsed = time.perf_counter() - t0
         assert [v.p for v in first.hits] == [1093, 3511]
         assert [v.p for v in second.hits] == [1093, 3511]
@@ -206,17 +206,19 @@ def test_criterion_8_expected_values():
         assert level_raising_densities(11)["iii"].as_fraction() == Fraction(1, 66)
 
 
-def test_criterion_9_checksum_determinism(quad_records, cubic_records):
+def test_criterion_9_checksum_determinism(quad_records, cubic_records, chunk_counts):
     with criterion(9, "identical checksums for 1-worker and 4-worker executions of every scan"):
-        quad_serial = scan_quadratic(quad_records[15], PrimeRange(3, 9999), workers=1)
-        quad_parallel = scan_quadratic(quad_records[15], PrimeRange(3, 9999), workers=4)
+        quad_serial = scan_quadratic(quad_records[15], PrimeRange(3, 200_000), workers=1)
+        quad_parallel = scan_quadratic(quad_records[15], PrimeRange(3, 200_000), workers=4)
         assert quad_serial.checksum == quad_parallel.checksum
 
         for mode in (MODE_ORDINARY, MODE_H2):
-            s = scan_cubic(cubic_records[-31], PrimeRange(3, 30_000), mode=mode, workers=1)
-            q = scan_cubic(cubic_records[-31], PrimeRange(3, 30_000), mode=mode, workers=4)
+            s = scan_cubic(cubic_records[-31], PrimeRange(3, 200_000), mode=mode, workers=1)
+            q = scan_cubic(cubic_records[-31], PrimeRange(3, 200_000), mode=mode, workers=4)
             assert s.checksum == q.checksum, mode
 
         ws = scan_wieferich(2, PrimeRange(3, 200_000), workers=1)
         wq = scan_wieferich(2, PrimeRange(3, 200_000), workers=4)
         assert ws.checksum == wq.checksum
+        # every scan spans several chunks, so each 4-worker run used the pool
+        assert len(chunk_counts) == 8 and min(chunk_counts) > 1

@@ -185,3 +185,18 @@ def test_data_dir_env_override(runner, tmp_path, monkeypatch):
     assert res.exit_code == 0
     assert "quad(D=2),13" in res.stdout
     assert "D=3" not in res.stdout  # only the overridden records exist
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["scan-quad", "--d", "2", "--pmax", "50"],
+     ["scan-cubic", "--delta", "-23", "--mode", "h2", "--pmax", "50"],
+     ["wieferich", "--pmax", "50"],
+     ["verify-tables", "--table", "h5"]],
+    ids=["scan-quad", "scan-cubic", "wieferich", "verify-tables"],
+)
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_bad_workers_exit_2(runner, command, workers):
+    res = runner.invoke(main, command + ["--workers", workers])
+    assert res.exit_code == 2, res.output
+    assert "--workers" in res.output

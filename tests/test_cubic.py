@@ -6,6 +6,7 @@ import pytest
 import sympy
 
 from unitscan._data import DataFileError, data_path
+from unitscan._parallel import run_chunked
 from unitscan.cubic import (
     MODE_H2,
     MODE_ORDINARY,
@@ -22,13 +23,13 @@ from unitscan.cubic import (
     invert_unit,
     load_cubic_fields,
     ordinary_test,
-    prime_divisors,
     real_root,
     scan_cubic,
     z_value,
     _FOLD_MAX,
     _batch_ok,
     _classify_lanes,
+    _cubic_chunk,
     _embed,
     _fold_coeffs,
     _z_coeffs,
@@ -36,7 +37,7 @@ from unitscan.cubic import (
     _z_lanes,
 )
 from unitscan.order_arith import MULMOD_PMAX, OrderSpec, pow3
-from unitscan.primes import PrimeRange, primes_in
+from unitscan.primes import PrimeRange, prime_divisors, primes_in
 from unitscan.report import CLEAR, EXCLUDED, HIT, assemble_report
 
 from _oracles import (
@@ -409,7 +410,8 @@ def test_batch_tiny_chunks(cubic_records):
         for mode in (MODE_H2, MODE_ORDINARY):
             ref = _reference_report(rec, rng, mode)
             for span in (1, 2, 7):
-                rep = scan_cubic(rec, rng, mode=mode, full_verdicts=True, chunk_span=span)
+                verdicts = run_chunked(_cubic_chunk, (rec, mode), rng.lo, rng.hi, 1, span)
+                rep = assemble_report(ref.field_id, mode, rng.lo, rng.hi, verdicts, True)
                 _assert_same_report(rep, ref, (delta, mode, span))
 
 
@@ -559,10 +561,11 @@ def test_scan_hyp3_exclusion_applies(cubic_records):
     assert [v.p for v in rep.hits] == []  # 13 was the only hit below 100
 
 
-def test_scan_parallel_determinism(cubic_records):
+def test_scan_parallel_determinism(cubic_records, chunk_counts):
     rec = cubic_records[-107]
-    r1 = scan_cubic(rec, PrimeRange(3, 20_000), mode=MODE_ORDINARY, workers=1)
-    r2 = scan_cubic(rec, PrimeRange(3, 20_000), mode=MODE_ORDINARY, workers=2)
+    r1 = scan_cubic(rec, PrimeRange(3, 200_000), mode=MODE_ORDINARY, workers=1)
+    r2 = scan_cubic(rec, PrimeRange(3, 200_000), mode=MODE_ORDINARY, workers=2)
+    assert chunk_counts[1] > 1  # so the two workers ran in a pool
     assert r1.checksum == r2.checksum
     assert r1.hits == r2.hits
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from unitscan import heuristics
+from unitscan._parallel import run_chunked
 from unitscan.heuristics import (
     HeuristicValue,
     expected_exceptional_count,
@@ -16,6 +17,7 @@ from unitscan.heuristics import (
 )
 from unitscan.order_arith import MULMOD_PMAX
 from unitscan.primes import PrimeRange, primes_in
+from unitscan.report import assemble_report
 
 from _oracles import exhaustive_injective_fraction, rank_mod_p
 
@@ -280,7 +282,8 @@ def test_wieferich_tiny_chunks(span):
     # base 5 is a hit at p = 2 (5 = 1 mod 4), base 3 at p = 11
     cases = ((2, PrimeRange(1000, 1200)), (5, PrimeRange(2, 300)), (3, PrimeRange(2, 300)))
     for base, rng in cases:
-        rep = scan_wieferich(base, rng, chunk_span=span)
+        hits = run_chunked(heuristics._wieferich_chunk, (base, 1 << 20), rng.lo, rng.hi, 1, span)
+        rep = assemble_report(f"wieferich(base={base})", "wieferich", rng.lo, rng.hi, hits)
         assert [v.p for v in rep.hits] == reference_hits(base, primes_in(rng))
         assert rep.checksum == scan_wieferich(base, rng).checksum
 

@@ -186,7 +186,7 @@ def lanes_of(values):
 @pytest.mark.parametrize("square", [False, True], ids=["exact", "float"])
 def test_float_quotient_mulmod_exact(square):
     # operands 0, m - 1 and random, one to three pairs, and the extra term
-    # at 0, +-(2^62 - 1) and random
+    # at 0, +-(2^62 - 1), random and absent
     rng = random.Random(29)
     ms = [p * p if square else p for p in TOP_PRIMES]
     lanes = Lanes(lanes_of(ms))
@@ -195,10 +195,12 @@ def test_float_quotient_mulmod_exact(square):
     operands += [[rng.randrange(m) for m in ms] for _ in range(3)]
     top = (1 << 62) - 1
     extras = [[e] * len(ms) for e in (0, top, -top)]
-    extras.append([rng.randint(-top, top) for _ in ms])
+    extras += [[rng.randint(-top, top) for _ in ms], None]
 
     def check(pairs, extra):
-        got = lanes.dot([(lanes_of(a), lanes_of(b)) for a, b in pairs], lanes_of(extra))
+        lane_pairs = [(lanes_of(a), lanes_of(b)) for a, b in pairs]
+        got = lanes.dot(lane_pairs, None if extra is None else lanes_of(extra))
+        extra = extra or [0] * len(ms)
         want = [(sum(a[j] * b[j] for a, b in pairs) + extra[j]) % m for j, m in enumerate(ms)]
         assert got.tolist() == want
 

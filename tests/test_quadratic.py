@@ -1,6 +1,7 @@
 import pytest
 
 from unitscan._data import DataFileError
+from unitscan._parallel import run_chunked
 from unitscan.primes import PrimeRange, primes_in
 from unitscan.quadratic import (
     QuadFieldRecord,
@@ -15,6 +16,7 @@ from unitscan.quadratic import (
     quad_unit_test,
     scan_quadratic,
     unit_norm,
+    _quad_chunk,
 )
 from unitscan.order_arith import pow2
 from unitscan.report import CLEAR, EXCLUDED, Verdict
@@ -123,12 +125,21 @@ def test_scan_matches_classify(quad_records):
             assert verdicts[p] == want
 
 
-def test_scan_parallel_determinism(quad_records):
+def test_scan_parallel_determinism(quad_records, chunk_counts):
     rec = quad_records[10]
-    r1 = scan_quadratic(rec, PrimeRange(3, 9999), full_verdicts=True, workers=1)
-    r2 = scan_quadratic(rec, PrimeRange(3, 9999), full_verdicts=True, workers=2)
+    r1 = scan_quadratic(rec, PrimeRange(3, 200_000), full_verdicts=True, workers=1)
+    r2 = scan_quadratic(rec, PrimeRange(3, 200_000), full_verdicts=True, workers=2)
+    assert chunk_counts[1] > 1  # so the two workers ran in a pool
     assert r1.checksum == r2.checksum
     assert r1.hits == r2.hits and r1.excluded == r2.excluded and r1.clears == r2.clears
+
+
+def test_partition_arguments_checked(quad_records):
+    with pytest.raises(ValueError, match="workers=0"):
+        scan_quadratic(quad_records[2], PrimeRange(3, 100), workers=0)
+    for span in (0, -1):  # either would never advance through the range
+        with pytest.raises(ValueError, match="chunk_span"):
+            run_chunked(_quad_chunk, quad_records[2], 3, 100, 1, span)
 
 
 def test_record_validation():

@@ -33,7 +33,7 @@ def test_wieferich_trace_hooks_resolve(monkeypatch):
     tracer = tracing.Tracer()
     with tracing.instrument(tracer):
         tracer.enter()
-        rep = heuristics.scan_wieferich(2, PrimeRange(3, 5000), chunk_span=1000)
+        rep = heuristics.scan_wieferich(2, PrimeRange(3, 5000))
         tracer.exit(tracing.ROOT)
     assert [v.p for v in rep.hits] == [1093, 3511]
     for span in ("heuristics.wieferich_scan", "heuristics.wieferich_chunk", "primes.sieve"):
