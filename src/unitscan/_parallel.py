@@ -8,6 +8,7 @@ place that decides the chunk width: the scans take none.
 
 from __future__ import annotations
 
+import os
 from multiprocessing import get_context
 
 
@@ -16,10 +17,11 @@ def run_chunked(worker, args, lo: int, hi: int, workers: int = 1, chunk_span: in
     if workers < 1 or chunk_span < 1:
         raise ValueError(f"workers={workers} and chunk_span={chunk_span} must be at least 1")
     chunks = [(args, a, min(a + chunk_span - 1, hi)) for a in range(lo, hi + 1, chunk_span)]
-    if workers == 1 or len(chunks) <= 1:
+    size = min(workers, len(chunks), os.cpu_count() or 1)  # never more processes than cores
+    if size <= 1:
         parts = [worker(*c) for c in chunks]
     else:
-        with get_context().Pool(min(workers, len(chunks))) as pool:
+        with get_context().Pool(size) as pool:
             parts = pool.starmap(worker, chunks, chunksize=1)
     merged = []
     for part in parts:

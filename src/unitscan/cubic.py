@@ -14,7 +14,6 @@ z^(3(p-1)) = 1.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import log
@@ -23,7 +22,7 @@ import numpy as np
 
 from ._data import DataFileError, data_path, read_table_rows
 from ._parallel import run_chunked
-from .order_arith import MULMOD_PMAX, Lanes, OrderSpec, mul3, pow3, pow_lanes
+from .order_arith import Lanes, OrderSpec, mul3, pow3, pow_lanes, prime_lanes
 from .primes import PrimeRange, is_prime, prime_divisors, primes_in
 from .report import CLEAR, EXCLUDED, HIT, ScanReport, Verdict, assemble_report
 
@@ -398,8 +397,8 @@ def ordinary_test(rec: CubicFieldRecord, p: int) -> bool:
 
 
 def classify_cubic_prime(rec: CubicFieldRecord, p: int, mode: str) -> Verdict:
-    """Per-prime verdict: the readable reference path, and the scans' path
-    for primes the batch kernel does not take."""
+    """Per-prime verdict: the readable reference that the tests check the
+    scans' batch kernel against."""
     reason = hyp_filter(rec, p)
     if reason is not None:
         return Verdict(p, EXCLUDED, reason=reason)
@@ -426,20 +425,13 @@ def classify_cubic_prime(rec: CubicFieldRecord, p: int, mode: str) -> Verdict:
 
 # -- batched scan kernel ---------------------------------------------------------
 #
-# A scan chunk classifies its primes together, one int64 numpy lane per prime,
-# with the tests of classify_cubic_prime in the same order, on order_arith.Lanes:
-# residues mod p < 2^25 multiply exactly in int64, residues mod m = p^2 < 2^50
-# by the float-quotient MulMod (Lanes.dot proves both bounds).
-#
-# Bound on the record.  A product folds its x^3 and x^4 terms c3, c4 (reduced
-# into [0, m)) back in as c4*t_i - c3*f_i, where f = (f0, f1, f2) is the
-# reduction and t = (f2 f0, f2 f1 - f0, f2^2 - f1) gives x^4.  With
-# |f_i| + |t_i| < 2^12 that fold stays below 2^50 * 2^12 = 2^62, the extra
-# term Lanes.dot allows, and so does the Newton residue t^3 + f2 t^2 + f1 t + f0
-# for t^2, t^3 in [0, m).  The unit, its inverse, Delta and h_E enter only
-# through x % m or x % p, which needs |x| < 2^63.  A chunk whose record breaks
-# the bound, and every prime from MULMOD_PMAX up, goes through
-# classify_cubic_prime instead.
+# A scan chunk classifies its primes together, one numpy lane per prime, with
+# the tests of classify_cubic_prime in the same order, on order_arith.Lanes.
+# The lanes are int64 when every prime is below 2^25 and the record passes
+# _batch_ok, else Python ints.  Int64 needs |f_i| + |t_i| < 2^12, t giving x^4
+# (see _fold_coeffs), so a folded term c4*t_i - c3*f_i, and the Newton residue
+# f(t), stay below the 2^62 extra term of Lanes.dot; and |x| < 2^63 for the
+# unit, its inverse, Delta and h_E, which enter only through x % m or x % p.
 
 _FOLD_MAX = 1 << 12
 _INT64_MAX = (1 << 63) - 1
@@ -539,8 +531,8 @@ def _equals(a, c):
 
 
 def _z_lanes(unit, inv, f, p, xp):
-    """_z_coeffs lane by lane, with the same guards: z at primes p < 2^25
-    where theta^p mod (f, p) is xp, for the exact unit and its exact inverse."""
+    """_z_coeffs lane by lane, with the same guards: z at the primes p where
+    theta^p mod (f, p) is xp, for the exact unit and its exact inverse."""
     m = p * p
     rp = _CubicLanes(f, p)
     rm = _CubicLanes(f, m)
@@ -576,13 +568,12 @@ def _z_lanes(unit, inv, f, p, xp):
 
 
 def _classify_lanes(rec: CubicFieldRecord, mode: str, primes: list[int]) -> list[Verdict]:
-    """classify_cubic_prime for every prime of the list, all below 2^25, for
-    a record that passes _batch_ok."""
+    """classify_cubic_prime for every prime of the list."""
     if mode not in (MODE_H2, MODE_ORDINARY):
         raise ValueError(f"unknown mode {mode!r}")
     if not primes:
         return []
-    P = np.array(primes, dtype=np.int64)
+    P = prime_lanes(primes, _batch_ok(rec))
     code = np.zeros(len(primes), dtype=np.int8)
 
     def exclude(lanes, reason):
@@ -633,14 +624,9 @@ def _classify_lanes(rec: CubicFieldRecord, mode: str, primes: list[int]) -> list
 
 
 def _cubic_chunk(args, lo: int, hi: int) -> list[Verdict]:
-    """Verdicts for the primes in [lo, hi]: the batch kernel takes those
-    below 2^25 when the record allows it, classify_cubic_prime the rest."""
+    """Verdicts for the primes in [lo, hi], from the batch kernel."""
     rec, mode = args
-    primes = list(primes_in(PrimeRange(lo, hi)))
-    cut = bisect_left(primes, MULMOD_PMAX) if _batch_ok(rec) else 0
-    out = _classify_lanes(rec, mode, primes[:cut])
-    out.extend(classify_cubic_prime(rec, p, mode) for p in primes[cut:])
-    return out
+    return _classify_lanes(rec, mode, list(primes_in(PrimeRange(lo, hi))))
 
 
 def scan_cubic(

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from ._parallel import run_chunked
-from .order_arith import MULMOD_PMAX, Lanes
+from .order_arith import Lanes, prime_lanes
 from .primes import PrimeRange, is_prime, prime_divisors, primes_in
 from .report import HIT, ScanReport, Verdict, assemble_report
 
@@ -175,35 +174,24 @@ def expected_exceptional_count(x: int, power: int = 1) -> float:
 
 
 def _wieferich_lanes(base: int, p: np.ndarray) -> np.ndarray:
-    """base^(p-1) mod p^2 for an int64 array of primes below MULMOD_PMAX and
-    0 <= base < 2^63, one lane per prime."""
-    return Lanes(p * p).pow(np.int64(base) % (p * p), p - 1)
+    """base^(p-1) mod p^2, one lane per prime of the lane array p (int64 only
+    when base < 2^63, see order_arith.prime_lanes)."""
+    m = p * p
+    return Lanes(m).pow(base % m, p - 1)
 
 
-def _wieferich_chunk(args, lo: int, hi: int) -> list[Verdict]:
-    """Hits in [lo, hi]: primes below MULMOD_PMAX go through the lane kernel
-    when base fits int64, every other prime through the builtin pow."""
-    base, segment_size = args
-    primes = [p for p in primes_in(PrimeRange(lo, hi), segment_size) if base % p]
-    cut = bisect_left(primes, MULMOD_PMAX) if base < 1 << 63 else 0
-    out = []
-    if cut:
-        res = _wieferich_lanes(base, np.array(primes[:cut], dtype=np.int64))
-        out = [Verdict(primes[i], HIT) for i in np.flatnonzero(res == 1)]
-    out.extend(Verdict(p, HIT) for p in primes[cut:] if pow(base, p - 1, p * p) == 1)
-    return out
+def _wieferich_chunk(base: int, lo: int, hi: int) -> list[Verdict]:
+    """Hits in [lo, hi], from the lane kernel."""
+    primes = [p for p in primes_in(PrimeRange(lo, hi)) if base % p]
+    res = _wieferich_lanes(base, prime_lanes(primes, base < 1 << 63))
+    return [Verdict(primes[i], HIT) for i in np.flatnonzero(res == 1)]
 
 
-def scan_wieferich(
-    base: int,
-    rng: PrimeRange,
-    segment_size: int = 1 << 20,
-    workers: int = 1,
-) -> ScanReport:
+def scan_wieferich(base: int, rng: PrimeRange, workers: int = 1) -> ScanReport:
     if base < 2:
         raise ValueError("base must be at least 2")
     t0 = time.perf_counter()
-    hits = run_chunked(_wieferich_chunk, (base, segment_size), rng.lo, rng.hi, workers)
+    hits = run_chunked(_wieferich_chunk, base, rng.lo, rng.hi, workers)
     return assemble_report(
         field_id=f"wieferich(base={base})",
         mode="wieferich",

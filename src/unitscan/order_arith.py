@@ -23,6 +23,7 @@ __all__ = [
     "pow2",
     "pow3",
     "Lanes",
+    "prime_lanes",
     "pow_lanes",
 ]
 
@@ -152,9 +153,19 @@ def pow3(a, e, f, m):
     return r0, r1, r2
 
 
-# -- lane arithmetic: one int64 numpy lane per modulus ---------------------------
+# -- lane arithmetic: one numpy lane per modulus -------------------------------
 
 MULMOD_PMAX = 1 << 25  # moduli below it multiply in plain int64; p^2 < 2^50 for primes below it
+
+_pow_objects = np.frompyfunc(pow, 3, 1)
+
+
+def prime_lanes(primes, fits_int64=True):
+    """The primes as one lane array: int64 when every prime is below
+    MULMOD_PMAX and fits_int64 (the caller's other inputs fit int64), else
+    Python ints (dtype object), which are exact at any size."""
+    small = fits_int64 and max(primes, default=0) < MULMOD_PMAX
+    return np.array(primes, dtype=np.int64 if small else object)
 
 
 def pow_lanes(r, e, square, times):
@@ -169,22 +180,26 @@ def pow_lanes(r, e, square, times):
 
 
 class Lanes:
-    """Z/m lane by lane, for an int64 array m of moduli below 2^50."""
+    """Z/m lane by lane, for an array m of moduli: int64 below 2^50, or
+    Python ints (dtype object) of any size."""
 
     def __init__(self, m):
         self.m = m
-        self.minv = None if m.max(initial=0) < MULMOD_PMAX else 1.0 / m
+        wide = m.dtype == np.int64 and m.max(initial=0) >= MULMOD_PMAX
+        self.minv = 1.0 / m if wide else None
 
     def dot(self, pairs, extra=None):
         """(s = sum of a*b over the pairs + extra) mod m, for a, b in [0, m),
-        one to three pairs and |extra| < 2^62 (no extra term when None).
+        one to three pairs and, on int64 lanes, |extra| < 2^62 (no extra term
+        when None).
 
-        While every modulus is below MULMOD_PMAX, s < 2^62 + 3 * 2^50 is
-        exact in int64.  Otherwise this is the float-quotient MulMod of
-        Shoup's NTL: q is s/m computed in float64 and truncated.  Its terms
-        add up to at most 3m^2 + 2^62, and at most eight roundings of 2^-53
-        each put q within 8 * 2^-53 * (3m + 2^62/m) + 1 of s/m, so r = s - q*m
-        has |r| < 2m + 8 * 2^-53 * (3m^2 + 2^62) < 2^53.  Wrapping int64
+        Python-int lanes compute s exactly.  While every int64 modulus is
+        below MULMOD_PMAX, s < 2^62 + 3 * 2^50 is exact in int64.  Otherwise
+        this is the float-quotient MulMod of Shoup's NTL: q is s/m computed
+        in float64 and truncated.  Its terms add up to at most 3m^2 + 2^62,
+        and at most eight roundings of 2^-53 each put q within
+        8 * 2^-53 * (3m + 2^62/m) + 1 of s/m, so r = s - q*m has
+        |r| < 2m + 8 * 2^-53 * (3m^2 + 2^62) < 2^53.  Wrapping int64
         arithmetic gets s and q*m right modulo 2^64, hence r exactly, and
         r % m is the residue."""
         extras = [] if extra is None else [extra]
@@ -195,6 +210,9 @@ class Lanes:
         return s % self.m
 
     def pow(self, a, e):
+        """a^e lane by lane for e >= 0; Python-int lanes use the builtin pow."""
+        if self.m.dtype == object:
+            return _pow_objects(a, e, self.m)
         return pow_lanes(
             np.ones_like(self.m), e, lambda r: self.dot(((r, r),)), lambda r: self.dot(((r, a),))
         )

@@ -24,7 +24,7 @@ def ref_tables():
 @pytest.fixture
 def chunk_counts(monkeypatch):
     """The number of chunks each scan's run_chunked call cuts its range into;
-    with more than one worker, more than one chunk means the pool ran."""
+    with more than one worker and core, more than one chunk means the pool ran."""
     counts = []
     signature = inspect.signature(_parallel.run_chunked)
 

@@ -37,7 +37,7 @@ from unitscan.cubic import (
     _z_lanes,
 )
 from unitscan.order_arith import MULMOD_PMAX, OrderSpec, pow3
-from unitscan.primes import PrimeRange, prime_divisors, primes_in
+from unitscan.primes import RANGE_LIMIT, PrimeRange, prime_divisors, primes_in
 from unitscan.report import CLEAR, EXCLUDED, HIT, assemble_report
 
 from _oracles import (
@@ -423,37 +423,66 @@ def _shifted_record(rec23, c):
     return CubicFieldRecord(-23, spec, frozenset({23}), None, (c, 1, 0), "derived")
 
 
-def test_batch_bound_straddles_2_25(cubic_records, monkeypatch):
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """What the scans hand each path: the dtype of every lane array that
+    prime_lanes builds, and the primes classify_cubic_prime sees through the
+    module global (the tests' own reference calls do not count)."""
     import unitscan.cubic as cubic_mod
 
+    calls = {"dtypes": [], "scalar": []}
+    lanes, scalar = cubic_mod.prime_lanes, cubic_mod.classify_cubic_prime
+
+    def counted_lanes(primes, fits_int64=True):
+        out = lanes(primes, fits_int64)
+        calls["dtypes"].append(out.dtype)
+        return out
+
+    def counted_scalar(rec, p, mode):
+        calls["scalar"].append(p)
+        return scalar(rec, p, mode)
+
+    monkeypatch.setattr(cubic_mod, "prime_lanes", counted_lanes)
+    monkeypatch.setattr(cubic_mod, "classify_cubic_prime", counted_scalar)
+    return calls
+
+
+def _check_window(records, rng, kernel_calls):
+    """Each record's scan of the one-chunk range, in both modes, against
+    classify_cubic_prime: Python-int lanes, and no per-prime call."""
+    for rec in records:
+        for mode in (MODE_H2, MODE_ORDINARY):
+            kernel_calls["dtypes"].clear()
+            rep = scan_cubic(rec, rng, mode=mode, full_verdicts=True)
+            assert kernel_calls["dtypes"] == [np.dtype(object)], (rec.spec, mode)
+            _assert_same_report(rep, _reference_report(rec, rng, mode), (rec.spec, mode))
+    assert kernel_calls["scalar"] == []
+
+
+def test_batch_bound_straddles_2_25(cubic_records, kernel_calls):
     rng = PrimeRange(MULMOD_PMAX - 3000, MULMOD_PMAX + 3000)
     primes = list(primes_in(rng))
     below = [p for p in primes if p < MULMOD_PMAX]
     assert below and len(below) < len(primes)
-    scalar = []
-    reference = cubic_mod.classify_cubic_prime
-
-    def counted(rec, p, mode):
-        scalar.append(p)
-        return reference(rec, p, mode)
-
     # -23 as shipped, and shifted by 6: |f_i| + |t_i| = 3971, near the fold bound
-    for rec in (cubic_records[-23], _shifted_record(cubic_records[-23], 6)):
+    records = (cubic_records[-23], _shifted_record(cubic_records[-23], 6))
+    for rec in records:
         assert _batch_ok(rec)
         for mode in (MODE_H2, MODE_ORDINARY):
-            want = [reference(rec, p, mode) for p in primes]
-            assert _classify_lanes(rec, mode, below) == want[: len(below)], mode
-            scalar.clear()
-            monkeypatch.setattr(cubic_mod, "classify_cubic_prime", counted)
-            rep = scan_cubic(rec, rng, mode=mode, full_verdicts=True)
-            monkeypatch.setattr(cubic_mod, "classify_cubic_prime", reference)
-            assert scalar == primes[len(below):], mode
-            _assert_same_report(rep, _reference_report(rec, rng, mode), mode)
+            # the primes below 2^25 alone take int64 lanes
+            want = [classify_cubic_prime(rec, p, mode) for p in below]
+            kernel_calls["dtypes"].clear()
+            assert _classify_lanes(rec, mode, below) == want, mode
+            assert kernel_calls["dtypes"] == [np.dtype(np.int64)]
+    _check_window(records, rng, kernel_calls)
 
 
-def test_large_coefficients_take_scalar_path(cubic_records, monkeypatch):
-    import unitscan.cubic as cubic_mod
+def test_scan_near_range_limit_matches_classify(cubic_records, kernel_calls):
+    rng = PrimeRange(RANGE_LIMIT - 20_000, RANGE_LIMIT)
+    _check_window((cubic_records[-23], cubic_records[-140]), rng, kernel_calls)
 
+
+def test_large_coefficients_take_python_int_lanes(cubic_records, kernel_calls):
     rec23 = cubic_records[-23]
     big_unit = rec23.unit
     for _ in range(160):  # eps^161: coefficients beyond 2^63
@@ -464,20 +493,12 @@ def test_large_coefficients_take_scalar_path(cubic_records, monkeypatch):
     f7 = shifted.spec.reduction
     assert max(abs(a) + abs(b) for a, b in zip(f7, _fold_coeffs(f7))) >= _FOLD_MAX
     huge_h = CubicFieldRecord(-23, rec23.spec, rec23.ramified, 1 << 70, rec23.unit, "derived")
-
-    def refuse(rec, mode, primes):
-        assert not primes, "the batch kernel took a record beyond its int64 bound"
-        return []
-
+    records = (big_power, shifted, huge_h)
+    assert not any(map(_batch_ok, records))
     rng = PrimeRange(2, 3000)
-    base = scan_cubic(rec23, rng, mode=MODE_ORDINARY, full_verdicts=True)
-    monkeypatch.setattr(cubic_mod, "_classify_lanes", refuse)
-    for rec in (big_power, shifted, huge_h):
-        assert not _batch_ok(rec)
-        for mode in (MODE_H2, MODE_ORDINARY):
-            rep = scan_cubic(rec, rng, mode=mode, full_verdicts=True)
-            _assert_same_report(rep, _reference_report(rec, rng, mode), mode)
+    _check_window(records, rng, kernel_calls)
     # the shifted model is the same field: same hits and clears as shipped
+    base = scan_cubic(rec23, rng, mode=MODE_ORDINARY, full_verdicts=True)
     rep = scan_cubic(shifted, rng, mode=MODE_ORDINARY, full_verdicts=True)
     assert [v.p for v in rep.hits] == [v.p for v in base.hits] == [13]
     assert rep.clears == base.clears

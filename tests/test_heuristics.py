@@ -15,8 +15,8 @@ from unitscan.heuristics import (
     multiplicity_distribution,
     scan_wieferich,
 )
-from unitscan.order_arith import MULMOD_PMAX
-from unitscan.primes import PrimeRange, primes_in
+from unitscan.order_arith import MULMOD_PMAX, prime_lanes
+from unitscan.primes import RANGE_LIMIT, PrimeRange, primes_in
 from unitscan.report import assemble_report
 
 from _oracles import exhaustive_injective_fraction, rank_mod_p
@@ -209,32 +209,30 @@ def test_wieferich_report():
     rep = scan_wieferich(2, PrimeRange(3, 300_000))
     assert [v.p for v in rep.hits] == [1093, 3511]
     assert rep.field_id == "wieferich(base=2)"
-    # a segment covers 2 * segment_size integers, so only 2^10 splits the
-    # 2^16-wide chunks into several segments
-    for workers, segment_size in ((2, 1 << 20), (1, 1 << 16), (2, 1 << 16), (1, 1 << 10)):
-        other = scan_wieferich(2, PrimeRange(3, 300_000), segment_size, workers)
-        assert other.checksum == rep.checksum, (workers, segment_size)
+    # five 2^16-wide chunks, so two workers really split the range
+    assert scan_wieferich(2, PrimeRange(3, 300_000), workers=2).checksum == rep.checksum
 
 
 def reference_hits(base, primes):
     return [p for p in primes if base % p and pow(base, p - 1, p * p) == 1]
 
 
-# 1093^2 is divisible by a prime in range; 2^63 - 1 is the largest base the
-# lanes take, and 2^63 + 1 (divisible by 3, 19, 43 and 5419) fits no int64
+# 1093^2 is divisible by a prime in range; 2^63 - 1 is the largest base that
+# int64 lanes take, and 2^63 + 1 (divisible by 3, 19, 43 and 5419) fits no int64
 LANE_BASES = (2, 3, 5, 10, 1093**2, (1 << 63) - 1)
 BIG_BASE = (1 << 63) + 1
 
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Primes each path of _wieferich_chunk sees: the lane kernel, and the
-    builtin pow (shadowed by a module global)."""
-    calls = {"lanes": [], "scalar": []}
+    """Primes the lane kernel sees and the dtype of each lane array, and the
+    primes a builtin pow shadowed by a module global sees: no scan calls it."""
+    calls = {"lanes": [], "dtypes": [], "scalar": []}
     lanes = heuristics._wieferich_lanes
 
     def counted_lanes(base, p):
         calls["lanes"] += p.tolist()
+        calls["dtypes"].append(p.dtype)
         return lanes(base, p)
 
     def counted_pow(base, e, m):
@@ -246,34 +244,50 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+def _check_scans(bases, rng, kernel_calls, dtype):
+    """Hits of every base against the builtin pow: one lane array of the
+    dtype per chunk, holding every prime not dividing the base."""
+    primes = list(primes_in(rng))
+    for base in bases:
+        kernel_calls["lanes"].clear()
+        kernel_calls["dtypes"].clear()
+        assert wieferich_hits(base, rng) == reference_hits(base, primes), base
+        assert kernel_calls["lanes"] == [p for p in primes if base % p], base
+        assert set(kernel_calls["dtypes"]) == {np.dtype(dtype(base))}, base
+    assert kernel_calls["scalar"] == []
+
+
 def test_wieferich_lanes_match_builtin_pow(kernel_calls):
     rng = PrimeRange(2, 200_000)
     primes = list(primes_in(rng))
-    lanes = np.array(primes, dtype=np.int64)
-    for base in LANE_BASES:
+    for base in LANE_BASES + (BIG_BASE,):
         want = [pow(base, p - 1, p * p) for p in primes]
-        assert heuristics._wieferich_lanes(base, lanes).tolist() == want, base
-        kernel_calls["lanes"].clear()
-        assert wieferich_hits(base, rng) == reference_hits(base, primes), base
-        assert kernel_calls["lanes"] == [p for p in primes if base % p], base
-        assert kernel_calls["scalar"] == [], base
-    assert wieferich_hits(BIG_BASE, rng) == reference_hits(BIG_BASE, primes)
-    assert kernel_calls["scalar"] == [p for p in primes if BIG_BASE % p]
+        for fits in {base < 1 << 63, False}:  # int64 lanes where base allows, Python ints
+            assert heuristics._wieferich_lanes(base, prime_lanes(primes, fits)).tolist() == want
+    _check_scans(LANE_BASES + (BIG_BASE,), rng, kernel_calls,
+                 lambda base: np.int64 if base < 1 << 63 else object)
 
 
 def test_wieferich_bound_straddles_2_25(kernel_calls):
+    # one chunk holds primes on both sides of 2^25: Python-int lanes for all
     rng = PrimeRange(MULMOD_PMAX - 3000, MULMOD_PMAX + 3000)
     primes = list(primes_in(rng))
     below = [p for p in primes if p < MULMOD_PMAX]
     assert below and len(below) < len(primes)
-    for base in (2, 3, 1093**2):
+    q = primes[-1]  # q^2 + 1 = 1 mod q^2 makes q a hit
+    bases = (2, 3, 1093**2, q * q + 1)
+    for base in bases:
         want = [pow(base, p - 1, p * p) for p in below]
-        assert heuristics._wieferich_lanes(base, np.array(below, dtype=np.int64)).tolist() == want
-        kernel_calls["lanes"].clear()
-        kernel_calls["scalar"].clear()
-        assert wieferich_hits(base, rng) == reference_hits(base, primes)
-        assert kernel_calls["lanes"] == below
-        assert kernel_calls["scalar"] == primes[len(below):]
+        assert heuristics._wieferich_lanes(base, prime_lanes(below)).tolist() == want
+    _check_scans(bases, rng, kernel_calls, lambda base: object)
+    assert q in wieferich_hits(q * q + 1, rng)
+
+
+def test_wieferich_near_range_limit(kernel_calls):
+    rng = PrimeRange(RANGE_LIMIT - 20_000, RANGE_LIMIT)
+    q = list(primes_in(rng))[100]
+    _check_scans((2, 3, q * q + 1, BIG_BASE), rng, kernel_calls, lambda base: object)
+    assert q in wieferich_hits(q * q + 1, rng)
 
 
 @pytest.mark.parametrize("span", [1, 2, 7])
@@ -282,7 +296,7 @@ def test_wieferich_tiny_chunks(span):
     # base 5 is a hit at p = 2 (5 = 1 mod 4), base 3 at p = 11
     cases = ((2, PrimeRange(1000, 1200)), (5, PrimeRange(2, 300)), (3, PrimeRange(2, 300)))
     for base, rng in cases:
-        hits = run_chunked(heuristics._wieferich_chunk, (base, 1 << 20), rng.lo, rng.hi, 1, span)
+        hits = run_chunked(heuristics._wieferich_chunk, base, rng.lo, rng.hi, 1, span)
         rep = assemble_report(f"wieferich(base={base})", "wieferich", rng.lo, rng.hi, hits)
         assert [v.p for v in rep.hits] == reference_hits(base, primes_in(rng))
         assert rep.checksum == scan_wieferich(base, rng).checksum

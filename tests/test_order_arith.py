@@ -15,8 +15,9 @@ from unitscan.order_arith import (
     pow2,
     pow3,
     pow_lanes,
+    prime_lanes,
 )
-from unitscan.primes import PrimeRange, primes_in
+from unitscan.primes import RANGE_LIMIT, PrimeRange, primes_in
 
 from _oracles import count_poly_roots_brute, cubic_is_inert
 
@@ -175,31 +176,41 @@ def test_spec_validation():
 # -- lane arithmetic -------------------------------------------------------------
 
 # the 40 largest primes below 2^25: the largest moduli of the exact int64
-# path, and their squares, the largest of the float-quotient path
+# path, and their squares, the largest of the float-quotient path; Python-int
+# lanes take the squares of the 40 largest primes to 1e9, the Mersenne prime
+# 2^61 - 1 and its square, all beyond the int64 paths
 TOP_PRIMES = list(primes_in(PrimeRange(MULMOD_PMAX - 2000, MULMOD_PMAX)))[-40:]
+LIMIT_PRIMES = list(primes_in(PrimeRange(RANGE_LIMIT - 2000, RANGE_LIMIT)))[-40:]
+KINDS = ["exact", "float", "object"]
 
 
-def lanes_of(values):
-    return np.array(values, dtype=np.int64)
+def moduli(kind):
+    if kind == "object":
+        return [p * p for p in LIMIT_PRIMES] + [(1 << 61) - 1, ((1 << 61) - 1) ** 2]
+    return [p * p if kind == "float" else p for p in TOP_PRIMES]
 
 
-@pytest.mark.parametrize("square", [False, True], ids=["exact", "float"])
-def test_float_quotient_mulmod_exact(square):
+def lanes_of(values, kind="exact"):
+    return np.array(values, dtype=object if kind == "object" else np.int64)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_float_quotient_mulmod_exact(kind):
     # operands 0, m - 1 and random, one to three pairs, and the extra term
-    # at 0, +-(2^62 - 1), random and absent
+    # at 0, +-(2^62 - 1), random and absent (Python ints: any size)
     rng = random.Random(29)
-    ms = [p * p if square else p for p in TOP_PRIMES]
-    lanes = Lanes(lanes_of(ms))
-    assert (lanes.minv is not None) == square
+    ms = moduli(kind)
+    lanes = Lanes(lanes_of(ms, kind))
+    assert (lanes.minv is not None) == (kind == "float")
     operands = [[0] * len(ms), [m - 1 for m in ms]]
     operands += [[rng.randrange(m) for m in ms] for _ in range(3)]
-    top = (1 << 62) - 1
+    top = (1 << 62) - 1 if kind != "object" else (1 << 200) - 1
     extras = [[e] * len(ms) for e in (0, top, -top)]
     extras += [[rng.randint(-top, top) for _ in ms], None]
 
     def check(pairs, extra):
-        lane_pairs = [(lanes_of(a), lanes_of(b)) for a, b in pairs]
-        got = lanes.dot(lane_pairs, None if extra is None else lanes_of(extra))
+        lane_pairs = [(lanes_of(a, kind), lanes_of(b, kind)) for a, b in pairs]
+        got = lanes.dot(lane_pairs, None if extra is None else lanes_of(extra, kind))
         extra = extra or [0] * len(ms)
         want = [(sum(a[j] * b[j] for a, b in pairs) + extra[j]) % m for j, m in enumerate(ms)]
         assert got.tolist() == want
@@ -216,6 +227,14 @@ def test_lanes_path_follows_the_largest_modulus():
     assert Lanes(lanes_of([3, MULMOD_PMAX - 1])).minv is None
     assert Lanes(lanes_of([3, MULMOD_PMAX])).minv is not None
     assert Lanes(lanes_of([])).minv is None
+    # primes switch from int64 to Python ints at 2^25, or when the caller's
+    # other inputs do not fit int64; Python-int lanes never take a float path
+    assert prime_lanes([3, MULMOD_PMAX - 39]).dtype == np.int64
+    assert prime_lanes([]).dtype == np.int64
+    for lanes in (prime_lanes([3, MULMOD_PMAX + 15]), prime_lanes([3, 5], fits_int64=False)):
+        assert lanes.dtype == object
+        assert all(type(p) is int for p in lanes)
+        assert Lanes(lanes * lanes).minv is None
 
 
 def pow_cases(rng, ms):
@@ -226,19 +245,19 @@ def pow_cases(rng, ms):
     return bases, exps
 
 
-@pytest.mark.parametrize("square", [False, True], ids=["exact", "float"])
-def test_lanes_pow_matches_builtin_pow(square):
+@pytest.mark.parametrize("kind", KINDS)
+def test_lanes_pow_matches_builtin_pow(kind):
     rng = random.Random(31)
-    ms = [p * p if square else p for p in TOP_PRIMES] + ([5 * 5, 7 * 7] if square else [5, 7])
-    lanes = Lanes(lanes_of(ms))
+    ms = moduli(kind) + ([5 * 5, 7 * 7] if kind != "exact" else [5, 7])
+    lanes = Lanes(lanes_of(ms, kind))
     for _ in range(5):
         bases, exps = pow_cases(rng, ms)
         want = [pow(b, e, m) for b, e, m in zip(bases, exps, ms)]
-        assert lanes.pow(lanes_of(bases), lanes_of(exps)).tolist() == want
+        assert lanes.pow(lanes_of(bases, kind), lanes_of(exps, kind)).tolist() == want
         for e in (0, 1):
-            got = lanes.pow(lanes_of(bases), lanes_of([e] * len(ms)))
+            got = lanes.pow(lanes_of(bases, kind), lanes_of([e] * len(ms), kind))
             assert got.tolist() == [pow(b, e, m) for b, m in zip(bases, ms)]
-    assert Lanes(lanes_of([])).pow(lanes_of([]), lanes_of([])).size == 0
+    assert Lanes(lanes_of([], kind)).pow(lanes_of([], kind), lanes_of([], kind)).size == 0
 
 
 def test_pow_lanes_on_pairs_matches_builtin_pow():

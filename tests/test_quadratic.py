@@ -1,7 +1,11 @@
+from types import SimpleNamespace
+
 import pytest
 
+from unitscan import _parallel
 from unitscan._data import DataFileError
 from unitscan._parallel import run_chunked
+from unitscan.heuristics import scan_wieferich
 from unitscan.primes import PrimeRange, primes_in
 from unitscan.quadratic import (
     QuadFieldRecord,
@@ -140,6 +144,43 @@ def test_partition_arguments_checked(quad_records):
     for span in (0, -1):  # either would never advance through the range
         with pytest.raises(ValueError, match="chunk_span"):
             run_chunked(_quad_chunk, quad_records[2], 3, 100, 1, span)
+
+
+def _span(args, a, b):
+    return [(args, a, b)]
+
+
+def test_pool_size_capped_at_cores(monkeypatch):
+    # a stand-in context records the pool size asked for and runs the chunks
+    # in this process: no worker process is ever started
+    sizes = []
+
+    class Pool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, worker, chunks, chunksize):
+            return [worker(*c) for c in chunks]
+
+    monkeypatch.setattr(_parallel, "get_context", lambda: SimpleNamespace(Pool=Pool))
+    serial = run_chunked(_span, "x", 1, 10, 1, 2)
+    for cores, workers, want in ((2, 1000, [2]), (8, 3, [3]), (8, 1000, [5]), (1, 1000, []),
+                                 (None, 1000, [])):
+        monkeypatch.setattr(_parallel.os, "cpu_count", lambda: cores)
+        sizes.clear()
+        assert run_chunked(_span, "x", 1, 10, workers, 2) == serial
+        assert sizes == want, (cores, workers)
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
+    sizes.clear()
+    rng = PrimeRange(3, 300_000)
+    assert scan_wieferich(2, rng, workers=1000).checksum == scan_wieferich(2, rng).checksum
+    assert sizes == [2]
 
 
 def test_record_validation():
