@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import isqrt
 from typing import Iterator
 
@@ -89,6 +90,13 @@ def sieve_upto(n: int) -> list[int]:
     return [i for i in range(2, n + 1) if mark[i]]
 
 
+@cache
+def _odd_base_primes() -> tuple[int, ...]:
+    """The odd primes up to isqrt(RANGE_LIMIT), enough to sieve any scan
+    range; computed once per process, on first use."""
+    return tuple(sieve_upto(isqrt(RANGE_LIMIT))[1:])
+
+
 def primes_in(rng: PrimeRange, segment_size: int = 1 << 20) -> Iterator[int]:
     """Yield the primes in [rng.lo, rng.hi] in ascending order.
 
@@ -100,20 +108,14 @@ def primes_in(rng: PrimeRange, segment_size: int = 1 << 20) -> Iterator[int]:
     lo, hi = rng.lo, rng.hi
     if lo <= 2 <= hi:
         yield 2
-    base = [q for q in sieve_upto(isqrt(hi)) if q > 2]
-    start = max(lo, 3)
-    if start % 2 == 0:
-        start += 1
+    start = max(lo, 3) | 1
+    last = hi if hi % 2 else hi - 1  # the largest odd number in range
     span = 2 * segment_size  # integers covered per segment
-    for seg_lo in range(start, hi + 1, span):
-        seg_hi = min(seg_lo + span - 2, hi)
-        if seg_hi % 2 == 0:
-            seg_hi -= 1
+    for seg_lo in range(start, last + 1, span):
+        seg_hi = min(seg_lo + span - 2, last)
         n_odds = (seg_hi - seg_lo) // 2 + 1
-        if n_odds <= 0:
-            continue
         mark = np.ones(n_odds, dtype=bool)
-        for q in base:
+        for q in _odd_base_primes():  # the q * q > seg_hi break ends the walk
             q2 = q * q
             if q2 > seg_hi:
                 break

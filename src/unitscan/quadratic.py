@@ -5,6 +5,11 @@ omega = sqrt(D) for D = 2, 3 mod 4 and omega = (1+sqrt(D))/2 for D = 1 mod 4.
 The fundamental unit eps is found from the periodic continued fraction of
 omega; a prime p is a hit when eps^(p^2-1) = 1 in Z[omega]/p^2, which is the
 unit-theoretic criterion for the relevant degree-two cohomology not to vanish.
+
+The code tests the equivalent eps^p = sigma(eps) mod p^2, one power by p: the
+Frobenius sigma fixes sqrt(D) when (D/p) = 1 and negates it when (D/p) = -1.
+With eps = w(1 + p*y), w the Teichmueller lift, eps^(p^2-1) = 1 - p*y and
+eps^p = sigma(eps)(1 - p*sigma(y)) mod p^2, so both say y = 0 mod p.
 """
 
 from __future__ import annotations
@@ -13,9 +18,11 @@ import time
 from dataclasses import dataclass, field
 from math import isqrt
 
+import numpy as np
+
 from ._data import DataFileError, data_path, read_table_rows
 from ._parallel import run_chunked
-from .order_arith import OrderSpec, pow2
+from .order_arith import Lanes, OrderSpec, pow2, pow_lanes, prime_lanes
 from .primes import PrimeRange, prime_divisors, primes_in
 from .report import CLEAR, EXCLUDED, HIT, ScanReport, Verdict, assemble_report
 
@@ -179,7 +186,8 @@ _EXCLUSION_MESSAGES = {
 
 
 def quad_unit_test(rec: QuadFieldRecord, p: int) -> bool:
-    """True exactly when eps^(p^2-1) = 1 mod p^2 Z[omega].
+    """True exactly when eps^(p^2-1) = 1 mod p^2 Z[omega], decided by the
+    equivalent eps^p = sigma(eps) mod p^2 (see the module docstring).
 
     Valid for odd unramified p coprime to the class number; anything else is
     rejected so the scan can report it as excluded rather than silently skip.
@@ -190,8 +198,15 @@ def quad_unit_test(rec: QuadFieldRecord, p: int) -> bool:
     return v.status == HIT
 
 
+def _conjugate(d: int, a, b, m):
+    """sigma(a + b*omega) mod m at an inert prime: omega -> -omega, or
+    1 - omega in the half basis.  On ints and on lane arrays alike."""
+    return ((a + b) % m, -b % m) if d % 4 == 1 else (a, -b % m)
+
+
 def classify_quad_prime(rec: QuadFieldRecord, p: int) -> Verdict:
-    """Per-prime verdict, shared by the scan chunk and quad_unit_test."""
+    """Per-prime verdict: the scalar reference of the lane kernel, and the
+    path of quad_unit_test."""
     if p < MIN_SCAN_PRIME:
         return Verdict(p, EXCLUDED, reason="below_min_p")
     if rec.field_disc % p == 0:
@@ -199,12 +214,59 @@ def classify_quad_prime(rec: QuadFieldRecord, p: int) -> Verdict:
     if rec.class_number % p == 0:
         return Verdict(p, EXCLUDED, reason="divides_class_number")
     m = p * p
-    r = pow2((rec.unit.a, rec.unit.b), m - 1, rec.reduction, m)
-    return Verdict(p, HIT if r == (1, 0) else CLEAR)
+    eps = (rec.unit.a % m, rec.unit.b % m)
+    inert = pow(rec.d, (p - 1) // 2, p) != 1
+    sigma = _conjugate(rec.d, *eps, m) if inert else eps
+    return Verdict(p, HIT if pow2(eps, p, rec.reduction, m) == sigma else CLEAR)
+
+
+_REASONS = (None, "below_min_p", "ramified", "divides_class_number")
+_CLEAR, _HIT = len(_REASONS), len(_REASONS) + 1
+
+
+class _QuadLanes(Lanes):
+    """(Z/m)[x]/(x^2 + f1 x + f0) lane by lane, on pairs of residues in [0, m)."""
+
+    def __init__(self, f, m):
+        super().__init__(m)
+        self.nf = tuple((-c) % m for c in f)
+
+    def mul(self, a, b):
+        (a0, a1), (b0, b1), (nf0, nf1) = a, b, self.nf
+        t = self.dot(((a1, b1),))
+        return self.dot(((a0, b0), (t, nf0))), self.dot(((a0, b1), (a1, b0), (t, nf1)))
+
+    def pow(self, a, e):
+        one = (np.ones_like(self.m), np.zeros_like(self.m))
+        return pow_lanes(one, e, lambda r: self.mul(r, r), lambda r: self.mul(r, a))
+
+
+def _classify_lanes(rec: QuadFieldRecord, primes: list[int]) -> list[Verdict]:
+    """classify_quad_prime for every prime of the list."""
+    u = rec.unit
+    # int64 lanes need these below 2^63: they enter only as x % p or x % p^2
+    P = prime_lanes(primes, max(map(abs, (u.a, u.b, rec.field_disc, rec.class_number))) < 1 << 63)
+    code = np.zeros(len(primes), dtype=np.int8)
+    # the exclusions in the order classify_quad_prime applies them
+    excluded = (P < MIN_SCAN_PRIME, rec.field_disc % P == 0, rec.class_number % P == 0)
+    for c, mask in enumerate(excluded, 1):
+        code[(code == 0) & mask] = c
+    live = np.flatnonzero(code == 0)
+    p = P[live]
+    m = p * p
+    eps = (u.a % m, u.b % m)
+    inert = Lanes(p).pow(rec.d % p, (p - 1) >> 1) != 1
+    sigma = [np.where(inert, c, e) for c, e in zip(_conjugate(rec.d, *eps, m), eps)]
+    w = _QuadLanes(rec.reduction, m).pow(eps, p)
+    code[live] = np.where((w[0] == sigma[0]) & (w[1] == sigma[1]), _HIT, _CLEAR)
+    status = {_CLEAR: CLEAR, _HIT: HIT}
+    return [Verdict(q, status[c]) if c in status else Verdict(q, EXCLUDED, reason=_REASONS[c])
+            for q, c in zip(primes, code.tolist())]
 
 
 def _quad_chunk(rec: QuadFieldRecord, lo: int, hi: int) -> list[Verdict]:
-    return [classify_quad_prime(rec, p) for p in primes_in(PrimeRange(lo, hi))]
+    """Verdicts for the primes in [lo, hi], from the lane kernel."""
+    return _classify_lanes(rec, list(primes_in(PrimeRange(lo, hi))))
 
 
 def scan_quadratic(

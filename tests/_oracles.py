@@ -240,3 +240,25 @@ def cubic_z_oracle(poly, unit, p: int) -> tuple[tuple[int, int, int], bool]:
     z = [c // p % p for c in u]
     ordinary = any(z) and cubic_powmod(z, 3 * (p - 1), poly, p) == [1, 0, 0]
     return tuple(z), ordinary
+
+
+def quad_hit_naive(d: int, a: int, b: int, p: int) -> bool:
+    """eps^(p^2-1) = 1 mod p^2 for eps = a + b*omega, omega = sqrt(d), or
+    (1+sqrt(d))/2 when d = 1 mod 4, by the literal power with schoolbook
+    products (omega^2 = d, or omega + (d-1)/4)."""
+    m = p * p
+    if d % 4 == 1:
+        c0, c1 = (d - 1) // 4, 1
+    else:
+        c0, c1 = d, 0
+
+    def mul(x, y):
+        t = x[1] * y[1]  # coefficient of omega^2 = c0 + c1*omega
+        return (x[0] * y[0] + c0 * t) % m, (x[0] * y[1] + x[1] * y[0] + c1 * t) % m
+
+    out = (1, 0)
+    for bit in bin(p * p - 1)[2:]:
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, (a % m, b % m))
+    return out == (1 % m, 0)

@@ -88,3 +88,27 @@ def test_sieve_upto():
     assert sieve_upto(1) == []
     assert sieve_upto(2) == [2]
     assert sieve_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_base_primes_sieved_once_per_process(monkeypatch, quad_records):
+    # many chunks, small and near the range limit, share one base-prime sieve
+    from unitscan import primes as primes_mod
+    from unitscan.quadratic import scan_quadratic
+
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return sieve_upto(n)
+
+    monkeypatch.setattr(primes_mod, "sieve_upto", counted)
+    primes_mod._odd_base_primes.cache_clear()
+    try:
+        rep = scan_quadratic(quad_records[2], PrimeRange(3, 500_000))  # 8 chunks
+        lo = 10**9 - 2**16 + 1
+        top = list(primes_in(PrimeRange(lo, 10**9), segment_size=1 << 10))  # 64 segments
+    finally:
+        primes_mod._odd_base_primes.cache_clear()
+    assert calls == [31_622]
+    assert [v.p for v in rep.hits] == [13, 31]
+    assert top == [n for n in range(lo, 10**9 + 1) if is_prime(n)]

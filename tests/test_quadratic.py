@@ -1,5 +1,6 @@
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from unitscan import _parallel
@@ -20,12 +21,14 @@ from unitscan.quadratic import (
     quad_unit_test,
     scan_quadratic,
     unit_norm,
+    _classify_lanes,
     _quad_chunk,
 )
-from unitscan.order_arith import pow2
-from unitscan.report import CLEAR, EXCLUDED, Verdict
+from unitscan.order_arith import MULMOD_PMAX, pow2
+from unitscan.primes import RANGE_LIMIT
+from unitscan.report import CLEAR, EXCLUDED, HIT, Verdict, assemble_report
 
-from _oracles import narrow_class_number_bqf, quad_unit_exhaustive
+from _oracles import narrow_class_number_bqf, quad_hit_naive, quad_unit_exhaustive
 
 SQUAREFREE_TO_30 = [d for d in range(2, 31) if is_squarefree(d)]
 
@@ -93,6 +96,115 @@ def test_fermat_sanity(quad_records):
             assert pow2((rec.unit.a, rec.unit.b), p * p - 1, f, p) == (1, 0)
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """What the scans hand each path: the dtype of every lane array that
+    prime_lanes builds, and the primes classify_quad_prime sees through the
+    module global (the tests' own reference calls do not count)."""
+    import unitscan.quadratic as quad_mod
+
+    calls = {"dtypes": [], "scalar": []}
+    lanes, scalar = quad_mod.prime_lanes, quad_mod.classify_quad_prime
+
+    def counted_lanes(primes, fits_int64=True):
+        out = lanes(primes, fits_int64)
+        calls["dtypes"].append(out.dtype)
+        return out
+
+    def counted_scalar(rec, p):
+        calls["scalar"].append(p)
+        return scalar(rec, p)
+
+    monkeypatch.setattr(quad_mod, "prime_lanes", counted_lanes)
+    monkeypatch.setattr(quad_mod, "classify_quad_prime", counted_scalar)
+    return calls
+
+
+def _reference_report(rec, rng):
+    """The report assembled from classify_quad_prime, one prime at a time."""
+    verdicts = [classify_quad_prime(rec, p) for p in primes_in(rng)]
+    return assemble_report(f"quad(D={rec.d})", "quad", rng.lo, rng.hi, verdicts, True)
+
+
+def _assert_same_report(rep, ref, label):
+    assert rep.hits == ref.hits, label
+    assert rep.excluded == ref.excluded, label
+    assert rep.clears == ref.clears, label
+    assert rep.checksum == ref.checksum, label
+
+
+def test_lanes_match_classify_to_2e5(quad_records, kernel_calls):
+    # the lane kernel against the scalar classifier on every prime to 2e5:
+    # full verdicts and checksums, int64 lanes only, no per-prime call
+    rng = PrimeRange(2, 200_000)
+    for d, rec in quad_records.items():
+        rep = scan_quadratic(rec, rng, full_verdicts=True)
+        _assert_same_report(rep, _reference_report(rec, rng), d)
+    assert set(kernel_calls["dtypes"]) == {np.dtype(np.int64)}
+    assert kernel_calls["scalar"] == []
+
+
+def test_lanes_and_classify_match_naive_power(quad_records):
+    # both paths against the literal eps^(p^2-1) of the oracle, p <= 3e4
+    rng = PrimeRange(2, 30_000)
+    for d, rec in quad_records.items():
+        rep = scan_quadratic(rec, rng, full_verdicts=True)
+        hits = {v.p for v in rep.hits}
+        tested = sorted(hits.union(rep.clears))
+        assert hits.isdisjoint(rep.clears)
+        want = {p for p in tested if quad_hit_naive(d, rec.unit.a, rec.unit.b, p)}
+        assert hits == want, d
+        assert {p for p in tested if classify_quad_prime(rec, p).status == HIT} == want, d
+        assert tested == [p for p in primes_in(rng) if p > 2 and rec.field_disc % p
+                          and rec.class_number % p]
+
+
+def _check_window(records, rng, kernel_calls):
+    """Each record's scan of the one-chunk range against classify_quad_prime:
+    Python-int lanes, and no per-prime call."""
+    for d, rec in records.items():
+        kernel_calls["dtypes"].clear()
+        rep = scan_quadratic(rec, rng, full_verdicts=True)
+        assert kernel_calls["dtypes"] == [np.dtype(object)], d
+        _assert_same_report(rep, _reference_report(rec, rng), d)
+    assert kernel_calls["scalar"] == []
+
+
+def test_batch_bound_straddles_2_25(quad_records, kernel_calls):
+    rng = PrimeRange(MULMOD_PMAX - 3000, MULMOD_PMAX + 3000)
+    primes = list(primes_in(rng))
+    below = [p for p in primes if p < MULMOD_PMAX]
+    assert below and len(below) < len(primes)
+    for d in (2, 5, 23):
+        rec = quad_records[d]
+        # the primes below 2^25 alone take int64 lanes
+        kernel_calls["dtypes"].clear()
+        assert _classify_lanes(rec, below) == [classify_quad_prime(rec, p) for p in below], d
+        assert kernel_calls["dtypes"] == [np.dtype(np.int64)]
+    _check_window(quad_records, rng, kernel_calls)
+
+
+def test_scan_near_range_limit_matches_classify(quad_records, kernel_calls):
+    rng = PrimeRange(RANGE_LIMIT - 20_000, RANGE_LIMIT)
+    _check_window(quad_records, rng, kernel_calls)
+
+
+def test_large_unit_takes_python_int_lanes(quad_records, kernel_calls):
+    # eps^51 of Q(sqrt 2): coefficients beyond 2^63.  (1 + p*y)^51 = 1 + 51*p*y,
+    # so the hits of eps^51 are those of eps together with 3 and 17.
+    a, b = 1, 1
+    for _ in range(50):
+        a, b = a + 2 * b, a + b
+    assert max(a, b) >= 1 << 63
+    rec = quad_field_record(2, 1, QuadUnit(a, b, unit_norm(2, a, b)))
+    rng = PrimeRange(2, 3000)
+    _check_window({2: rec}, rng, kernel_calls)
+    rep = scan_quadratic(rec, rng, full_verdicts=True)
+    assert [v.p for v in rep.hits] == [3, 13, 17, 31]
+    assert [p for p in rep.clears if quad_hit_naive(2, a, b, p)] == []
+    assert _classify_lanes(rec, []) == []
+
+
 def test_exclusion_verdicts(quad_records):
     assert classify_quad_prime(quad_records[14], 2) == Verdict(2, EXCLUDED, reason="below_min_p")
     v = classify_quad_prime(quad_records[6], 3)  # 3 | disc 24
@@ -100,6 +212,8 @@ def test_exclusion_verdicts(quad_records):
     synthetic = quad_field_record(7, 5)  # pretend class number 5
     v = classify_quad_prime(synthetic, 5)
     assert v.status == EXCLUDED and v.reason == "divides_class_number"
+    assert _classify_lanes(synthetic, [2, 5, 7]) == [classify_quad_prime(synthetic, p)
+                                                     for p in (2, 5, 7)]
     with pytest.raises(ValueError, match=r"p=3 ramifies in Q\(sqrt\(6\)\)"):
         quad_unit_test(quad_records[6], 3)
     with pytest.raises(ValueError, match="p=2 below the minimum scan prime 3"):
