@@ -1,9 +1,9 @@
 """Deterministic partition-and-merge driver shared by the range scanners.
 
 A scan range is cut into fixed contiguous chunks; each chunk is handled by a
-pure worker function and the chunk outputs are concatenated in range order,
-so the merged result is identical for any worker count.  This is the only
-place that decides the chunk width: the scans take none.
+pure worker function that returns a report.Block, and the blocks are joined
+in range order, so the merged result is identical for any worker count.
+This is the only place that decides the chunk width: the scans take none.
 """
 
 from __future__ import annotations
@@ -11,9 +11,11 @@ from __future__ import annotations
 import os
 from multiprocessing import get_context
 
+from .report import Block
+
 
 def run_chunked(worker, args, lo: int, hi: int, workers: int = 1, chunk_span: int = 1 << 16):
-    """Apply worker(args, a, b) over [lo, hi] split into chunk_span-wide pieces."""
+    """Join the Blocks of worker(args, a, b) over [lo, hi] in chunk_span-wide pieces."""
     if workers < 1 or chunk_span < 1:
         raise ValueError(f"workers={workers} and chunk_span={chunk_span} must be at least 1")
     chunks = [(args, a, min(a + chunk_span - 1, hi)) for a in range(lo, hi + 1, chunk_span)]
@@ -23,7 +25,4 @@ def run_chunked(worker, args, lo: int, hi: int, workers: int = 1, chunk_span: in
     else:
         with get_context().Pool(size) as pool:
             parts = pool.starmap(worker, chunks, chunksize=1)
-    merged = []
-    for part in parts:
-        merged.extend(part)
-    return merged
+    return Block.join(parts)

@@ -36,9 +36,11 @@ _workers_option = click.option("--workers", type=click.IntRange(min=1), default=
 
 
 def _echo_summary(rep) -> None:
+    expected = "" if rep.expected_hits is None else f" ({rep.expected_hits:.2f} expected)"
     click.echo(
         f"{rep.field_id} [{rep.mode}] p in [{rep.lo}, {rep.hi}]: "
-        f"{len(rep.hits)} hit(s) in {rep.wall_time:.2f}s (workers={rep.workers})",
+        f"{len(rep.hits)} hit(s){expected} of {rep.tested} tested "
+        f"in {rep.wall_time:.2f}s (workers={rep.workers})",
         err=True,
     )
     for w in rep.warnings:

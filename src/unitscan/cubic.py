@@ -24,7 +24,8 @@ from ._data import DataFileError, data_path, read_table_rows
 from ._parallel import run_chunked
 from .order_arith import Lanes, OrderSpec, mul3, pow3, pow_lanes, prime_lanes
 from .primes import PrimeRange, is_prime, prime_divisors, primes_in
-from .report import CLEAR, EXCLUDED, HIT, ScanReport, Verdict, assemble_report
+from .report import (CLEAR, CLEAR_CODE, CODES, EXCLUDED, HIT, HIT_CODE, Block, ScanReport,
+                     Verdict, assemble_report)
 
 __all__ = [
     "MODE_H2",
@@ -436,19 +437,6 @@ def classify_cubic_prime(rec: CubicFieldRecord, p: int, mode: str) -> Verdict:
 _FOLD_MAX = 1 << 12
 _INT64_MAX = (1 << 63) - 1
 
-_REASONS = (
-    None,
-    "hyp1_divides_6",
-    "hyp2_ramified",
-    "hyp3_class_number",
-    "hyp5_in_H5",
-    "p_2_mod_3",
-    "frob_order_not_3",
-    "z_zero",
-)
-_CLEAR = len(_REASONS)
-_HIT = _CLEAR + 1
-
 
 def _fold_coeffs(f) -> tuple[int, int, int]:
     """Coefficients of x^4 mod x^3 + f2 x^2 + f1 x + f0 (see mul3)."""
@@ -567,19 +555,17 @@ def _z_lanes(unit, inv, f, p, xp):
     return rp.frobenius(rp.frobenius(sz, xp, xp2), xp, xp2)
 
 
-def _classify_lanes(rec: CubicFieldRecord, mode: str, primes: list[int]) -> list[Verdict]:
-    """classify_cubic_prime for every prime of the list."""
+def _classify_lanes(rec: CubicFieldRecord, mode: str, primes: np.ndarray) -> Block:
+    """classify_cubic_prime for every prime of the int64 array."""
     if mode not in (MODE_H2, MODE_ORDINARY):
         raise ValueError(f"unknown mode {mode!r}")
-    if not primes:
-        return []
     P = prime_lanes(primes, _batch_ok(rec))
-    code = np.zeros(len(primes), dtype=np.int8)
+    code = np.full(len(P), CLEAR_CODE, dtype=np.int8)  # clear marks the lanes still live
 
     def exclude(lanes, reason):
-        code[lanes[code[lanes] == 0]] = _REASONS.index(reason)
+        code[lanes[code[lanes] == CLEAR_CODE]] = CODES.index(reason)
 
-    every = np.arange(len(primes))
+    every = np.arange(len(P))
     exclude(every[(P == 2) | (P == 3)], "hyp1_divides_6")
     exclude(every[rec.delta % P == 0], "hyp2_ramified")
     if rec.class_number_e is not None:
@@ -588,7 +574,7 @@ def _classify_lanes(rec: CubicFieldRecord, mode: str, primes: list[int]) -> list
     exclude(every[np.isin(P, sorted(h5_set(rec.ramified)))], "hyp5_in_H5")
     if mode == MODE_ORDINARY:
         exclude(every[P % 3 == 2], "p_2_mod_3")
-    live = np.flatnonzero(code == 0)
+    live = np.flatnonzero(code == CLEAR_CODE)
     p = P[live]
     nonresidue = Lanes(p).pow(rec.delta % p, (p - 1) >> 1) != 1
     exclude(live[nonresidue], "frob_order_not_3")
@@ -598,35 +584,23 @@ def _classify_lanes(rec: CubicFieldRecord, mode: str, primes: list[int]) -> list
     split = _equals(xp, (0, 1, 0))
     exclude(live[split], "frob_order_not_3")
     live, p, xp = live[~split], p[~split], tuple(c[~split] for c in xp)
-    aux = {}
-    if len(live):
-        z = _z_lanes(rec.unit, rec.unit_inverse, f, p, xp)
-        zero = _equals(z, (0, 0, 0))
-        if mode == MODE_ORDINARY:
-            lanes = _CubicLanes(f, p)
-            cube = lanes.mul(lanes.mul(z, z), z)
-            in_fp = (cube[1] == 0) & (cube[2] == 0)
-            outcome = np.where(zero, _REASONS.index("z_zero"), np.where(in_fp, _HIT, _CLEAR))
-        else:
-            outcome = np.where(zero, _HIT, _CLEAR)
-        code[live] = outcome
-        hit = outcome == _HIT
-        aux = dict(zip(live[hit].tolist(), zip(*(c[hit].tolist() for c in z))))
-    out = []
-    for i, (q, c) in enumerate(zip(primes, code.tolist())):
-        if c == _CLEAR:
-            out.append(Verdict(q, CLEAR))
-        elif c == _HIT:
-            out.append(Verdict(q, HIT, aux=aux[i]))
-        else:
-            out.append(Verdict(q, EXCLUDED, reason=_REASONS[c]))
-    return out
+    z = _z_lanes(rec.unit, rec.unit_inverse, f, p, xp)
+    zero = _equals(z, (0, 0, 0))
+    if mode == MODE_ORDINARY:
+        exclude(live[zero], "z_zero")
+        lanes = _CubicLanes(f, p)
+        cube = lanes.mul(lanes.mul(z, z), z)
+        hit = ~zero & (cube[1] == 0) & (cube[2] == 0)
+    else:
+        hit = zero
+    code[live[hit]] = HIT_CODE
+    return Block.of(primes, code, tuple(zip(*(c[hit].tolist() for c in z))))
 
 
-def _cubic_chunk(args, lo: int, hi: int) -> list[Verdict]:
-    """Verdicts for the primes in [lo, hi], from the batch kernel."""
+def _cubic_chunk(args, lo: int, hi: int) -> Block:
+    """The primes in [lo, hi] classified by the batch kernel."""
     rec, mode = args
-    return _classify_lanes(rec, mode, list(primes_in(PrimeRange(lo, hi))))
+    return _classify_lanes(rec, mode, np.fromiter(primes_in(PrimeRange(lo, hi)), dtype=np.int64))
 
 
 def scan_cubic(
@@ -662,4 +636,5 @@ def scan_cubic(
         warnings=warnings,
         wall_time=time.perf_counter() - t0,
         workers=workers,
+        expected=mode == MODE_H2,  # the ordinary hits follow no 1/p model
     )

@@ -19,7 +19,7 @@ import numpy as np
 from ._parallel import run_chunked
 from .order_arith import Lanes, prime_lanes
 from .primes import PrimeRange, is_prime, prime_divisors, primes_in
-from .report import HIT, ScanReport, Verdict, assemble_report
+from .report import CLEAR_CODE, CODES, HIT_CODE, Block, ScanReport, assemble_report
 
 __all__ = [
     "HeuristicValue",
@@ -180,24 +180,28 @@ def _wieferich_lanes(base: int, p: np.ndarray) -> np.ndarray:
     return Lanes(m).pow(base % m, p - 1)
 
 
-def _wieferich_chunk(base: int, lo: int, hi: int) -> list[Verdict]:
-    """Hits in [lo, hi], from the lane kernel."""
-    primes = [p for p in primes_in(PrimeRange(lo, hi)) if base % p]
-    res = _wieferich_lanes(base, prime_lanes(primes, base < 1 << 63))
-    return [Verdict(primes[i], HIT) for i in np.flatnonzero(res == 1)]
+def _wieferich_chunk(base: int, lo: int, hi: int) -> Block:
+    """The primes in [lo, hi] by the lane kernel; those dividing base are excluded."""
+    primes = np.fromiter(primes_in(PrimeRange(lo, hi)), dtype=np.int64)
+    lanes = prime_lanes(primes, base < 1 << 63)
+    tested = np.flatnonzero(base % lanes != 0)
+    code = np.full(len(primes), CODES.index("divides_base"), dtype=np.int8)
+    code[tested] = CLEAR_CODE
+    code[tested[_wieferich_lanes(base, lanes[tested]) == 1]] = HIT_CODE
+    return Block.of(primes, code, hits_only=True)
 
 
 def scan_wieferich(base: int, rng: PrimeRange, workers: int = 1) -> ScanReport:
     if base < 2:
         raise ValueError("base must be at least 2")
     t0 = time.perf_counter()
-    hits = run_chunked(_wieferich_chunk, base, rng.lo, rng.hi, workers)
+    verdicts = run_chunked(_wieferich_chunk, base, rng.lo, rng.hi, workers)
     return assemble_report(
         field_id=f"wieferich(base={base})",
         mode="wieferich",
         lo=rng.lo,
         hi=rng.hi,
-        verdicts=hits,
+        verdicts=verdicts,
         wall_time=time.perf_counter() - t0,
         workers=workers,
     )

@@ -161,11 +161,12 @@ _pow_objects = np.frompyfunc(pow, 3, 1)
 
 
 def prime_lanes(primes, fits_int64=True):
-    """The primes as one lane array: int64 when every prime is below
-    MULMOD_PMAX and fits_int64 (the caller's other inputs fit int64), else
-    Python ints (dtype object), which are exact at any size."""
-    small = fits_int64 and max(primes, default=0) < MULMOD_PMAX
-    return np.array(primes, dtype=np.int64 if small else object)
+    """The primes (int64 values) as one lane array: int64 when every prime is
+    below MULMOD_PMAX and fits_int64 (the caller's other inputs fit int64),
+    else Python ints (dtype object), which are exact at any size."""
+    lanes = np.asarray(primes, dtype=np.int64)
+    small = fits_int64 and lanes.max(initial=0) < MULMOD_PMAX
+    return lanes if small else lanes.astype(object)
 
 
 def pow_lanes(r, e, square, times):

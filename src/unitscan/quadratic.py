@@ -24,7 +24,8 @@ from ._data import DataFileError, data_path, read_table_rows
 from ._parallel import run_chunked
 from .order_arith import Lanes, OrderSpec, pow2, pow_lanes, prime_lanes
 from .primes import PrimeRange, prime_divisors, primes_in
-from .report import CLEAR, EXCLUDED, HIT, ScanReport, Verdict, assemble_report
+from .report import (CLEAR, CLEAR_CODE, CODES, EXCLUDED, HIT, HIT_CODE, Block, ScanReport,
+                     Verdict, assemble_report)
 
 __all__ = [
     "MIN_SCAN_PRIME",
@@ -220,10 +221,6 @@ def classify_quad_prime(rec: QuadFieldRecord, p: int) -> Verdict:
     return Verdict(p, HIT if pow2(eps, p, rec.reduction, m) == sigma else CLEAR)
 
 
-_REASONS = (None, "below_min_p", "ramified", "divides_class_number")
-_CLEAR, _HIT = len(_REASONS), len(_REASONS) + 1
-
-
 class _QuadLanes(Lanes):
     """(Z/m)[x]/(x^2 + f1 x + f0) lane by lane, on pairs of residues in [0, m)."""
 
@@ -241,32 +238,31 @@ class _QuadLanes(Lanes):
         return pow_lanes(one, e, lambda r: self.mul(r, r), lambda r: self.mul(r, a))
 
 
-def _classify_lanes(rec: QuadFieldRecord, primes: list[int]) -> list[Verdict]:
-    """classify_quad_prime for every prime of the list."""
+def _classify_lanes(rec: QuadFieldRecord, primes: np.ndarray) -> Block:
+    """classify_quad_prime for every prime of the int64 array."""
     u = rec.unit
     # int64 lanes need these below 2^63: they enter only as x % p or x % p^2
     P = prime_lanes(primes, max(map(abs, (u.a, u.b, rec.field_disc, rec.class_number))) < 1 << 63)
-    code = np.zeros(len(primes), dtype=np.int8)
+    code = np.full(len(P), CLEAR_CODE, dtype=np.int8)  # clear marks the lanes still live
     # the exclusions in the order classify_quad_prime applies them
-    excluded = (P < MIN_SCAN_PRIME, rec.field_disc % P == 0, rec.class_number % P == 0)
-    for c, mask in enumerate(excluded, 1):
-        code[(code == 0) & mask] = c
-    live = np.flatnonzero(code == 0)
+    excluded = (("below_min_p", P < MIN_SCAN_PRIME), ("ramified", rec.field_disc % P == 0),
+                ("divides_class_number", rec.class_number % P == 0))
+    for reason, mask in excluded:
+        code[(code == CLEAR_CODE) & mask] = CODES.index(reason)
+    live = np.flatnonzero(code == CLEAR_CODE)
     p = P[live]
     m = p * p
     eps = (u.a % m, u.b % m)
     inert = Lanes(p).pow(rec.d % p, (p - 1) >> 1) != 1
     sigma = [np.where(inert, c, e) for c, e in zip(_conjugate(rec.d, *eps, m), eps)]
     w = _QuadLanes(rec.reduction, m).pow(eps, p)
-    code[live] = np.where((w[0] == sigma[0]) & (w[1] == sigma[1]), _HIT, _CLEAR)
-    status = {_CLEAR: CLEAR, _HIT: HIT}
-    return [Verdict(q, status[c]) if c in status else Verdict(q, EXCLUDED, reason=_REASONS[c])
-            for q, c in zip(primes, code.tolist())]
+    code[live[(w[0] == sigma[0]) & (w[1] == sigma[1])]] = HIT_CODE
+    return Block.of(primes, code)
 
 
-def _quad_chunk(rec: QuadFieldRecord, lo: int, hi: int) -> list[Verdict]:
-    """Verdicts for the primes in [lo, hi], from the lane kernel."""
-    return _classify_lanes(rec, list(primes_in(PrimeRange(lo, hi))))
+def _quad_chunk(rec: QuadFieldRecord, lo: int, hi: int) -> Block:
+    """The primes in [lo, hi] classified by the lane kernel."""
+    return _classify_lanes(rec, np.fromiter(primes_in(PrimeRange(lo, hi)), dtype=np.int64))
 
 
 def scan_quadratic(

@@ -15,6 +15,9 @@ import hashlib
 import io
 import json
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from ._data import DataFileError, data_path, read_json
 
@@ -25,6 +28,20 @@ CLEAR = "clear"
 EXCLUDED = "excluded"
 
 CSV_COLUMNS = ("field", "p", "mode", "status", "reason", "aux")
+
+# A Block stores one int8 code per prime: its index in CODES, which lists the
+# statuses clear and hit, then the exclusion reasons of every scan family.
+CODES = (
+    CLEAR, HIT,
+    "below_min_p", "ramified", "divides_class_number",  # quadratic
+    "hyp1_divides_6", "hyp2_ramified", "hyp3_class_number", "hyp5_in_H5", "p_2_mod_3",  # cubic
+    "frob_order_not_3", "z_zero",
+    "divides_base",  # Wieferich
+)
+CLEAR_CODE, HIT_CODE = CODES.index(CLEAR), CODES.index(HIT)
+# Fraction bits of the fixed-point sum of 1/p: it stays below 2^63 for any
+# range to 1e9, and each term is off by less than 2^-60.
+_RECIP_BITS = 60
 
 
 @dataclass(frozen=True)
@@ -43,6 +60,60 @@ class Verdict:
             raise ValueError("excluded verdicts must carry a reason")
 
 
+def _verdicts(primes, codes, aux=()):
+    """The Verdicts of coded lanes, one at a time; aux holds the hits' aux in order."""
+    aux = iter(aux)
+    for p, c in zip(primes.tolist(), codes.tolist()):
+        if c == HIT_CODE:
+            yield Verdict(p, HIT, aux=next(aux, None))
+        elif c == CLEAR_CODE:
+            yield Verdict(p, CLEAR)
+        else:
+            yield Verdict(p, EXCLUDED, reason=CODES[c])
+
+
+@dataclass(frozen=True, eq=False)
+class Block:
+    """The classified primes of a chunk, or of a whole scan once joined.
+
+    primes (int64, ascending), codes (int8, indices into CODES) and aux (one
+    per hit, empty when hits carry none) hold the lanes kept; iterating
+    builds their Verdicts lazily.  counts (primes per CODES entry) and recip
+    (the sum of 1/p over the tested primes, in units of 2^-_RECIP_BITS)
+    cover every prime classified: integer sums, which no chunking changes.
+    """
+
+    primes: np.ndarray
+    codes: np.ndarray
+    aux: tuple
+    counts: np.ndarray
+    recip: int
+
+    @classmethod
+    def of(cls, primes, codes, aux=(), hits_only=False) -> "Block":
+        """The Block of a chunk's primes and codes, keeping every lane or only the hits."""
+        recip = int(((1 << _RECIP_BITS) // primes[codes <= HIT_CODE]).sum())
+        counts = np.bincount(codes, minlength=len(CODES))
+        keep = codes == HIT_CODE if hits_only else slice(None)
+        return cls(primes[keep], codes[keep], aux, counts, recip)
+
+    def __len__(self) -> int:
+        return len(self.primes)
+
+    def __iter__(self):
+        return _verdicts(self.primes, self.codes, self.aux)
+
+    @classmethod
+    def join(cls, blocks) -> "Block":
+        return cls(
+            np.concatenate([b.primes for b in blocks]),
+            np.concatenate([b.codes for b in blocks]),
+            tuple(chain.from_iterable(b.aux for b in blocks)),
+            sum(b.counts for b in blocks),
+            sum(b.recip for b in blocks),
+        )
+
+
 @dataclass(frozen=True)
 class ScanReport:
     field_id: str
@@ -57,6 +128,11 @@ class ScanReport:
     workers: int = 1
     version: str = TOOL_VERSION
     checksum: str = ""
+    # Counters outside the checksum: primes tested (hits and clears), a count
+    # per exclusion reason seen, and the hits a 1/p model expects from them.
+    tested: int | None = None
+    excluded_counts: dict[str, int] | None = None
+    expected_hits: float | None = None
 
     def __post_init__(self):
         ps = [v.p for v in self.hits]
@@ -94,18 +170,25 @@ def assemble_report(
     mode: str,
     lo: int,
     hi: int,
-    verdicts,
+    verdicts: Block,
     full_verdicts: bool = False,
     warnings=(),
     wall_time: float = 0.0,
     workers: int = 1,
+    expected: bool = True,
 ) -> ScanReport:
-    """Build a report from an ordered verdict stream (hits only by default)."""
-    hits = tuple(v for v in verdicts if v.status == HIT)
+    """Build a report from the Block of a whole scan: Verdicts for its hits,
+    and for its exclusions and clears (which it must hold) only under
+    full_verdicts.  expected says whether the hits follow the 1/p model."""
+    primes, codes = verdicts.primes, verdicts.codes
+    hit = codes == HIT_CODE
+    hits = tuple(_verdicts(primes[hit], codes[hit], verdicts.aux))
     excluded = clears = None
     if full_verdicts:
-        excluded = tuple(v for v in verdicts if v.status == EXCLUDED)
-        clears = tuple(v.p for v in verdicts if v.status == CLEAR)
+        out = codes > HIT_CODE
+        excluded = tuple(_verdicts(primes[out], codes[out]))
+        clears = tuple(primes[codes == CLEAR_CODE].tolist())
+    counts = verdicts.counts.tolist()
     return ScanReport(
         field_id=field_id,
         mode=mode,
@@ -117,6 +200,9 @@ def assemble_report(
         warnings=tuple(warnings),
         wall_time=wall_time,
         workers=workers,
+        tested=counts[CLEAR_CODE] + counts[HIT_CODE],
+        excluded_counts={CODES[c]: n for c, n in enumerate(counts) if c > HIT_CODE and n},
+        expected_hits=verdicts.recip / (1 << _RECIP_BITS) if expected else None,
     )
 
 
@@ -139,6 +225,9 @@ def report_to_json(r: ScanReport) -> str:
         else [{"p": v.p, "reason": v.reason} for v in r.excluded],
         "clears": None if r.clears is None else list(r.clears),
         "checksum": r.checksum,
+        "tested": r.tested,
+        "excluded_counts": r.excluded_counts,
+        "expected_hits": r.expected_hits,
     }
     return json.dumps(doc, indent=2, sort_keys=True)
 
@@ -168,6 +257,9 @@ def report_from_json(text: str) -> ScanReport:
         workers=doc["workers"],
         version=doc["version"],
         checksum=doc["checksum"],
+        tested=doc.get("tested"),
+        excluded_counts=doc.get("excluded_counts"),
+        expected_hits=doc.get("expected_hits"),
     )
 
 

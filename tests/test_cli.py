@@ -45,6 +45,7 @@ def test_scan_cubic_ordinary(runner):
     assert rows[0].startswith("cubic(delta=-23),13,ordinary,hit,,")
     aux = rows[0].split(",")[-1]
     assert len(aux.split()) == 3  # z coefficients mod p
+    assert "1 hit(s) of 380 tested" in res.stderr  # no 1/p model for ordinary hits
 
 
 def test_scan_cubic_h2_json_warning(runner):
@@ -83,6 +84,8 @@ def test_wieferich_cli(runner):
     res = runner.invoke(main, ["wieferich", "--base", "2", "--pmax", "2000", "--workers", "1"])
     assert res.exit_code == 0
     assert "1093,wieferich,hit" in res.stdout
+    # observed against expected hits, over the 302 odd primes to 2000
+    assert "1 hit(s) (1.79 expected) of 302 tested" in res.stderr
 
 
 def test_heuristics_injective(runner):

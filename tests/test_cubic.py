@@ -40,6 +40,7 @@ from unitscan.order_arith import MULMOD_PMAX, OrderSpec, pow3
 from unitscan.primes import RANGE_LIMIT, PrimeRange, prime_divisors, primes_in
 from unitscan.report import CLEAR, EXCLUDED, HIT, assemble_report
 
+from _blocks import block_of
 from _oracles import (
     cubic_is_inert,
     cubic_mul,
@@ -379,8 +380,9 @@ def test_h2_clear_everywhere_small(cubic_records):
 
 def _reference_report(rec, rng, mode):
     """The report assembled from classify_cubic_prime, one prime at a time."""
-    verdicts = [classify_cubic_prime(rec, p, mode) for p in primes_in(rng)]
-    return assemble_report(f"cubic(delta={rec.delta})", mode, rng.lo, rng.hi, verdicts, True)
+    verdicts = block_of(classify_cubic_prime(rec, p, mode) for p in primes_in(rng))
+    return assemble_report(f"cubic(delta={rec.delta})", mode, rng.lo, rng.hi, verdicts, True,
+                           expected=mode == MODE_H2)
 
 
 def _assert_same_report(rep, ref, label):
@@ -388,6 +390,10 @@ def _assert_same_report(rep, ref, label):
     assert rep.excluded == ref.excluded, label
     assert rep.clears == ref.clears, label
     assert rep.checksum == ref.checksum, label
+    # the counters, to the last bit of the expected hit count
+    assert rep.tested == ref.tested, label
+    assert rep.excluded_counts == ref.excluded_counts, label
+    assert rep.expected_hits == ref.expected_hits, label
 
 
 @pytest.mark.parametrize("delta", DELTAS)
@@ -411,8 +417,27 @@ def test_batch_tiny_chunks(cubic_records):
             ref = _reference_report(rec, rng, mode)
             for span in (1, 2, 7):
                 verdicts = run_chunked(_cubic_chunk, (rec, mode), rng.lo, rng.hi, 1, span)
-                rep = assemble_report(ref.field_id, mode, rng.lo, rng.hi, verdicts, True)
+                rep = assemble_report(ref.field_id, mode, rng.lo, rng.hi, verdicts, True,
+                                      expected=mode == MODE_H2)
                 _assert_same_report(rep, ref, (delta, mode, span))
+            # a chunk without primes gives an empty block
+            assert list(_cubic_chunk((rec, mode), 24, 28)) == []
+
+
+def test_z_zero_at_a_power_of_the_unit(cubic_records):
+    # z(eps^k) = k z(eps) mod p, so eps^13 of Delta = -23 has z = 0 at the
+    # inert prime 13: an h2 hit, and a z_zero exclusion in ordinary mode
+    rec23 = cubic_records[-23]
+    unit = rec23.unit
+    for _ in range(12):
+        unit = cubic_mul(unit, rec23.unit, rec23.spec.defining_poly)
+    rec = CubicFieldRecord(-23, rec23.spec, rec23.ramified, None, unit, "derived")
+    rng = PrimeRange(2, 3000)
+    for mode in (MODE_H2, MODE_ORDINARY):
+        rep = scan_cubic(rec, rng, mode=mode, full_verdicts=True)
+        _assert_same_report(rep, _reference_report(rec, rng, mode), mode)
+    assert [v.p for v in scan_cubic(rec, rng, mode=MODE_H2).hits] == [13]
+    assert scan_cubic(rec, rng, mode=MODE_ORDINARY).excluded_counts["z_zero"] == 1
 
 
 def _shifted_record(rec23, c):
@@ -469,10 +494,11 @@ def test_batch_bound_straddles_2_25(cubic_records, kernel_calls):
     for rec in records:
         assert _batch_ok(rec)
         for mode in (MODE_H2, MODE_ORDINARY):
-            # the primes below 2^25 alone take int64 lanes
+            # the primes below 2^25 alone take int64 lanes; each lane of the
+            # block matches the scalar classifier on status, reason and aux
             want = [classify_cubic_prime(rec, p, mode) for p in below]
             kernel_calls["dtypes"].clear()
-            assert _classify_lanes(rec, mode, below) == want, mode
+            assert list(_classify_lanes(rec, mode, np.array(below))) == want, mode
             assert kernel_calls["dtypes"] == [np.dtype(np.int64)]
     _check_window(records, rng, kernel_calls)
 
@@ -589,6 +615,7 @@ def test_scan_parallel_determinism(cubic_records, chunk_counts):
     assert chunk_counts[1] > 1  # so the two workers ran in a pool
     assert r1.checksum == r2.checksum
     assert r1.hits == r2.hits
+    assert r1.tested == r2.tested and r1.excluded_counts == r2.excluded_counts
 
 
 def test_frobenius_density_at_one_million(cubic_records):

@@ -210,7 +210,12 @@ def test_wieferich_report():
     assert [v.p for v in rep.hits] == [1093, 3511]
     assert rep.field_id == "wieferich(base=2)"
     # five 2^16-wide chunks, so two workers really split the range
-    assert scan_wieferich(2, PrimeRange(3, 300_000), workers=2).checksum == rep.checksum
+    two = scan_wieferich(2, PrimeRange(3, 300_000), workers=2)
+    assert two.checksum == rep.checksum
+    assert (two.tested, two.expected_hits) == (rep.tested, rep.expected_hits)
+    # 2 and 5 divide the base: excluded, not tested, out of the 168 primes to 1000
+    rep = scan_wieferich(10, PrimeRange(2, 1000))
+    assert rep.excluded_counts == {"divides_base": 2} and rep.tested == 166
 
 
 def reference_hits(base, primes):
@@ -299,7 +304,11 @@ def test_wieferich_tiny_chunks(span):
         hits = run_chunked(heuristics._wieferich_chunk, base, rng.lo, rng.hi, 1, span)
         rep = assemble_report(f"wieferich(base={base})", "wieferich", rng.lo, rng.hi, hits)
         assert [v.p for v in rep.hits] == reference_hits(base, primes_in(rng))
-        assert rep.checksum == scan_wieferich(base, rng).checksum
+        assert len(hits) == len(rep.hits)  # the chunks keep their hits alone
+        whole = scan_wieferich(base, rng)
+        assert rep.checksum == whole.checksum
+        assert (rep.tested, rep.excluded_counts, rep.expected_hits) == (
+            whole.tested, whole.excluded_counts, whole.expected_hits)
 
 
 def test_densities_examples():

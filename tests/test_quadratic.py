@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,8 +27,9 @@ from unitscan.quadratic import (
 )
 from unitscan.order_arith import MULMOD_PMAX, pow2
 from unitscan.primes import RANGE_LIMIT
-from unitscan.report import CLEAR, EXCLUDED, HIT, Verdict, assemble_report
+from unitscan.report import CLEAR, CLEAR_CODE, EXCLUDED, HIT, Block, Verdict, assemble_report
 
+from _blocks import block_of
 from _oracles import narrow_class_number_bqf, quad_hit_naive, quad_unit_exhaustive
 
 SQUAREFREE_TO_30 = [d for d in range(2, 31) if is_squarefree(d)]
@@ -122,7 +124,7 @@ def kernel_calls(monkeypatch):
 
 def _reference_report(rec, rng):
     """The report assembled from classify_quad_prime, one prime at a time."""
-    verdicts = [classify_quad_prime(rec, p) for p in primes_in(rng)]
+    verdicts = block_of(classify_quad_prime(rec, p) for p in primes_in(rng))
     return assemble_report(f"quad(D={rec.d})", "quad", rng.lo, rng.hi, verdicts, True)
 
 
@@ -131,6 +133,10 @@ def _assert_same_report(rep, ref, label):
     assert rep.excluded == ref.excluded, label
     assert rep.clears == ref.clears, label
     assert rep.checksum == ref.checksum, label
+    # the counters, to the last bit of the expected hit count
+    assert rep.tested == ref.tested, label
+    assert rep.excluded_counts == ref.excluded_counts, label
+    assert rep.expected_hits == ref.expected_hits, label
 
 
 def test_lanes_match_classify_to_2e5(quad_records, kernel_calls):
@@ -157,6 +163,10 @@ def test_lanes_and_classify_match_naive_power(quad_records):
         assert {p for p in tested if classify_quad_prime(rec, p).status == HIT} == want, d
         assert tested == [p for p in primes_in(rng) if p > 2 and rec.field_disc % p
                           and rec.class_number % p]
+        # the counters: every prime tested or excluded once, and sum 1/p
+        assert rep.tested == len(tested)
+        assert rep.tested + sum(rep.excluded_counts.values()) == len(list(primes_in(rng)))
+        assert rep.expected_hits == pytest.approx(sum(1 / p for p in tested), rel=1e-12)
 
 
 def _check_window(records, rng, kernel_calls):
@@ -177,9 +187,11 @@ def test_batch_bound_straddles_2_25(quad_records, kernel_calls):
     assert below and len(below) < len(primes)
     for d in (2, 5, 23):
         rec = quad_records[d]
-        # the primes below 2^25 alone take int64 lanes
+        # the primes below 2^25 alone take int64 lanes; each lane of the
+        # block matches the scalar classifier on status, reason and aux
         kernel_calls["dtypes"].clear()
-        assert _classify_lanes(rec, below) == [classify_quad_prime(rec, p) for p in below], d
+        block = _classify_lanes(rec, np.array(below))
+        assert list(block) == [classify_quad_prime(rec, p) for p in below], d
         assert kernel_calls["dtypes"] == [np.dtype(np.int64)]
     _check_window(quad_records, rng, kernel_calls)
 
@@ -202,7 +214,7 @@ def test_large_unit_takes_python_int_lanes(quad_records, kernel_calls):
     rep = scan_quadratic(rec, rng, full_verdicts=True)
     assert [v.p for v in rep.hits] == [3, 13, 17, 31]
     assert [p for p in rep.clears if quad_hit_naive(2, a, b, p)] == []
-    assert _classify_lanes(rec, []) == []
+    assert list(_classify_lanes(rec, np.array([], dtype=np.int64))) == []
 
 
 def test_exclusion_verdicts(quad_records):
@@ -212,8 +224,8 @@ def test_exclusion_verdicts(quad_records):
     synthetic = quad_field_record(7, 5)  # pretend class number 5
     v = classify_quad_prime(synthetic, 5)
     assert v.status == EXCLUDED and v.reason == "divides_class_number"
-    assert _classify_lanes(synthetic, [2, 5, 7]) == [classify_quad_prime(synthetic, p)
-                                                     for p in (2, 5, 7)]
+    assert list(_classify_lanes(synthetic, np.array([2, 5, 7]))) == [
+        classify_quad_prime(synthetic, p) for p in (2, 5, 7)]
     with pytest.raises(ValueError, match=r"p=3 ramifies in Q\(sqrt\(6\)\)"):
         quad_unit_test(quad_records[6], 3)
     with pytest.raises(ValueError, match="p=2 below the minimum scan prime 3"):
@@ -250,6 +262,21 @@ def test_scan_parallel_determinism(quad_records, chunk_counts):
     assert chunk_counts[1] > 1  # so the two workers ran in a pool
     assert r1.checksum == r2.checksum
     assert r1.hits == r2.hits and r1.excluded == r2.excluded and r1.clears == r2.clears
+    assert r1.tested == r2.tested and r1.excluded_counts == r2.excluded_counts
+    assert r1.expected_hits == r2.expected_hits
+
+
+def test_hits_only_scan_memory(quad_records):
+    # 78,497 primes classified: a Block keeps 9 B per prime, where one
+    # Verdict object per prime peaked at 11.6 MB
+    tracemalloc.start()
+    try:
+        rep = scan_quadratic(quad_records[2], PrimeRange(3, 10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.tested == 78_497
+    assert peak < 4 << 20
 
 
 def test_partition_arguments_checked(quad_records):
@@ -261,7 +288,7 @@ def test_partition_arguments_checked(quad_records):
 
 
 def _span(args, a, b):
-    return [(args, a, b)]
+    return Block.of(np.arange(a, b + 1), np.full(b - a + 1, CLEAR_CODE, dtype=np.int8))
 
 
 def test_pool_size_capped_at_cores(monkeypatch):
@@ -283,12 +310,13 @@ def test_pool_size_capped_at_cores(monkeypatch):
             return [worker(*c) for c in chunks]
 
     monkeypatch.setattr(_parallel, "get_context", lambda: SimpleNamespace(Pool=Pool))
-    serial = run_chunked(_span, "x", 1, 10, 1, 2)
+    serial = run_chunked(_span, "x", 1, 10, 1, 2).primes.tolist()
+    assert serial == list(range(1, 11))
     for cores, workers, want in ((2, 1000, [2]), (8, 3, [3]), (8, 1000, [5]), (1, 1000, []),
                                  (None, 1000, [])):
         monkeypatch.setattr(_parallel.os, "cpu_count", lambda: cores)
         sizes.clear()
-        assert run_chunked(_span, "x", 1, 10, workers, 2) == serial
+        assert run_chunked(_span, "x", 1, 10, workers, 2).primes.tolist() == serial
         assert sizes == want, (cores, workers)
     monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
     sizes.clear()

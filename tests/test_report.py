@@ -9,6 +9,7 @@ from unitscan.report import (
     CUBIC_ORDINARY_TABLE,
     H5_TABLE,
     QUAD_TABLE,
+    Block,
     ScanReport,
     Verdict,
     report_from_json,
@@ -16,6 +17,8 @@ from unitscan.report import (
     report_to_json,
     verify_tables,
 )
+
+from _blocks import block_of
 
 
 def sample_report(full=False):
@@ -33,7 +36,20 @@ def sample_report(full=False):
         warnings=("h_E unknown for delta=-23: the class-number exclusion was not applied",),
         wall_time=0.125,
         workers=2,
+        tested=4,
+        excluded_counts={"hyp5_in_H5": 1, "p_2_mod_3": 12},
+        expected_hits=0.3125,
     )
+
+
+def test_block_join_keeps_range_order():
+    # hits of two chunks keep their own aux, and the counters add up
+    first = [Verdict(5, "hit", aux=(1, 2, 3)), Verdict(7, "clear")]
+    second = [Verdict(11, "excluded", reason="z_zero"), Verdict(13, "hit", aux=(4, 5, 6))]
+    joined = Block.join([block_of(first), block_of(second)])
+    assert len(joined) == 4 and list(joined) == first + second
+    assert joined.counts.tolist() == block_of(first + second).counts.tolist()
+    assert joined.recip == block_of(first + second).recip
 
 
 @pytest.mark.parametrize("full", [False, True])
@@ -44,7 +60,7 @@ def test_json_round_trip(full):
 
 
 def test_checksum_ignores_volatile_metadata():
-    a = sample_report()
+    a = sample_report()  # b has neither wall time nor workers nor counters of a
     b = ScanReport(
         field_id=a.field_id, mode=a.mode, lo=a.lo, hi=a.hi, hits=a.hits,
         warnings=a.warnings, wall_time=9.5, workers=8,

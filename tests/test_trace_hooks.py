@@ -4,10 +4,12 @@ them, or stops calling it through its module global, must fail here rather
 than only in the minute-long benchmark smoke check."""
 
 import importlib
+from collections import Counter
 from pathlib import Path
 
-from unitscan import heuristics, quadratic
-from unitscan.primes import PrimeRange
+from unitscan import cubic, heuristics, quadratic
+from unitscan.primes import PrimeRange, primes_in
+from unitscan.report import EXCLUDED
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -42,3 +44,23 @@ def test_wieferich_trace_hooks_resolve(monkeypatch):
     for span in ("heuristics.wieferich_scan", "heuristics.wieferich_chunk", "primes.sieve"):
         assert tracer.calls[span] > 0, span
     assert tracer.counts["primes.sieve"] == 668  # every prime in [3, 5000] passed through
+
+
+def test_traced_cubic_reason_counts(monkeypatch, cubic_records):
+    # the per-reason counts the benchmark reads from the traced run's lazily
+    # built Verdicts, against the scalar classifier and the report counters
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    rec, rng = cubic_records[-23], PrimeRange(3, 20_000)
+    with tracing.instrument(tracer):
+        tracer.enter()
+        rep = cubic.scan_cubic(rec, rng, mode=cubic.MODE_ORDINARY)
+        tracer.exit(tracing.ROOT)
+    (kind, out), = tracer.run_outputs
+    assert kind == "unitscan.cubic" and tracer.counts["parallel.objects_merged"] == len(out)
+    traced = Counter(v.reason for v in out if v.status == EXCLUDED)
+    scalar = Counter(v.reason for v in (cubic.classify_cubic_prime(rec, p, cubic.MODE_ORDINARY)
+                                        for p in primes_in(rng)) if v.status == EXCLUDED)
+    assert traced == scalar == rep.excluded_counts
+    assert sum(v.status != EXCLUDED for v in out) == rep.tested
