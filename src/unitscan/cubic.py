@@ -636,5 +636,4 @@ def scan_cubic(
         warnings=warnings,
         wall_time=time.perf_counter() - t0,
         workers=workers,
-        expected=mode == MODE_H2,  # the ordinary hits follow no 1/p model
     )

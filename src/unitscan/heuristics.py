@@ -186,8 +186,7 @@ def _wieferich_chunk(base: int, lo: int, hi: int) -> Block:
     lanes = prime_lanes(primes, base < 1 << 63)
     tested = np.flatnonzero(base % lanes != 0)
     code = np.full(len(primes), CODES.index("divides_base"), dtype=np.int8)
-    code[tested] = CLEAR_CODE
-    code[tested[_wieferich_lanes(base, lanes[tested]) == 1]] = HIT_CODE
+    code[tested] = np.where(_wieferich_lanes(base, lanes[tested]) == 1, HIT_CODE, CLEAR_CODE)
     return Block.of(primes, code, hits_only=True)
 
 

@@ -161,9 +161,9 @@ _pow_objects = np.frompyfunc(pow, 3, 1)
 
 
 def prime_lanes(primes, fits_int64=True):
-    """The primes (int64 values) as one lane array: int64 when every prime is
-    below MULMOD_PMAX and fits_int64 (the caller's other inputs fit int64),
-    else Python ints (dtype object), which are exact at any size."""
+    """The int64 primes as one lane array: int64 when every prime is below
+    MULMOD_PMAX and fits_int64 (the caller's other inputs fit int64), else
+    Python ints (dtype object), which are exact at any size."""
     lanes = np.asarray(primes, dtype=np.int64)
     small = fits_int64 and lanes.max(initial=0) < MULMOD_PMAX
     return lanes if small else lanes.astype(object)

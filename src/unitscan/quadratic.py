@@ -244,11 +244,10 @@ def _classify_lanes(rec: QuadFieldRecord, primes: np.ndarray) -> Block:
     # int64 lanes need these below 2^63: they enter only as x % p or x % p^2
     P = prime_lanes(primes, max(map(abs, (u.a, u.b, rec.field_disc, rec.class_number))) < 1 << 63)
     code = np.full(len(P), CLEAR_CODE, dtype=np.int8)  # clear marks the lanes still live
-    # the exclusions in the order classify_quad_prime applies them
-    excluded = (("below_min_p", P < MIN_SCAN_PRIME), ("ramified", rec.field_disc % P == 0),
-                ("divides_class_number", rec.class_number % P == 0))
-    for reason, mask in excluded:
-        code[(code == CLEAR_CODE) & mask] = CODES.index(reason)
+    # the exclusions in the order classify_quad_prime applies them, as in CODES
+    excluded = (P < MIN_SCAN_PRIME, rec.field_disc % P == 0, rec.class_number % P == 0)
+    for c, mask in enumerate(excluded, CODES.index("below_min_p")):
+        code[(code == CLEAR_CODE) & mask] = c
     live = np.flatnonzero(code == CLEAR_CODE)
     p = P[live]
     m = p * p

@@ -15,7 +15,6 @@ import hashlib
 import io
 import json
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -29,18 +28,13 @@ EXCLUDED = "excluded"
 
 CSV_COLUMNS = ("field", "p", "mode", "status", "reason", "aux")
 
-# A Block stores one int8 code per prime: its index in CODES, which lists the
-# statuses clear and hit, then the exclusion reasons of every scan family.
-CODES = (
-    CLEAR, HIT,
-    "below_min_p", "ramified", "divides_class_number",  # quadratic
-    "hyp1_divides_6", "hyp2_ramified", "hyp3_class_number", "hyp5_in_H5", "p_2_mod_3",  # cubic
-    "frob_order_not_3", "z_zero",
-    "divides_base",  # Wieferich
-)
+# A Block stores one int8 code per prime, its index in CODES: clear, hit, then
+# the exclusion reasons of the quadratic, cubic and Wieferich scans.
+CODES = (CLEAR, HIT, "below_min_p", "ramified", "divides_class_number", "hyp1_divides_6",
+         "hyp2_ramified", "hyp3_class_number", "hyp5_in_H5", "p_2_mod_3", "frob_order_not_3",
+         "z_zero", "divides_base")
 CLEAR_CODE, HIT_CODE = CODES.index(CLEAR), CODES.index(HIT)
-# Fraction bits of the fixed-point sum of 1/p: it stays below 2^63 for any
-# range to 1e9, and each term is off by less than 2^-60.
+# Fraction bits of the fixed-point sum of 1/p (terms floored): below 2^63 to 1e9.
 _RECIP_BITS = 60
 
 
@@ -64,24 +58,18 @@ def _verdicts(primes, codes, aux=()):
     """The Verdicts of coded lanes, one at a time; aux holds the hits' aux in order."""
     aux = iter(aux)
     for p, c in zip(primes.tolist(), codes.tolist()):
-        if c == HIT_CODE:
-            yield Verdict(p, HIT, aux=next(aux, None))
-        elif c == CLEAR_CODE:
-            yield Verdict(p, CLEAR)
-        else:
+        if c > HIT_CODE:
             yield Verdict(p, EXCLUDED, reason=CODES[c])
+        else:
+            yield Verdict(p, CODES[c], aux=next(aux, None) if c == HIT_CODE else None)
 
 
 @dataclass(frozen=True, eq=False)
 class Block:
-    """The classified primes of a chunk, or of a whole scan once joined.
-
-    primes (int64, ascending), codes (int8, indices into CODES) and aux (one
-    per hit, empty when hits carry none) hold the lanes kept; iterating
-    builds their Verdicts lazily.  counts (primes per CODES entry) and recip
-    (the sum of 1/p over the tested primes, in units of 2^-_RECIP_BITS)
-    cover every prime classified: integer sums, which no chunking changes.
-    """
+    """The lanes kept of a chunk or a whole scan: primes (int64, ascending),
+    codes and the aux of the hits; iterating builds their Verdicts.  counts
+    (per code) and recip (sum of 1/p over the tested primes, in 2^-60 units)
+    cover every prime classified, as integers that no chunking changes."""
 
     primes: np.ndarray
     codes: np.ndarray
@@ -105,13 +93,10 @@ class Block:
 
     @classmethod
     def join(cls, blocks) -> "Block":
-        return cls(
-            np.concatenate([b.primes for b in blocks]),
-            np.concatenate([b.codes for b in blocks]),
-            tuple(chain.from_iterable(b.aux for b in blocks)),
-            sum(b.counts for b in blocks),
-            sum(b.recip for b in blocks),
-        )
+        primes = np.concatenate([b.primes for b in blocks])
+        codes = np.concatenate([b.codes for b in blocks])
+        aux = tuple(a for b in blocks for a in b.aux)
+        return cls(primes, codes, aux, sum(b.counts for b in blocks), sum(b.recip for b in blocks))
 
 
 @dataclass(frozen=True)
@@ -128,9 +113,7 @@ class ScanReport:
     workers: int = 1
     version: str = TOOL_VERSION
     checksum: str = ""
-    # Counters outside the checksum: primes tested (hits and clears), a count
-    # per exclusion reason seen, and the hits a 1/p model expects from them.
-    tested: int | None = None
+    tested: int | None = None  # this and the next two: counters outside the checksum
     excluded_counts: dict[str, int] | None = None
     expected_hits: float | None = None
 
@@ -175,11 +158,9 @@ def assemble_report(
     warnings=(),
     wall_time: float = 0.0,
     workers: int = 1,
-    expected: bool = True,
 ) -> ScanReport:
     """Build a report from the Block of a whole scan: Verdicts for its hits,
-    and for its exclusions and clears (which it must hold) only under
-    full_verdicts.  expected says whether the hits follow the 1/p model."""
+    and for its exclusions and clears (which it must hold) under full_verdicts."""
     primes, codes = verdicts.primes, verdicts.codes
     hit = codes == HIT_CODE
     hits = tuple(_verdicts(primes[hit], codes[hit], verdicts.aux))
@@ -200,9 +181,10 @@ def assemble_report(
         warnings=tuple(warnings),
         wall_time=wall_time,
         workers=workers,
+        # the counters, outside the checksum; cubic ordinary hits follow no 1/p model
         tested=counts[CLEAR_CODE] + counts[HIT_CODE],
         excluded_counts={CODES[c]: n for c, n in enumerate(counts) if c > HIT_CODE and n},
-        expected_hits=verdicts.recip / (1 << _RECIP_BITS) if expected else None,
+        expected_hits=None if mode == "ordinary" else verdicts.recip / (1 << _RECIP_BITS),
     )
 
 

@@ -381,8 +381,7 @@ def test_h2_clear_everywhere_small(cubic_records):
 def _reference_report(rec, rng, mode):
     """The report assembled from classify_cubic_prime, one prime at a time."""
     verdicts = block_of(classify_cubic_prime(rec, p, mode) for p in primes_in(rng))
-    return assemble_report(f"cubic(delta={rec.delta})", mode, rng.lo, rng.hi, verdicts, True,
-                           expected=mode == MODE_H2)
+    return assemble_report(f"cubic(delta={rec.delta})", mode, rng.lo, rng.hi, verdicts, True)
 
 
 def _assert_same_report(rep, ref, label):
@@ -406,6 +405,7 @@ def test_scan_matches_classify(delta, cubic_records):
         rng = PrimeRange(2, pmax)
         rep = scan_cubic(rec, rng, mode=mode, full_verdicts=True)
         _assert_same_report(rep, _reference_report(rec, rng, mode), mode)
+        assert (rep.expected_hits is None) == (mode == MODE_ORDINARY)  # no 1/p model there
 
 
 def test_batch_tiny_chunks(cubic_records):
@@ -417,8 +417,7 @@ def test_batch_tiny_chunks(cubic_records):
             ref = _reference_report(rec, rng, mode)
             for span in (1, 2, 7):
                 verdicts = run_chunked(_cubic_chunk, (rec, mode), rng.lo, rng.hi, 1, span)
-                rep = assemble_report(ref.field_id, mode, rng.lo, rng.hi, verdicts, True,
-                                      expected=mode == MODE_H2)
+                rep = assemble_report(ref.field_id, mode, rng.lo, rng.hi, verdicts, True)
                 _assert_same_report(rep, ref, (delta, mode, span))
             # a chunk without primes gives an empty block
             assert list(_cubic_chunk((rec, mode), 24, 28)) == []

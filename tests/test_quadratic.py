@@ -27,7 +27,7 @@ from unitscan.quadratic import (
 )
 from unitscan.order_arith import MULMOD_PMAX, pow2
 from unitscan.primes import RANGE_LIMIT
-from unitscan.report import CLEAR, CLEAR_CODE, EXCLUDED, HIT, Block, Verdict, assemble_report
+from unitscan.report import CLEAR, EXCLUDED, HIT, HIT_CODE, Block, Verdict, assemble_report
 
 from _blocks import block_of
 from _oracles import narrow_class_number_bqf, quad_hit_naive, quad_unit_exhaustive
@@ -288,7 +288,9 @@ def test_partition_arguments_checked(quad_records):
 
 
 def _span(args, a, b):
-    return Block.of(np.arange(a, b + 1), np.full(b - a + 1, CLEAR_CODE, dtype=np.int8))
+    # one hit per chunk whose aux records the call, so the joined aux shows
+    # both the args passed and the exact chunk boundaries of every path
+    return Block.of(np.array([a]), np.array([HIT_CODE], dtype=np.int8), ((args, a, b),))
 
 
 def test_pool_size_capped_at_cores(monkeypatch):
@@ -310,13 +312,13 @@ def test_pool_size_capped_at_cores(monkeypatch):
             return [worker(*c) for c in chunks]
 
     monkeypatch.setattr(_parallel, "get_context", lambda: SimpleNamespace(Pool=Pool))
-    serial = run_chunked(_span, "x", 1, 10, 1, 2).primes.tolist()
-    assert serial == list(range(1, 11))
+    serial = run_chunked(_span, "x", 1, 10, 1, 2).aux
+    assert serial == (("x", 1, 2), ("x", 3, 4), ("x", 5, 6), ("x", 7, 8), ("x", 9, 10))
     for cores, workers, want in ((2, 1000, [2]), (8, 3, [3]), (8, 1000, [5]), (1, 1000, []),
                                  (None, 1000, [])):
         monkeypatch.setattr(_parallel.os, "cpu_count", lambda: cores)
         sizes.clear()
-        assert run_chunked(_span, "x", 1, 10, workers, 2).primes.tolist() == serial
+        assert run_chunked(_span, "x", 1, 10, workers, 2).aux == serial
         assert sizes == want, (cores, workers)
     monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
     sizes.clear()
