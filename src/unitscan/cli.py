@@ -9,8 +9,8 @@ Exit codes: 0 success, 1 table verification mismatch, 2 bad arguments,
 from __future__ import annotations
 
 import json
-import math
 import os
+import re
 import sys
 from contextlib import contextmanager
 
@@ -35,7 +35,16 @@ def _workers_default() -> int:
 _workers_option = click.option("--workers", type=click.IntRange(min=1), default=_workers_default)
 
 
-def _echo_summary(rep) -> None:
+def integer(value) -> int:
+    """Click type of a prime bound: an integer, plain or as digits times a power of ten."""
+    m = re.fullmatch(r"([+-]?\d+)(?:[eE]\+?(\d{1,2}))?", str(value).strip())
+    if m is None:
+        raise click.BadParameter(f"{value!r} is not an integer such as 10000000 or 1e7")
+    return int(m[1]) * 10 ** int(m[2] or 0)
+
+
+def _echo_summary(rep):
+    """The report, after its summary line and warnings go to stderr."""
     expected = "" if rep.expected_hits is None else f" ({rep.expected_hits:.2f} expected)"
     click.echo(
         f"{rep.field_id} [{rep.mode}] p in [{rep.lo}, {rep.hi}]: "
@@ -45,9 +54,12 @@ def _echo_summary(rep) -> None:
     )
     for w in rep.warnings:
         click.echo(f"warning: {w}", err=True)
+    return rep
 
 
 def _emit_reports(reports, fmt: str) -> None:
+    """Echo each report's summary line as the scan finishes, then print the reports."""
+    reports = [_echo_summary(r) for r in reports]
     if fmt == "json":
         if len(reports) == 1:
             click.echo(report_to_json(reports[0]))
@@ -91,8 +103,8 @@ def main():
 
 @main.command("scan-quad")
 @click.option("--d", "d_key", required=True, help="Squarefree D >= 2, or 'all'.")
-@click.option("--pmax", type=int, default=9999, show_default=True, help="Inclusive upper bound.")
-@click.option("--pmin", type=int, default=quadratic.MIN_SCAN_PRIME, show_default=True)
+@click.option("--pmax", type=integer, default=9999, show_default=True, help="Inclusive upper bound.")
+@click.option("--pmin", type=integer, default=quadratic.MIN_SCAN_PRIME, show_default=True)
 @click.option("--full-verdicts", is_flag=True, help="Report clears and exclusions too.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 @_workers_option
@@ -102,18 +114,14 @@ def scan_quad(d_key, pmax, pmin, full_verdicts, fmt, workers, data_dir):
     with _bad_input():
         rng = PrimeRange(pmin, pmax)
         records = quadratic.load_quad_fields(data_dir)
-    reports = []
-    for rec in _pick(records, d_key, "D"):
-        rep = quadratic.scan_quadratic(rec, rng, full_verdicts=full_verdicts, workers=workers)
-        _echo_summary(rep)
-        reports.append(rep)
-    _emit_reports(reports, fmt)
+    _emit_reports((quadratic.scan_quadratic(rec, rng, full_verdicts=full_verdicts, workers=workers)
+                   for rec in _pick(records, d_key, "D")), fmt)
 
 
 @main.command("scan-cubic")
 @click.option("--delta", required=True, help="Field discriminant (negative), or 'all'.")
-@click.option("--pmax", type=int, default=200_000, show_default=True)
-@click.option("--pmin", type=int, default=3, show_default=True)
+@click.option("--pmax", type=integer, default=200_000, show_default=True)
+@click.option("--pmin", type=integer, default=3, show_default=True)
 @click.option("--mode", type=click.Choice([cubic.MODE_H2, cubic.MODE_ORDINARY]), required=True)
 @click.option("--full-verdicts", is_flag=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
@@ -124,12 +132,8 @@ def scan_cubic_cmd(delta, pmax, pmin, mode, full_verdicts, fmt, workers, data_di
     with _bad_input():
         rng = PrimeRange(pmin, pmax)
         records = cubic.load_cubic_fields(data_dir)
-    reports = []
-    for rec in _pick(records, delta, "delta"):
-        rep = cubic.scan_cubic(rec, rng, mode=mode, full_verdicts=full_verdicts, workers=workers)
-        _echo_summary(rep)
-        reports.append(rep)
-    _emit_reports(reports, fmt)
+    _emit_reports((cubic.scan_cubic(rec, rng, mode=mode, full_verdicts=full_verdicts, workers=workers)
+                   for rec in _pick(records, delta, "delta")), fmt)
 
 
 @main.command("h5")
@@ -166,17 +170,15 @@ def h5_cmd(delta, fmt, data_dir):
 
 @main.command("wieferich")
 @click.option("--base", type=click.IntRange(min=2), default=2, show_default=True)
-@click.option("--pmax", type=int, required=True)
-@click.option("--pmin", type=int, default=3, show_default=True)
+@click.option("--pmax", type=integer, required=True)
+@click.option("--pmin", type=integer, default=3, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 @_workers_option
 def wieferich_cmd(base, pmax, pmin, fmt, workers):
     """Scan for primes with base^(p-1) = 1 mod p^2."""
     with _bad_input():
         rng = PrimeRange(pmin, pmax)
-    rep = heuristics.scan_wieferich(base, rng, workers=workers)
-    _echo_summary(rep)
-    _emit_reports([rep], fmt)
+    _emit_reports([heuristics.scan_wieferich(base, rng, workers=workers)], fmt)
 
 
 @main.group("heuristics")
@@ -235,17 +237,8 @@ def mult_dist_cmd(k0, imax):
             _echo_value(f"density(multiplicity = {i})", heuristics.multiplicity_distribution(k0, i))
 
 
-@heuristics_group.command("mertens")
-@click.option("--x", type=int, required=True)
-def mertens_cmd(x):
-    """Sum of 1/p for p <= x, against log log x."""
-    with _bad_input():
-        total = heuristics.expected_exceptional_count(x)
-    click.echo(f"sum 1/p (p <= {x}) = {total:.9f}   log log x = {math.log(math.log(x)):.9f}")
-
-
 @heuristics_group.command("expected-count")
-@click.option("--x", type=int, required=True)
+@click.option("--x", type=integer, required=True)
 @click.option("--power", type=int, default=1, show_default=True)
 def expected_count_cmd(x, power):
     """Expected number of exceptional primes up to x under the 1/p^power model."""
@@ -261,7 +254,7 @@ def expected_count_cmd(x, power):
     default="all",
     show_default=True,
 )
-@click.option("--pmax", type=int, default=None, help="Scan bound (defaults per table).")
+@click.option("--pmax", type=integer, default=None, help="Scan bound (defaults per table).")
 @_workers_option
 @click.option("--data-dir", default=None)
 def verify_tables_cmd(table, pmax, workers, data_dir):

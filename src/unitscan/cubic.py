@@ -22,7 +22,9 @@ import numpy as np
 
 from ._data import DataFileError, data_path, read_table_rows
 from ._parallel import run_chunked
-from .order_arith import Lanes, OrderSpec, mul3, pow3, pow_lanes, prime_lanes
+# pow3 is poly_pow, called through this module global: the benchmark traces that name
+from .order_arith import (Lanes, OrderSpec, RingLanes, mul3, poly_pow as pow3, prime_lanes,
+                          ring_fits_int64)
 from .primes import PrimeRange, is_prime, prime_divisors, primes_in
 from .report import (CLEAR, CLEAR_CODE, CODES, EXCLUDED, HIT, HIT_CODE, Block, ScanReport,
                      Verdict, assemble_report)
@@ -317,13 +319,11 @@ def _z_coeffs(unit, f, p: int, xp=None, inv=None) -> tuple[int, int, int]:
     """
     m = p * p
     f0, f1, f2 = f
-    fm = (f0 % m, f1 % m, f2 % m)
-    fp = (f0 % p, f1 % p, f2 % p)
     if xp is None:
-        xp = pow3((0, 1, 0), p, fp, p)
+        xp = pow3((0, 1, 0), p, f, p)
     # sigma(theta) mod p^2: one Newton step t - f(t)/f'(t) from t = theta^p.
-    t2 = mul3(xp, xp, fm, m)
-    t3 = mul3(t2, xp, fm, m)
+    t2 = mul3(xp, xp, f, m)
+    t3 = mul3(t2, xp, f, m)
     ft = [t3[i] + f2 * t2[i] + f1 * xp[i] for i in range(3)]
     dt = [3 * t2[i] + 2 * f2 * xp[i] for i in range(3)]
     ft[0] += f0
@@ -333,13 +333,13 @@ def _z_coeffs(unit, f, p: int, xp=None, inv=None) -> tuple[int, int, int]:
     xp2 = (t2[0] % p, t2[1] % p, t2[2] % p)
     if xp == (0, 1, 0) or _frobenius(xp, xp, xp2, p) == (0, 1, 0):
         raise ArithmeticError(f"p={p} is not inert: theta^p or theta^(p^2) is theta")
-    step = mul3([c // p for c in ft], _inverse_mod(dt, fp, p), fp, p)
+    step = mul3([c // p for c in ft], _inverse_mod(dt, f, p), f, p)
     s1 = ((xp[0] - p * step[0]) % m, (xp[1] - p * step[1]) % m, (xp[2] - p * step[2]) % m)
-    s2 = mul3(s1, s1, fm, m)
+    s2 = mul3(s1, s1, f, m)
     u = (unit[0] % m, unit[1] % m, unit[2] % m)
     if inv is None:
-        inv = _inverse_mod(u, fm, m)
-    w = mul3(pow3(u, p, fm, m), _frobenius(inv, s1, s2, m), fm, m)
+        inv = _inverse_mod(u, f, m)
+    w = mul3(pow3(u, p, f, m), _frobenius(inv, s1, s2, m), f, m)
     d0 = w[0] - 1
     if d0 % p or w[1] % p or w[2] % p:
         raise ArithmeticError(
@@ -427,90 +427,26 @@ def classify_cubic_prime(rec: CubicFieldRecord, p: int, mode: str) -> Verdict:
 # -- batched scan kernel ---------------------------------------------------------
 #
 # A scan chunk classifies its primes together, one numpy lane per prime, with
-# the tests of classify_cubic_prime in the same order, on order_arith.Lanes.
-# The lanes are int64 when every prime is below 2^25 and the record passes
-# _batch_ok, else Python ints.  Int64 needs |f_i| + |t_i| < 2^12, t giving x^4
-# (see _fold_coeffs), so a folded term c4*t_i - c3*f_i, and the Newton residue
-# f(t), stay below the 2^62 extra term of Lanes.dot; and |x| < 2^63 for the
-# unit, its inverse, Delta and h_E, which enter only through x % m or x % p.
-
-_FOLD_MAX = 1 << 12
-_INT64_MAX = (1 << 63) - 1
+# the tests of classify_cubic_prime in the same order, on order_arith.RingLanes.
+# The lanes are int64 when every prime is below 2^25 and ring_fits_int64
+# passes (its fold rule also keeps the Newton residue f(t) below 2^63; the
+# unit, its inverse, Delta and h_E enter as x % m), else Python ints.
 
 
-def _fold_coeffs(f) -> tuple[int, int, int]:
-    """Coefficients of x^4 mod x^3 + f2 x^2 + f1 x + f0 (see mul3)."""
-    f0, f1, f2 = f
-    return (f2 * f0, f2 * f1 - f0, f2 * f2 - f1)
-
-
-def _batch_ok(rec: CubicFieldRecord) -> bool:
-    """The record keeps every int64 intermediate of the kernel exact."""
-    f = rec.spec.reduction
-    if max(abs(a) + abs(b) for a, b in zip(f, _fold_coeffs(f))) >= _FOLD_MAX:
-        return False
-    ints = (*rec.unit, *rec.unit_inverse, rec.delta, rec.class_number_e or 0)
-    return all(abs(c) <= _INT64_MAX for c in ints)
-
-
-class _CubicLanes(Lanes):
-    """(Z/m)[x]/(f) lane by lane, on triples of residues in [0, m)."""
-
-    def __init__(self, f, m):
-        super().__init__(m)
-        self.f = f
-        self.t = _fold_coeffs(f)
-
-    def mul(self, a, b):
-        a0, a1, a2 = a
-        b0, b1, b2 = b
-        f, t = self.f, self.t
-        c3 = self.dot(((a1, b2), (a2, b1)))
-        c4 = self.dot(((a2, b2),))
-        return (
-            self.dot(((a0, b0),), c4 * t[0] - c3 * f[0]),
-            self.dot(((a0, b1), (a1, b0)), c4 * t[1] - c3 * f[1]),
-            self.dot(((a0, b2), (a1, b1), (a2, b0)), c4 * t[2] - c3 * f[2]),
-        )
-
-    def one(self):
-        return (np.ones_like(self.m), np.zeros_like(self.m), np.zeros_like(self.m))
-
-    def pow(self, a, e):
-        return pow_lanes(self.one(), e, lambda r: self.mul(r, r), lambda r: self.mul(r, a))
-
-    def xpow(self, e):
-        """theta^e lane by lane: multiplying by theta is a shift."""
-        return pow_lanes(self.one(), e, lambda r: self.mul(r, r), self.times_x)
-
-    def frobenius(self, a, s1, s2):
-        """a0 + a1*theta + a2*theta^2 -> a0 + a1*s1 + a2*s2 (see _frobenius)."""
-        a0, a1, a2 = a
-        return (
-            self.dot(((a1, s1[0]), (a2, s2[0])), a0),
-            self.dot(((a1, s1[1]), (a2, s2[1]))),
-            self.dot(((a1, s1[2]), (a2, s2[2]))),
-        )
-
-    def times_x(self, g):
-        f0, f1, f2 = self.f
-        m = self.m
-        return ((-f0 * g[2]) % m, (g[0] - f1 * g[2]) % m, (g[1] - f2 * g[2]) % m)
-
-    def inverse(self, g):
-        """Inverse of g from the adjugate (see _adjugate) for prime moduli p;
-        ArithmeticError when the norm of g is 0 mod p in a lane."""
-        p = self.m
-        gx = self.times_x(g)
-        (m00, m10, m20), (m01, m11, m21), (m02, m12, m22) = g, gx, self.times_x(gx)
-        c0 = (m11 * m22 - m12 * m21) % p
-        c1 = (m12 * m20 - m10 * m22) % p
-        c2 = (m10 * m21 - m11 * m20) % p
-        det = (m00 * c0 + m01 * c1 + m02 * c2) % p
-        if not det.all():
-            raise ArithmeticError(f"element is not invertible mod {p[det == 0][0]}")
-        d = Lanes(p).pow(det, p - 2)
-        return (c0 * d % p, c1 * d % p, c2 * d % p)
+def _inverse_lanes(ring: RingLanes, g):
+    """Inverse of g in a cubic ring over prime moduli p, from the adjugate (see
+    _adjugate); ArithmeticError when the norm of g is 0 mod p in a lane."""
+    p = ring.m
+    gx = ring.times_x(g)
+    (m00, m10, m20), (m01, m11, m21), (m02, m12, m22) = g, gx, ring.times_x(gx)
+    c0 = (m11 * m22 - m12 * m21) % p
+    c1 = (m12 * m20 - m10 * m22) % p
+    c2 = (m10 * m21 - m11 * m20) % p
+    det = (m00 * c0 + m01 * c1 + m02 * c2) % p
+    if not det.all():
+        raise ArithmeticError(f"element is not invertible mod {p[det == 0][0]}")
+    d = Lanes(p).pow(det, p - 2)
+    return (c0 * d % p, c1 * d % p, c2 * d % p)
 
 
 def _equals(a, c):
@@ -522,8 +458,8 @@ def _z_lanes(unit, inv, f, p, xp):
     """_z_coeffs lane by lane, with the same guards: z at the primes p where
     theta^p mod (f, p) is xp, for the exact unit and its exact inverse."""
     m = p * p
-    rp = _CubicLanes(f, p)
-    rm = _CubicLanes(f, m)
+    rp = RingLanes(f, p)
+    rm = RingLanes(f, m)
     f0, f1, f2 = f
     # sigma(theta) mod p^2: one Newton step t - f(t)/f'(t) from t = theta^p.
     t2 = rm.mul(xp, xp)
@@ -534,16 +470,16 @@ def _z_lanes(unit, inv, f, p, xp):
     if bad.any():
         raise ArithmeticError(f"theta^p is not a root of f mod {p[bad][0]}: corrupt inputs")
     xp2 = tuple(c % p for c in t2)
-    bad = _equals(xp, (0, 1, 0)) | _equals(rp.frobenius(xp, xp, xp2), (0, 1, 0))
+    bad = _equals(xp, (0, 1, 0)) | _equals(rp.apply(xp, (xp, xp2)), (0, 1, 0))
     if bad.any():
         raise ArithmeticError(f"p={p[bad][0]} is not inert: theta^p or theta^(p^2) is theta")
     dt = [(3 * xp2[i] + 2 * f2 * xp[i]) % p for i in range(3)]
     dt[0] = (dt[0] + f1) % p
-    step = rp.mul(tuple(c // p for c in ft), rp.inverse(dt))
+    step = rp.mul(tuple(c // p for c in ft), _inverse_lanes(rp, dt))
     s1 = tuple((c - p * s) % m for c, s in zip(xp, step))
     s2 = rm.mul(s1, s1)
     u = tuple(c % m for c in unit)
-    w = rm.mul(rm.pow(u, p), rm.frobenius(tuple(c % m for c in inv), s1, s2))
+    w = rm.mul(rm.pow(u, p), rm.apply(tuple(c % m for c in inv), (s1, s2)))
     d0 = w[0] - 1
     bad = ~_equals((d0 % p, w[1] % p, w[2] % p), (0, 0, 0))
     if bad.any():
@@ -552,14 +488,15 @@ def _z_lanes(unit, inv, f, p, xp):
             "this indicates corrupt inputs"
         )
     sz = (d0 // p, w[1] // p, w[2] // p)
-    return rp.frobenius(rp.frobenius(sz, xp, xp2), xp, xp2)
+    return rp.apply(rp.apply(sz, (xp, xp2)), (xp, xp2))
 
 
 def _classify_lanes(rec: CubicFieldRecord, mode: str, primes: np.ndarray) -> Block:
     """classify_cubic_prime for every prime of the int64 array."""
     if mode not in (MODE_H2, MODE_ORDINARY):
         raise ValueError(f"unknown mode {mode!r}")
-    P = prime_lanes(primes, _batch_ok(rec))
+    P = prime_lanes(primes, ring_fits_int64(
+        rec.spec.reduction, (*rec.unit, *rec.unit_inverse, rec.delta, rec.class_number_e or 0)))
     code = np.full(len(P), CLEAR_CODE, dtype=np.int8)  # clear marks the lanes still live
 
     def exclude(lanes, reason):
@@ -580,7 +517,7 @@ def _classify_lanes(rec: CubicFieldRecord, mode: str, primes: np.ndarray) -> Blo
     exclude(live[nonresidue], "frob_order_not_3")
     live, p = live[~nonresidue], p[~nonresidue]
     f = rec.spec.reduction
-    xp = _CubicLanes(f, p).xpow(p)
+    xp = RingLanes(f, p).xpow(p)
     split = _equals(xp, (0, 1, 0))
     exclude(live[split], "frob_order_not_3")
     live, p, xp = live[~split], p[~split], tuple(c[~split] for c in xp)
@@ -588,7 +525,7 @@ def _classify_lanes(rec: CubicFieldRecord, mode: str, primes: np.ndarray) -> Blo
     zero = _equals(z, (0, 0, 0))
     if mode == MODE_ORDINARY:
         exclude(live[zero], "z_zero")
-        lanes = _CubicLanes(f, p)
+        lanes = RingLanes(f, p)
         cube = lanes.mul(lanes.mul(z, z), z)
         hit = ~zero & (cube[1] == 0) & (cube[2] == 0)
     else:

@@ -2,9 +2,10 @@
 
 The order is described by the monic integer polynomial f that theta
 satisfies (degree 2 or 3).  Ring elements are coefficient vectors on the
-power basis 1, theta, theta^2, with entries reduced into [0, m) for
-m = p^k.  Reduction by f is hard-coded per degree (closed forms for x^2,
-x^3, x^4), which keeps the power maps used by the scanners cheap.
+power basis 1, theta[, theta^2], with entries reduced into [0, m) for m = p^k.
+The ring (Z/m)[x]/(f) is written once per side: on tuples (the scalar
+references) by the products mul2 and mul3 under the one power loop poly_pow,
+and lane by lane (the scans) by RingLanes, for both degrees.
 """
 
 from __future__ import annotations
@@ -20,11 +21,13 @@ __all__ = [
     "poly_discriminant",
     "mul2",
     "mul3",
-    "pow2",
-    "pow3",
+    "poly_pow",
     "Lanes",
     "prime_lanes",
     "pow_lanes",
+    "fold_rows",
+    "ring_fits_int64",
+    "RingLanes",
 ]
 
 
@@ -70,7 +73,7 @@ class OrderSpec:
 
     @property
     def reduction(self) -> tuple[int, ...]:
-        """Non-leading coefficients (f0, f1[, f2]), as consumed by the mul/pow kernels."""
+        """Non-leading coefficients (f0, f1[, f2]): the f of every ring function here."""
         return self.defining_poly[:-1]
 
 
@@ -102,55 +105,19 @@ def mul3(a, b, f, m):
     )
 
 
-def pow2(a, e, f, m):
-    """a^e in (Z/m)[x]/(x^2 + f1 x + f0) by binary exponentiation; e >= 0."""
+def poly_pow(a, e, f, m):
+    """a^e in (Z/m)[x]/(f) by binary exponentiation, for exponents e >= 0 of
+    any size and f = (f0, f1) or (f0, f1, f2), the degree being len(f)."""
     if e < 0:
         raise ValueError(f"exponent must be non-negative, got {e}")
-    f0, f1 = f
-    r0, r1 = 1 % m, 0
-    b0, b1 = a[0] % m, a[1] % m
-    while e:
-        if e & 1:
-            t = r1 * b1
-            r0, r1 = (r0 * b0 - f0 * t) % m, (r0 * b1 + r1 * b0 - f1 * t) % m
-        e >>= 1
-        if e:
-            t = b1 * b1
-            b0, b1 = (b0 * b0 - f0 * t) % m, (2 * b0 * b1 - f1 * t) % m
-    return r0, r1
-
-
-def pow3(a, e, f, m):
-    """Binary exponentiation in (Z/m)[x]/(f); exponents e >= 0 of any size."""
-    if e < 0:
-        raise ValueError(f"exponent must be non-negative, got {e}")
-    f0, f1, f2 = f
-    t2 = f2 * f2 - f1
-    t1 = f2 * f1 - f0
-    t0 = f2 * f0
-    r0, r1, r2 = 1 % m, 0, 0
-    b0, b1, b2 = a[0] % m, a[1] % m, a[2] % m
-    while e:
-        if e & 1:
-            c0 = r0 * b0
-            c1 = r0 * b1 + r1 * b0
-            c2 = r0 * b2 + r1 * b1 + r2 * b0
-            c3 = r1 * b2 + r2 * b1
-            c4 = r2 * b2
-            r0 = (c0 - c3 * f0 + c4 * t0) % m
-            r1 = (c1 - c3 * f1 + c4 * t1) % m
-            r2 = (c2 - c3 * f2 + c4 * t2) % m
-        e >>= 1
-        if e:
-            c0 = b0 * b0
-            c1 = 2 * b0 * b1
-            c2 = 2 * b0 * b2 + b1 * b1
-            c3 = 2 * b1 * b2
-            c4 = b2 * b2
-            b0 = (c0 - c3 * f0 + c4 * t0) % m
-            b1 = (c1 - c3 * f1 + c4 * t1) % m
-            b2 = (c2 - c3 * f2 + c4 * t2) % m
-    return r0, r1, r2
+    mul = mul2 if len(f) == 2 else mul3
+    a = tuple(c % m for c in a)
+    r = a if e else (1 % m,) + (0,) * (len(f) - 1)
+    for bit in bin(e)[3:]:  # left to right over the bits after the leading one
+        r = mul(r, r, f, m)
+        if bit == "1":
+            r = mul(r, a, f, m)
+    return r
 
 
 # -- lane arithmetic: one numpy lane per modulus -------------------------------
@@ -172,7 +139,7 @@ def prime_lanes(primes, fits_int64=True):
 def pow_lanes(r, e, square, times):
     """Binary powering lane by lane, from r = one and left to right over the
     bits of e >= 0: a set bit applies times to r, and each bit but the last
-    squares it.  r is an array or a triple that np.where stacks into one."""
+    squares it.  r is an array or a tuple that np.where stacks into one."""
     for k in reversed(range(int(e.max(initial=0)).bit_length())):
         r = np.where((e >> k) & 1 == 1, times(r), r)
         if k:
@@ -217,3 +184,61 @@ class Lanes:
         return pow_lanes(
             np.ones_like(self.m), e, lambda r: self.dot(((r, r),)), lambda r: self.dot(((r, a),))
         )
+
+
+def fold_rows(f) -> list[tuple[int, ...]]:
+    """x^d, ..., x^(2d-2) mod the monic f of degree d = len(f), as exact rows."""
+    rows = [tuple(-c for c in f)]
+    while len(rows) < len(f) - 1:
+        rows.append(tuple(lo - rows[-1][-1] * c for lo, c in zip((0,) + rows[-1][:-1], f)))
+    return rows
+
+
+def ring_fits_int64(f, exact=()) -> bool:
+    """RingLanes(f, m) is exact on int64 lanes, and so is a kernel whose other
+    inputs, each entering as x % m, are those of exact: every column sum of
+    |fold_rows(f)| is below 2^12, keeping the fold term under the 2^62 extra
+    term of Lanes.dot for residues below 2^50, and every |x| is below 2^63."""
+    fold = max(sum(map(abs, column)) for column in zip(*fold_rows(f)))
+    return fold < 1 << 12 and all(abs(x) < 1 << 63 for x in exact)
+
+
+class RingLanes(Lanes):
+    """(Z/m)[x]/(f) lane by lane, for a monic f of degree d = len(f) in {2, 3},
+    on d-tuples of residue arrays in [0, m).  A product is schoolbook, and its
+    coefficients of x^d, ..., x^(2d-2) fold back by the exact fold_rows as the
+    extra term of Lanes.dot (on int64 lanes, see ring_fits_int64)."""
+
+    def __init__(self, f, m):
+        super().__init__(m)
+        self.d = d = len(f)
+        self.rows = fold_rows(f)
+        self.one = (np.ones_like(m),) + (np.zeros_like(m),) * (d - 1)
+        # the pairs (i, j) of a_i * b_j in x^k, and (k, j, c) for each entry c != 0 of row j
+        self.pairs = [[(i, k - i) for i in range(max(0, k - d + 1), min(k, d - 1) + 1)]
+                      for k in range(2 * d - 1)]
+        self.folds = [(k, j, r[k]) for k in range(d) for j, r in enumerate(self.rows) if r[k]]
+
+    def mul(self, a, b):
+        terms = [[(a[i], b[j]) for i, j in ij] for ij in self.pairs]
+        high = [self.dot(t) for t in terms[self.d:]]
+        extra = [None] * self.d  # sum of c * high[j] over the (k, j, c), no product for c = 1
+        for k, j, c in self.folds:
+            x = high[j] if c == 1 else high[j] * c
+            extra[k] = x if extra[k] is None else extra[k] + x
+        return tuple(self.dot(t, x) for t, x in zip(terms, extra))
+
+    def pow(self, a, e):
+        return pow_lanes(self.one, e, lambda r: self.mul(r, r), lambda r: self.mul(r, a))
+
+    def xpow(self, e):
+        """x^e lane by lane: multiplying by x is a shift."""
+        return pow_lanes(self.one, e, lambda r: self.mul(r, r), self.times_x)
+
+    def times_x(self, g):
+        return tuple((lo + g[-1] * c) % self.m for lo, c in zip((0, *g[:-1]), self.rows[0]))
+
+    def apply(self, a, images):
+        """a0 + a1 x + ... -> a0 + a1 s1 + ..., for the images s1, ... of x, ..., x^(d-1)."""
+        return tuple(self.dot([(c, s[k]) for c, s in zip(a[1:], images)], None if k else a[0])
+                     for k in range(self.d))

@@ -22,7 +22,8 @@ import numpy as np
 
 from ._data import DataFileError, data_path, read_table_rows
 from ._parallel import run_chunked
-from .order_arith import Lanes, OrderSpec, pow2, pow_lanes, prime_lanes
+# pow2 is poly_pow, called through this module global: the benchmark traces that name
+from .order_arith import Lanes, OrderSpec, RingLanes, poly_pow as pow2, prime_lanes, ring_fits_int64
 from .primes import PrimeRange, prime_divisors, primes_in
 from .report import (CLEAR, CLEAR_CODE, CODES, EXCLUDED, HIT, HIT_CODE, Block, ScanReport,
                      Verdict, assemble_report)
@@ -221,28 +222,11 @@ def classify_quad_prime(rec: QuadFieldRecord, p: int) -> Verdict:
     return Verdict(p, HIT if pow2(eps, p, rec.reduction, m) == sigma else CLEAR)
 
 
-class _QuadLanes(Lanes):
-    """(Z/m)[x]/(x^2 + f1 x + f0) lane by lane, on pairs of residues in [0, m)."""
-
-    def __init__(self, f, m):
-        super().__init__(m)
-        self.nf = tuple((-c) % m for c in f)
-
-    def mul(self, a, b):
-        (a0, a1), (b0, b1), (nf0, nf1) = a, b, self.nf
-        t = self.dot(((a1, b1),))
-        return self.dot(((a0, b0), (t, nf0))), self.dot(((a0, b1), (a1, b0), (t, nf1)))
-
-    def pow(self, a, e):
-        one = (np.ones_like(self.m), np.zeros_like(self.m))
-        return pow_lanes(one, e, lambda r: self.mul(r, r), lambda r: self.mul(r, a))
-
-
 def _classify_lanes(rec: QuadFieldRecord, primes: np.ndarray) -> Block:
     """classify_quad_prime for every prime of the int64 array."""
     u = rec.unit
-    # int64 lanes need these below 2^63: they enter only as x % p or x % p^2
-    P = prime_lanes(primes, max(map(abs, (u.a, u.b, rec.field_disc, rec.class_number))) < 1 << 63)
+    exact = (u.a, u.b, rec.field_disc, rec.class_number)  # each enters as x % p or x % p^2
+    P = prime_lanes(primes, ring_fits_int64(rec.reduction, exact))
     code = np.full(len(P), CLEAR_CODE, dtype=np.int8)  # clear marks the lanes still live
     # the exclusions in the order classify_quad_prime applies them, as in CODES
     excluded = (P < MIN_SCAN_PRIME, rec.field_disc % P == 0, rec.class_number % P == 0)
@@ -254,7 +238,7 @@ def _classify_lanes(rec: QuadFieldRecord, primes: np.ndarray) -> Block:
     eps = (u.a % m, u.b % m)
     inert = Lanes(p).pow(rec.d % p, (p - 1) >> 1) != 1
     sigma = [np.where(inert, c, e) for c, e in zip(_conjugate(rec.d, *eps, m), eps)]
-    w = _QuadLanes(rec.reduction, m).pow(eps, p)
+    w = RingLanes(rec.reduction, m).pow(eps, p)
     code[live[(w[0] == sigma[0]) & (w[1] == sigma[1])]] = HIT_CODE
     return Block.of(primes, code)
 

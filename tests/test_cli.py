@@ -128,9 +128,13 @@ def test_heuristics_mult_dist(runner):
 
 
 def test_heuristics_mertens(runner):
-    res = runner.invoke(main, ["heuristics", "mertens", "--x", "10"])
+    # sum 1/p over p <= 10; the mertens command printed the same sum and is gone
+    res = runner.invoke(main, ["heuristics", "expected-count", "--x", "10"])
     assert res.exit_code == 0
     assert "1.176190476" in res.stdout
+    assert runner.invoke(main, ["heuristics", "mertens", "--x", "10"]).exit_code == 2
+    res = runner.invoke(main, ["heuristics", "expected-count", "--x", "1e1"])
+    assert res.exit_code == 0 and "1.176190476" in res.stdout
 
 
 def test_verify_tables_h5(runner):
@@ -143,6 +147,11 @@ def test_verify_tables_quad(runner):
     res = runner.invoke(main, ["verify-tables", "--table", "quad", "--workers", "1"])
     assert res.exit_code == 0
     assert "excluded by design" in res.stdout
+    # a bound in exponent form: 1e4 covers the stored table as the default 9999 does
+    command = ["verify-tables", "--table", "quad", "--workers", "1", "--pmax"]
+    short = runner.invoke(main, command + ["1e4"])
+    assert short.exit_code == 0 and short.stdout == res.stdout
+    assert runner.invoke(main, command + ["1.5e3"]).exit_code == 2
 
 
 def test_bad_arguments_exit_2(runner):
@@ -161,12 +170,31 @@ def test_bad_arguments_exit_2(runner):
 @pytest.mark.parametrize(
     "bounds",
     [["--pmin", "100", "--pmax", "50"], ["--pmin", "1", "--pmax", "50"],
-     ["--pmin", "3", "--pmax", "1000000001"]],
-    ids=["pmax_below_pmin", "pmin_below_2", "pmax_above_limit"],
+     ["--pmin", "3", "--pmax", "1000000001"], ["--pmax", "2e9"], ["--pmax", "1.5e3"],
+     ["--pmax", "abc"], ["--pmax", "1e"], ["--pmax", "5.0"], ["--pmin", "1e100"]],
+    ids=["pmax_below_pmin", "pmin_below_2", "pmax_above_limit", "pmax_above_limit_exponent",
+         "pmax_fraction_exponent", "pmax_not_a_number", "pmax_no_exponent", "pmax_decimal",
+         "pmin_exponent_too_long"],
 )
 def test_bad_range_exit_2(runner, command, bounds):
     res = runner.invoke(main, command + bounds + ["--workers", "1"])
     assert res.exit_code == 2, res.output
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["scan-quad", "--d", "2"], ["scan-cubic", "--delta", "-23", "--mode", "h2"], ["wieferich"]],
+    ids=["scan-quad", "scan-cubic", "wieferich"],
+)
+def test_bounds_in_exponent_form(runner, command):
+    # 2e1 and 5E+1 are 20 and 50: the same report as the plain integers
+    plain = runner.invoke(main, command + ["--pmin", "20", "--pmax", "50", "--workers", "1"])
+    short = runner.invoke(main, command + ["--pmin", "2e1", "--pmax", "5E+1", "--workers", "1"])
+    assert plain.exit_code == short.exit_code == 0, short.output
+    assert short.stdout == plain.stdout
+    # 1e9 is the range limit itself
+    res = runner.invoke(main, command + ["--pmin", "1e9", "--pmax", "1e9", "--workers", "1"])
+    assert res.exit_code == 0, res.output
 
 
 def test_missing_data_dir_exit_3(runner, tmp_path):

@@ -26,17 +26,14 @@ from unitscan.cubic import (
     real_root,
     scan_cubic,
     z_value,
-    _FOLD_MAX,
-    _batch_ok,
     _classify_lanes,
     _cubic_chunk,
     _embed,
-    _fold_coeffs,
     _z_coeffs,
     _z_cubed_in_fp,
     _z_lanes,
 )
-from unitscan.order_arith import MULMOD_PMAX, OrderSpec, pow3
+from unitscan.order_arith import MULMOD_PMAX, OrderSpec, fold_rows, poly_pow, ring_fits_int64
 from unitscan.primes import RANGE_LIMIT, PrimeRange, prime_divisors, primes_in
 from unitscan.report import CLEAR, EXCLUDED, HIT, assemble_report
 
@@ -266,8 +263,8 @@ def test_z_exponent_split(cubic_records):
         f = rec.spec.reduction
         fm = tuple(c % m for c in f)
         u = tuple(c % m for c in rec.unit)
-        direct = pow3(u, p**3 - 1, fm, m)
-        step = pow3(pow3(u, p - 1, fm, m), p * p + p + 1, fm, m)
+        direct = poly_pow(u, p**3 - 1, fm, m)
+        step = poly_pow(poly_pow(u, p - 1, fm, m), p * p + p + 1, fm, m)
         assert direct == step
 
 
@@ -295,7 +292,7 @@ def test_z_rejects_inconsistent_inputs(cubic_records):
         _z_coeffs(rec.unit, f, 7)  # Frobenius order 2
     fp = tuple(c % p for c in f)
     with pytest.raises(ArithmeticError, match="not 1 mod"):
-        _z_coeffs(rec.unit, f, p, pow3((0, 1, 0), p * p, fp, p))  # theta^(p^2), not theta^p
+        _z_coeffs(rec.unit, f, p, poly_pow((0, 1, 0), p * p, fp, p))  # theta^(p^2), not theta^p
 
 
 def test_z_and_ordinary_match_naive_oracle(cubic_records):
@@ -335,7 +332,7 @@ def test_ordinary_criterion_exhaustive(cubic_records):
         if z == (0, 0, 0):
             continue
         cubed = _z_cubed_in_fp(z, fp, p)
-        assert cubed == (pow3(z, 3 * (p - 1), fp, p) == (1, 0, 0)), z
+        assert cubed == (poly_pow(z, 3 * (p - 1), fp, p) == (1, 0, 0)), z
         passed += cubed
     assert passed == 3 * (p - 1)
 
@@ -378,6 +375,18 @@ def test_h2_clear_everywhere_small(cubic_records):
 
 # -- scan behaviour ---------------------------------------------------------------------
 
+def _int64_ok(rec):
+    """The shared int64 rule on the record: its fold rows, and the integers
+    the kernel reads exactly."""
+    ints = (*rec.unit, *rec.unit_inverse, rec.delta, rec.class_number_e or 0)
+    return ring_fits_int64(rec.spec.reduction, ints)
+
+
+def _fold_sum(f):
+    """The largest sum over the fold rows of |row[k]|."""
+    return max(sum(abs(r[k]) for r in fold_rows(f)) for k in range(len(f)))
+
+
 def _reference_report(rec, rng, mode):
     """The report assembled from classify_cubic_prime, one prime at a time."""
     verdicts = block_of(classify_cubic_prime(rec, p, mode) for p in primes_in(rng))
@@ -400,7 +409,7 @@ def test_scan_matches_classify(delta, cubic_records):
     # the batch kernel against the readable classifier on every prime to the
     # scan bounds of the paper's tables: full verdicts and checksums
     rec = cubic_records[delta]
-    assert _batch_ok(rec)
+    assert _int64_ok(rec)
     for mode, pmax in ((MODE_ORDINARY, 200_000), (MODE_H2, 100_000)):
         rng = PrimeRange(2, pmax)
         rep = scan_cubic(rec, rng, mode=mode, full_verdicts=True)
@@ -488,10 +497,11 @@ def test_batch_bound_straddles_2_25(cubic_records, kernel_calls):
     primes = list(primes_in(rng))
     below = [p for p in primes if p < MULMOD_PMAX]
     assert below and len(below) < len(primes)
-    # -23 as shipped, and shifted by 6: |f_i| + |t_i| = 3971, near the fold bound
+    # -23 as shipped, and shifted by 6: a fold column sum of 3971, near the 2^12 bound
+    assert _fold_sum(_shifted_record(cubic_records[-23], 6).spec.reduction) == 3971
     records = (cubic_records[-23], _shifted_record(cubic_records[-23], 6))
     for rec in records:
-        assert _batch_ok(rec)
+        assert _int64_ok(rec)
         for mode in (MODE_H2, MODE_ORDINARY):
             # the primes below 2^25 alone take int64 lanes; each lane of the
             # block matches the scalar classifier on status, reason and aux
@@ -516,10 +526,10 @@ def test_large_coefficients_take_python_int_lanes(cubic_records, kernel_calls):
     big_power = CubicFieldRecord(-23, rec23.spec, rec23.ramified, None, big_unit, "derived")
     shifted = _shifted_record(rec23, 7)  # f2 * f0 = 7035 > 2^12
     f7 = shifted.spec.reduction
-    assert max(abs(a) + abs(b) for a, b in zip(f7, _fold_coeffs(f7))) >= _FOLD_MAX
+    assert _fold_sum(f7) >= 1 << 12
     huge_h = CubicFieldRecord(-23, rec23.spec, rec23.ramified, 1 << 70, rec23.unit, "derived")
     records = (big_power, shifted, huge_h)
-    assert not any(map(_batch_ok, records))
+    assert not any(map(_int64_ok, records))
     rng = PrimeRange(2, 3000)
     _check_window(records, rng, kernel_calls)
     # the shifted model is the same field: same hits and clears as shipped
@@ -541,7 +551,7 @@ def test_z_lanes_rejects_what_z_coeffs_rejects(cubic_records):
     inv = rec.unit_inverse
 
     def xp_of(p, e):
-        return pow3((0, 1, 0), e, tuple(c % p for c in f), p)
+        return poly_pow((0, 1, 0), e, tuple(c % p for c in f), p)
 
     def lanes(p_bad, xp_bad):
         p = np.array([13, p_bad], dtype=np.int64)
@@ -630,7 +640,7 @@ def test_frobenius_density_at_one_million(cubic_records):
             counts[2] += 1
             continue
         fp = (f[0] % p, f[1] % p, f[2] % p)
-        if pow3(x, p, fp, p) == x:
+        if poly_pow(x, p, fp, p) == x:
             counts[1] += 1
         else:
             counts[3] += 1

@@ -9,13 +9,15 @@ from unitscan.order_arith import (
     MULMOD_PMAX,
     Lanes,
     OrderSpec,
+    RingLanes,
+    fold_rows,
     mul2,
     mul3,
     poly_discriminant,
-    pow2,
-    pow3,
+    poly_pow,
     pow_lanes,
     prime_lanes,
+    ring_fits_int64,
 )
 from unitscan.primes import RANGE_LIMIT, PrimeRange, primes_in
 
@@ -30,7 +32,7 @@ def mul(a, b, spec, m):
 
 
 def power(a, e, spec, m):
-    return (pow2 if spec.degree == 2 else pow3)(a, e, spec.reduction, m)
+    return poly_pow(a, e, spec.reduction, m)
 
 
 def add(a, b, m):
@@ -66,9 +68,9 @@ def test_pow_examples():
 def test_pow_rejects_negative_exponent():
     # a negative e never reaches 0 under e >>= 1, so the loop would not end
     with pytest.raises(ValueError):
-        pow2((1, 1), -1, (-2, 0), 25)
+        poly_pow((1, 1), -1, (-2, 0), 25)
     with pytest.raises(ValueError):
-        pow3((0, 1, 0), -5, X3_CLASSIC.reduction, 49)
+        poly_pow((0, 1, 0), -5, X3_CLASSIC.reduction, 49)
 
 
 def test_pow_huge_exponent_runs():
@@ -275,3 +277,67 @@ def test_pow_lanes_on_pairs_matches_builtin_pow():
     )
     assert r[0].tolist() == [pow(x, y, k) for x, y, k in zip(a.tolist(), e.tolist(), ms)]
     assert r[1].tolist() == [pow(x, y, k) for x, y, k in zip(b.tolist(), e.tolist(), ms)]
+
+
+# -- the lane ring -----------------------------------------------------------------
+
+# reductions (f0, f1[, f2]) of monic f; the "bound" ones have a fold row sum
+# of 4095 = 2^12 - 1, the largest that int64 lanes take
+RING_POLYS = {
+    "x2-2": (-2, 0),
+    "x2-x-1": (-1, -1),
+    "x2-4095x+4095 bound": (4095, -4095),
+    "x3-x-1": (-1, -1, 0),
+    "x3+x2+x-2": (-2, 1, 1),
+    "x3+4095 bound": (4095, 0, 0),
+    "x3-23 shifted by 6": (209, 107, 18),
+}
+
+
+def test_fold_rows_and_int64_rule():
+    assert fold_rows((-2, 0)) == [(2, 0)]
+    assert fold_rows((-1, -1, 0)) == [(1, 1, 0), (0, 1, 1)]  # x^3 = 1 + x, x^4 = x + x^2
+    assert fold_rows((209, 107, 18)) == [(-209, -107, -18), (3762, 1717, 217)]
+    for f in RING_POLYS.values():
+        assert ring_fits_int64(f)
+    assert ring_fits_int64((-2, 0), ((1 << 63) - 1, -(1 << 63) + 1))
+    assert not ring_fits_int64((-2, 0), (1 << 63,))
+    assert not ring_fits_int64((-2, 0), (-(1 << 63),))
+    # one past the bound, in either row, sends a ring to Python-int lanes
+    for f in ((-4096, 0), (0, 4096), (4096, 0, 0), (0, 0, 64),
+              (335, 146, 21)):  # x^3 - x - 1 shifted by 7
+        assert not ring_fits_int64(f), f
+
+
+def _transpose(lanes):
+    return list(zip(*(c.tolist() for c in lanes)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("f", RING_POLYS.values(), ids=RING_POLYS.keys())
+def test_ring_lanes_match_scalar(kind, f):
+    # mul, pow, xpow and apply, one lane per modulus, against the scalar
+    # products and poly_pow; the first lanes hold 0 and all-(m - 1) elements
+    rng = random.Random(43)
+    ms = moduli(kind)
+    d = len(f)
+    ring = RingLanes(f, lanes_of(ms, kind))
+    scalar_mul = mul2 if d == 2 else mul3
+
+    def elements():
+        """One element per lane, as tuples and as the ring's lanes."""
+        out = [(0,) * d, (ms[1] - 1,) * d] + [tuple(rng.randrange(m) for _ in range(d))
+                                              for m in ms[2:]]
+        return out, tuple(lanes_of([x[k] for x in out], kind) for k in range(d))
+
+    (a, la), (b, lb) = elements(), elements()
+    assert _transpose(ring.mul(la, lb)) == [scalar_mul(x, y, f, m) for x, y, m in zip(a, b, ms)]
+    exps = [0, 1, 2] + [rng.randrange(1 << rng.randint(2, 40)) for _ in ms[3:]]
+    e = lanes_of(exps, kind)
+    assert _transpose(ring.pow(la, e)) == [poly_pow(x, k, f, m) for x, k, m in zip(a, exps, ms)]
+    x = (0, 1) + (0,) * (d - 2)
+    assert _transpose(ring.xpow(e)) == [poly_pow(x, k, f, m) for k, m in zip(exps, ms)]
+    images = [elements() for _ in range(d - 1)]
+    want = [tuple((c[0] * (k == 0) + sum(c[i] * s[0][j][k] for i, s in enumerate(images, 1))) % m
+                  for k in range(d)) for j, (c, m) in enumerate(zip(a, ms))]
+    assert _transpose(ring.apply(la, [s[1] for s in images])) == want

@@ -25,7 +25,7 @@ from unitscan.quadratic import (
     _classify_lanes,
     _quad_chunk,
 )
-from unitscan.order_arith import MULMOD_PMAX, pow2
+from unitscan.order_arith import MULMOD_PMAX, poly_pow
 from unitscan.primes import RANGE_LIMIT
 from unitscan.report import CLEAR, EXCLUDED, HIT, HIT_CODE, Block, Verdict, assemble_report
 
@@ -95,7 +95,7 @@ def test_fermat_sanity(quad_records):
         for p in (3, 5, 7, 11, 13, 101, 997):
             if rec.field_disc % p == 0:
                 continue
-            assert pow2((rec.unit.a, rec.unit.b), p * p - 1, f, p) == (1, 0)
+            assert poly_pow((rec.unit.a, rec.unit.b), p * p - 1, f, p) == (1, 0)
 
 
 @pytest.fixture
@@ -209,8 +209,11 @@ def test_large_unit_takes_python_int_lanes(quad_records, kernel_calls):
         a, b = a + 2 * b, a + b
     assert max(a, b) >= 1 << 63
     rec = quad_field_record(2, 1, QuadUnit(a, b, unit_norm(2, a, b)))
+    # Q(sqrt 4098), h = 6: a small unit, but x^2 - 4098 folds by a row of 4098 >= 2^12
+    wide = quad_field_record(4098, 6)
+    assert wide.unit == QuadUnit(4097, 64, 1) and wide.reduction == (-4098, 0)
     rng = PrimeRange(2, 3000)
-    _check_window({2: rec}, rng, kernel_calls)
+    _check_window({2: rec, 4098: wide}, rng, kernel_calls)
     rep = scan_quadratic(rec, rng, full_verdicts=True)
     assert [v.p for v in rep.hits] == [3, 13, 17, 31]
     assert [p for p in rep.clears if quad_hit_naive(2, a, b, p)] == []

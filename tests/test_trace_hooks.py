@@ -14,7 +14,7 @@ from unitscan.report import EXCLUDED
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_trace_hooks_resolve(monkeypatch, quad_records):
+def test_trace_hooks_resolve(monkeypatch, quad_records, cubic_records):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
     tracer = tracing.Tracer()
@@ -23,13 +23,16 @@ def test_trace_hooks_resolve(monkeypatch, quad_records):
         assert quadratic._quad_chunk is not before
         tracer.enter()
         quadratic.scan_quadratic(quad_records[2], PrimeRange(3, 200))
-        # the scan runs on lanes; pow2 is the power of the scalar reference
+        # the scans run on lanes; pow2 and pow3 are the scalar references' powers,
+        # the one order_arith.poly_pow bound to those module globals
         quadratic.classify_quad_prime(quad_records[2], 13)
+        cubic.classify_cubic_prime(cubic_records[-23], 13, cubic.MODE_H2)  # 13 is inert
         tracer.exit(tracing.ROOT)
     assert quadratic._quad_chunk is before
     for span in ("quadratic.scan", "quadratic.chunk", "primes.sieve"):
         assert tracer.calls[span] > 0, span
-    assert tracer.calls["order_arith.pow2"] > 0
+    for span in ("order_arith.pow2", "order_arith.pow3.inert", "order_arith.pow3.z"):
+        assert tracer.calls[span] > 0, span
 
 
 def test_wieferich_trace_hooks_resolve(monkeypatch):
