@@ -400,6 +400,8 @@ def ordinary_test(rec: CubicFieldRecord, p: int) -> bool:
 def classify_cubic_prime(rec: CubicFieldRecord, p: int, mode: str) -> Verdict:
     """Per-prime verdict: the readable reference that the tests check the
     scans' batch kernel against."""
+    if mode not in (MODE_H2, MODE_ORDINARY):
+        raise ValueError(f"unknown mode {mode!r}")
     reason = hyp_filter(rec, p)
     if reason is not None:
         return Verdict(p, EXCLUDED, reason=reason)
@@ -411,17 +413,11 @@ def classify_cubic_prime(rec: CubicFieldRecord, p: int, mode: str) -> Verdict:
     if xp is None:
         return Verdict(p, EXCLUDED, reason="frob_order_not_3")
     z = _z_coeffs(rec.unit, f, p, xp, rec.unit_inverse)
-    if mode == MODE_H2:
-        if z == (0, 0, 0):
-            return Verdict(p, HIT, aux=z)
-        return Verdict(p, CLEAR)
-    if mode == MODE_ORDINARY:
-        if z == (0, 0, 0):
-            return Verdict(p, EXCLUDED, reason="z_zero")
-        if _z_cubed_in_fp(z, fp, p):
-            return Verdict(p, HIT, aux=z)
-        return Verdict(p, CLEAR)
-    raise ValueError(f"unknown mode {mode!r}")
+    if z == (0, 0, 0):
+        return Verdict(p, HIT, aux=z) if mode == MODE_H2 else Verdict(p, EXCLUDED, reason="z_zero")
+    if mode == MODE_ORDINARY and _z_cubed_in_fp(z, fp, p):
+        return Verdict(p, HIT, aux=z)
+    return Verdict(p, CLEAR)
 
 
 # -- batched scan kernel ---------------------------------------------------------

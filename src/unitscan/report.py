@@ -190,58 +190,40 @@ def assemble_report(
 
 # -- serialization ------------------------------------------------------------
 
+# ScanReport fields that JSON carries under their own names, and the counters,
+# which a report file may lack (they load as None).
+_JSON_FIELDS = ("version", "mode", "workers", "wall_time", "checksum")
+_JSON_COUNTERS = ("tested", "excluded_counts", "expected_hits")
+
+
 def report_to_json(r: ScanReport) -> str:
-    doc = {
-        "version": r.version,
-        "field": r.field_id,
-        "mode": r.mode,
-        "range": [r.lo, r.hi],
-        "workers": r.workers,
-        "wall_time": r.wall_time,
-        "warnings": list(r.warnings),
-        "hits": [
-            {"p": v.p, "aux": list(v.aux) if v.aux is not None else None} for v in r.hits
-        ],
-        "excluded": None
-        if r.excluded is None
-        else [{"p": v.p, "reason": v.reason} for v in r.excluded],
-        "clears": None if r.clears is None else list(r.clears),
-        "checksum": r.checksum,
-        "tested": r.tested,
-        "excluded_counts": r.excluded_counts,
-        "expected_hits": r.expected_hits,
-    }
+    doc = {name: getattr(r, name) for name in _JSON_FIELDS + _JSON_COUNTERS}
+    doc.update(
+        field=r.field_id,
+        range=[r.lo, r.hi],
+        warnings=list(r.warnings),
+        hits=[{"p": v.p, "aux": None if v.aux is None else list(v.aux)} for v in r.hits],
+        excluded=None if r.excluded is None else [{"p": v.p, "reason": v.reason} for v in r.excluded],
+        clears=None if r.clears is None else list(r.clears),
+    )
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def report_from_json(text: str) -> ScanReport:
     doc = json.loads(text)
-    hits = tuple(
-        Verdict(h["p"], HIT, aux=None if h["aux"] is None else tuple(h["aux"]))
-        for h in doc["hits"]
-    )
-    excluded = doc["excluded"]
-    if excluded is not None:
-        excluded = tuple(Verdict(e["p"], EXCLUDED, reason=e["reason"]) for e in excluded)
-    clears = doc["clears"]
-    if clears is not None:
-        clears = tuple(clears)
+    excluded, clears = doc["excluded"], doc["clears"]
     return ScanReport(
         field_id=doc["field"],
-        mode=doc["mode"],
         lo=doc["range"][0],
         hi=doc["range"][1],
-        hits=hits,
-        excluded=excluded,
-        clears=clears,
+        hits=tuple(Verdict(h["p"], HIT, aux=None if h["aux"] is None else tuple(h["aux"]))
+                   for h in doc["hits"]),
+        excluded=None if excluded is None else tuple(
+            Verdict(e["p"], EXCLUDED, reason=e["reason"]) for e in excluded),
+        clears=None if clears is None else tuple(clears),
         warnings=tuple(doc["warnings"]),
-        wall_time=doc["wall_time"],
-        workers=doc["workers"],
-        version=doc["version"],
-        checksum=doc["checksum"],
-        tested=doc.get("tested"),
-        excluded_counts=doc.get("excluded_counts"),
-        expected_hits=doc.get("expected_hits"),
+        **{name: doc[name] for name in _JSON_FIELDS},
+        **{name: doc.get(name) for name in _JSON_COUNTERS},
     )
 
 
@@ -323,30 +305,19 @@ class TableDiff:
         return "\n".join(lines)
 
 
-def _diff_row(key, expected, got, by_design=None) -> RowDiff:
-    """Diff one table row.  by_design maps a missing prime to a note when the
+def _diff_row(key, expected, got, by_design=lambda p: None) -> RowDiff:
+    """Diff one table row.  by_design gives the note of a missing prime whose
     omission is a documented consequence of the scan policy (then it is not a
-    failure), or to None when it is a real mismatch."""
+    failure), or None when it is a real mismatch."""
     exp, g = set(expected), set(got)
-    missing = sorted(exp - g)
-    extra = sorted(g - exp)
-    notes = []
-    if by_design is not None:
-        real_missing = []
-        for p in missing:
-            note = by_design(p)
-            if note:
-                notes.append(note)
-            else:
-                real_missing.append(p)
-        missing = real_missing
+    notes = {p: by_design(p) for p in sorted(exp - g)}
     return RowDiff(
         key,
         tuple(sorted(exp)),
         tuple(sorted(g)),
-        tuple(missing),
-        tuple(extra),
-        tuple(notes),
+        tuple(p for p, note in notes.items() if not note),
+        tuple(sorted(g - exp)),
+        tuple(note for note in notes.values() if note),
     )
 
 
@@ -360,65 +331,46 @@ def verify_tables(table: str, pmax: int | None = None, workers: int = 1, data_di
     from . import cubic, quadratic  # deferred: those modules build reports via this one
 
     tables = load_reference_tables(data_dir)
-    if table == QUAD_TABLE:
-        ref = tables[QUAD_TABLE]
-        largest = max((p for row in ref.values() for p in row), default=0)
-        pmax = QUAD_TABLE_PMAX if pmax is None else pmax
-        if pmax < largest:
-            raise ValueError(f"pmax must cover the largest table entry {largest}")
-        records = quadratic.load_quad_fields(data_dir)
-
-        def below_min(p):
-            if p < quadratic.MIN_SCAN_PRIME:
-                return f"p={p} excluded by design (scan starts at {quadratic.MIN_SCAN_PRIME})"
-            return None
-
-        rows = []
-        for d in sorted(ref):
-            rep = quadratic.scan_quadratic(
-                records[d],
-                quadratic.PrimeRange(quadratic.MIN_SCAN_PRIME, min(pmax, QUAD_TABLE_PMAX)),
-                workers=workers,
-            )
-            rows.append(_diff_row(d, ref[d], [v.p for v in rep.hits], by_design=below_min))
-        return TableDiff(QUAD_TABLE, tuple(rows))
     if table == H5_TABLE:
-        ref = tables[H5_TABLE]
         records = cubic.load_cubic_fields(data_dir)
-        rows = []
-        for delta in sorted(ref, reverse=True):
-            got = sorted(cubic.h5_reduced(records[delta].ramified))
-            rows.append(_diff_row(delta, ref[delta], got))
+        rows = [_diff_row(delta, row, sorted(cubic.h5_reduced(records[delta].ramified)))
+                for delta, row in sorted(tables[H5_TABLE].items(), reverse=True)]
         return TableDiff(H5_TABLE, tuple(rows))
-    if table == CUBIC_ORDINARY_TABLE:
-        ref = tables[CUBIC_ORDINARY_TABLE]
-        largest = max((p for row in ref.values() for p in row), default=0)
-        pmax = CUBIC_TABLE_DEFAULT_PMAX if pmax is None else pmax
-        if pmax < largest:
-            raise ValueError(f"pmax must cover the largest table entry {largest}")
-        records = cubic.load_cubic_fields(data_dir)
-        rows = []
-        for delta in sorted(ref, reverse=True):
-            rec = records[delta]
+    q_min = quadratic.MIN_SCAN_PRIME
 
-            def hyp_excluded(p, rec=rec):
-                # A reference entry the hypothesis filter rejects is a
-                # documented policy divergence, not a scan failure (the
-                # stored rows are kept verbatim).
-                reason = cubic.hyp_filter(rec, p)
-                if reason:
-                    return (
-                        f"p={p} kept in the stored row but excluded by the "
-                        f"hypothesis filter ({reason})"
-                    )
-                return None
+    def quad_scan(rec, pmax):
+        rng = quadratic.PrimeRange(q_min, min(pmax, QUAD_TABLE_PMAX))
+        return quadratic.scan_quadratic(rec, rng, workers=workers)
 
-            rep = cubic.scan_cubic(
-                rec,
-                cubic.PrimeRange(3, pmax),
-                mode=cubic.MODE_ORDINARY,
-                workers=workers,
-            )
-            rows.append(_diff_row(delta, ref[delta], [v.p for v in rep.hits], by_design=hyp_excluded))
-        return TableDiff(CUBIC_ORDINARY_TABLE, tuple(rows))
-    raise ValueError(f"unknown table {table!r}")
+    def quad_note(rec, p):
+        return f"p={p} excluded by design (scan starts at {q_min})" if p < q_min else None
+
+    def cubic_scan(rec, pmax):
+        return cubic.scan_cubic(rec, cubic.PrimeRange(3, pmax), mode=cubic.MODE_ORDINARY, workers=workers)
+
+    def cubic_note(rec, p):
+        # A reference entry the hypothesis filter rejects is a documented policy
+        # divergence, not a scan failure (the stored rows are kept verbatim).
+        reason = cubic.hyp_filter(rec, p)
+        return reason and f"p={p} kept in the stored row but excluded by the hypothesis filter ({reason})"
+
+    # records loader, default pmax, scan of one record, keys descending, by-design note
+    scanned = {
+        QUAD_TABLE: (quadratic.load_quad_fields, QUAD_TABLE_PMAX, quad_scan, False, quad_note),
+        CUBIC_ORDINARY_TABLE: (cubic.load_cubic_fields, CUBIC_TABLE_DEFAULT_PMAX, cubic_scan, True, cubic_note),
+    }
+    if table not in scanned:
+        raise ValueError(f"unknown table {table!r}")
+    load, default_pmax, scan, descending, note = scanned[table]
+    ref = tables[table]
+    largest = max((p for row in ref.values() for p in row), default=0)
+    pmax = default_pmax if pmax is None else pmax
+    if pmax < largest:
+        raise ValueError(f"pmax must cover the largest table entry {largest}")
+    records = load(data_dir)
+    rows = []
+    for key in sorted(ref, reverse=descending):
+        rec = records[key]
+        got = [v.p for v in scan(rec, pmax).hits]
+        rows.append(_diff_row(key, ref[key], got, by_design=lambda p, rec=rec: note(rec, p)))
+    return TableDiff(table, tuple(rows))

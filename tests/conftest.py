@@ -32,7 +32,7 @@ def chunk_counts(monkeypatch):
         call = signature.bind(*args, **kwargs)
         call.apply_defaults()
         a = call.arguments
-        counts.append(len(range(a["lo"], a["hi"] + 1, a["chunk_span"])))
+        counts.append(a["hi"] // a["chunk_span"] - a["lo"] // a["chunk_span"] + 1)
         return _parallel.run_chunked(*args, **kwargs)
 
     for mod in (cubic, heuristics, quadratic):

@@ -480,14 +480,15 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-def _check_window(records, rng, kernel_calls):
-    """Each record's scan of the one-chunk range, in both modes, against
-    classify_cubic_prime: Python-int lanes, and no per-prime call."""
+def _check_window(records, rng, kernel_calls, dtypes=(object,)):
+    """Each record's scan of the range, in both modes, against
+    classify_cubic_prime: one lane array of each dtype in turn (Python ints
+    for a one-chunk range), and no per-prime call."""
     for rec in records:
         for mode in (MODE_H2, MODE_ORDINARY):
             kernel_calls["dtypes"].clear()
             rep = scan_cubic(rec, rng, mode=mode, full_verdicts=True)
-            assert kernel_calls["dtypes"] == [np.dtype(object)], (rec.spec, mode)
+            assert kernel_calls["dtypes"] == list(map(np.dtype, dtypes)), (rec.spec, mode)
             _assert_same_report(rep, _reference_report(rec, rng, mode), (rec.spec, mode))
     assert kernel_calls["scalar"] == []
 
@@ -509,7 +510,8 @@ def test_batch_bound_straddles_2_25(cubic_records, kernel_calls):
             kernel_calls["dtypes"].clear()
             assert list(_classify_lanes(rec, mode, np.array(below))) == want, mode
             assert kernel_calls["dtypes"] == [np.dtype(np.int64)]
-    _check_window(records, rng, kernel_calls)
+    # the scan cuts its chunks at 2^25: int64 lanes below, Python ints above
+    _check_window(records, rng, kernel_calls, (np.int64, object))
 
 
 def test_scan_near_range_limit_matches_classify(cubic_records, kernel_calls):
@@ -664,3 +666,6 @@ def test_record_validation(cubic_records):
         CubicFieldRecord(-23, rec.spec, rec.ramified, None, (0, 2, 0))  # norm 8
     with pytest.raises(ValueError):
         scan_cubic(rec, PrimeRange(3, 100), mode="bogus")
+    for p in (2, 11, 5):  # hyp1, hyp5 and a split prime would decide before the mode
+        with pytest.raises(ValueError, match="unknown mode"):
+            classify_cubic_prime(rec, p, "bogus")

@@ -249,16 +249,16 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-def _check_scans(bases, rng, kernel_calls, dtype):
-    """Hits of every base against the builtin pow: one lane array of the
-    dtype per chunk, holding every prime not dividing the base."""
+def _check_scans(bases, rng, kernel_calls, dtypes):
+    """Hits of every base against the builtin pow: one lane array per chunk,
+    of the dtypes listed for the base, holding every prime not dividing it."""
     primes = list(primes_in(rng))
     for base in bases:
         kernel_calls["lanes"].clear()
         kernel_calls["dtypes"].clear()
         assert wieferich_hits(base, rng) == reference_hits(base, primes), base
         assert kernel_calls["lanes"] == [p for p in primes if base % p], base
-        assert set(kernel_calls["dtypes"]) == {np.dtype(dtype(base))}, base
+        assert kernel_calls["dtypes"] == list(map(np.dtype, dtypes(base))), base
     assert kernel_calls["scalar"] == []
 
 
@@ -270,11 +270,11 @@ def test_wieferich_lanes_match_builtin_pow(kernel_calls):
         for fits in {base < 1 << 63, False}:  # int64 lanes where base allows, Python ints
             assert heuristics._wieferich_lanes(base, prime_lanes(primes, fits)).tolist() == want
     _check_scans(LANE_BASES + (BIG_BASE,), rng, kernel_calls,
-                 lambda base: np.int64 if base < 1 << 63 else object)
+                 lambda base: [np.int64 if base < 1 << 63 else object] * 4)
 
 
 def test_wieferich_bound_straddles_2_25(kernel_calls):
-    # one chunk holds primes on both sides of 2^25: Python-int lanes for all
+    # the scan cuts its chunks at 2^25: int64 lanes below, Python ints above
     rng = PrimeRange(MULMOD_PMAX - 3000, MULMOD_PMAX + 3000)
     primes = list(primes_in(rng))
     below = [p for p in primes if p < MULMOD_PMAX]
@@ -284,14 +284,14 @@ def test_wieferich_bound_straddles_2_25(kernel_calls):
     for base in bases:
         want = [pow(base, p - 1, p * p) for p in below]
         assert heuristics._wieferich_lanes(base, prime_lanes(below)).tolist() == want
-    _check_scans(bases, rng, kernel_calls, lambda base: object)
+    _check_scans(bases, rng, kernel_calls, lambda base: (np.int64, object))
     assert q in wieferich_hits(q * q + 1, rng)
 
 
 def test_wieferich_near_range_limit(kernel_calls):
     rng = PrimeRange(RANGE_LIMIT - 20_000, RANGE_LIMIT)
     q = list(primes_in(rng))[100]
-    _check_scans((2, 3, q * q + 1, BIG_BASE), rng, kernel_calls, lambda base: object)
+    _check_scans((2, 3, q * q + 1, BIG_BASE), rng, kernel_calls, lambda base: (object,))
     assert q in wieferich_hits(q * q + 1, rng)
 
 

@@ -169,13 +169,14 @@ def test_lanes_and_classify_match_naive_power(quad_records):
         assert rep.expected_hits == pytest.approx(sum(1 / p for p in tested), rel=1e-12)
 
 
-def _check_window(records, rng, kernel_calls):
-    """Each record's scan of the one-chunk range against classify_quad_prime:
-    Python-int lanes, and no per-prime call."""
+def _check_window(records, rng, kernel_calls, dtypes=(object,)):
+    """Each record's scan of the range against classify_quad_prime: one lane
+    array of each dtype in turn (Python ints for a one-chunk range), and no
+    per-prime call."""
     for d, rec in records.items():
         kernel_calls["dtypes"].clear()
         rep = scan_quadratic(rec, rng, full_verdicts=True)
-        assert kernel_calls["dtypes"] == [np.dtype(object)], d
+        assert kernel_calls["dtypes"] == list(map(np.dtype, dtypes)), d
         _assert_same_report(rep, _reference_report(rec, rng), d)
     assert kernel_calls["scalar"] == []
 
@@ -193,7 +194,8 @@ def test_batch_bound_straddles_2_25(quad_records, kernel_calls):
         block = _classify_lanes(rec, np.array(below))
         assert list(block) == [classify_quad_prime(rec, p) for p in below], d
         assert kernel_calls["dtypes"] == [np.dtype(np.int64)]
-    _check_window(quad_records, rng, kernel_calls)
+    # the scan cuts its chunks at 2^25: int64 lanes below, Python ints above
+    _check_window(quad_records, rng, kernel_calls, (np.int64, object))
 
 
 def test_scan_near_range_limit_matches_classify(quad_records, kernel_calls):
@@ -316,8 +318,9 @@ def test_pool_size_capped_at_cores(monkeypatch):
 
     monkeypatch.setattr(_parallel, "get_context", lambda: SimpleNamespace(Pool=Pool))
     serial = run_chunked(_span, "x", 1, 10, 1, 2).aux
-    assert serial == (("x", 1, 2), ("x", 3, 4), ("x", 5, 6), ("x", 7, 8), ("x", 9, 10))
-    for cores, workers, want in ((2, 1000, [2]), (8, 3, [3]), (8, 1000, [5]), (1, 1000, []),
+    # cuts at the multiples of the span, the first chunk starting at lo
+    assert serial == (("x", 1, 1), ("x", 2, 3), ("x", 4, 5), ("x", 6, 7), ("x", 8, 9), ("x", 10, 10))
+    for cores, workers, want in ((2, 1000, [2]), (8, 3, [3]), (8, 1000, [6]), (1, 1000, []),
                                  (None, 1000, [])):
         monkeypatch.setattr(_parallel.os, "cpu_count", lambda: cores)
         sizes.clear()

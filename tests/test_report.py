@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from unitscan.report import (
     Block,
     ScanReport,
     Verdict,
+    _diff_row,
     report_from_json,
     report_to_csv,
     report_to_json,
@@ -57,6 +59,18 @@ def test_json_round_trip(full):
     rep = sample_report(full)
     back = report_from_json(report_to_json(rep))
     assert back == rep
+
+
+def test_json_required_fields_and_optional_counters():
+    doc = json.loads(report_to_json(sample_report()))
+    no_checksum = {k: v for k, v in doc.items() if k != "checksum"}
+    with pytest.raises(KeyError, match="checksum"):
+        report_from_json(json.dumps(no_checksum))
+    # report files written before the counters existed lack them
+    old = report_from_json(json.dumps({k: v for k, v in doc.items() if k not in (
+        "tested", "excluded_counts", "expected_hits")}))
+    assert (old.tested, old.excluded_counts, old.expected_hits) == (None, None, None)
+    assert old.checksum == doc["checksum"] and old.hits == sample_report().hits
 
 
 def test_checksum_ignores_volatile_metadata():
@@ -122,6 +136,22 @@ def test_verify_quad_table():
     notes = {r.key: r.by_design for r in diff.rows if r.by_design}
     assert list(notes) == [14]
     assert "excluded by design" in notes[14][0]
+
+
+def test_verify_tables_output():
+    # the whole text of `unitscan verify-tables`, one render per table
+    want = (Path(__file__).parent / "data" / "verify_tables.txt").read_text()
+    tables = (QUAD_TABLE, H5_TABLE, CUBIC_ORDINARY_TABLE)
+    assert "".join(verify_tables(t).render() + "\n" for t in tables) == want
+
+
+def test_diff_row_sorts_missing_primes():
+    # 2 is missing by design, 7 is a real miss, 11 is extra, 5 matches
+    row = _diff_row(-1, [7, 2, 5], [11, 5], by_design=lambda p: f"note {p}" if p == 2 else None)
+    assert (row.expected, row.got, row.missing, row.extra, row.by_design) == (
+        (2, 5, 7), (5, 11), (7,), (11,), ("note 2",))
+    assert not row.ok
+    assert _diff_row(-1, [2, 5], [5], by_design=lambda p: "note").ok
 
 
 def test_verify_rejects_small_pmax():
