@@ -1,10 +1,10 @@
 """Deterministic partition-and-merge driver shared by the range scanners.
 
-A scan range is cut at the multiples of the chunk width, the first chunk
-starting at the range's low end; each chunk is handled by a pure worker
-function that returns a report.Block, and the blocks are joined in range
-order, so the merged result is identical for any worker count.
-This is the only place that decides the chunk width: the scans take none.
+A scan range is cut at the multiples of the chunk width, 2^18 for every scan
+(the scans take none), the first chunk starting at the range's low end; each
+chunk is handled by a pure worker function that returns a report.Block, and
+the blocks are joined in range order, so the result is identical for any
+worker count.  A range within one chunk runs serially: a pool would cost more.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ from multiprocessing import get_context
 from .report import Block
 
 
-def run_chunked(worker, args, lo: int, hi: int, workers: int = 1, chunk_span: int = 1 << 16):
+def run_chunked(worker, args, lo: int, hi: int, workers: int = 1, chunk_span: int = 1 << 18):
     """Join the Blocks of worker(args, a, b) over [lo, hi] in chunk_span-wide pieces."""
     if workers < 1 or chunk_span < 1:
         raise ValueError(f"workers={workers} and chunk_span={chunk_span} must be at least 1")
-    # the default span divides 2^25, so no chunk straddles prime_lanes' int64 bound
+    # a power of two dividing 2^25 (MULMOD_PMAX): no chunk straddles prime_lanes' int64 bound
     chunks = [(args, max(a, lo), min(a + chunk_span - 1, hi))
               for a in range(lo - lo % chunk_span, hi + 1, chunk_span)]
     size = min(workers, len(chunks), os.cpu_count() or 1)  # never more processes than cores

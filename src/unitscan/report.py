@@ -206,7 +206,7 @@ def report_to_json(r: ScanReport) -> str:
         excluded=None if r.excluded is None else [{"p": v.p, "reason": v.reason} for v in r.excluded],
         clears=None if r.clears is None else list(r.clears),
     )
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(doc, sort_keys=True)  # no indent: it forces json's pure-Python encoder
 
 
 def report_from_json(text: str) -> ScanReport:

@@ -208,17 +208,18 @@ def test_criterion_8_expected_values():
 
 def test_criterion_9_checksum_determinism(quad_records, cubic_records, chunk_counts):
     with criterion(9, "identical checksums for 1-worker and 4-worker executions of every scan"):
-        quad_serial = scan_quadratic(quad_records[15], PrimeRange(3, 200_000), workers=1)
-        quad_parallel = scan_quadratic(quad_records[15], PrimeRange(3, 200_000), workers=4)
+        rng = PrimeRange((1 << 18) - 100_000, (1 << 18) + 100_000)  # across a chunk cut
+        quad_serial = scan_quadratic(quad_records[15], rng, workers=1)
+        quad_parallel = scan_quadratic(quad_records[15], rng, workers=4)
         assert quad_serial.checksum == quad_parallel.checksum
 
         for mode in (MODE_ORDINARY, MODE_H2):
-            s = scan_cubic(cubic_records[-31], PrimeRange(3, 200_000), mode=mode, workers=1)
-            q = scan_cubic(cubic_records[-31], PrimeRange(3, 200_000), mode=mode, workers=4)
+            s = scan_cubic(cubic_records[-31], rng, mode=mode, workers=1)
+            q = scan_cubic(cubic_records[-31], rng, mode=mode, workers=4)
             assert s.checksum == q.checksum, mode
 
-        ws = scan_wieferich(2, PrimeRange(3, 200_000), workers=1)
-        wq = scan_wieferich(2, PrimeRange(3, 200_000), workers=4)
+        ws = scan_wieferich(2, rng, workers=1)
+        wq = scan_wieferich(2, rng, workers=4)
         assert ws.checksum == wq.checksum
         # every scan spans several chunks, so each 4-worker run used the pool
         assert len(chunk_counts) == 8 and min(chunk_counts) > 1

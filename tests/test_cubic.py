@@ -621,8 +621,9 @@ def test_scan_hyp3_exclusion_applies(cubic_records):
 
 def test_scan_parallel_determinism(cubic_records, chunk_counts):
     rec = cubic_records[-107]
-    r1 = scan_cubic(rec, PrimeRange(3, 200_000), mode=MODE_ORDINARY, workers=1)
-    r2 = scan_cubic(rec, PrimeRange(3, 200_000), mode=MODE_ORDINARY, workers=2)
+    rng = PrimeRange((1 << 18) - 100_000, (1 << 18) + 100_000)  # across a chunk cut
+    r1 = scan_cubic(rec, rng, mode=MODE_ORDINARY, workers=1)
+    r2 = scan_cubic(rec, rng, mode=MODE_ORDINARY, workers=2)
     assert chunk_counts[1] > 1  # so the two workers ran in a pool
     assert r1.checksum == r2.checksum
     assert r1.hits == r2.hits

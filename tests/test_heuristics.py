@@ -1,3 +1,4 @@
+import inspect
 import math
 from fractions import Fraction
 
@@ -209,7 +210,7 @@ def test_wieferich_report():
     rep = scan_wieferich(2, PrimeRange(3, 300_000))
     assert [v.p for v in rep.hits] == [1093, 3511]
     assert rep.field_id == "wieferich(base=2)"
-    # five 2^16-wide chunks, so two workers really split the range
+    # two chunks, cut at 2^18, so two workers really split the range
     two = scan_wieferich(2, PrimeRange(3, 300_000), workers=2)
     assert two.checksum == rep.checksum
     assert (two.tested, two.expected_hits) == (rep.tested, rep.expected_hits)
@@ -269,8 +270,10 @@ def test_wieferich_lanes_match_builtin_pow(kernel_calls):
         want = [pow(base, p - 1, p * p) for p in primes]
         for fits in {base < 1 << 63, False}:  # int64 lanes where base allows, Python ints
             assert heuristics._wieferich_lanes(base, prime_lanes(primes, fits)).tolist() == want
+    span = inspect.signature(run_chunked).parameters["chunk_span"].default
+    chunks = rng.hi // span - rng.lo // span + 1  # one lane call per chunk
     _check_scans(LANE_BASES + (BIG_BASE,), rng, kernel_calls,
-                 lambda base: [np.int64 if base < 1 << 63 else object] * 4)
+                 lambda base: [np.int64 if base < 1 << 63 else object] * chunks)
 
 
 def test_wieferich_bound_straddles_2_25(kernel_calls):

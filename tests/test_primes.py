@@ -104,7 +104,7 @@ def test_base_primes_sieved_once_per_process(monkeypatch, quad_records):
     monkeypatch.setattr(primes_mod, "sieve_upto", counted)
     primes_mod._odd_base_primes.cache_clear()
     try:
-        rep = scan_quadratic(quad_records[2], PrimeRange(3, 500_000))  # 8 chunks
+        rep = scan_quadratic(quad_records[2], PrimeRange(3, 500_000))  # 2 chunks
         lo = 10**9 - 2**16 + 1
         top = list(primes_in(PrimeRange(lo, 10**9), segment_size=1 << 10))  # 64 segments
     finally:

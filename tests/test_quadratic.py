@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 from types import SimpleNamespace
 
@@ -262,8 +263,9 @@ def test_scan_matches_classify(quad_records):
 
 def test_scan_parallel_determinism(quad_records, chunk_counts):
     rec = quad_records[10]
-    r1 = scan_quadratic(rec, PrimeRange(3, 200_000), full_verdicts=True, workers=1)
-    r2 = scan_quadratic(rec, PrimeRange(3, 200_000), full_verdicts=True, workers=2)
+    rng = PrimeRange((1 << 18) - 100_000, (1 << 18) + 100_000)  # across a chunk cut
+    r1 = scan_quadratic(rec, rng, full_verdicts=True, workers=1)
+    r2 = scan_quadratic(rec, rng, full_verdicts=True, workers=2)
     assert chunk_counts[1] > 1  # so the two workers ran in a pool
     assert r1.checksum == r2.checksum
     assert r1.hits == r2.hits and r1.excluded == r2.excluded and r1.clears == r2.clears
@@ -296,6 +298,14 @@ def _span(args, a, b):
     # one hit per chunk whose aux records the call, so the joined aux shows
     # both the args passed and the exact chunk boundaries of every path
     return Block.of(np.array([a]), np.array([HIT_CODE], dtype=np.int8), ((args, a, b),))
+
+
+def test_default_chunk_span_divides_int64_bound():
+    # a power of two dividing 2^25 puts a cut at 2^25, so no chunk holds
+    # primes on both sides of prime_lanes' int64 switch
+    span = inspect.signature(run_chunked).parameters["chunk_span"].default
+    assert type(span) is int and span > 1 and span & (span - 1) == 0
+    assert MULMOD_PMAX % span == 0
 
 
 def test_pool_size_capped_at_cores(monkeypatch):
