@@ -425,8 +425,8 @@ def classify_cubic_prime(rec: CubicFieldRecord, p: int, mode: str) -> Verdict:
 # A scan chunk classifies its primes together, one numpy lane per prime, with
 # the tests of classify_cubic_prime in the same order, on order_arith.RingLanes.
 # The lanes are int64 when every prime is below 2^25 and ring_fits_int64
-# passes (its fold rule also keeps the Newton residue f(t) below 2^63; the
-# unit, its inverse, Delta and h_E enter as x % m), else Python ints.
+# passes (its fold rule also keeps the Newton residue f(t) below 2^63; the unit,
+# its inverse, Delta and h_E enter as x % m or exact digit tables), else Python ints.
 
 
 def _inverse_lanes(ring: RingLanes, g):
@@ -458,7 +458,7 @@ def _z_lanes(unit, inv, f, p, xp):
     rm = RingLanes(f, m)
     f0, f1, f2 = f
     # sigma(theta) mod p^2: one Newton step t - f(t)/f'(t) from t = theta^p.
-    t2 = rm.mul(xp, xp)
+    t2 = rm.square(xp)
     t3 = rm.mul(t2, xp)
     ft = [(t3[i] + f2 * t2[i] + f1 * xp[i]) % m for i in range(3)]
     ft[0] = (ft[0] + f0) % m
@@ -473,9 +473,8 @@ def _z_lanes(unit, inv, f, p, xp):
     dt[0] = (dt[0] + f1) % p
     step = rp.mul(tuple(c // p for c in ft), _inverse_lanes(rp, dt))
     s1 = tuple((c - p * s) % m for c, s in zip(xp, step))
-    s2 = rm.mul(s1, s1)
-    u = tuple(c % m for c in unit)
-    w = rm.mul(rm.pow(u, p), rm.apply(tuple(c % m for c in inv), (s1, s2)))
+    s2 = rm.square(s1)
+    w = rm.mul(rm.pow(unit, p), rm.apply(tuple(c % m for c in inv), (s1, s2)))
     d0 = w[0] - 1
     bad = ~_equals((d0 % p, w[1] % p, w[2] % p), (0, 0, 0))
     if bad.any():
@@ -509,11 +508,11 @@ def _classify_lanes(rec: CubicFieldRecord, mode: str, primes: np.ndarray) -> Blo
         exclude(every[P % 3 == 2], "p_2_mod_3")
     live = np.flatnonzero(code == CLEAR_CODE)
     p = P[live]
-    nonresidue = Lanes(p).pow(rec.delta % p, (p - 1) >> 1) != 1
+    nonresidue = Lanes(p).pow(rec.delta, (p - 1) >> 1) != 1
     exclude(live[nonresidue], "frob_order_not_3")
     live, p = live[~nonresidue], p[~nonresidue]
     f = rec.spec.reduction
-    xp = RingLanes(f, p).xpow(p)
+    xp = RingLanes(f, p).pow((0, 1, 0), p)
     split = _equals(xp, (0, 1, 0))
     exclude(live[split], "frob_order_not_3")
     live, p, xp = live[~split], p[~split], tuple(c[~split] for c in xp)
@@ -522,7 +521,7 @@ def _classify_lanes(rec: CubicFieldRecord, mode: str, primes: np.ndarray) -> Blo
     if mode == MODE_ORDINARY:
         exclude(live[zero], "z_zero")
         lanes = RingLanes(f, p)
-        cube = lanes.mul(lanes.mul(z, z), z)
+        cube = lanes.mul(lanes.square(z), z)
         hit = ~zero & (cube[1] == 0) & (cube[2] == 0)
     else:
         hit = zero

@@ -176,8 +176,7 @@ def expected_exceptional_count(x: int, power: int = 1) -> float:
 def _wieferich_lanes(base: int, p: np.ndarray) -> np.ndarray:
     """base^(p-1) mod p^2, one lane per prime of the lane array p (int64 only
     when base < 2^63, see order_arith.prime_lanes)."""
-    m = p * p
-    return Lanes(m).pow(base % m, p - 1)
+    return Lanes(p * p).pow(base, p - 1)
 
 
 def _wieferich_chunk(base: int, lo: int, hi: int) -> Block:

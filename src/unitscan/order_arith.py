@@ -5,7 +5,8 @@ satisfies (degree 2 or 3).  Ring elements are coefficient vectors on the
 power basis 1, theta[, theta^2], with entries reduced into [0, m) for m = p^k.
 The ring (Z/m)[x]/(f) is written once per side: on tuples (the scalar
 references) by the products mul2 and mul3 under the one power loop poly_pow,
-and lane by lane (the scans) by RingLanes, for both degrees.
+and lane by lane (the scans) by RingLanes, for both degrees.  Lane powers take
+w-bit digits, exact in int64 for the exact constants the scans raise (Lanes.table).
 """
 
 from __future__ import annotations
@@ -124,8 +125,6 @@ def poly_pow(a, e, f, m):
 
 MULMOD_PMAX = 1 << 25  # moduli below it multiply in plain int64; p^2 < 2^50 for primes below it
 
-_pow_objects = np.frompyfunc(pow, 3, 1)
-
 
 def prime_lanes(primes, fits_int64=True):
     """The int64 primes as one lane array: int64 when every prime is below
@@ -136,30 +135,50 @@ def prime_lanes(primes, fits_int64=True):
     return lanes if small else lanes.astype(object)
 
 
-def pow_lanes(r, e, square, times):
-    """Binary powering lane by lane, from r = one and left to right over the
-    bits of e >= 0: a set bit applies times to r, and each bit but the last
-    squares it.  r is an array or a tuple that np.where stacks into one."""
-    for k in reversed(range(int(e.max(initial=0)).bit_length())):
-        r = np.where((e >> k) & 1 == 1, times(r), r)
-        if k:
+def pow_lanes(e, w, first, square, times):
+    """Left-to-right powering lane by lane over the w-bit digits of e >= 0 (the
+    largest e places them): r = first(d) at the leading digit d, then each later
+    digit d squares r w times and applies times(r, d), the product by base^d."""
+    digit = lambda shift: ((e >> shift) & ((1 << w) - 1)).astype(np.intp)
+    top = max(int(e.max(initial=0)).bit_length() - 1, 0) // w * w
+    r = first(digit(top))
+    for shift in range(top - w, -1, -w):
+        for _ in range(w):
             r = square(r)
+        r = times(r, digit(shift))
     return r
 
 
+def _sum(pairs, extra=None):
+    """The sum of a*b over the pairs, plus extra unless it is None."""
+    return reduce(add, [a * b for a, b in pairs] + ([] if extra is None else [extra]))
+
+
 class Lanes:
-    """Z/m lane by lane, for an array m of moduli: int64 below 2^50, or
-    Python ints (dtype object) of any size."""
+    """Z/m lane by lane, for an array m of moduli: int64 below 2^50, or Python
+    ints (dtype object) of any size.  Products act on d-tuples of residue arrays
+    in [0, m) by one plan; here d = 1 and pow takes plain arrays."""
+
+    d, rows = 1, []
 
     def __init__(self, m):
         self.m = m
         wide = m.dtype == np.int64 and m.max(initial=0) >= MULMOD_PMAX
         self.minv = 1.0 / m if wide else None
+        d = self.d
+        self.one = (np.ones_like(m),) + (np.zeros_like(m),) * (d - 1)
+        ks = [range(max(0, k - d + 1), min(k, d - 1) + 1) for k in range(2 * d - 1)]
+        # operand pairs (i, j) of x^k: a product's (a_0.., b_0..), a square's (a_0.., 2a_1..)
+        self.mul_plan = [[(i, d + k - i) for i in ij] for k, ij in enumerate(ks)]
+        self.square_plan = [[(i, i if 2 * i == k else d + k - i - 1) for i in ij if 2 * i <= k]
+                            for k, ij in enumerate(ks)]
+        # for each x^k below x^d, the (j, c) of the entries c != 0 of fold row j
+        self.folds = [[(j, r[k]) for j, r in enumerate(self.rows) if r[k]] for k in range(d)]
 
     def dot(self, pairs, extra=None):
-        """(s = sum of a*b over the pairs + extra) mod m, for a, b in [0, m),
-        one to three pairs and, on int64 lanes, |extra| < 2^62 (no extra term
-        when None).
+        """(s = sum of a*b over the pairs + extra) mod m, for one to three pairs
+        of a, b >= 0 whose products add up to below 3m^2 (a, b in [0, m), say)
+        and, on int64 lanes, |extra| < 2^62 (no extra term when None).
 
         Python-int lanes compute s exactly.  While every int64 modulus is
         below MULMOD_PMAX, s < 2^62 + 3 * 2^50 is exact in int64.  Otherwise
@@ -170,20 +189,65 @@ class Lanes:
         |r| < 2m + 8 * 2^-53 * (3m^2 + 2^62) < 2^53.  Wrapping int64
         arithmetic gets s and q*m right modulo 2^64, hence r exactly, and
         r % m is the residue."""
-        extras = [] if extra is None else [extra]
-        s = reduce(add, [a * b for a, b in pairs] + extras)
+        s = _sum(pairs, extra)
         if self.minv is not None:
-            est = reduce(add, [a.astype(np.float64) * b for a, b in pairs] + extras)
+            est = _sum([(a.astype(np.float64), b) for a, b in pairs], extra)
             s = s - (est * self.minv).astype(np.int64) * self.m
         return s % self.m
 
+    def _product(self, operands, plan, reduction):
+        """The sums of the plan by reduction(pairs, extra), x^d, ..., x^(2d-2)
+        first, folded back by the exact fold_rows as the extra of the rest."""
+        high = [reduction([(operands[i], operands[j]) for i, j in ij]) for ij in plan[self.d:]]
+        return tuple(reduction([(operands[i], operands[j]) for i, j in ij],
+                               reduce(add, [high[j] if c == 1 else high[j] * c for j, c in fold])
+                               if fold else None) for ij, fold in zip(plan, self.folds))
+
+    def mul(self, a, b):
+        return self._product((*a, *b), self.mul_plan, self.dot)
+
+    def square(self, a):
+        """mul(a, a), each cross product a_i * a_j (i < j) taken once as a_i * 2 a_j."""
+        return self._product((*a, *(c + c for c in a[1:])), self.square_plan, self.dot)
+
+    def table(self, a):
+        """The exact powers a^0, ..., a^(2^w - 1) of the d-tuple of ints a for the
+        widest w <= 3 keeping each digit product r * a^k, r in [0, m), in int64:
+        |a^k| * max m < 2^63 for d = 1, coefficient sums below 2^12 for rings
+        (with r < 2^50 and ring_fits_int64's fold, every sum stays below 2^63).
+        w = 3 on Python-int lanes; None when a^1 misses."""
+        powers = [(1,) + (0,) * (self.d - 1)]
+        while len(powers) < 8:
+            powers.append(self._product((*powers[-1], *a), self.mul_plan, _sum))
+        top = int(self.m.max(initial=1))
+        fits = lambda t: abs(t[0]) * top < 1 << 63 if self.d == 1 else sum(map(abs, t)) < 1 << 12
+        for w in (3, 2, 1):
+            if self.m.dtype == object or all(map(fits, powers[: 1 << w])):
+                return powers[: 1 << w]
+        return None
+
+    def power(self, a, e):
+        """a^e lane by lane for a d-tuple a and e >= 0 by pow_lanes.  Ints are one
+        exact constant: each digit multiplies by table(a), gathered from d int64
+        columns, with one exact product and reduction per coefficient; residues
+        per lane, and ints with no table, take w = 1 and the full product mul."""
+        m = self.m
+        table = None if any(map(np.ndim, a)) else self.table(tuple(map(int, a)))
+        if table is None:
+            a = tuple(c % m for c in a)
+            pick = lambda d: tuple(np.where(d == 1, c, o) for c, o in zip(a, self.one))
+            return pow_lanes(e, 1, pick, self.square, lambda r, d: self.mul(r, pick(d)))
+        cols = [np.array(c, dtype=m.dtype) for c in zip(*table)]
+        first = lambda d: tuple(c[d] % m for c in cols)
+        exact = lambda pairs, extra=None: _sum(pairs, extra) % m
+        times = lambda r, d: self._product((*r, *(c[d] for c in cols)), self.mul_plan, exact)
+        return pow_lanes(e, len(table).bit_length() - 1, first, self.square, times)
+
     def pow(self, a, e):
-        """a^e lane by lane for e >= 0; Python-int lanes use the builtin pow."""
+        """a^e for an int a or residues a in [0, m) by power; Python-int lanes use builtin pow."""
         if self.m.dtype == object:
-            return _pow_objects(a, e, self.m)
-        return pow_lanes(
-            np.ones_like(self.m), e, lambda r: self.dot(((r, r),)), lambda r: self.dot(((r, a),))
-        )
+            return np.frompyfunc(pow, 3, 1)(a, e, self.m)
+        return self.power((a,), e)[0]
 
 
 def fold_rows(f) -> list[tuple[int, ...]]:
@@ -204,36 +268,14 @@ def ring_fits_int64(f, exact=()) -> bool:
 
 
 class RingLanes(Lanes):
-    """(Z/m)[x]/(f) lane by lane, for a monic f of degree d = len(f) in {2, 3},
-    on d-tuples of residue arrays in [0, m).  A product is schoolbook, and its
-    coefficients of x^d, ..., x^(2d-2) fold back by the exact fold_rows as the
-    extra term of Lanes.dot (on int64 lanes, see ring_fits_int64)."""
+    """(Z/m)[x]/(f) lane by lane for a monic f of degree d = len(f) in {2, 3}: the
+    products fold by fold_rows(f) (on int64 lanes, see ring_fits_int64)."""
 
     def __init__(self, f, m):
+        self.d, self.rows = len(f), fold_rows(f)
         super().__init__(m)
-        self.d = d = len(f)
-        self.rows = fold_rows(f)
-        self.one = (np.ones_like(m),) + (np.zeros_like(m),) * (d - 1)
-        # the pairs (i, j) of a_i * b_j in x^k, and (k, j, c) for each entry c != 0 of row j
-        self.pairs = [[(i, k - i) for i in range(max(0, k - d + 1), min(k, d - 1) + 1)]
-                      for k in range(2 * d - 1)]
-        self.folds = [(k, j, r[k]) for k in range(d) for j, r in enumerate(self.rows) if r[k]]
 
-    def mul(self, a, b):
-        terms = [[(a[i], b[j]) for i, j in ij] for ij in self.pairs]
-        high = [self.dot(t) for t in terms[self.d:]]
-        extra = [None] * self.d  # sum of c * high[j] over the (k, j, c), no product for c = 1
-        for k, j, c in self.folds:
-            x = high[j] if c == 1 else high[j] * c
-            extra[k] = x if extra[k] is None else extra[k] + x
-        return tuple(self.dot(t, x) for t, x in zip(terms, extra))
-
-    def pow(self, a, e):
-        return pow_lanes(self.one, e, lambda r: self.mul(r, r), lambda r: self.mul(r, a))
-
-    def xpow(self, e):
-        """x^e lane by lane: multiplying by x is a shift."""
-        return pow_lanes(self.one, e, lambda r: self.mul(r, r), self.times_x)
+    pow = Lanes.power
 
     def times_x(self, g):
         return tuple((lo + g[-1] * c) % self.m for lo, c in zip((0, *g[:-1]), self.rows[0]))

@@ -237,9 +237,9 @@ def _classify_lanes(rec: QuadFieldRecord, primes: np.ndarray) -> Block:
     p = P[live]
     m = p * p
     eps = (u.a % m, u.b % m)
-    inert = Lanes(p).pow(rec.d % p, (p - 1) >> 1) != 1
+    inert = Lanes(p).pow(rec.d, (p - 1) >> 1) != 1
     sigma = [np.where(inert, c, e) for c, e in zip(_conjugate(rec.d, *eps, m), eps)]
-    w = RingLanes(rec.reduction, m).pow(eps, p)
+    w = RingLanes(rec.reduction, m).pow((u.a, u.b), p)
     code[live[(w[0] == sigma[0]) & (w[1] == sigma[1])]] = HIT_CODE
     return Block.of(primes, code)
 

@@ -263,20 +263,80 @@ def test_lanes_pow_matches_builtin_pow(kind):
 
 
 def test_pow_lanes_on_pairs_matches_builtin_pow():
-    # two powers at once through the tuple branch, with plain int64 products
+    # two powers at once through a tuple state, with plain int64 products and
+    # per-lane digit tables of each window width
     rng = random.Random(37)
     ms = [3, 5, 7, 1009, 65521, 65537] + [rng.randrange(2, 1 << 31) for _ in range(20)]
     m = lanes_of(ms)
     a, e = (lanes_of(v) for v in pow_cases(rng, ms))
     b = lanes_of([rng.randrange(k) for k in ms])
-    r = pow_lanes(
-        (np.ones_like(m), np.ones_like(m)),
-        e,
-        lambda r: (r[0] * r[0] % m, r[1] * r[1] % m),
-        lambda r: (r[0] * a % m, r[1] * b % m),
-    )
-    assert r[0].tolist() == [pow(x, y, k) for x, y, k in zip(a.tolist(), e.tolist(), ms)]
-    assert r[1].tolist() == [pow(x, y, k) for x, y, k in zip(b.tolist(), e.tolist(), ms)]
+    lane = np.arange(len(ms))
+    for w in (1, 2, 3):
+        ta, tb = (np.array([[pow(int(x), k, n) for x, n in zip(v, ms)] for k in range(1 << w)])
+                  for v in (a, b))
+        r = pow_lanes(
+            e,
+            w,
+            lambda d: (ta[d, lane], tb[d, lane]),
+            lambda r: (r[0] * r[0] % m, r[1] * r[1] % m),
+            lambda r, d: (r[0] * ta[d, lane] % m, r[1] * tb[d, lane] % m),
+        )
+        assert r[0].tolist() == [pow(x, y, k) for x, y, k in zip(a.tolist(), e.tolist(), ms)]
+        assert r[1].tolist() == [pow(x, y, k) for x, y, k in zip(b.tolist(), e.tolist(), ms)]
+
+
+# exponents 0, 1, 2^k - 1 and 2^k, of bit lengths on and off the multiples of 3
+EDGE_EXPS = [0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 31, 32, 63, 64, 255, 256, (1 << 17) - 1, 1 << 17,
+             (1 << 18) - 1, 1 << 18, (1 << 40) - 1, 1 << 40, (1 << 61) - 1, 1 << 61]
+
+
+def widest_base(n, top):
+    """The largest a with a^n * top < 2^63."""
+    a = int(((1 << 63) / top) ** (1 / n))
+    while (a + 1) ** n * top < 1 << 63:
+        a += 1
+    while a**n * top >= 1 << 63:
+        a -= 1
+    return a
+
+
+def exact_base_cases(kind):
+    """The int bases of the scans, and the bases on each side of the limit of
+    each window width for the largest modulus, with the width their table takes
+    (0: no table, the per-lane fallback).  Python-int lanes take the bases of
+    the float-quotient lanes."""
+    top = max(moduli("float" if kind == "object" else kind))
+    cases = {a: 3 for a in (0, 1, -1)}
+    for w in (3, 2, 1):
+        a = widest_base((1 << w) - 1, top)
+        cases.update({a: w, -a: w, a + 1: w - 1, -a - 1: w - 1})
+    for a in (2, 3, -23, -108):
+        cases[a] = max(w for w in (0, 1, 2, 3) if w == 0 or abs(a) ** ((1 << w) - 1) * top < 1 << 63)
+    cases[(1 << 62) - 1] = 0  # past every width
+    return cases
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_exact_digit_pow_matches_builtin_pow(kind):
+    # an int base is one exact constant: its digit table widens as far as
+    # int64 allows, and past w = 1 the lanes fall back to residues
+    rng = random.Random(41)
+    ms = moduli(kind)
+    lanes = Lanes(lanes_of(ms, kind))
+    exps = EDGE_EXPS + [rng.randrange(1 << rng.randint(1, 62)) for _ in ms[len(EDGE_EXPS):]]
+    cases = exact_base_cases(kind)
+    assert {2, 3, -23, -108} <= cases.keys() and {0, 1, 2, 3} <= set(cases.values())
+    for a, w in cases.items():
+        w = 3 if kind == "object" else w  # Python-int lanes take the widest table
+        table = lanes.table((a,))
+        assert (len(table) if table else 1) == 1 << w, (a, w)
+        assert table is None or table == [(a**k,) for k in range(1 << w)]
+        assert lanes.pow(a, lanes_of(exps, kind)).tolist() == [
+            pow(a, e, m) for e, m in zip(exps, ms)], a
+        for e in EDGE_EXPS:
+            got = lanes.pow(a, lanes_of([e] * len(ms), kind))
+            assert got.tolist() == [pow(a, e, m) for m in ms], (a, e)
+    assert Lanes(lanes_of([], kind)).pow(-108, lanes_of([], kind)).size == 0
 
 
 # -- the lane ring -----------------------------------------------------------------
@@ -316,7 +376,8 @@ def _transpose(lanes):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("f", RING_POLYS.values(), ids=RING_POLYS.keys())
 def test_ring_lanes_match_scalar(kind, f):
-    # mul, pow, xpow and apply, one lane per modulus, against the scalar
+    # mul, square, pow (of residues and of the exact x) and apply, one lane per
+    # modulus, against the scalar
     # products and poly_pow; the first lanes hold 0 and all-(m - 1) elements
     rng = random.Random(43)
     ms = moduli(kind)
@@ -334,10 +395,66 @@ def test_ring_lanes_match_scalar(kind, f):
     assert _transpose(ring.mul(la, lb)) == [scalar_mul(x, y, f, m) for x, y, m in zip(a, b, ms)]
     exps = [0, 1, 2] + [rng.randrange(1 << rng.randint(2, 40)) for _ in ms[3:]]
     e = lanes_of(exps, kind)
+    assert _transpose(ring.square(la)) == [scalar_mul(x, x, f, m) for x, m in zip(a, ms)]
     assert _transpose(ring.pow(la, e)) == [poly_pow(x, k, f, m) for x, k, m in zip(a, exps, ms)]
     x = (0, 1) + (0,) * (d - 2)
-    assert _transpose(ring.xpow(e)) == [poly_pow(x, k, f, m) for k, m in zip(exps, ms)]
+    assert _transpose(ring.pow(x, e)) == [poly_pow(x, k, f, m) for k, m in zip(exps, ms)]
     images = [elements() for _ in range(d - 1)]
     want = [tuple((c[0] * (k == 0) + sum(c[i] * s[0][j][k] for i, s in enumerate(images, 1))) % m
                   for k in range(d)) for j, (c, m) in enumerate(zip(a, ms))]
     assert _transpose(ring.apply(la, [s[1] for s in images])) == want
+
+
+def exact_powers(a, f, n):
+    """a^0, ..., a^(n - 1) in Z[x]/(f), exact, by schoolbook products and
+    x^k = -x^(k-d) * (f0 + f1 x + ...) from the top down."""
+    d = len(f)
+    out = [(1,) + (0,) * (d - 1)]
+    while len(out) < n:
+        c = [0] * (2 * d - 1)
+        for i, u in enumerate(out[-1]):
+            for j, v in enumerate(a):
+                c[i + j] += u * v
+        for k in range(2 * d - 2, d - 1, -1):
+            for i, fi in enumerate(f):
+                c[k - d + i] -= c[k] * fi
+        out.append(tuple(c[:d]))
+    return out
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("f", RING_POLYS.values(), ids=RING_POLYS.keys())
+def test_ring_exact_digit_pow_matches_poly_pow(kind, f):
+    # a d-tuple of ints is one exact constant: its table of exact powers in
+    # Z[x]/(f) is as wide as keeps every coefficient sum below 2^12 (the
+    # table of x narrows on the bound polys), and past w = 1 the lanes fall
+    # back to residues; Python-int lanes take the widest table
+    rng = random.Random(53)
+    ms = moduli(kind)
+    d = len(f)
+    ring = RingLanes(f, lanes_of(ms, kind))
+    exps = EDGE_EXPS + [rng.randrange(1 << rng.randint(1, 62)) for _ in ms[len(EDGE_EXPS):]]
+    pad = (0,) * (d - 2)
+    constants = [(0, 1) + pad, (-1, 1) + pad, (3, 2) + pad, (-23, -108) + pad, (17, 12) + pad,
+                 (4095, 0) + pad, (4096, 0) + pad, ((1 << 62) - 1, 5) + pad]
+    widths = []
+    for a in constants:
+        powers = exact_powers(a, f, 8)
+        w = max([w for w in (1, 2, 3) if all(sum(map(abs, t)) < 1 << 12 for t in powers[:1 << w])],
+                default=0)
+        w = 3 if kind == "object" else w
+        widths.append(w)
+        assert ring.table(a) == (powers[:1 << w] if w else None), a
+        assert _transpose(ring.pow(a, lanes_of(exps, kind))) == [
+            poly_pow(a, e, f, m) for e, m in zip(exps, ms)], a
+        e = (1 << 17) - 1
+        assert _transpose(ring.pow(a, lanes_of([e] * len(ms), kind))) == [
+            poly_pow(a, e, f, m) for m in ms], a
+    if kind != "object":
+        assert widths[-3:] == [1, 0, 0]  # a sum of 4095 fits, 4096 does not
+        if f == RING_POLYS["x2-2"]:  # the powers of 1 + sqrt(2) cross 2^12 at the 14th
+            assert widths == [3, 3, 2, 1, 1, 1, 0, 0]
+        if f in (RING_POLYS["x2-4095x+4095 bound"], RING_POLYS["x3+4095 bound"]):
+            assert widths[0] < 3  # the table of x narrows
+    assert all(len(c) == 0 for c in RingLanes(f, lanes_of([], kind)).pow(constants[0],
+                                                                         lanes_of([], kind)))
