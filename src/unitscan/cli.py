@@ -45,10 +45,9 @@ def integer(value) -> int:
 
 def _echo_summary(rep):
     """The report, after its summary line and warnings go to stderr."""
-    expected = "" if rep.expected_hits is None else f" ({rep.expected_hits:.2f} expected)"
     click.echo(
         f"{rep.field_id} [{rep.mode}] p in [{rep.lo}, {rep.hi}]: "
-        f"{len(rep.hits)} hit(s){expected} of {rep.tested} tested "
+        f"{len(rep.hits)} hit(s) ({rep.expected_hits:.2f} expected) of {rep.tested} tested "
         f"in {rep.wall_time:.2f}s (workers={rep.workers})",
         err=True,
     )

@@ -23,8 +23,8 @@ import numpy as np
 from ._data import DataFileError, data_path, read_table_rows
 from ._parallel import run_chunked
 # pow3 is poly_pow, called through this module global: the benchmark traces that name
-from .order_arith import (Lanes, OrderSpec, RingLanes, mul3, poly_pow as pow3, prime_lanes,
-                          ring_fits_int64)
+from .order_arith import (Lanes, OrderSpec, RingLanes, frobenius_quotient, mul3, poly_pow as pow3,
+                          prime_lanes, ring_apply, ring_fits_int64)
 from .primes import PrimeRange, is_prime, prime_divisors, primes_in
 from .report import (CLEAR, CLEAR_CODE, CODES, EXCLUDED, HIT, HIT_CODE, Block, ScanReport,
                      Verdict, assemble_report)
@@ -295,17 +295,6 @@ class ZValue:
         return self.coeffs == (0, 0, 0)
 
 
-def _frobenius(a, s1, s2, m: int) -> tuple[int, int, int]:
-    """a0 + a1*theta + a2*theta^2 -> a0 + a1*s1 + a2*s2 mod m, where s1 and s2
-    are the images of theta and theta^2."""
-    a0, a1, a2 = a
-    return (
-        (a0 + a1 * s1[0] + a2 * s2[0]) % m,
-        (a1 * s1[1] + a2 * s2[1]) % m,
-        (a1 * s1[2] + a2 * s2[2]) % m,
-    )
-
-
 def _z_coeffs(unit, f, p: int, xp=None, inv=None) -> tuple[int, int, int]:
     """z with eps^(p^3-1) = 1 + z*p mod p^2, at an inert prime p, for any
     representative of eps mod p^2; xp is theta^p mod (f, p) and inv is a
@@ -313,41 +302,28 @@ def _z_coeffs(unit, f, p: int, xp=None, inv=None) -> tuple[int, int, int]:
     ArithmeticError when p is not inert or the inputs are inconsistent.
 
     O/p^2 is the Galois ring GR(p^2, 3), with Frobenius sigma.  Writing
-    eps = omega*(1 + p*y) with omega the Teichmueller lift gives z = -y and
-    eps^p * sigma(eps^-1) = 1 - p*sigma(y) mod p^2, so one power by p yields
-    sigma(z), and z = sigma^2(sigma(z)) because sigma^3 = 1 on O/p.
+    eps = omega*(1 + p*y) with omega the Teichmueller lift gives z = -y, and one
+    power by p yields the Frobenius quotient t = -sigma(y) = sigma(z) (order_arith),
+    so z = sigma^2(t) because sigma^3 = 1 on O/p.
     """
     m = p * p
-    f0, f1, f2 = f
     if xp is None:
         xp = pow3((0, 1, 0), p, f, p)
-    # sigma(theta) mod p^2: one Newton step t - f(t)/f'(t) from t = theta^p.
-    t2 = mul3(xp, xp, f, m)
-    t3 = mul3(t2, xp, f, m)
-    ft = [t3[i] + f2 * t2[i] + f1 * xp[i] for i in range(3)]
-    dt = [3 * t2[i] + 2 * f2 * xp[i] for i in range(3)]
-    ft[0] += f0
-    dt[0] += f1
-    if ft[0] % p or ft[1] % p or ft[2] % p:
+    # sigma(theta) mod p^2: one Newton step s - f(s)/f'(s) from s = theta^p.
+    t2 = mul3(xp, xp, f, m)  # f(s) is s^3 plus f0 + f1 x + f2 x^2 at x = s
+    ft = [(c + s) % m for c, s in zip(mul3(t2, xp, f, m), ring_apply(f, (xp, t2), m))]
+    if any(c % p for c in ft):
         raise ArithmeticError(f"theta^p is not a root of f mod {p}: corrupt inputs")
-    xp2 = (t2[0] % p, t2[1] % p, t2[2] % p)
-    if xp == (0, 1, 0) or _frobenius(xp, xp, xp2, p) == (0, 1, 0):
+    images = (xp, tuple(c % p for c in t2))  # sigma(theta), sigma(theta^2) mod p
+    if xp == (0, 1, 0) or ring_apply(xp, images, p) == (0, 1, 0):
         raise ArithmeticError(f"p={p} is not inert: theta^p or theta^(p^2) is theta")
+    dt = ring_apply((f[1], 2 * f[2], 3), images, p)  # f'(theta^p)
     step = mul3([c // p for c in ft], _inverse_mod(dt, f, p), f, p)
     s1 = ((xp[0] - p * step[0]) % m, (xp[1] - p * step[1]) % m, (xp[2] - p * step[2]) % m)
-    s2 = mul3(s1, s1, f, m)
-    u = (unit[0] % m, unit[1] % m, unit[2] % m)
     if inv is None:
-        inv = _inverse_mod(u, f, m)
-    w = mul3(pow3(u, p, f, m), _frobenius(inv, s1, s2, m), f, m)
-    d0 = w[0] - 1
-    if d0 % p or w[1] % p or w[2] % p:
-        raise ArithmeticError(
-            f"eps^p * sigma(eps^-1) is not 1 mod {p}: impossible for an inert prime, "
-            "this indicates corrupt inputs"
-        )
-    sz = (d0 // p, w[1] // p, w[2] // p)
-    return _frobenius(_frobenius(sz, xp, xp2, p), xp, xp2, p)
+        inv = _inverse_mod(unit, f, m)
+    t = frobenius_quotient(pow3(unit, p, f, m), inv, (s1, mul3(s1, s1, f, m)), f, p)
+    return ring_apply(ring_apply(t, images, p), images, p)
 
 
 def _z_cubed_in_fp(z, fp, p: int) -> bool:
@@ -423,26 +399,11 @@ def classify_cubic_prime(rec: CubicFieldRecord, p: int, mode: str) -> Verdict:
 # -- batched scan kernel ---------------------------------------------------------
 #
 # A scan chunk classifies its primes together, one numpy lane per prime, with
-# the tests of classify_cubic_prime in the same order, on order_arith.RingLanes.
-# The lanes are int64 when every prime is below 2^25 and ring_fits_int64
-# passes (its fold rule also keeps the Newton residue f(t) below 2^63; the unit,
-# its inverse, Delta and h_E enter as x % m or exact digit tables), else Python ints.
-
-
-def _inverse_lanes(ring: RingLanes, g):
-    """Inverse of g in a cubic ring over prime moduli p, from the adjugate (see
-    _adjugate); ArithmeticError when the norm of g is 0 mod p in a lane."""
-    p = ring.m
-    gx = ring.times_x(g)
-    (m00, m10, m20), (m01, m11, m21), (m02, m12, m22) = g, gx, ring.times_x(gx)
-    c0 = (m11 * m22 - m12 * m21) % p
-    c1 = (m12 * m20 - m10 * m22) % p
-    c2 = (m10 * m21 - m11 * m20) % p
-    det = (m00 * c0 + m01 * c1 + m02 * c2) % p
-    if not det.all():
-        raise ArithmeticError(f"element is not invertible mod {p[det == 0][0]}")
-    d = Lanes(p).pow(det, p - 2)
-    return (c0 * d % p, c1 * d % p, c2 * d % p)
+# the tests of classify_cubic_prime in the same order, on order_arith.RingLanes,
+# z coming from the Frobenius quotient as in _z_coeffs.  The lanes are int64 when
+# every prime is below 2^25 and ring_fits_int64 passes (its fold rule also keeps
+# the Newton residue f(t) below 2^63; the unit, its inverse, Delta, h_E and the
+# adjugate and norm of f'(theta) enter as x % m or exact digit tables), else Python ints.
 
 
 def _equals(a, c):
@@ -457,7 +418,7 @@ def _z_lanes(unit, inv, f, p, xp):
     rp = RingLanes(f, p)
     rm = RingLanes(f, m)
     f0, f1, f2 = f
-    # sigma(theta) mod p^2: one Newton step t - f(t)/f'(t) from t = theta^p.
+    # sigma(theta) mod p^2: one Newton step s - f(s)/f'(s) from s = theta^p.
     t2 = rm.square(xp)
     t3 = rm.mul(t2, xp)
     ft = [(t3[i] + f2 * t2[i] + f1 * xp[i]) % m for i in range(3)]
@@ -465,33 +426,30 @@ def _z_lanes(unit, inv, f, p, xp):
     bad = ~_equals([c % p for c in ft], (0, 0, 0))
     if bad.any():
         raise ArithmeticError(f"theta^p is not a root of f mod {p[bad][0]}: corrupt inputs")
-    xp2 = tuple(c % p for c in t2)
-    bad = _equals(xp, (0, 1, 0)) | _equals(rp.apply(xp, (xp, xp2)), (0, 1, 0))
+    images = (xp, tuple(c % p for c in t2))  # sigma(theta), sigma(theta^2) mod p
+    bad = _equals(xp, (0, 1, 0)) | _equals(rp.apply(xp, images), (0, 1, 0))
     if bad.any():
         raise ArithmeticError(f"p={p[bad][0]} is not inert: theta^p or theta^(p^2) is theta")
-    dt = [(3 * xp2[i] + 2 * f2 * xp[i]) % p for i in range(3)]
-    dt[0] = (dt[0] + f1) % p
-    step = rp.mul(tuple(c // p for c in ft), _inverse_lanes(rp, dt))
-    s1 = tuple((c - p * s) % m for c, s in zip(xp, step))
-    s2 = rm.square(s1)
-    w = rm.mul(rm.pow(unit, p), rm.apply(tuple(c % m for c in inv), (s1, s2)))
-    d0 = w[0] - 1
-    bad = ~_equals((d0 % p, w[1] % p, w[2] % p), (0, 0, 0))
+    # 1/f'(sigma(theta)) mod p is sigma(adj) / det, where f'(theta) * adj = det
+    adj, det = _adjugate((f1, 2 * f2, 3), f)
+    bad = det % p == 0
     if bad.any():
-        raise ArithmeticError(
-            f"eps^p * sigma(eps^-1) is not 1 mod {p[bad][0]}: impossible for an inert prime, "
-            "this indicates corrupt inputs"
-        )
-    sz = (d0 // p, w[1] // p, w[2] // p)
-    return rp.apply(rp.apply(sz, (xp, xp2)), (xp, xp2))
+        raise ArithmeticError(f"f'(theta) is not invertible mod {p[bad][0]}")
+    dinv = Lanes(p).pow(det, p - 2)
+    step = rp.mul(tuple(c // p * dinv % p for c in ft), rp.apply(tuple(c % p for c in adj), images))
+    s1 = tuple((c - p * s) % m for c, s in zip(xp, step))
+    t = rm.frobenius_quotient(p, rm.pow(unit, p), inv, (s1, rm.square(s1)))
+    return rp.apply(rp.apply(t, images), images)
 
 
 def _classify_lanes(rec: CubicFieldRecord, mode: str, primes: np.ndarray) -> Block:
     """classify_cubic_prime for every prime of the int64 array."""
     if mode not in (MODE_H2, MODE_ORDINARY):
         raise ValueError(f"unknown mode {mode!r}")
+    f = rec.spec.reduction
+    adj, det = _adjugate((f[1], 2 * f[2], 3), f)  # of f'(theta), as in _z_lanes
     P = prime_lanes(primes, ring_fits_int64(
-        rec.spec.reduction, (*rec.unit, *rec.unit_inverse, rec.delta, rec.class_number_e or 0)))
+        f, (*rec.unit, *rec.unit_inverse, rec.delta, rec.class_number_e or 0, *adj, det)))
     code = np.full(len(P), CLEAR_CODE, dtype=np.int8)  # clear marks the lanes still live
 
     def exclude(lanes, reason):
@@ -511,7 +469,6 @@ def _classify_lanes(rec: CubicFieldRecord, mode: str, primes: np.ndarray) -> Blo
     nonresidue = Lanes(p).pow(rec.delta, (p - 1) >> 1) != 1
     exclude(live[nonresidue], "frob_order_not_3")
     live, p = live[~nonresidue], p[~nonresidue]
-    f = rec.spec.reduction
     xp = RingLanes(f, p).pow((0, 1, 0), p)
     split = _equals(xp, (0, 1, 0))
     exclude(live[split], "frob_order_not_3")
@@ -526,7 +483,11 @@ def _classify_lanes(rec: CubicFieldRecord, mode: str, primes: np.ndarray) -> Blo
     else:
         hit = zero
     code[live[hit]] = HIT_CODE
-    return Block.of(primes, code, tuple(zip(*(c[hit].tolist() for c in z))))
+    # N(eps) = +-1 puts z in the trace-zero plane of O/p, where z = 0 has probability 1/p^2
+    # and z^3 in F_p* (z on the lines of gamma, gamma^2; gamma^3 a non-cube) 2/(p+1)
+    denominators = primes * primes if mode == MODE_H2 else (primes + 1) >> 1
+    aux = tuple(zip(*(c[hit].tolist() for c in z)))
+    return Block.of(primes, code, aux, denominators=denominators)
 
 
 def _cubic_chunk(args, lo: int, hi: int) -> Block:

@@ -7,6 +7,9 @@ The ring (Z/m)[x]/(f) is written once per side: on tuples (the scalar
 references) by the products mul2 and mul3 under the one power loop poly_pow,
 and lane by lane (the scans) by RingLanes, for both degrees.  Lane powers take
 w-bit digits, exact in int64 for the exact constants the scans raise (Lanes.table).
+The quadratic and cubic scans decide on one Frobenius quotient, also once per
+side: t in O/p with eps^p * sigma(eps)^-1 = 1 + p*t mod p^2 at an unramified p,
+for the Frobenius sigma that the caller supplies (images of x, ..., x^(d-1)).
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ __all__ = [
     "mul2",
     "mul3",
     "poly_pow",
+    "ring_apply",
+    "frobenius_quotient",
     "Lanes",
     "prime_lanes",
     "pow_lanes",
@@ -119,6 +124,30 @@ def poly_pow(a, e, f, m):
         if bit == "1":
             r = mul(r, a, f, m)
     return r
+
+
+def ring_apply(a, images, m):
+    """a0 + a1 x + ... -> a0 + a1 s1 + ... mod m, for the images s1, ... of x, ..., x^(d-1)."""
+    return tuple((sum(c * s[k] for c, s in zip(a[1:], images)) + (0 if k else a[0])) % m
+                 for k in range(len(a)))
+
+
+def _quotient(w, p):
+    """t = (w - 1)/p for w = 1 mod p, on ints or lanes; ArithmeticError otherwise."""
+    w = (w[0] - 1, *w[1:])
+    bad = reduce(np.logical_or, [c % p != 0 for c in w])
+    if np.any(bad):
+        raise ArithmeticError(f"eps^p * sigma(eps^-1) is not 1 mod {np.extract(bad, p)[0]}: "
+                              "impossible at an unramified prime, this indicates corrupt inputs")
+    return tuple(c // p for c in w)
+
+
+def frobenius_quotient(up, inv, images, f, p):
+    """t in O/p with eps^p * sigma(eps^-1) = 1 + p*t mod (f, p^2), for up = eps^p
+    mod p^2, the exact inverse inv of eps (any representative mod p^2 will do)
+    and the images under sigma of x, ..., x^(d-1) mod p^2, d = len(f)."""
+    m = p * p
+    return _quotient((mul2 if len(f) == 2 else mul3)(up, ring_apply(inv, images, m), f, m), p)
 
 
 # -- lane arithmetic: one numpy lane per modulus -------------------------------
@@ -277,10 +306,12 @@ class RingLanes(Lanes):
 
     pow = Lanes.power
 
-    def times_x(self, g):
-        return tuple((lo + g[-1] * c) % self.m for lo, c in zip((0, *g[:-1]), self.rows[0]))
-
     def apply(self, a, images):
         """a0 + a1 x + ... -> a0 + a1 s1 + ..., for the images s1, ... of x, ..., x^(d-1)."""
         return tuple(self.dot([(c, s[k]) for c, s in zip(a[1:], images)], None if k else a[0])
                      for k in range(self.d))
+
+    def frobenius_quotient(self, p, up, inv, images):
+        """frobenius_quotient lane by lane over m = p^2: up and the images are lanes
+        mod m, inv the exact inverse (its entries enter as x % m)."""
+        return _quotient(self.mul(up, self.apply(tuple(c % self.m for c in inv), images)), p)

@@ -6,10 +6,10 @@ The fundamental unit eps is found from the periodic continued fraction of
 omega; a prime p is a hit when eps^(p^2-1) = 1 in Z[omega]/p^2, which is the
 unit-theoretic criterion for the relevant degree-two cohomology not to vanish.
 
-The code tests the equivalent eps^p = sigma(eps) mod p^2, one power by p: the
-Frobenius sigma fixes sqrt(D) when (D/p) = 1 and negates it when (D/p) = -1.
-With eps = w(1 + p*y), w the Teichmueller lift, eps^(p^2-1) = 1 - p*y and
-eps^p = sigma(eps)(1 - p*sigma(y)) mod p^2, so both say y = 0 mod p.
+The code decides it by the Frobenius quotient eps^p * sigma(eps)^-1 = 1 + p*t
+mod p^2 (order_arith), one power by p: sigma fixes sqrt(D) when (D/p) = 1 and
+negates it when (D/p) = -1.  With eps = w(1 + p*y), w the Teichmueller lift,
+eps^(p^2-1) = 1 - p*y and t = -sigma(y) mod p, so p is a hit exactly when t = 0.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ import numpy as np
 from ._data import DataFileError, data_path, read_table_rows
 from ._parallel import run_chunked
 # pow2 is poly_pow, called through this module global: the benchmark traces that name
-from .order_arith import Lanes, OrderSpec, RingLanes, poly_pow as pow2, prime_lanes, ring_fits_int64
+from .order_arith import (Lanes, OrderSpec, RingLanes, frobenius_quotient, poly_pow as pow2,
+                          prime_lanes, ring_fits_int64)
 from .primes import PrimeRange, prime_divisors, primes_in
 from .report import (CLEAR, CLEAR_CODE, CODES, EXCLUDED, HIT, HIT_CODE, Block, ScanReport,
                      Verdict, assemble_report)
@@ -91,6 +92,7 @@ class QuadFieldRecord:
     class_number: int
     unit: QuadUnit
     reduction: tuple[int, int] = field(init=False, repr=False, compare=False)
+    unit_inverse: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not is_squarefree(self.d) or self.d < 2:
@@ -108,6 +110,8 @@ class QuadFieldRecord:
         if unit_norm(self.d, u.a, u.b) != u.norm_sign or u.norm_sign not in (1, -1):
             raise ValueError("unit norm is not +-1")
         object.__setattr__(self, "reduction", order_spec_for(self.d).reduction)
+        n, f1 = u.norm_sign, self.reduction[1]  # eps^-1 = N(eps) conj(eps), conj(omega) = -f1 - omega
+        object.__setattr__(self, "unit_inverse", (n * (u.a - u.b * f1), -n * u.b))
 
 
 def fundamental_unit_quadratic(d: int) -> QuadUnit:
@@ -200,12 +204,6 @@ def quad_unit_test(rec: QuadFieldRecord, p: int) -> bool:
     return v.status == HIT
 
 
-def _conjugate(d: int, a, b, m):
-    """sigma(a + b*omega) mod m at an inert prime: omega -> -omega, or
-    1 - omega in the half basis.  On ints and on lane arrays alike."""
-    return ((a + b) % m, -b % m) if d % 4 == 1 else (a, -b % m)
-
-
 def classify_quad_prime(rec: QuadFieldRecord, p: int) -> Verdict:
     """Per-prime verdict: the scalar reference of the lane kernel, and the
     path of quad_unit_test."""
@@ -215,17 +213,18 @@ def classify_quad_prime(rec: QuadFieldRecord, p: int) -> Verdict:
         return Verdict(p, EXCLUDED, reason="ramified")
     if rec.class_number % p == 0:
         return Verdict(p, EXCLUDED, reason="divides_class_number")
-    m = p * p
-    eps = (rec.unit.a % m, rec.unit.b % m)
-    inert = pow(rec.d, (p - 1) // 2, p) != 1
-    sigma = _conjugate(rec.d, *eps, m) if inert else eps
-    return Verdict(p, HIT if pow2(eps, p, rec.reduction, m) == sigma else CLEAR)
+    f, m = rec.reduction, p * p
+    # sigma(omega): omega at a split prime, its conjugate -f1 - omega at an inert one
+    image = (-f[1] % m, m - 1) if pow(rec.d, (p - 1) // 2, p) != 1 else (0, 1)
+    up = pow2((rec.unit.a, rec.unit.b), p, f, m)
+    t = frobenius_quotient(up, rec.unit_inverse, (image,), f, p)
+    return Verdict(p, HIT if t == (0, 0) else CLEAR)
 
 
 def _classify_lanes(rec: QuadFieldRecord, primes: np.ndarray) -> Block:
     """classify_quad_prime for every prime of the int64 array."""
     u = rec.unit
-    exact = (u.a, u.b, rec.field_disc, rec.class_number)  # each enters as x % p or x % p^2
+    exact = (u.a, u.b, *rec.unit_inverse, rec.field_disc, rec.class_number)  # each as x % p or p^2
     P = prime_lanes(primes, ring_fits_int64(rec.reduction, exact))
     code = np.full(len(P), CLEAR_CODE, dtype=np.int8)  # clear marks the lanes still live
     # the exclusions in the order classify_quad_prime applies them
@@ -236,11 +235,11 @@ def _classify_lanes(rec: QuadFieldRecord, primes: np.ndarray) -> Block:
     live = np.flatnonzero(code == CLEAR_CODE)
     p = P[live]
     m = p * p
-    eps = (u.a % m, u.b % m)
+    ring = RingLanes(rec.reduction, m)
     inert = Lanes(p).pow(rec.d, (p - 1) >> 1) != 1
-    sigma = [np.where(inert, c, e) for c, e in zip(_conjugate(rec.d, *eps, m), eps)]
-    w = RingLanes(rec.reduction, m).pow((u.a, u.b), p)
-    code[live[(w[0] == sigma[0]) & (w[1] == sigma[1])]] = HIT_CODE
+    image = (np.where(inert, -rec.reduction[1] % m, 0), np.where(inert, m - 1, 1))
+    t = ring.frobenius_quotient(p, ring.pow((u.a, u.b), p), rec.unit_inverse, (image,))
+    code[live[(t[0] == 0) & (t[1] == 0)]] = HIT_CODE
     return Block.of(primes, code)
 
 

@@ -34,7 +34,7 @@ CODES = (CLEAR, HIT, "below_min_p", "ramified", "divides_class_number", "hyp1_di
          "hyp2_ramified", "hyp3_class_number", "hyp5_in_H5", "p_2_mod_3", "frob_order_not_3",
          "z_zero", "divides_base")
 CLEAR_CODE, HIT_CODE = CODES.index(CLEAR), CODES.index(HIT)
-# Fraction bits of the fixed-point sum of 1/p (terms floored): below 2^63 to 1e9.
+# Fraction bits of the fixed-point sum of 1/denominator (terms floored): below 2^63 to 1e9.
 _RECIP_BITS = 60
 
 
@@ -68,8 +68,9 @@ def _verdicts(primes, codes, aux=()):
 class Block:
     """The lanes kept of a chunk or a whole scan: primes (int64, ascending),
     codes and the aux of the hits; iterating builds their Verdicts.  counts
-    (per code) and recip (sum of 1/p over the tested primes, in 2^-60 units)
-    cover every prime classified, as integers that no chunking changes."""
+    (per code) and recip (the expected hits, the sum over the tested primes of
+    each one's hit probability 1/denominator, in 2^-60 units) cover every
+    prime classified, as integers that no chunking changes."""
 
     primes: np.ndarray
     codes: np.ndarray
@@ -78,9 +79,11 @@ class Block:
     recip: int
 
     @classmethod
-    def of(cls, primes, codes, aux=(), hits_only=False) -> "Block":
-        """The Block of a chunk's primes and codes, keeping every lane or only the hits."""
-        recip = int(((1 << _RECIP_BITS) // primes[codes <= HIT_CODE]).sum())
+    def of(cls, primes, codes, aux=(), hits_only=False, denominators=None) -> "Block":
+        """The Block of a chunk's primes and codes, keeping every lane or only the hits;
+        a tested lane hits with probability 1/denominator (int64 lanes, by default p)."""
+        denominators = primes if denominators is None else denominators
+        recip = int(((1 << _RECIP_BITS) // denominators[codes <= HIT_CODE]).sum())
         counts = np.bincount(codes, minlength=len(CODES))
         keep = codes == HIT_CODE if hits_only else slice(None)
         return cls(primes[keep], codes[keep], aux, counts, recip)
@@ -181,10 +184,10 @@ def assemble_report(
         warnings=tuple(warnings),
         wall_time=wall_time,
         workers=workers,
-        # the counters, outside the checksum; cubic ordinary hits follow no 1/p model
+        # the counters, outside the checksum
         tested=counts[CLEAR_CODE] + counts[HIT_CODE],
         excluded_counts={CODES[c]: n for c, n in enumerate(counts) if c > HIT_CODE and n},
-        expected_hits=None if mode == "ordinary" else verdicts.recip / (1 << _RECIP_BITS),
+        expected_hits=verdicts.recip / (1 << _RECIP_BITS),
     )
 
 

@@ -45,7 +45,7 @@ def test_scan_cubic_ordinary(runner):
     assert rows[0].startswith("cubic(delta=-23),13,ordinary,hit,,")
     aux = rows[0].split(",")[-1]
     assert len(aux.split()) == 3  # z coefficients mod p
-    assert "1 hit(s) of 380 tested" in res.stderr  # no 1/p model for ordinary hits
+    assert "1 hit(s) (0.49 expected) of 380 tested" in res.stderr  # sum of 2/(p+1)
 
 
 def test_scan_cubic_h2_json_warning(runner):
@@ -58,6 +58,9 @@ def test_scan_cubic_h2_json_warning(runner):
     doc = json.loads(res.stdout)
     assert doc["hits"] == []
     assert any("h_E unknown" in w for w in doc["warnings"])
+    # z = 0 has probability 1/p^2: sum 1/p^2 over the 101 tested primes
+    assert "0 hit(s) (0.03 expected) of 101 tested" in res.stderr
+    assert doc["tested"] == 101 and 0.025 < doc["expected_hits"] < 0.026
 
 
 def test_h5_text_and_json(runner):

@@ -26,6 +26,7 @@ from unitscan.cubic import (
     real_root,
     scan_cubic,
     z_value,
+    _adjugate,
     _classify_lanes,
     _cubic_chunk,
     _embed,
@@ -42,6 +43,7 @@ from _oracles import (
     cubic_is_inert,
     cubic_mul,
     cubic_norm_float,
+    cubic_powmod,
     cubic_z_oracle,
     trial_division_primes,
 )
@@ -337,6 +339,26 @@ def test_ordinary_criterion_exhaustive(cubic_records):
     assert passed == 3 * (p - 1)
 
 
+def test_ordinary_model_exhaustive(cubic_records):
+    # the expected-hit weights: N(eps) = +-1 puts z in the trace-zero plane of
+    # F_(p^3), where 2(p-1) of the p^2 - 1 nonzero z have z^3 in F_p (the lines
+    # of gamma and gamma^2, gamma^3 a non-cube), so an ordinary hit has
+    # probability 2/(p+1), and z = 0 has 1/p^2
+    rec = cubic_records[-23]
+    p = 13
+    poly = rec.spec.defining_poly
+    fp = tuple(c % p for c in rec.spec.reduction)
+    plane = []
+    for z in itertools.product(range(p), repeat=3):
+        conjugates = [cubic_powmod(list(z), p**k, poly, p) for k in range(3)]
+        trace = [sum(c) % p for c in zip(*conjugates)]
+        assert trace[1:] == [0, 0]  # the trace lies in F_p
+        if trace[0] == 0 and z != (0, 0, 0):
+            plane.append(z)
+    assert len(plane) == p * p - 1 == 168
+    assert sum(_z_cubed_in_fp(z, fp, p) for z in plane) == 2 * (p - 1) == 24
+
+
 def test_ordinary_examples(cubic_records):
     assert ordinary_test(cubic_records[-23], 13) is True
     assert ordinary_test(cubic_records[-31], 7) is True
@@ -377,9 +399,11 @@ def test_h2_clear_everywhere_small(cubic_records):
 
 def _int64_ok(rec):
     """The shared int64 rule on the record: its fold rows, and the integers
-    the kernel reads exactly."""
-    ints = (*rec.unit, *rec.unit_inverse, rec.delta, rec.class_number_e or 0)
-    return ring_fits_int64(rec.spec.reduction, ints)
+    the kernel reads exactly, the adjugate and norm of f'(theta) among them."""
+    f = rec.spec.reduction
+    adj, det = _adjugate((f[1], 2 * f[2], 3), f)
+    ints = (*rec.unit, *rec.unit_inverse, rec.delta, rec.class_number_e or 0, *adj, det)
+    return ring_fits_int64(f, ints)
 
 
 def _fold_sum(f):
@@ -387,9 +411,15 @@ def _fold_sum(f):
     return max(sum(abs(r[k]) for r in fold_rows(f)) for k in range(len(f)))
 
 
+# a tested prime's hit probability is 1/denominator: 1/p^2 for z = 0 in the
+# trace-zero plane, 2/(p+1) for a nonzero z there with z^3 in F_p
+_DENOMINATORS = {MODE_H2: lambda p: p * p, MODE_ORDINARY: lambda p: (p + 1) // 2}
+
+
 def _reference_report(rec, rng, mode):
     """The report assembled from classify_cubic_prime, one prime at a time."""
-    verdicts = block_of(classify_cubic_prime(rec, p, mode) for p in primes_in(rng))
+    verdicts = block_of((classify_cubic_prime(rec, p, mode) for p in primes_in(rng)),
+                        _DENOMINATORS[mode])
     return assemble_report(f"cubic(delta={rec.delta})", mode, rng.lo, rng.hi, verdicts, True)
 
 
@@ -414,7 +444,9 @@ def test_scan_matches_classify(delta, cubic_records):
         rng = PrimeRange(2, pmax)
         rep = scan_cubic(rec, rng, mode=mode, full_verdicts=True)
         _assert_same_report(rep, _reference_report(rec, rng, mode), mode)
-        assert (rep.expected_hits is None) == (mode == MODE_ORDINARY)  # no 1/p model there
+        tested = sorted({v.p for v in rep.hits}.union(rep.clears))
+        weight = (lambda p: 1 / p**2) if mode == MODE_H2 else (lambda p: 2 / (p + 1))
+        assert rep.expected_hits == pytest.approx(sum(map(weight, tested)), rel=1e-12)
 
 
 def test_batch_tiny_chunks(cubic_records):
@@ -532,6 +564,14 @@ def test_large_coefficients_take_python_int_lanes(cubic_records, kernel_calls):
     huge_h = CubicFieldRecord(-23, rec23.spec, rec23.ramified, 1 << 70, rec23.unit, "derived")
     records = (big_power, shifted, huge_h)
     assert not any(map(_int64_ok, records))
+    # The Newton step also reads the adjugate and norm of f'(theta) exactly.  No
+    # cubic record overflows on those alone: the norm is -Delta, and the fold
+    # rule keeps every |f_i| below 2^12, so the adjugate stays below 2^40.
+    # (The quadratic unit inverse can: test_large_unit_takes_python_int_lanes.)
+    for rec in (*cubic_records.values(), shifted):
+        f = rec.spec.reduction
+        adj, det = _adjugate((f[1], 2 * f[2], 3), f)
+        assert det == -rec.delta and max(map(abs, adj)) < 1 << 40
     rng = PrimeRange(2, 3000)
     _check_window(records, rng, kernel_calls)
     # the shifted model is the same field: same hits and clears as shipped

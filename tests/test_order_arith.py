@@ -11,12 +11,14 @@ from unitscan.order_arith import (
     OrderSpec,
     RingLanes,
     fold_rows,
+    frobenius_quotient,
     mul2,
     mul3,
     poly_discriminant,
     poly_pow,
     pow_lanes,
     prime_lanes,
+    ring_apply,
     ring_fits_int64,
 )
 from unitscan.primes import RANGE_LIMIT, PrimeRange, primes_in
@@ -458,3 +460,68 @@ def test_ring_exact_digit_pow_matches_poly_pow(kind, f):
             assert widths[0] < 3  # the table of x narrows
     assert all(len(c) == 0 for c in RingLanes(f, lanes_of([], kind)).pow(constants[0],
                                                                          lanes_of([], kind)))
+
+
+
+# -- the Frobenius quotient -------------------------------------------------------
+
+def _frobenius_images(f, p):
+    """Whether an unramified p is inert in Z[x]/(f), and the images of x, ...,
+    x^(d-1) mod p^2 under the Frobenius sigma at p.  Degree 2: x when it has a
+    root mod p, else its conjugate -f1 - x.  Degree 3: the root of f lifted
+    from x^p (mod p) by one Newton step s - f(s)/f'(s), with 1/f'(s) taken as
+    f'(s)^(p^3 - 2) in F_(p^3)."""
+    m = p * p
+    if len(f) == 2:
+        inert = pow(f[1] * f[1] - 4 * f[0], (p - 1) // 2, p) != 1
+        return inert, ((-f[1] % m, m - 1) if inert else (0, 1),)
+    xp = poly_pow((0, 1, 0), p, f, p)
+    s2 = mul3(xp, xp, f, m)
+    fs = [(a + b) % m for a, b in zip(mul3(s2, xp, f, m), ring_apply(f, (xp, s2), m))]
+    dinv = poly_pow(ring_apply((f[1], 2 * f[2], 3), (xp, s2), p), p**3 - 2, f, p)
+    s1 = tuple((x - p * c) % m for x, c in zip(xp, mul3([c // p for c in fs], dinv, f, p)))
+    return xp != (0, 1, 0), (s1, mul3(s1, s1, f, m))
+
+
+# f, a unit of Z[x]/(f) and its inverse: 1 + sqrt 2, the golden ratio, and the
+# root of x^3 - x - 1 (Delta = -23), whose inverse is x^2 - 1
+QUOTIENT_UNITS = {
+    "x2-2": ((-2, 0), (1, 1), (-1, 1)),
+    "x2-x-1": ((-1, -1), (0, 1), (-1, 1)),
+    "x3-x-1": ((-1, -1, 0), (0, 1, 0), (-1, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("f, unit, inv", QUOTIENT_UNITS.values(), ids=QUOTIENT_UNITS.keys())
+def test_frobenius_quotient_lanes_match_scalar(f, unit, inv):
+    # the lane step against the tuple step at split and inert primes, on int64
+    # lanes below 2^25 and on Python-int lanes above; both raise on a wrong
+    # inverse or a wrong image, naming a prime where w is not 1 mod p
+    d = len(f)
+    assert (mul2 if d == 2 else mul3)(unit, inv, f, 1 << 80) == (1,) + (0,) * (d - 1)
+    identity = tuple(tuple(int(j == k) for j in range(d)) for k in range(1, d))
+    for lo, kind in ((5, "exact"), (MULMOD_PMAX, "object")):
+        primes = [p for p in primes_in(PrimeRange(lo, lo + 3000))
+                  if poly_discriminant(f + (1,)) % p][:24]
+        P = prime_lanes(primes)
+        assert P.dtype == lanes_of([], kind).dtype
+        inert, images = zip(*(_frobenius_images(f, p) for p in primes))
+        assert any(inert) and not all(inert)
+        ups = [poly_pow(unit, p, f, p * p) for p in primes]
+        want = [frobenius_quotient(u, inv, s, f, p) for u, s, p in zip(ups, images, primes)]
+        assert all(0 <= c < p for t, p in zip(want, primes) for c in t)
+        ring = RingLanes(f, P * P)
+        cols = lambda rows: tuple(lanes_of(c, kind) for c in zip(*rows))
+        up, im = cols(ups), tuple(map(cols, zip(*images)))
+        assert _transpose(ring.frobenius_quotient(P, up, inv, im)) == want
+        for p, u, s, i in zip(primes, ups, images, inert):
+            with pytest.raises(ArithmeticError, match=f"not 1 mod {p}:"):
+                frobenius_quotient(u, unit, s, f, p)  # eps is not its own inverse
+            if i:
+                with pytest.raises(ArithmeticError, match=f"not 1 mod {p}:"):
+                    frobenius_quotient(u, inv, identity, f, p)  # sigma is not the identity
+        with pytest.raises(ArithmeticError, match=f"not 1 mod {primes[0]}:"):
+            ring.frobenius_quotient(P, up, unit, im)
+        fixed = tuple(cols([s] * len(primes)) for s in identity)
+        with pytest.raises(ArithmeticError, match=f"not 1 mod {primes[inert.index(True)]}:"):
+            ring.frobenius_quotient(P, up, inv, fixed)

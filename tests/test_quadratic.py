@@ -26,7 +26,7 @@ from unitscan.quadratic import (
     _classify_lanes,
     _quad_chunk,
 )
-from unitscan.order_arith import MULMOD_PMAX, poly_pow
+from unitscan.order_arith import MULMOD_PMAX, frobenius_quotient, mul2, poly_pow
 from unitscan.primes import RANGE_LIMIT
 from unitscan.report import CLEAR, EXCLUDED, HIT, HIT_CODE, Block, Verdict, assemble_report
 
@@ -170,6 +170,28 @@ def test_lanes_and_classify_match_naive_power(quad_records):
         assert rep.expected_hits == pytest.approx(sum(1 / p for p in tested), rel=1e-12)
 
 
+def test_frobenius_quotient_zero_exactly_at_naive_hits(quad_records):
+    # the shared step on each record, with sigma(omega) = omega at a split p
+    # and its conjugate -f1 - omega at an inert one: unit_inverse is eps^-1,
+    # and t = (0, 0) exactly where the literal eps^(p^2-1) is 1 mod p^2
+    hits = 0
+    for d, rec in quad_records.items():
+        u, f = rec.unit, rec.reduction
+        assert mul2((u.a, u.b), rec.unit_inverse, f, 1 << 80) == (1, 0)
+        for p in primes_in(PrimeRange(3, 2000)):
+            if rec.field_disc % p == 0:
+                continue
+            m = p * p
+            inert = pow(rec.field_disc, (p - 1) // 2, p) == p - 1
+            image = (-f[1] % m, m - 1) if inert else (0, 1)
+            t = frobenius_quotient(poly_pow((u.a, u.b), p, f, m), rec.unit_inverse, (image,), f, p)
+            assert all(0 <= c < p for c in t)
+            naive = quad_hit_naive(d, u.a, u.b, p)
+            assert (t == (0, 0)) == naive, (d, p)
+            hits += naive
+    assert hits == 18
+
+
 def _check_window(records, rng, kernel_calls, dtypes=(object,)):
     """Each record's scan of the range against classify_quad_prime: one lane
     array of each dtype in turn (Python ints for a one-chunk range), and no
@@ -215,8 +237,16 @@ def test_large_unit_takes_python_int_lanes(quad_records, kernel_calls):
     # Q(sqrt 4098), h = 6: a small unit, but x^2 - 4098 folds by a row of 4098 >= 2^12
     wide = quad_field_record(4098, 6)
     assert wide.unit == QuadUnit(4097, 64, 1) and wide.reduction == (-4098, 0)
+    # golden ratio^92 of Q(sqrt 5): F_91 + F_92 omega fits int64, but its inverse
+    # F_93 - F_92 omega does not (F_93 > 2^63 > F_92)
+    fib = [0, 1]
+    while len(fib) < 94:
+        fib.append(fib[-1] + fib[-2])
+    golden = quad_field_record(5, 1, QuadUnit(fib[91], fib[92], 1))
+    assert max(fib[91], fib[92]) < 1 << 63 <= max(map(abs, golden.unit_inverse))
+    assert golden.unit_inverse == (fib[93], -fib[92])
     rng = PrimeRange(2, 3000)
-    _check_window({2: rec, 4098: wide}, rng, kernel_calls)
+    _check_window({2: rec, 4098: wide, 5: golden}, rng, kernel_calls)
     rep = scan_quadratic(rec, rng, full_verdicts=True)
     assert [v.p for v in rep.hits] == [3, 13, 17, 31]
     assert [p for p in rep.clears if quad_hit_naive(2, a, b, p)] == []
