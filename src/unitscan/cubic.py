@@ -197,12 +197,16 @@ def find_fundamental_unit(spec: OrderSpec, coeff_bound: int = 10):
 
 @dataclass(frozen=True)
 class CubicFieldRecord:
+    """K = Q(theta) for the order spec of field discriminant delta, with h_E
+    (None when unknown) and a fundamental unit (by default the one
+    find_fundamental_unit gives, with its certificate)."""
+
     delta: int
     spec: OrderSpec
-    ramified: frozenset[int]
-    class_number_e: int | None
-    unit: tuple[int, int, int]
+    class_number_e: int | None = None
+    unit: tuple[int, int, int] | None = None
     unit_certificate: str = "shipped"
+    ramified: frozenset[int] = field(init=False, repr=False, compare=False)
     unit_inverse: tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -210,29 +214,19 @@ class CubicFieldRecord:
             raise ValueError("field discriminant must be negative")
         if self.spec.discriminant != self.delta:
             raise ValueError("disc(f) must equal the field discriminant")
-        if self.ramified != prime_divisors(self.delta):
-            raise ValueError("ramified set must be the prime divisors of the discriminant")
         if self.class_number_e is not None and self.class_number_e < 1:
             raise ValueError("class number must be positive")
+        if self.unit is None:
+            unit, certificate = find_fundamental_unit(self.spec)
+            object.__setattr__(self, "unit", unit)
+            object.__setattr__(self, "unit_certificate", certificate)
         a, b, c = self.unit
         if b == 0 and c == 0:
             raise ValueError("unit must not be rational (+-1)")
         if element_norm(self.spec, self.unit) not in (1, -1):
             raise ValueError("unit norm is not +-1")
+        object.__setattr__(self, "ramified", prime_divisors(self.delta))
         object.__setattr__(self, "unit_inverse", invert_unit(self.spec, self.unit))
-
-
-def cubic_field_record(
-    delta: int,
-    poly,
-    class_number_e: int | None = None,
-    unit: tuple[int, int, int] | None = None,
-    certificate: str = "shipped",
-) -> CubicFieldRecord:
-    spec = OrderSpec.from_poly(poly)
-    if unit is None:
-        unit, certificate = find_fundamental_unit(spec)
-    return CubicFieldRecord(delta, spec, prime_divisors(delta), class_number_e, unit, certificate)
 
 
 def load_cubic_fields(data_dir=None) -> dict[int, CubicFieldRecord]:
@@ -250,13 +244,13 @@ def load_cubic_fields(data_dir=None) -> dict[int, CubicFieldRecord]:
             delta = int(row[0])
             if delta in records:
                 raise ValueError(f"duplicate delta={delta}")
-            poly = (int(row[3]), int(row[2]), int(row[1]), 1)
-            ramified = frozenset(int(l) for l in row[4].split(","))
-            if ramified != prime_divisors(delta):
-                raise ValueError("S does not equal the prime divisors of delta")
+            spec = OrderSpec((int(row[3]), int(row[2]), int(row[1]), 1))
             h_e = None if row[5] == "?" else int(row[5])
             unit = (int(row[6]), int(row[7]), int(row[8]))
-            records[delta] = cubic_field_record(delta, poly, h_e, unit, row[9])
+            rec = CubicFieldRecord(delta, spec, h_e, unit, row[9])
+            if frozenset(int(l) for l in row[4].split(",")) != rec.ramified:
+                raise ValueError("S does not equal the prime divisors of delta")
+            records[delta] = rec
         except (ValueError, IndexError) as exc:
             raise DataFileError(f"bad cubic field row {row}: {exc}") from exc
     if not records:
@@ -447,9 +441,9 @@ def _classify_lanes(rec: CubicFieldRecord, mode: str, primes: np.ndarray) -> Blo
     if mode not in (MODE_H2, MODE_ORDINARY):
         raise ValueError(f"unknown mode {mode!r}")
     f = rec.spec.reduction
-    adj, det = _adjugate((f[1], 2 * f[2], 3), f)  # of f'(theta), as in _z_lanes
+    # f'(theta)'s adj and det need no check: det = -delta, and the fold rule keeps |adj| < 2^40
     P = prime_lanes(primes, ring_fits_int64(
-        f, (*rec.unit, *rec.unit_inverse, rec.delta, rec.class_number_e or 0, *adj, det)))
+        f, (*rec.unit, *rec.unit_inverse, rec.delta, rec.class_number_e or 0)))
     code = np.full(len(P), CLEAR_CODE, dtype=np.int8)  # clear marks the lanes still live
 
     def exclude(lanes, reason):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -46,17 +46,12 @@ class HeuristicValue:
 
     numerator: int
     denominator: int
-    approx: float
+    approx: float = field(init=False)
 
     def __post_init__(self):
         if self.denominator <= 0:
             raise ValueError("denominator must be positive")
-        if self.approx != self.numerator / self.denominator:
-            raise ValueError("approx must equal numerator/denominator in double precision")
-
-    @classmethod
-    def from_fraction(cls, fr: Fraction) -> "HeuristicValue":
-        return cls(fr.numerator, fr.denominator, fr.numerator / fr.denominator)
+        object.__setattr__(self, "approx", self.numerator / self.denominator)
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
@@ -64,11 +59,18 @@ class HeuristicValue:
 
 @dataclass(frozen=True)
 class MonteCarloResult:
+    """successes of trials at the given seed, with the frequency and its binomial standard error."""
+
     trials: int
     successes: int
-    frequency: float
-    std_error: float
     seed: int
+    frequency: float = field(init=False)
+    std_error: float = field(init=False)
+
+    def __post_init__(self):
+        freq = self.successes / self.trials
+        object.__setattr__(self, "frequency", freq)
+        object.__setattr__(self, "std_error", math.sqrt(freq * (1 - freq) / self.trials))
 
 
 def injective_probability(p: int, n: int, m: int) -> HeuristicValue:
@@ -81,7 +83,7 @@ def injective_probability(p: int, n: int, m: int) -> HeuristicValue:
     prob = Fraction(1)
     for i in range(n):
         prob *= 1 - Fraction(1, p ** (m - i))
-    return HeuristicValue.from_fraction(prob)
+    return HeuristicValue(prob.numerator, prob.denominator)
 
 
 def _block_generator(seed: int, block: int) -> np.random.Generator:
@@ -149,14 +151,7 @@ def monte_carlo_injective(p: int, n: int, m: int, trials: int, seed: int) -> Mon
         successes += _count_injective(mats, p)
         done += count
         block += 1
-    freq = successes / trials
-    return MonteCarloResult(
-        trials=trials,
-        successes=successes,
-        frequency=freq,
-        std_error=math.sqrt(freq * (1 - freq) / trials),
-        seed=seed,
-    )
+    return MonteCarloResult(trials, successes, seed)
 
 
 def expected_exceptional_count(x: int, power: int = 1) -> float:
@@ -216,7 +211,7 @@ def level_raising_densities(p: int) -> dict[str, HeuristicValue]:
         "iii": Fraction(2, p * p + p),
         "iv": Fraction(2, (p * p - 1) * (p * p - p)),
     }
-    return {k: HeuristicValue.from_fraction(v) for k, v in dens.items()}
+    return {k: HeuristicValue(v.numerator, v.denominator) for k, v in dens.items()}
 
 
 def multiplicity_distribution(k0_size: int, i: int) -> HeuristicValue:
@@ -229,4 +224,4 @@ def multiplicity_distribution(k0_size: int, i: int) -> HeuristicValue:
     if i < 1:
         raise ValueError("i must be at least 1")
     val = Fraction(1, k0_size) ** (i - 1) * (1 - Fraction(1, k0_size))
-    return HeuristicValue.from_fraction(val)
+    return HeuristicValue(val.numerator, val.denominator)

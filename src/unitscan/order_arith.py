@@ -14,7 +14,7 @@ for the Frobenius sigma that the caller supplies (images of x, ..., x^(d-1)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
 
@@ -56,26 +56,18 @@ def poly_discriminant(poly: tuple[int, ...]) -> int:
 
 @dataclass(frozen=True)
 class OrderSpec:
-    """A monogenic order Z[theta], theta a root of the stored monic polynomial."""
+    """A monogenic order Z[theta], theta a root of the monic defining_poly of
+    degree 2 or 3 (coefficients ascending), with its discriminant."""
 
-    degree: int
-    defining_poly: tuple[int, ...]  # ascending, length degree+1, leading 1
-    discriminant: int
+    defining_poly: tuple[int, ...]
+    discriminant: int = field(init=False)
 
     def __post_init__(self):
-        if self.degree not in (2, 3):
-            raise ValueError("degree must be 2 or 3")
-        if len(self.defining_poly) != self.degree + 1 or self.defining_poly[-1] != 1:
-            raise ValueError("defining polynomial must be monic of the stated degree")
-        if poly_discriminant(self.defining_poly) != self.discriminant:
-            raise ValueError(
-                f"stored discriminant {self.discriminant} does not match the polynomial"
-            )
+        object.__setattr__(self, "discriminant", poly_discriminant(self.defining_poly))
 
-    @classmethod
-    def from_poly(cls, poly) -> "OrderSpec":
-        poly = tuple(int(c) for c in poly)
-        return cls(len(poly) - 1, poly, poly_discriminant(poly))
+    @property
+    def degree(self) -> int:
+        return len(self.defining_poly) - 1
 
     @property
     def reduction(self) -> tuple[int, ...]:
@@ -242,14 +234,15 @@ class Lanes:
     def table(self, a):
         """The exact powers a^0, ..., a^(2^w - 1) of the d-tuple of ints a for the
         widest w <= 3 keeping each digit product r * a^k, r in [0, m), in int64:
-        |a^k| * max m < 2^63 for d = 1, coefficient sums below 2^12 for rings
-        (with r < 2^50 and ring_fits_int64's fold, every sum stays below 2^63).
+        (sum of |a^k| + F) * max m < 2^63, F the fold's weight (_fold_sum; 0 for
+        d = 1), since a coefficient of r * a^k is at most (m - 1) * sum of |a^k|
+        from its pairs plus (m - 1) * F from the reduced high terms folded back.
         w = 3 on Python-int lanes; None when a^1 misses."""
         powers = [(1,) + (0,) * (self.d - 1)]
         while len(powers) < 8:
             powers.append(self._product((*powers[-1], *a), self.mul_plan, _sum))
-        top = int(self.m.max(initial=1))
-        fits = lambda t: abs(t[0]) * top < 1 << 63 if self.d == 1 else sum(map(abs, t)) < 1 << 12
+        top, fold = int(self.m.max(initial=1)), _fold_sum(self.rows)
+        fits = lambda t: (sum(map(abs, t)) + fold) * top < 1 << 63
         for w in (3, 2, 1):
             if self.m.dtype == object or all(map(fits, powers[: 1 << w])):
                 return powers[: 1 << w]
@@ -287,13 +280,18 @@ def fold_rows(f) -> list[tuple[int, ...]]:
     return rows
 
 
+def _fold_sum(rows) -> int:
+    """The largest column sum of |rows| (0 for none): a product's fold term is at
+    most this many times its largest reduced high coefficient."""
+    return max((sum(map(abs, column)) for column in zip(*rows)), default=0)
+
+
 def ring_fits_int64(f, exact=()) -> bool:
     """RingLanes(f, m) is exact on int64 lanes, and so is a kernel whose other
     inputs, each entering as x % m, are those of exact: every column sum of
     |fold_rows(f)| is below 2^12, keeping the fold term under the 2^62 extra
     term of Lanes.dot for residues below 2^50, and every |x| is below 2^63."""
-    fold = max(sum(map(abs, column)) for column in zip(*fold_rows(f)))
-    return fold < 1 << 12 and all(abs(x) < 1 << 63 for x in exact)
+    return _fold_sum(fold_rows(f)) < 1 << 12 and all(abs(x) < 1 << 63 for x in exact)
 
 
 class RingLanes(Lanes):

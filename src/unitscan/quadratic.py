@@ -37,7 +37,6 @@ __all__ = [
     "order_spec_for",
     "unit_norm",
     "fundamental_unit_quadratic",
-    "quad_field_record",
     "load_quad_fields",
     "quad_unit_test",
     "classify_quad_prime",
@@ -48,9 +47,6 @@ __all__ = [
 # excluded, never as clear.
 MIN_SCAN_PRIME = 3
 
-SQRT = "sqrt"
-HALF = "half"
-
 MODE_QUAD = "quad"
 
 
@@ -58,15 +54,9 @@ def is_squarefree(n: int) -> bool:
     return n >= 1 and all(n % (q * q) for q in prime_divisors(n))
 
 
-def basis_kind(d: int) -> str:
-    return HALF if d % 4 == 1 else SQRT
-
-
 def order_spec_for(d: int) -> OrderSpec:
     """Defining polynomial of Z[omega]: x^2-D, or x^2-x-(D-1)/4 in the half case."""
-    if d % 4 == 1:
-        return OrderSpec.from_poly((-(d - 1) // 4, -1, 1))
-    return OrderSpec.from_poly((-d, 0, 1))
+    return OrderSpec((-(d - 1) // 4, -1, 1) if d % 4 == 1 else (-d, 0, 1))
 
 
 def unit_norm(d: int, a: int, b: int) -> int:
@@ -77,40 +67,41 @@ def unit_norm(d: int, a: int, b: int) -> int:
 
 @dataclass(frozen=True)
 class QuadUnit:
-    """eps = a + b*omega with norm +1 or -1."""
+    """eps = a + b*omega; the field record checks that its norm is +1 or -1."""
 
     a: int
     b: int
-    norm_sign: int
 
 
 @dataclass(frozen=True)
 class QuadFieldRecord:
+    """Q(sqrt(D)) with its class number and fundamental unit (by default the
+    one the continued fraction of omega gives)."""
+
     d: int
-    basis_kind: str
-    field_disc: int
     class_number: int
-    unit: QuadUnit
+    unit: QuadUnit | None = None
+    field_disc: int = field(init=False, repr=False, compare=False)
     reduction: tuple[int, int] = field(init=False, repr=False, compare=False)
     unit_inverse: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not is_squarefree(self.d) or self.d < 2:
             raise ValueError(f"D={self.d} must be squarefree and >= 2")
-        if self.basis_kind != basis_kind(self.d):
-            raise ValueError("basis kind does not match D mod 4")
-        want_disc = self.d if self.d % 4 == 1 else 4 * self.d
-        if self.field_disc != want_disc:
-            raise ValueError("field discriminant inconsistent with D")
         if self.class_number < 1:
             raise ValueError("class number must be positive")
+        if self.unit is None:
+            object.__setattr__(self, "unit", fundamental_unit_quadratic(self.d))
         u = self.unit
         if (u.a, u.b) in ((1, 0), (-1, 0)):
             raise ValueError("unit must not be +-1")
-        if unit_norm(self.d, u.a, u.b) != u.norm_sign or u.norm_sign not in (1, -1):
+        n = unit_norm(self.d, u.a, u.b)
+        if n not in (1, -1):
             raise ValueError("unit norm is not +-1")
-        object.__setattr__(self, "reduction", order_spec_for(self.d).reduction)
-        n, f1 = u.norm_sign, self.reduction[1]  # eps^-1 = N(eps) conj(eps), conj(omega) = -f1 - omega
+        spec = order_spec_for(self.d)  # Z[omega] is the maximal order: its disc is the field's
+        object.__setattr__(self, "field_disc", spec.discriminant)
+        object.__setattr__(self, "reduction", spec.reduction)
+        f1 = self.reduction[1]  # eps^-1 = N(eps) conj(eps), conj(omega) = -f1 - omega
         object.__setattr__(self, "unit_inverse", (n * (u.a - u.b * f1), -n * u.b))
 
 
@@ -148,17 +139,10 @@ def fundamental_unit_quadratic(d: int) -> QuadUnit:
             sign = -1 if k % 2 else 1
             if unit_norm(d, aa, bb) != sign:
                 raise ArithmeticError(f"norm check failed for D={d}")
-            return QuadUnit(aa, bb, sign)
+            return QuadUnit(aa, bb)
         a = (pP + s) // qQ
         p_cur, p_prev = a * p_cur + p_prev, p_cur
         q_cur, q_prev = a * q_cur + q_prev, q_cur
-
-
-def quad_field_record(d: int, class_number: int, unit: QuadUnit | None = None) -> QuadFieldRecord:
-    if unit is None:
-        unit = fundamental_unit_quadratic(d)
-    disc = d if d % 4 == 1 else 4 * d
-    return QuadFieldRecord(d, basis_kind(d), disc, class_number, unit)
 
 
 def load_quad_fields(data_dir=None) -> dict[int, QuadFieldRecord]:
@@ -170,13 +154,12 @@ def load_quad_fields(data_dir=None) -> dict[int, QuadFieldRecord]:
             d, h = int(row[0]), int(row[1])
             unit = None
             if len(row) == 4:
-                a, b = int(row[2]), int(row[3])
-                unit = QuadUnit(a, b, unit_norm(d, a, b))
+                unit = QuadUnit(int(row[2]), int(row[3]))
             elif len(row) != 2:
                 raise ValueError("expected 'D h [a b]'")
             if d in records:
                 raise ValueError(f"duplicate D={d}")
-            records[d] = quad_field_record(d, h, unit)
+            records[d] = QuadFieldRecord(d, h, unit)
         except (ValueError, IndexError) as exc:
             raise DataFileError(f"bad quadratic field row {row}: {exc}") from exc
     if not records:

@@ -13,7 +13,6 @@ from unitscan.cubic import (
     CubicFieldRecord,
     ZValue,
     classify_cubic_prime,
-    cubic_field_record,
     element_norm,
     find_fundamental_unit,
     h2_vanishing_test,
@@ -62,6 +61,18 @@ def test_duplicate_delta_row_rejected(tmp_path):
     first = next(l for l in rows.splitlines() if l.strip() and not l.startswith("#"))
     (tmp_path / "cubic_fields.txt").write_text(rows + first + "\n")
     with pytest.raises(DataFileError, match="duplicate delta=-23"):
+        load_cubic_fields(tmp_path)
+
+
+def test_ramified_set_column_checked(tmp_path):
+    # the S column of Delta = -23 claims {2}: the loader alone checks it against Delta
+    rows = data_path("cubic_fields.txt").read_text().splitlines()
+    i, first = next((i, l) for i, l in enumerate(rows) if l.strip() and not l.startswith("#"))
+    cols = first.split()
+    assert cols[0] == "-23" and cols[4] == "23"
+    rows[i] = " ".join(cols[:4] + ["2"] + cols[5:])
+    (tmp_path / "cubic_fields.txt").write_text("\n".join(rows) + "\n")
+    with pytest.raises(DataFileError, match="S does not equal"):
         load_cubic_fields(tmp_path)
 
 
@@ -145,9 +156,7 @@ def test_hyp_filter_examples(cubic_records):
 
 def test_hyp_filter_class_number(cubic_records):
     rec = cubic_records[-23]
-    with_h = CubicFieldRecord(
-        rec.delta, rec.spec, rec.ramified, 7, rec.unit, rec.unit_certificate
-    )
+    with_h = CubicFieldRecord(rec.delta, rec.spec, 7, rec.unit, rec.unit_certificate)
     assert hyp_filter(with_h, 7) == "hyp3_class_number"
     assert hyp_filter(rec, 7) is None  # h_E unknown: exclusion skipped
 
@@ -226,14 +235,14 @@ def test_norm_against_float_oracle(cubic_records):
 
 
 def test_unit_search_needs_units_in_box():
-    spec = OrderSpec.from_poly((-1, -1, 0, 1))
+    spec = OrderSpec((-1, -1, 0, 1))
     with pytest.raises(ValueError):
         find_fundamental_unit(spec, coeff_bound=0)
 
 
 def test_unit_search_rejects_positive_disc():
     with pytest.raises(ValueError):
-        find_fundamental_unit(OrderSpec.from_poly((1, -3, 0, 1)))  # disc 81 > 0
+        find_fundamental_unit(OrderSpec((1, -3, 0, 1)))  # disc 81 > 0
 
 
 # -- the z-invariant ------------------------------------------------------------------
@@ -399,11 +408,10 @@ def test_h2_clear_everywhere_small(cubic_records):
 
 def _int64_ok(rec):
     """The shared int64 rule on the record: its fold rows, and the integers
-    the kernel reads exactly, the adjugate and norm of f'(theta) among them."""
-    f = rec.spec.reduction
-    adj, det = _adjugate((f[1], 2 * f[2], 3), f)
-    ints = (*rec.unit, *rec.unit_inverse, rec.delta, rec.class_number_e or 0, *adj, det)
-    return ring_fits_int64(f, ints)
+    the kernel reads exactly (the adjugate and norm of f'(theta) need no
+    check: test_large_coefficients_take_python_int_lanes bounds them)."""
+    ints = (*rec.unit, *rec.unit_inverse, rec.delta, rec.class_number_e or 0)
+    return ring_fits_int64(rec.spec.reduction, ints)
 
 
 def _fold_sum(f):
@@ -471,7 +479,7 @@ def test_z_zero_at_a_power_of_the_unit(cubic_records):
     unit = rec23.unit
     for _ in range(12):
         unit = cubic_mul(unit, rec23.unit, rec23.spec.defining_poly)
-    rec = CubicFieldRecord(-23, rec23.spec, rec23.ramified, None, unit, "derived")
+    rec = CubicFieldRecord(-23, rec23.spec, None, unit, "derived")
     rng = PrimeRange(2, 3000)
     for mode in (MODE_H2, MODE_ORDINARY):
         rep = scan_cubic(rec, rng, mode=mode, full_verdicts=True)
@@ -484,8 +492,8 @@ def _shifted_record(rec23, c):
     # theta -> theta - c in x^3 - x - 1 (Delta = -23): same field, large
     # coefficients; the unit theta becomes c + theta
     assert rec23.spec.defining_poly == (-1, -1, 0, 1) and rec23.unit == (0, 1, 0)
-    spec = OrderSpec.from_poly((c**3 - c - 1, 3 * c * c - 1, 3 * c, 1))
-    return CubicFieldRecord(-23, spec, frozenset({23}), None, (c, 1, 0), "derived")
+    spec = OrderSpec((c**3 - c - 1, 3 * c * c - 1, 3 * c, 1))
+    return CubicFieldRecord(-23, spec, None, (c, 1, 0), "derived")
 
 
 @pytest.fixture
@@ -557,11 +565,11 @@ def test_large_coefficients_take_python_int_lanes(cubic_records, kernel_calls):
     for _ in range(160):  # eps^161: coefficients beyond 2^63
         big_unit = cubic_mul(big_unit, rec23.unit, rec23.spec.defining_poly)
     assert max(map(abs, big_unit)) >= 1 << 63
-    big_power = CubicFieldRecord(-23, rec23.spec, rec23.ramified, None, big_unit, "derived")
+    big_power = CubicFieldRecord(-23, rec23.spec, None, big_unit, "derived")
     shifted = _shifted_record(rec23, 7)  # f2 * f0 = 7035 > 2^12
     f7 = shifted.spec.reduction
     assert _fold_sum(f7) >= 1 << 12
-    huge_h = CubicFieldRecord(-23, rec23.spec, rec23.ramified, 1 << 70, rec23.unit, "derived")
+    huge_h = CubicFieldRecord(-23, rec23.spec, 1 << 70, rec23.unit, "derived")
     records = (big_power, shifted, huge_h)
     assert not any(map(_int64_ok, records))
     # The Newton step also reads the adjugate and norm of f'(theta) exactly.  No
@@ -624,9 +632,7 @@ def test_scan_unit_normalization_invariance(cubic_records):
         neg = tuple(-c for c in rec.unit)
         base = scan_cubic(rec, PrimeRange(3, 10_000), mode=MODE_ORDINARY, full_verdicts=True)
         for variant in (inv, neg):
-            alt_rec = CubicFieldRecord(
-                rec.delta, rec.spec, rec.ramified, rec.class_number_e, variant, "derived"
-            )
+            alt_rec = CubicFieldRecord(rec.delta, rec.spec, rec.class_number_e, variant, "derived")
             alt = scan_cubic(alt_rec, PrimeRange(3, 10_000), mode=MODE_ORDINARY, full_verdicts=True)
             assert [v.p for v in alt.hits] == [v.p for v in base.hits], (delta, variant)
             assert alt.clears == base.clears, (delta, variant)
@@ -634,7 +640,7 @@ def test_scan_unit_normalization_invariance(cubic_records):
 
 def test_scan_model_choice_invariance(cubic_records):
     # an alternate defining polynomial of the same field gives the same hits
-    alt = cubic_field_record(-23, (1, 0, -1, 1))  # x^3 - x^2 + 1, disc -23
+    alt = CubicFieldRecord(-23, OrderSpec((1, 0, -1, 1)))  # x^3 - x^2 + 1, disc -23
     assert alt.spec.defining_poly != cubic_records[-23].spec.defining_poly
     base = scan_cubic(cubic_records[-23], PrimeRange(3, 10_000), mode=MODE_ORDINARY)
     other = scan_cubic(alt, PrimeRange(3, 10_000), mode=MODE_ORDINARY)
@@ -645,14 +651,14 @@ def test_scan_warnings_for_unknown_class_number(cubic_records):
     rec = cubic_records[-23]
     rep = scan_cubic(rec, PrimeRange(3, 100), mode=MODE_ORDINARY)
     assert any("h_E unknown" in w for w in rep.warnings)
-    with_h = CubicFieldRecord(rec.delta, rec.spec, rec.ramified, 1, rec.unit, "shipped")
+    with_h = CubicFieldRecord(rec.delta, rec.spec, 1, rec.unit)
     rep2 = scan_cubic(with_h, PrimeRange(3, 100), mode=MODE_ORDINARY)
     assert rep2.warnings == ()
 
 
 def test_scan_hyp3_exclusion_applies(cubic_records):
     rec = cubic_records[-23]
-    with_h = CubicFieldRecord(rec.delta, rec.spec, rec.ramified, 13, rec.unit, "shipped")
+    with_h = CubicFieldRecord(rec.delta, rec.spec, 13, rec.unit)
     rep = scan_cubic(with_h, PrimeRange(3, 100), mode=MODE_ORDINARY, full_verdicts=True)
     reasons = {v.p: v.reason for v in rep.excluded}
     assert reasons[13] == "hyp3_class_number"
@@ -698,13 +704,11 @@ def test_frobenius_density_at_one_million(cubic_records):
 def test_record_validation(cubic_records):
     rec = cubic_records[-23]
     with pytest.raises(ValueError):
-        CubicFieldRecord(23, rec.spec, rec.ramified, None, rec.unit)  # positive delta
+        CubicFieldRecord(23, rec.spec, None, rec.unit)  # positive delta
     with pytest.raises(ValueError):
-        CubicFieldRecord(-23, rec.spec, frozenset({2}), None, rec.unit)  # wrong S
+        CubicFieldRecord(-23, rec.spec, None, (1, 0, 0))  # unit is 1
     with pytest.raises(ValueError):
-        CubicFieldRecord(-23, rec.spec, rec.ramified, None, (1, 0, 0))  # unit is 1
-    with pytest.raises(ValueError):
-        CubicFieldRecord(-23, rec.spec, rec.ramified, None, (0, 2, 0))  # norm 8
+        CubicFieldRecord(-23, rec.spec, None, (0, 2, 0))  # norm 8
     with pytest.raises(ValueError):
         scan_cubic(rec, PrimeRange(3, 100), mode="bogus")
     for p in (2, 11, 5):  # hyp1, hyp5 and a split prime would decide before the mode

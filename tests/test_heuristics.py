@@ -48,10 +48,9 @@ def test_injective_probability_validation():
 def test_heuristic_value_invariant():
     hv = injective_probability(3, 2, 2)
     assert hv.approx == hv.numerator / hv.denominator
+    assert HeuristicValue(1, 2).approx == 0.5
     with pytest.raises(ValueError):
-        HeuristicValue(1, 2, 0.4999)
-    with pytest.raises(ValueError):
-        HeuristicValue(1, 0, 1.0)
+        HeuristicValue(1, 0)
 
 
 def test_monte_carlo_determinism():
@@ -296,6 +295,14 @@ def test_wieferich_near_range_limit(kernel_calls):
     q = list(primes_in(rng))[100]
     _check_scans((2, 3, q * q + 1, BIG_BASE), rng, kernel_calls, lambda base: (object,))
     assert q in wieferich_hits(q * q + 1, rng)
+
+
+def test_wieferich_published_hit_above_2_25(kernel_calls):
+    # 53,471,161 is a base-5 Wieferich prime: P. L. Montgomery, "New solutions
+    # of a^(p-1) = 1 (mod p^2)", Math. Comp. 61 (1993)
+    q = 53_471_161
+    assert wieferich_hits(5, PrimeRange(q - 5000, q + 5000)) == [q]
+    assert kernel_calls["dtypes"] == [np.dtype(object)]  # one chunk, on Python-int lanes
 
 
 @pytest.mark.parametrize("span", [1, 2, 7])

@@ -25,8 +25,8 @@ from unitscan.primes import RANGE_LIMIT, PrimeRange, primes_in
 
 from _oracles import count_poly_roots_brute, cubic_is_inert
 
-X2_MINUS_2 = OrderSpec.from_poly((-2, 0, 1))
-X3_CLASSIC = OrderSpec.from_poly((-1, -1, 0, 1))  # x^3 - x - 1, disc -23
+X2_MINUS_2 = OrderSpec((-2, 0, 1))
+X3_CLASSIC = OrderSpec((-1, -1, 0, 1))  # x^3 - x - 1, disc -23
 
 
 def mul(a, b, spec, m):
@@ -86,10 +86,10 @@ def test_pow_huge_exponent_runs():
 RING_CASES = [
     (X2_MINUS_2, 3),
     (X2_MINUS_2, 4),
-    (OrderSpec.from_poly((-1, -1, 1)), 5),  # x^2 - x - 1
+    (OrderSpec((-1, -1, 1)), 5),  # x^2 - x - 1
     (X3_CLASSIC, 2),
     (X3_CLASSIC, 3),
-    (OrderSpec.from_poly((-2, 1, 1, 1)), 3),  # x^3 + x^2 + x - 2, f2 != 0
+    (OrderSpec((-2, 1, 1, 1)), 3),  # x^3 + x^2 + x - 2, f2 != 0
 ]
 
 
@@ -156,7 +156,7 @@ def test_root_count_vs_brute_force():
     # Legendre symbol, and the hypothesis filter drops it before _inert_xp)
     from unitscan.primes import sieve_upto
 
-    for spec in (X3_CLASSIC, OrderSpec.from_poly((-2, 1, 1, 1))):
+    for spec in (X3_CLASSIC, OrderSpec((-2, 1, 1, 1))):
         for p in sieve_upto(1000)[1:]:
             if spec.discriminant % p == 0:
                 continue
@@ -168,13 +168,13 @@ def test_root_count_vs_brute_force():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        OrderSpec(2, (1, 2, 3), -7)  # not monic
+        OrderSpec((1, 2, 3))  # not monic
     with pytest.raises(ValueError):
-        OrderSpec(3, (-1, -1, 0, 1), -31)  # wrong stored discriminant
-    with pytest.raises(ValueError):
-        OrderSpec.from_poly((1, 0, 0, 0, 1))  # degree 4
+        OrderSpec((1, 0, 0, 0, 1))  # degree 4
     assert poly_discriminant((-1, -1, 0, 1)) == -23
     assert poly_discriminant((-2, 0, 1)) == 8
+    assert (X3_CLASSIC.degree, X3_CLASSIC.discriminant, X3_CLASSIC.reduction) == (3, -23, (-1, -1, 0))
+    assert (X2_MINUS_2.degree, X2_MINUS_2.discriminant) == (2, 8)
 
 
 # -- lane arithmetic -------------------------------------------------------------
@@ -353,6 +353,7 @@ RING_POLYS = {
     "x3+x2+x-2": (-2, 1, 1),
     "x3+4095 bound": (4095, 0, 0),
     "x3-23 shifted by 6": (209, 107, 18),
+    "x2-11": (-11, 0),  # the unit 10 + 3 sqrt(11) of its constants crosses 2^12 at the cube
 }
 
 
@@ -428,9 +429,10 @@ def exact_powers(a, f, n):
 @pytest.mark.parametrize("f", RING_POLYS.values(), ids=RING_POLYS.keys())
 def test_ring_exact_digit_pow_matches_poly_pow(kind, f):
     # a d-tuple of ints is one exact constant: its table of exact powers in
-    # Z[x]/(f) is as wide as keeps every coefficient sum below 2^12 (the
-    # table of x narrows on the bound polys), and past w = 1 the lanes fall
-    # back to residues; Python-int lanes take the widest table
+    # Z[x]/(f) is as wide as keeps (sum of |a^k| + F) * max m below 2^63, F the
+    # largest column sum of |fold_rows(f)| (the table of x narrows on the bound
+    # polys near 2^50), and past w = 1 the lanes fall back to residues; Python-int lanes
+    # take the widest table
     rng = random.Random(53)
     ms = moduli(kind)
     d = len(f)
@@ -438,11 +440,14 @@ def test_ring_exact_digit_pow_matches_poly_pow(kind, f):
     exps = EDGE_EXPS + [rng.randrange(1 << rng.randint(1, 62)) for _ in ms[len(EDGE_EXPS):]]
     pad = (0,) * (d - 2)
     constants = [(0, 1) + pad, (-1, 1) + pad, (3, 2) + pad, (-23, -108) + pad, (17, 12) + pad,
-                 (4095, 0) + pad, (4096, 0) + pad, ((1 << 62) - 1, 5) + pad]
+                 (4095, 0) + pad, (4096, 0) + pad, ((1 << 62) - 1, 5) + pad, (10, 3) + pad]
+    top = max(ms)
+    fold = max(sum(abs(r[k]) for r in fold_rows(f)) for k in range(d))
     widths = []
     for a in constants:
         powers = exact_powers(a, f, 8)
-        w = max([w for w in (1, 2, 3) if all(sum(map(abs, t)) < 1 << 12 for t in powers[:1 << w])],
+        w = max([w for w in (1, 2, 3)
+                 if all((sum(map(abs, t)) + fold) * top < 1 << 63 for t in powers[:1 << w])],
                 default=0)
         w = 3 if kind == "object" else w
         widths.append(w)
@@ -453,11 +458,17 @@ def test_ring_exact_digit_pow_matches_poly_pow(kind, f):
         assert _transpose(ring.pow(a, lanes_of([e] * len(ms), kind))) == [
             poly_pow(a, e, f, m) for m in ms], a
     if kind != "object":
-        assert widths[-3:] == [1, 0, 0]  # a sum of 4095 fits, 4096 does not
-        if f == RING_POLYS["x2-2"]:  # the powers of 1 + sqrt(2) cross 2^12 at the 14th
-            assert widths == [3, 3, 2, 1, 1, 1, 0, 0]
-        if f in (RING_POLYS["x2-4095x+4095 bound"], RING_POLYS["x3+4095 bound"]):
-            assert widths[0] < 3  # the table of x narrows
+        # (4096, 0) fits as well as (4095, 0), where a fixed cap of 2^12 on the
+        # coefficient sums refused it: w = 2 below 2^25, w = 1 near 2^50
+        assert widths[5:8] == ([2, 2, 0] if kind == "exact" else [1, 1, 0])
+        if f == RING_POLYS["x2-2"]:
+            assert widths == ([3, 3, 3, 2, 3, 2, 2, 0, 3] if kind == "exact"
+                              else [3, 3, 2, 1, 1, 1, 1, 0, 2])
+        if f == RING_POLYS["x2-11"]:  # the fixed cap held 10 + 3 sqrt(11) to w = 1
+            assert widths[-1] == (3 if kind == "exact" else 2)
+        if kind == "float" and f in (RING_POLYS["x2-4095x+4095 bound"],
+                                     RING_POLYS["x3+4095 bound"]):
+            assert widths[0] < 3  # the table of x narrows near 2^50
     assert all(len(c) == 0 for c in RingLanes(f, lanes_of([], kind)).pow(constants[0],
                                                                          lanes_of([], kind)))
 

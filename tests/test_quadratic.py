@@ -13,20 +13,18 @@ from unitscan.primes import PrimeRange, primes_in
 from unitscan.quadratic import (
     QuadFieldRecord,
     QuadUnit,
-    basis_kind,
     classify_quad_prime,
     fundamental_unit_quadratic,
     is_squarefree,
     load_quad_fields,
     order_spec_for,
-    quad_field_record,
     quad_unit_test,
     scan_quadratic,
     unit_norm,
     _classify_lanes,
     _quad_chunk,
 )
-from unitscan.order_arith import MULMOD_PMAX, frobenius_quotient, mul2, poly_pow
+from unitscan.order_arith import MULMOD_PMAX, frobenius_quotient, mul2, poly_discriminant, poly_pow
 from unitscan.primes import RANGE_LIMIT
 from unitscan.report import CLEAR, EXCLUDED, HIT, HIT_CODE, Block, Verdict, assemble_report
 
@@ -37,10 +35,9 @@ SQUAREFREE_TO_30 = [d for d in range(2, 31) if is_squarefree(d)]
 
 
 def test_unit_examples():
-    assert fundamental_unit_quadratic(2) == QuadUnit(1, 1, -1)
-    assert fundamental_unit_quadratic(5) == QuadUnit(0, 1, -1)
-    assert fundamental_unit_quadratic(29) == QuadUnit(2, 1, -1)
-    assert fundamental_unit_quadratic(3) == QuadUnit(2, 1, 1)
+    for d, a, b, sign in ((2, 1, 1, -1), (5, 0, 1, -1), (29, 2, 1, -1), (3, 2, 1, 1)):
+        assert fundamental_unit_quadratic(d) == QuadUnit(a, b)
+        assert unit_norm(d, a, b) == sign
 
 
 def test_unit_validation_errors():
@@ -54,8 +51,7 @@ def test_unit_validation_errors():
 def test_units_match_exhaustive_search(d):
     u = fundamental_unit_quadratic(d)
     a, b, sign = quad_unit_exhaustive(d)
-    assert (u.a, u.b, u.norm_sign) == (a, b, sign)
-    assert unit_norm(d, u.a, u.b) == u.norm_sign
+    assert (u.a, u.b, unit_norm(d, u.a, u.b)) == (a, b, sign)
     assert (u.a, u.b) != (1, 0) and (u.a, u.b) != (-1, 0)
 
 
@@ -63,16 +59,15 @@ def test_units_beyond_the_table():
     # the continued fraction must hold up for larger D as well
     for d in (31, 43, 46, 94, 141):
         u = fundamental_unit_quadratic(d)
-        assert unit_norm(d, u.a, u.b) == u.norm_sign
         a, b, sign = quad_unit_exhaustive(d, bmax=300_000)
-        assert (u.a, u.b, u.norm_sign) == (a, b, sign)
+        assert (u.a, u.b, unit_norm(d, u.a, u.b)) == (a, b, sign)
 
 
 @pytest.mark.parametrize("d", SQUAREFREE_TO_30)
 def test_class_numbers_against_form_cycles(d, quad_records):
     rec = quad_records[d]
     h_narrow = narrow_class_number_bqf(rec.field_disc)
-    h = h_narrow if rec.unit.norm_sign == -1 else h_narrow // 2
+    h = h_narrow if unit_norm(d, rec.unit.a, rec.unit.b) == -1 else h_narrow // 2
     assert rec.class_number == h
 
 
@@ -233,16 +228,16 @@ def test_large_unit_takes_python_int_lanes(quad_records, kernel_calls):
     for _ in range(50):
         a, b = a + 2 * b, a + b
     assert max(a, b) >= 1 << 63
-    rec = quad_field_record(2, 1, QuadUnit(a, b, unit_norm(2, a, b)))
+    rec = QuadFieldRecord(2, 1, QuadUnit(a, b))
     # Q(sqrt 4098), h = 6: a small unit, but x^2 - 4098 folds by a row of 4098 >= 2^12
-    wide = quad_field_record(4098, 6)
-    assert wide.unit == QuadUnit(4097, 64, 1) and wide.reduction == (-4098, 0)
+    wide = QuadFieldRecord(4098, 6)
+    assert wide.unit == QuadUnit(4097, 64) and wide.reduction == (-4098, 0)
     # golden ratio^92 of Q(sqrt 5): F_91 + F_92 omega fits int64, but its inverse
     # F_93 - F_92 omega does not (F_93 > 2^63 > F_92)
     fib = [0, 1]
     while len(fib) < 94:
         fib.append(fib[-1] + fib[-2])
-    golden = quad_field_record(5, 1, QuadUnit(fib[91], fib[92], 1))
+    golden = QuadFieldRecord(5, 1, QuadUnit(fib[91], fib[92]))
     assert max(fib[91], fib[92]) < 1 << 63 <= max(map(abs, golden.unit_inverse))
     assert golden.unit_inverse == (fib[93], -fib[92])
     rng = PrimeRange(2, 3000)
@@ -257,7 +252,7 @@ def test_exclusion_verdicts(quad_records):
     assert classify_quad_prime(quad_records[14], 2) == Verdict(2, EXCLUDED, reason="below_min_p")
     v = classify_quad_prime(quad_records[6], 3)  # 3 | disc 24
     assert v.status == EXCLUDED and v.reason == "ramified"
-    synthetic = quad_field_record(7, 5)  # pretend class number 5
+    synthetic = QuadFieldRecord(7, 5)  # pretend class number 5
     v = classify_quad_prime(synthetic, 5)
     assert v.status == EXCLUDED and v.reason == "divides_class_number"
     assert list(_classify_lanes(synthetic, np.array([2, 5, 7]))) == [
@@ -375,19 +370,19 @@ def test_pool_size_capped_at_cores(monkeypatch):
 
 def test_record_validation():
     with pytest.raises(ValueError):
-        quad_field_record(12, 1)  # not squarefree
+        QuadFieldRecord(12, 1)  # not squarefree
     with pytest.raises(ValueError):
-        QuadFieldRecord(5, basis_kind(5), 5, 1, QuadUnit(1, 0, 1))  # unit is 1
+        QuadFieldRecord(5, 1, QuadUnit(1, 0))  # unit is 1
     with pytest.raises(ValueError):
-        QuadFieldRecord(5, basis_kind(5), 5, 1, QuadUnit(2, 1, 1))  # wrong norm sign
-    with pytest.raises(ValueError):
-        QuadFieldRecord(5, "sqrt", 5, 1, fundamental_unit_quadratic(5))  # wrong basis
+        QuadFieldRecord(5, 1, QuadUnit(2, 1))  # norm 5
 
 
 def test_loaded_records_cover_table(quad_records):
     assert sorted(quad_records) == SQUAREFREE_TO_30
     for rec in quad_records.values():
-        assert rec.basis_kind == basis_kind(rec.d)
+        # Z[omega] is the maximal order: its discriminant is the field's
+        assert rec.field_disc == poly_discriminant((*rec.reduction, 1)) == (
+            rec.d if rec.d % 4 == 1 else 4 * rec.d)
 
 
 def test_duplicate_d_row_rejected(tmp_path):
