@@ -5,7 +5,8 @@ reproduce it.  Two formats are emitted: CSV (one verdict per row, fixed
 column order ``field,p,mode,status,reason,aux``) and JSON (self-describing,
 full metadata).  The checksum is a SHA-256 of the canonical JSON payload of
 the scan content only (field, mode, range, verdict lists), so serial and
-partitioned runs of the same scan hash identically.
+partitioned runs of the same scan hash identically.  All three are written
+from the columns of the exclusions and clears, in json.dumps' and csv's bytes.
 """
 
 from __future__ import annotations
@@ -94,6 +95,10 @@ class Block:
     def __iter__(self):
         return _verdicts(self.primes, self.codes, self.aux)
 
+    def __eq__(self, other):
+        return isinstance(other, Block) and self.aux == other.aux and self.recip == other.recip and all(
+            np.array_equal(getattr(self, f), getattr(other, f)) for f in ("primes", "codes", "counts"))
+
     @classmethod
     def join(cls, blocks) -> "Block":
         primes = np.concatenate([b.primes for b in blocks])
@@ -102,14 +107,24 @@ class Block:
         return cls(primes, codes, aux, sum(b.counts for b in blocks), sum(b.recip for b in blocks))
 
 
+def _exclusions(primes, reasons) -> Block:
+    """The Block of excluded primes and their reasons, which must be known ones."""
+    for p, reason in zip(primes, reasons):
+        if reason not in CODES[HIT_CODE + 1:]:
+            raise ValueError(f"unknown exclusion reason {reason!r} at p={p}")
+    return Block.of(np.array(primes, dtype=np.int64), np.array([CODES.index(r) for r in reasons], dtype=np.int8))
+
+
 @dataclass(frozen=True)
 class ScanReport:
+    """Hits, exclusions (a Block, built here from Verdicts if given those) and clears: disjoint, each ascending."""
+
     field_id: str
     mode: str
     lo: int
     hi: int
     hits: tuple[Verdict, ...]
-    excluded: tuple[Verdict, ...] | None = None
+    excluded: Block | None = None
     clears: tuple[int, ...] | None = None
     warnings: tuple[str, ...] = ()
     wall_time: float = 0.0
@@ -121,34 +136,24 @@ class ScanReport:
     expected_hits: float | None = None
 
     def __post_init__(self):
-        ps = [v.p for v in self.hits]
-        if ps != sorted(set(ps)):
-            raise ValueError("hits must be strictly ascending")
+        ex = self.excluded
+        if ex is not None and not isinstance(ex, Block):
+            object.__setattr__(self, "excluded", _exclusions([v.p for v in ex], [v.reason for v in ex]))
+        lists = [v.p for v in self.hits], [] if self.excluded is None else self.excluded.primes, self.clears or ()
+        cols = [np.array(c, dtype=np.int64) for c in lists]
+        for name, col in zip(("hits", "excluded", "clears"), cols):
+            down = np.flatnonzero(col[1:] <= col[:-1])
+            if down.size:
+                raise ValueError(f"{name} must be strictly ascending: p={col[down[0] + 1]} follows p={col[down[0]]}")
+        every = np.sort(np.concatenate(cols))
+        twice = every[1:][every[1:] == every[:-1]]
+        if twice.size:
+            raise ValueError(f"p={twice[0]} is in more than one of hits, excluded and clears")
         want = compute_checksum(self)
         if not self.checksum:
             object.__setattr__(self, "checksum", want)
         elif self.checksum != want:
             raise ValueError("checksum does not match report content")
-
-
-def _canonical_payload(r: ScanReport) -> dict:
-    payload = {
-        "field": r.field_id,
-        "mode": r.mode,
-        "lo": r.lo,
-        "hi": r.hi,
-        "hits": [[v.p, list(v.aux) if v.aux is not None else None] for v in r.hits],
-    }
-    if r.excluded is not None:
-        payload["excluded"] = [[v.p, v.reason] for v in r.excluded]
-    if r.clears is not None:
-        payload["clears"] = list(r.clears)
-    return payload
-
-
-def compute_checksum(r: ScanReport) -> str:
-    blob = json.dumps(_canonical_payload(r), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def assemble_report(
@@ -163,14 +168,14 @@ def assemble_report(
     workers: int = 1,
 ) -> ScanReport:
     """Build a report from the Block of a whole scan: Verdicts for its hits,
-    and for its exclusions and clears (which it must hold) under full_verdicts."""
+    and its exclusions and clears (which it must hold) under full_verdicts."""
     primes, codes = verdicts.primes, verdicts.codes
     hit = codes == HIT_CODE
     hits = tuple(_verdicts(primes[hit], codes[hit], verdicts.aux))
     excluded = clears = None
     if full_verdicts:
         out = codes > HIT_CODE
-        excluded = tuple(_verdicts(primes[out], codes[out]))
+        excluded = Block.of(primes[out], codes[out])
         clears = tuple(primes[codes == CLEAR_CODE].tolist())
     counts = verdicts.counts.tolist()
     return ScanReport(
@@ -193,6 +198,29 @@ def assemble_report(
 
 # -- serialization ------------------------------------------------------------
 
+
+def _lanes_text(block: Block, head: str, tails, sep: str) -> str:
+    return sep.join([head + p + tails[c] for p, c in zip(map(str, block.primes.tolist()), block.codes.tolist())])
+
+
+def _json_object(plain: dict, r: ScanReport, seps, exclusion) -> str:
+    """The JSON object, keys sorted, of the plain members and of the report's
+    exclusions (exclusion[0], p, exclusion[1] % reason) and clears, if held."""
+    texts = {name: json.dumps(value, sort_keys=True, separators=seps) for name, value in plain.items()}
+    if r.excluded is not None:
+        tails = [exclusion[1] % reason for reason in CODES]
+        texts["excluded"] = "[" + _lanes_text(r.excluded, exclusion[0], tails, seps[0]) + "]"
+    if r.clears is not None:
+        texts["clears"] = "[" + seps[0].join(map(str, r.clears)) + "]"
+    return "{" + seps[0].join(f'"{name}"{seps[1]}{text}' for name, text in sorted(texts.items())) + "}"
+
+
+def compute_checksum(r: ScanReport) -> str:
+    plain = {"field": r.field_id, "mode": r.mode, "lo": r.lo, "hi": r.hi,
+             "hits": [[v.p, None if v.aux is None else list(v.aux)] for v in r.hits]}
+    return hashlib.sha256(_json_object(plain, r, (",", ":"), ("[", ',"%s"]')).encode()).hexdigest()
+
+
 # ScanReport fields that JSON carries under their own names, and the counters,
 # which a report file may lack (they load as None).
 _JSON_FIELDS = ("version", "mode", "workers", "wall_time", "checksum")
@@ -200,54 +228,49 @@ _JSON_COUNTERS = ("tested", "excluded_counts", "expected_hits")
 
 
 def report_to_json(r: ScanReport) -> str:
-    doc = {name: getattr(r, name) for name in _JSON_FIELDS + _JSON_COUNTERS}
-    doc.update(
-        field=r.field_id,
-        range=[r.lo, r.hi],
-        warnings=list(r.warnings),
-        hits=[{"p": v.p, "aux": None if v.aux is None else list(v.aux)} for v in r.hits],
-        excluded=None if r.excluded is None else [{"p": v.p, "reason": v.reason} for v in r.excluded],
-        clears=None if r.clears is None else list(r.clears),
-    )
-    return json.dumps(doc, sort_keys=True)  # no indent: it forces json's pure-Python encoder
+    plain = {name: getattr(r, name) for name in _JSON_FIELDS + _JSON_COUNTERS}
+    plain.update(field=r.field_id, range=[r.lo, r.hi], warnings=list(r.warnings), excluded=None, clears=None,
+                 hits=[{"p": v.p, "aux": None if v.aux is None else list(v.aux)} for v in r.hits])
+    return _json_object(plain, r, (", ", ": "), ('{"p": ', ', "reason": "%s"}'))
+
+
+class ReportKeyError(KeyError, ValueError):
+    """A report file lacks a required key (a KeyError, as it always was)."""
 
 
 def report_from_json(text: str) -> ScanReport:
     doc = json.loads(text)
-    excluded, clears = doc["excluded"], doc["clears"]
-    return ScanReport(
-        field_id=doc["field"],
-        lo=doc["range"][0],
-        hi=doc["range"][1],
-        hits=tuple(Verdict(h["p"], HIT, aux=None if h["aux"] is None else tuple(h["aux"]))
-                   for h in doc["hits"]),
-        excluded=None if excluded is None else tuple(
-            Verdict(e["p"], EXCLUDED, reason=e["reason"]) for e in excluded),
-        clears=None if clears is None else tuple(clears),
-        warnings=tuple(doc["warnings"]),
-        **{name: doc[name] for name in _JSON_FIELDS},
-        **{name: doc.get(name) for name in _JSON_COUNTERS},
-    )
+    try:
+        ex, clears = doc["excluded"], doc["clears"]
+        args = dict(
+            field_id=doc["field"], lo=doc["range"][0], hi=doc["range"][1], warnings=tuple(doc["warnings"]),
+            hits=tuple(Verdict(h["p"], HIT, aux=None if h["aux"] is None else tuple(h["aux"])) for h in doc["hits"]),
+            excluded=None if ex is None else _exclusions([e["p"] for e in ex], [e["reason"] for e in ex]),
+            clears=None if clears is None else tuple(clears), **{name: doc[name] for name in _JSON_FIELDS})
+    except KeyError as exc:
+        raise ReportKeyError(f"report file lacks the key {exc.args[0]!r}") from None
+    return ScanReport(**args, **{name: doc.get(name) for name in _JSON_COUNTERS})
 
 
-def _aux_str(aux) -> str:
-    return "" if aux is None else " ".join(str(c) for c in aux)
+def _csv_row(*cells) -> str:
+    """One row as csv writes it; past one cell, each cell's text is the same in any row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()
 
 
 def report_to_csv(r: ScanReport, header: bool = True) -> str:
     """Fixed column order field,p,mode,status,reason,aux; hits first, then
-    clears and exclusions when the report carries them."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    if header:
-        w.writerow(CSV_COLUMNS)
-    for v in r.hits:
-        w.writerow([r.field_id, v.p, r.mode, HIT, "", _aux_str(v.aux)])
-    for p in r.clears or ():
-        w.writerow([r.field_id, p, r.mode, CLEAR, "", ""])
-    for v in r.excluded or ():
-        w.writerow([r.field_id, v.p, r.mode, EXCLUDED, v.reason, ""])
-    return buf.getvalue()
+    clears and exclusions when the report carries them; csv writes every cell but p."""
+    head = _csv_row(r.field_id, "")[:-1]  # the field's cell and a comma
+    rows = [_csv_row(*CSV_COLUMNS)] if header else []
+    rows += [f"{head}{v.p}," + _csv_row(r.mode, HIT, "", " ".join(map(str, v.aux or ()))) for v in r.hits]
+    clear = "," + _csv_row(r.mode, CLEAR, "", "")
+    rows += [head + p + clear for p in map(str, r.clears or ())]
+    if r.excluded is not None:
+        tails = ["," + _csv_row(r.mode, EXCLUDED, reason, "") for reason in CODES]
+        rows.append(_lanes_text(r.excluded, head, tails, ""))
+    return "".join(rows)
 
 
 # -- reference tables ----------------------------------------------------------

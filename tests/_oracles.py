@@ -3,12 +3,16 @@
 Everything here is deliberately written against different algorithms than
 the package (trial division, exhaustive enumeration, reduction cycles of
 binary quadratic forms, float embeddings via numpy roots, sympy resultants,
-direct powering with schoolbook polynomial arithmetic) so the two sides of
-each check share no code path.
+direct powering with schoolbook polynomial arithmetic, reports encoded as
+plain dicts and rows) so the two sides of each check share no code path.
 """
 
 from __future__ import annotations
 
+import csv
+import hashlib
+import io
+import json
 from fractions import Fraction
 from math import isqrt
 
@@ -262,3 +266,56 @@ def quad_hit_naive(d: int, a: int, b: int, p: int) -> bool:
         if bit == "1":
             out = mul(out, (a % m, b % m))
     return out == (1 % m, 0)
+
+
+# -- report encodings ------------------------------------------------------------
+# A report here is a plain dict: field, mode, lo, hi, warnings, the metadata
+# (version, workers, wall_time, checksum, tested, excluded_counts,
+# expected_hits), hits as (p, aux) pairs (aux a tuple or None), excluded as
+# (p, reason) pairs and clears as primes, each of the last two a list or None.
+
+def _aux_list(aux):
+    return None if aux is None else list(aux)
+
+
+def report_checksum_oracle(r: dict) -> str:
+    """SHA-256 of the compact, key-sorted JSON of the scan content."""
+    payload = {"field": r["field"], "mode": r["mode"], "lo": r["lo"], "hi": r["hi"],
+               "hits": [[p, _aux_list(aux)] for p, aux in r["hits"]]}
+    if r["excluded"] is not None:
+        payload["excluded"] = [[p, reason] for p, reason in r["excluded"]]
+    if r["clears"] is not None:
+        payload["clears"] = list(r["clears"])
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def report_json_oracle(r: dict) -> str:
+    """The report as one dict through json.dumps with sorted keys."""
+    excluded, clears = r["excluded"], r["clears"]
+    doc = {name: r[name] for name in ("version", "mode", "workers", "wall_time", "checksum",
+                                      "tested", "excluded_counts", "expected_hits")}
+    doc.update(
+        field=r["field"],
+        range=[r["lo"], r["hi"]],
+        warnings=list(r["warnings"]),
+        hits=[{"p": p, "aux": _aux_list(aux)} for p, aux in r["hits"]],
+        excluded=None if excluded is None else [{"p": p, "reason": why} for p, why in excluded],
+        clears=None if clears is None else list(clears),
+    )
+    return json.dumps(doc, sort_keys=True)
+
+
+def report_csv_oracle(r: dict, header: bool = True) -> str:
+    """One csv.writer row per verdict: hits, then clears, then exclusions."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    if header:
+        w.writerow(("field", "p", "mode", "status", "reason", "aux"))
+    for p, aux in r["hits"]:
+        w.writerow([r["field"], p, r["mode"], "hit", "", "" if aux is None else " ".join(map(str, aux))])
+    for p in r["clears"] or ():
+        w.writerow([r["field"], p, r["mode"], "clear", "", ""])
+    for p, reason in r["excluded"] or ():
+        w.writerow([r["field"], p, r["mode"], "excluded", reason, ""])
+    return buf.getvalue()

@@ -277,7 +277,7 @@ def test_scan_full_verdicts(quad_records):
 def test_scan_matches_classify(quad_records):
     rec = quad_records[15]
     rep = scan_quadratic(rec, PrimeRange(2, 2000), full_verdicts=True)
-    verdicts = {v.p: v for v in rep.hits + rep.excluded}
+    verdicts = {v.p: v for v in (*rep.hits, *rep.excluded)}
     for p in primes_in(PrimeRange(2, 2000)):
         want = classify_quad_prime(rec, p)
         if want.status == CLEAR:

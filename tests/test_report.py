@@ -1,8 +1,12 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+from unitscan import report
+from unitscan.cubic import MODE_H2, MODE_ORDINARY, scan_cubic
+from unitscan.heuristics import scan_wieferich
 from unitscan.primes import PrimeRange
 from unitscan.quadratic import scan_quadratic
 from unitscan.report import (
@@ -14,6 +18,7 @@ from unitscan.report import (
     ScanReport,
     Verdict,
     _diff_row,
+    compute_checksum,
     report_from_json,
     report_to_csv,
     report_to_json,
@@ -21,6 +26,9 @@ from unitscan.report import (
 )
 
 from _blocks import block_of
+from _oracles import report_checksum_oracle, report_csv_oracle, report_json_oracle
+
+PINNED_CHECKSUMS = Path(__file__).parent / "data" / "full_verdict_checksums.json"
 
 
 def sample_report(full=False):
@@ -50,6 +58,7 @@ def test_block_join_keeps_range_order():
     second = [Verdict(11, "excluded", reason="z_zero"), Verdict(13, "hit", aux=(4, 5, 6))]
     joined = Block.join([block_of(first), block_of(second)])
     assert len(joined) == 4 and list(joined) == first + second
+    assert joined == block_of(first + second) and joined != block_of(first) and joined != list(joined)
     assert joined.counts.tolist() == block_of(first + second).counts.tolist()
     assert joined.recip == block_of(first + second).recip
 
@@ -169,3 +178,134 @@ def test_scan_report_integration(quad_records):
     back = report_from_json(report_to_json(rep))
     assert back == rep
     assert "quad(D=22),43,quad,hit,," in report_to_csv(rep)
+
+
+def pinned_reports(quad_records, cubic_records):
+    """(key, report) of the scans whose checksums data/full_verdict_checksums.json
+    holds: every quadratic field and every cubic field in both modes, full
+    verdicts to 2e4, and the Wieferich scans of bases 2, 3 and 5 to 1e5.  The
+    file was written by the dict-based encoders; it changes only with the
+    report format."""
+    rng = PrimeRange(2, 20_000)
+    for d, rec in sorted(quad_records.items()):
+        yield f"quad D={d}", scan_quadratic(rec, rng, full_verdicts=True)
+    for delta, rec in sorted(cubic_records.items()):
+        for mode in (MODE_H2, MODE_ORDINARY):
+            yield f"cubic delta={delta} {mode}", scan_cubic(rec, rng, mode=mode, full_verdicts=True)
+    for base in (2, 3, 5):
+        yield f"wieferich base={base}", scan_wieferich(base, PrimeRange(2, 100_000))
+
+
+@pytest.fixture(scope="module")
+def pinned(quad_records, cubic_records):
+    return dict(pinned_reports(quad_records, cubic_records))
+
+
+def test_full_verdict_checksums_pinned(pinned):
+    assert {key: rep.checksum for key, rep in pinned.items()} == json.loads(PINNED_CHECKSUMS.read_text())
+
+
+# a field id and mode that JSON must escape and CSV must quote
+ODD_FIELD = 'quad(D="2"), \u03b1\u00e9 \\ \t\n'
+ODD_MODE = 'm\u00f6de,"x"'
+
+
+def odd_reports():
+    """Hand-built reports: no exclusion lists, empty ones, aux of None and of
+    tuples, warnings, a field id and mode with quotes and non-ASCII text, and
+    empty ones (csv quotes a lone empty cell)."""
+    hits = (Verdict(5, "hit"), Verdict(13, "hit", aux=(5, 0, 11)), Verdict(17, "hit", aux=()))
+    warnings = ('a "quoted" warning \u00e4', "second, with a comma")
+    yield ScanReport(ODD_FIELD, ODD_MODE, 2, 100, hits=hits, warnings=warnings)
+    yield ScanReport(ODD_FIELD, ODD_MODE, 2, 100, hits=(), excluded=(), clears=(), tested=0,
+                     excluded_counts={}, expected_hits=0.0)
+    yield ScanReport(ODD_FIELD, ODD_MODE, 2, 100, hits=hits, warnings=warnings, wall_time=1.5,
+                     workers=3, excluded=(Verdict(2, "excluded", reason="below_min_p"),
+                                          Verdict(3, "excluded", reason="z_zero")),
+                     clears=(7, 11, 19), tested=6, excluded_counts={"z_zero": 1, "below_min_p": 1},
+                     expected_hits=1 / 3)
+    yield ScanReport("", "", 2, 10, hits=(Verdict(3, "hit"),), excluded=(), clears=(5, 7))
+
+
+def _plain(rep) -> dict:
+    """The report as the oracles take it: plain values and lists."""
+    return dict(
+        field=rep.field_id, mode=rep.mode, lo=rep.lo, hi=rep.hi, warnings=list(rep.warnings),
+        hits=[(v.p, v.aux) for v in rep.hits],
+        excluded=None if rep.excluded is None else [(v.p, v.reason) for v in rep.excluded],
+        clears=None if rep.clears is None else list(rep.clears),
+        **{name: getattr(rep, name) for name in ("version", "workers", "wall_time", "checksum",
+                                                 "tested", "excluded_counts", "expected_hits")},
+    )
+
+
+def test_report_bytes_match_oracles(pinned, quad_records, cubic_records):
+    # every checksum, JSON and CSV byte against the dict- and row-based encoders
+    hits_only = [scan_quadratic(quad_records[22], PrimeRange(3, 20_000)),
+                 scan_cubic(cubic_records[-23], PrimeRange(3, 20_000), mode=MODE_ORDINARY)]
+    reports = [*pinned.values(), *hits_only, *odd_reports(), sample_report(), sample_report(True)]
+    for rep in reports:
+        plain = _plain(rep)
+        assert compute_checksum(rep) == rep.checksum == report_checksum_oracle(plain), rep.field_id
+        assert report_to_json(rep) == report_json_oracle(plain), rep.field_id
+        for header in (True, False):
+            assert report_to_csv(rep, header) == report_csv_oracle(plain, header), rep.field_id
+        assert report_from_json(report_to_json(rep)) == rep, rep.field_id
+
+
+# (report content changed from sample_report(True), the error it must raise)
+BAD_CONTENT = [
+    ({"excluded": [(11, "bogus")]}, "unknown exclusion reason 'bogus' at p=11"),
+    ({"clears": [7, 3, 7]}, "clears must be strictly ascending: p=3 follows p=7"),
+    ({"hits": [(31, None), (13, None)]}, "hits must be strictly ascending: p=13 follows p=31"),
+    ({"excluded": [(11, "z_zero"), (5, "ramified")]}, "excluded must be strictly ascending: p=5 follows p=11"),
+    ({"excluded": [(11, "z_zero"), (11, "ramified")]}, "excluded must be strictly ascending: p=11 follows p=11"),
+    ({"clears": [7, 13]}, "p=13 is in more than one of hits, excluded and clears"),
+    ({"clears": [7, 11]}, "p=11 is in more than one of hits, excluded and clears"),
+    ({"excluded": [(13, "z_zero")], "clears": []}, "p=13 is in more than one of hits, excluded and clears"),
+]
+
+
+@pytest.mark.parametrize("change, message", BAD_CONTENT)
+def test_bad_report_content_rejected(change, message):
+    # by the constructor, and in a report file whose checksum matches its content
+    plain = {**_plain(sample_report(full=True)), **change}
+    plain["checksum"] = report_checksum_oracle(plain)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        report_from_json(report_json_oracle(plain))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ScanReport(plain["field"], plain["mode"], plain["lo"], plain["hi"],
+                   hits=tuple(Verdict(p, "hit", aux=aux) for p, aux in plain["hits"]),
+                   excluded=tuple(Verdict(p, "excluded", reason=why) for p, why in plain["excluded"]),
+                   clears=tuple(plain["clears"]))
+
+
+@pytest.mark.parametrize("path", [("field",), ("range",), ("warnings",), ("hits",), ("excluded",),
+                                  ("clears",), ("version",), ("checksum",), ("hits", 0, "aux"),
+                                  ("excluded", 0, "reason")])
+def test_missing_key_named(path):
+    doc = json.loads(report_to_json(sample_report(full=True)))
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    del parent[path[-1]]
+    with pytest.raises(ValueError, match=f"lacks the key '{path[-1]}'"):
+        report_from_json(json.dumps(doc))
+
+
+def test_full_verdicts_build_no_verdict_per_exclusion(monkeypatch, quad_records):
+    # scan, report, JSON and CSV keep the exclusions as lanes: Verdicts are
+    # made for the hits alone (once by the scan, once more read back from JSON)
+    made = []
+
+    class Counted(Verdict):
+        def __post_init__(self):
+            made.append(self.p)
+            super().__post_init__()
+
+    monkeypatch.setattr(report, "Verdict", Counted)
+    rep = scan_quadratic(quad_records[15], PrimeRange(2, 20_000), full_verdicts=True)
+    report_to_csv(rep)
+    assert report_from_json(report_to_json(rep)).checksum == rep.checksum
+    assert len(rep.excluded) > 0 and len(rep.hits) > 0
+    assert sorted(made) == sorted(2 * [v.p for v in rep.hits])
