@@ -18,7 +18,7 @@ import numpy as np
 
 from ._parallel import run_chunked
 from .order_arith import Lanes, prime_lanes
-from .primes import PrimeRange, is_prime, prime_divisors, primes_in
+from .primes import PrimeRange, prime_divisors, primes_in, require_prime
 from .report import CLEAR_CODE, CODES, HIT_CODE, Block, ScanReport, assemble_report
 
 __all__ = [
@@ -76,8 +76,7 @@ class MonteCarloResult:
 def injective_probability(p: int, n: int, m: int) -> HeuristicValue:
     """Probability that a uniform random linear map F_p^n -> F_p^m is
     injective: the product over i < n of (1 - p^(i-m))."""
-    if not is_prime(p):
-        raise ValueError(f"p={p} must be prime")
+    require_prime(p)
     if n < 1 or m < n:
         raise ValueError("need 1 <= n <= m")
     prob = Fraction(1)
@@ -131,8 +130,7 @@ def monte_carlo_injective(p: int, n: int, m: int, trials: int, seed: int) -> Mon
     Deterministic: the same seed gives a bit-identical result on any
     platform and partitioning.
     """
-    if not is_prime(p):
-        raise ValueError(f"p={p} must be prime")
+    require_prime(p)
     if p >= 1 << 63:
         raise ValueError(f"p={p} must be below 2^63 to be sampled as int64")
     if seed < 0:
@@ -203,8 +201,9 @@ def scan_wieferich(base: int, rng: PrimeRange, workers: int = 1) -> ScanReport:
 def level_raising_densities(p: int) -> dict[str, HeuristicValue]:
     """Chebotarev densities of the four level-raising prime classes for a
     residual representation with full image mod p."""
-    if p < 3 or not is_prime(p):
-        raise ValueError("p must be an odd prime")
+    require_prime(p)
+    if p == 2:
+        raise ValueError("p=2 is not odd")
     dens = {
         "i": Fraction(2 * (p - 3), (p - 1) ** 2),
         "ii": Fraction(1, (p - 1) ** 2),

@@ -45,6 +45,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_prime(p: int) -> None:
+    """The per-prime API's argument check: ValueError naming p unless it is prime."""
+    if not is_prime(p):
+        raise ValueError(f"p={p} is not prime")
+
+
 def prime_divisors(n: int) -> frozenset[int]:
     """The primes dividing n, by trial division: for small |n| such as
     field discriminants and coefficient-field sizes."""

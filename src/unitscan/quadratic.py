@@ -25,7 +25,7 @@ from ._parallel import run_chunked
 # pow2 is poly_pow, called through this module global: the benchmark traces that name
 from .order_arith import (Lanes, OrderSpec, RingLanes, frobenius_quotient, poly_pow as pow2,
                           prime_lanes, ring_fits_int64)
-from .primes import PrimeRange, prime_divisors, primes_in
+from .primes import PrimeRange, prime_divisors, primes_in, require_prime
 from .report import (CLEAR, CLEAR_CODE, CODES, EXCLUDED, HIT, HIT_CODE, Block, ScanReport,
                      Verdict, assemble_report)
 
@@ -178,9 +178,10 @@ def quad_unit_test(rec: QuadFieldRecord, p: int) -> bool:
     """True exactly when eps^(p^2-1) = 1 mod p^2 Z[omega], decided by the
     equivalent eps^p = sigma(eps) mod p^2 (see the module docstring).
 
-    Valid for odd unramified p coprime to the class number; anything else is
-    rejected so the scan can report it as excluded rather than silently skip.
+    Valid for odd unramified primes p coprime to the class number; anything
+    else is rejected so the scan can report it as excluded rather than silently skip.
     """
+    require_prime(p)
     v = classify_quad_prime(rec, p)
     if v.status == EXCLUDED:
         raise ValueError(_EXCLUSION_MESSAGES[v.reason].format(p=p, d=rec.d, min_p=MIN_SCAN_PRIME))
@@ -188,8 +189,8 @@ def quad_unit_test(rec: QuadFieldRecord, p: int) -> bool:
 
 
 def classify_quad_prime(rec: QuadFieldRecord, p: int) -> Verdict:
-    """Per-prime verdict: the scalar reference of the lane kernel, and the
-    path of quad_unit_test."""
+    """Per-prime verdict, the scalar reference of the lane kernel and the path of
+    quad_unit_test; p must be prime and is not checked (it runs over sieve output)."""
     if p < MIN_SCAN_PRIME:
         return Verdict(p, EXCLUDED, reason="below_min_p")
     if rec.field_disc % p == 0:

@@ -1,11 +1,26 @@
-"""Scalar verdicts as a report.Block: the one input assemble_report takes, so
-a reference report can be assembled from classify_*_prime one prime at a time."""
+"""The checks every scan family shares: a Family (quadratic, cubic in each
+mode, Wieferich) scanned against the report assembled from its per-prime
+reference through block_of, on any range, across the 2^25 int64 bound, near
+RANGE_LIMIT, on tiny chunks, and with 1 against 2 workers."""
 
 from __future__ import annotations
 
-import numpy as np
+import builtins
+from contextlib import contextmanager
+from dataclasses import dataclass
+from types import ModuleType
+from typing import Callable
 
-from unitscan.report import CODES, HIT, Block
+import numpy as np
+import pytest
+
+from unitscan._parallel import run_chunked
+from unitscan.order_arith import MULMOD_PMAX
+from unitscan.primes import RANGE_LIMIT, PrimeRange, primes_in
+from unitscan.report import CODES, EXCLUDED, HIT, Block, assemble_report
+
+STRADDLE = PrimeRange(MULMOD_PMAX - 3000, MULMOD_PMAX + 3000)
+NEAR_LIMIT = PrimeRange(RANGE_LIMIT - 20_000, RANGE_LIMIT)  # one chunk, of Python-int lanes
 
 
 def block_of(verdicts, denominators=None) -> Block:
@@ -19,3 +34,122 @@ def block_of(verdicts, denominators=None) -> Block:
         tuple(v.aux for v in verdicts if v.status == HIT),
         denominators=None if denominators is None else denominators(primes),
     )
+
+
+@dataclass(frozen=True)
+class Family:
+    """A scan family: scan(rec, rng, workers) reports every prime it keeps
+    (all of them, or the hits alone when not full_verdicts); reference(rec, p)
+    is one prime's Verdict, a tested one hitting with probability
+    1/denominators(p) (default 1/p).  The checks shadow module's prime_lanes,
+    its global per_prime (else the builtin) and, if named, kernel: a lane
+    kernel whose last argument must hold exactly the tested primes."""
+
+    module: ModuleType
+    per_prime: str
+    scan: Callable
+    reference: Callable
+    denominators: Callable | None = None
+    full_verdicts: bool = True
+    kernel: str | None = None
+
+
+@contextmanager
+def lane_calls(family: Family):
+    """What a scan hands each path: the dtype of every lane array prime_lanes
+    builds, the arguments of every per-prime call through the module global
+    (the checks' own reference calls do not count), and the primes the kernel sees."""
+    calls = {"dtypes": [], "per_prime": [], "kernel": []}
+    with pytest.MonkeyPatch.context() as m:
+
+        def spy(attr, key, note):
+            f = getattr(family.module, attr, None) or getattr(builtins, attr)
+
+            def counted(*args):
+                out = f(*args)
+                calls[key] += note(args, out)
+                return out
+
+            m.setattr(family.module, attr, counted, raising=False)
+
+        spy("prime_lanes", "dtypes", lambda args, out: [out.dtype])
+        spy(family.per_prime, "per_prime", lambda args, out: [args])
+        if family.kernel:
+            spy(family.kernel, "kernel", lambda args, out: args[-1].tolist())
+        yield calls
+
+
+def assert_same_report(rep, ref, label):
+    """The same hits, exclusions, clears and checksum, and the counters to
+    the last bit of the expected hit count."""
+    for name in ("hits", "excluded", "clears", "checksum", "tested", "excluded_counts", "expected_hits"):
+        assert getattr(rep, name) == getattr(ref, name), (label, name)
+
+
+def check_scans(family: Family, records, rng: PrimeRange, dtypes=None) -> list:
+    """Each record's scan of rng against the report assembled from
+    family.reference: no per-prime call, one lane array of each dtype in turn
+    when dtypes are given, and the kernel, if named, on the tested primes.
+    Returns the reports."""
+    primes = list(primes_in(rng))
+    reports = []
+    for rec in records:
+        with lane_calls(family) as calls:
+            rep = family.scan(rec, rng, workers=1)
+        verdicts = [family.reference(rec, p) for p in primes]
+        ref = assemble_report(rep.field_id, rep.mode, rng.lo, rng.hi,
+                              block_of(verdicts, family.denominators), family.full_verdicts)
+        label = (rec, rep.mode)
+        assert_same_report(rep, ref, label)
+        assert calls["per_prime"] == [], label
+        if dtypes is not None:
+            assert calls["dtypes"] == list(map(np.dtype, dtypes)), label
+        if family.kernel:
+            assert calls["kernel"] == [v.p for v in verdicts if v.status != EXCLUDED], label
+        reports.append(rep)
+    return reports
+
+
+def check_straddle(family: Family, records) -> list:
+    """check_scans on MULMOD_PMAX +- 3000: the scan cuts its chunks at 2^25,
+    so int64 lanes below and Python ints above."""
+    primes = list(primes_in(STRADDLE))
+    assert primes[0] < MULMOD_PMAX < primes[-1]
+    return check_scans(family, records, STRADDLE, (np.int64, object))
+
+
+def check_tiny_chunks(family: Family, records, rng: PrimeRange, spans=(1, 2, 7)):
+    """check_scans with chunks of each span: most hold one prime or none, so
+    most leave some kernel stage without lanes.  Each chunk keeps its primes
+    (full verdicts) or its hits alone, and a chunk without primes none."""
+    primes = list(primes_in(rng))
+    for span in spans:
+        sizes = []
+
+        def tiny(worker, args, lo, hi, workers):
+            def counted(args, a, b):
+                block = worker(args, a, b)
+                sizes.append((a, b, len(block.primes)))
+                return block
+
+            return run_chunked(counted, args, lo, hi, workers, span)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(family.module, "run_chunked", tiny)
+            for rec in records:
+                sizes.clear()
+                rep, = check_scans(family, [rec], rng)
+                kept = primes if family.full_verdicts else [v.p for v in rep.hits]
+                want = [(a, b, sum(a <= p <= b for p in kept)) for a, b, _ in sizes]
+                assert sizes == want, (rec, rep.mode, span)
+
+
+def check_workers(family: Family, rec, chunk_counts):
+    """rec's scan across the 2^18 chunk cut with 1 and 2 workers: the same
+    report and counters, the 2-worker scan through the pool.  Returns the
+    1-worker report."""
+    rng = PrimeRange((1 << 18) - 100_000, (1 << 18) + 100_000)
+    one, two = (family.scan(rec, rng, workers=w) for w in (1, 2))
+    assert chunk_counts[-1] > 1  # so the two workers ran in a pool
+    assert_same_report(two, one, rec)
+    return one

@@ -1,9 +1,14 @@
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
 
+from unitscan._data import DataFileError
 from unitscan.cli import main
+from unitscan.primes import PrimeRange
+from unitscan.quadratic import load_quad_fields, scan_quadratic
+from unitscan.report import load_reference_tables, report_from_json
 
 
 @pytest.fixture()
@@ -25,6 +30,15 @@ def test_scan_quad_json(runner):
     assert doc["field"] == "quad(D=2)"
     assert [h["p"] for h in doc["hits"]] == [13, 31]
     assert doc["checksum"]
+
+
+def test_scan_quad_all_json_is_one_array(runner, quad_records):
+    # one report per field, in D order, each the same as that field's own scan
+    res = runner.invoke(main, ["scan-quad", "--d", "all", "--pmax", "500", "--format", "json", "--workers", "1"])
+    assert res.exit_code == 0
+    docs = json.loads(res.stdout)
+    want = [scan_quadratic(rec, PrimeRange(3, 500)).checksum for _, rec in sorted(quad_records.items())]
+    assert len(docs) == 18 and [report_from_json(json.dumps(doc)).checksum for doc in docs] == want
 
 
 def test_scan_quad_csv_hits(runner):
@@ -72,6 +86,12 @@ def test_h5_text_and_json(runner):
     doc = json.loads(res.stdout)
     assert doc["-108"]["reduced"] == []
     assert doc["-59"]["reduced"] == [5, 29]
+
+
+def test_h5_csv(runner):
+    res = runner.invoke(main, ["h5", "--delta", "-59", "--format", "csv"])
+    assert res.exit_code == 0
+    assert res.stdout.splitlines() == ["delta,variant,primes", "-59,raw,2 3 5 29", "-59,reduced,5 29"]
 
 
 def test_scan_quad_full_verdicts(runner):
@@ -209,6 +229,31 @@ def test_missing_data_dir_exit_3(runner, tmp_path):
     res = runner.invoke(main, ["scan-quad", "--d", "12", "--pmax", "100",
                                "--data-dir", str(tmp_path)])
     assert res.exit_code == 3
+
+
+TABLES_CMD = ["verify-tables", "--table", "h5"]
+
+
+@pytest.mark.parametrize(
+    "name, text, message, command",
+    [("quad_fields.txt", None, "cannot read", ["scan-quad", "--d", "2"]),
+     ("reference_tables.json", None, "cannot parse", TABLES_CMD),
+     ("reference_tables.json", "{not json", "cannot parse", TABLES_CMD),
+     ("reference_tables.json", '{"quad_table": {}, "h5_table": {}}',
+      "reference table 'cubic_ordinary_table' missing", TABLES_CMD)],
+    ids=["unreadable_fields", "unreadable_tables", "unparsable_tables", "table_missing"],
+)
+def test_bad_data_file_exit_3(runner, tmp_path, name, text, message, command):
+    path = tmp_path / name
+    if text is None:
+        path.mkdir()  # a directory: unreadable as a file whatever the permissions
+    else:
+        path.write_text(text)
+    load = load_quad_fields if name == "quad_fields.txt" else load_reference_tables
+    with pytest.raises(DataFileError, match=re.escape(message)):
+        load(tmp_path)
+    res = runner.invoke(main, command + ["--data-dir", str(tmp_path)])
+    assert res.exit_code == 3 and message in res.stderr
 
 
 def test_data_dir_env_override(runner, tmp_path, monkeypatch):

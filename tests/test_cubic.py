@@ -1,12 +1,13 @@
 import itertools
 import random
+from functools import partial
 
 import numpy as np
 import pytest
 import sympy
 
+from unitscan import cubic
 from unitscan._data import DataFileError, data_path
-from unitscan._parallel import run_chunked
 from unitscan.cubic import (
     MODE_H2,
     MODE_ORDINARY,
@@ -26,18 +27,16 @@ from unitscan.cubic import (
     scan_cubic,
     z_value,
     _adjugate,
-    _classify_lanes,
-    _cubic_chunk,
     _embed,
     _z_coeffs,
     _z_cubed_in_fp,
     _z_lanes,
 )
-from unitscan.order_arith import MULMOD_PMAX, OrderSpec, fold_rows, poly_pow, ring_fits_int64
-from unitscan.primes import RANGE_LIMIT, PrimeRange, prime_divisors, primes_in
-from unitscan.report import CLEAR, EXCLUDED, HIT, assemble_report
+from unitscan.order_arith import OrderSpec, fold_rows, poly_pow
+from unitscan.primes import PrimeRange, prime_divisors, primes_in
+from unitscan.report import EXCLUDED, HIT
 
-from _blocks import block_of
+from _blocks import NEAR_LIMIT, Family, check_scans, check_straddle, check_tiny_chunks, check_workers
 from _oracles import (
     cubic_is_inert,
     cubic_mul,
@@ -152,6 +151,9 @@ def test_hyp_filter_examples(cubic_records):
     assert hyp_filter(rec23, 13) is None
     assert hyp_filter(rec23, 2) == "hyp1_divides_6"
     assert hyp_filter(rec23, 3) == "hyp1_divides_6"
+    # no hyp4_even, which is no report code: p odd, the fourth hypothesis, follows from the first
+    reasons = {hyp_filter(rec23, p) for p in range(2, 1000)}
+    assert reasons == {None, "hyp1_divides_6", "hyp2_ramified", "hyp5_in_H5"}
 
 
 def test_hyp_filter_class_number(cubic_records):
@@ -384,9 +386,7 @@ def test_ordinary_preconditions(cubic_records):
 
 def test_zero_z_branches(cubic_records, monkeypatch):
     # z = 0 never occurs in the shipped data; patch it in to pin the branch
-    import unitscan.cubic as cubic_mod
-
-    monkeypatch.setattr(cubic_mod, "_z_coeffs", lambda *a: (0, 0, 0))
+    monkeypatch.setattr(cubic, "_z_coeffs", lambda *a: (0, 0, 0))
     rec = cubic_records[-23]
     v = classify_cubic_prime(rec, 13, MODE_H2)
     assert v.status == HIT and v.aux == (0, 0, 0)
@@ -406,14 +406,6 @@ def test_h2_clear_everywhere_small(cubic_records):
 
 # -- scan behaviour ---------------------------------------------------------------------
 
-def _int64_ok(rec):
-    """The shared int64 rule on the record: its fold rows, and the integers
-    the kernel reads exactly (the adjugate and norm of f'(theta) need no
-    check: test_large_coefficients_take_python_int_lanes bounds them)."""
-    ints = (*rec.unit, *rec.unit_inverse, rec.delta, rec.class_number_e or 0)
-    return ring_fits_int64(rec.spec.reduction, ints)
-
-
 def _fold_sum(f):
     """The largest sum over the fold rows of |row[k]|."""
     return max(sum(abs(r[k]) for r in fold_rows(f)) for k in range(len(f)))
@@ -424,52 +416,26 @@ def _fold_sum(f):
 _DENOMINATORS = {MODE_H2: lambda p: p * p, MODE_ORDINARY: lambda p: (p + 1) // 2}
 
 
-def _reference_report(rec, rng, mode):
-    """The report assembled from classify_cubic_prime, one prime at a time."""
-    verdicts = block_of((classify_cubic_prime(rec, p, mode) for p in primes_in(rng)),
-                        _DENOMINATORS[mode])
-    return assemble_report(f"cubic(delta={rec.delta})", mode, rng.lo, rng.hi, verdicts, True)
-
-
-def _assert_same_report(rep, ref, label):
-    assert rep.hits == ref.hits, label
-    assert rep.excluded == ref.excluded, label
-    assert rep.clears == ref.clears, label
-    assert rep.checksum == ref.checksum, label
-    # the counters, to the last bit of the expected hit count
-    assert rep.tested == ref.tested, label
-    assert rep.excluded_counts == ref.excluded_counts, label
-    assert rep.expected_hits == ref.expected_hits, label
+CUBIC = {mode: Family(cubic, "classify_cubic_prime", partial(scan_cubic, mode=mode, full_verdicts=True),
+                      partial(classify_cubic_prime, mode=mode), _DENOMINATORS[mode]) for mode in _DENOMINATORS}
 
 
 @pytest.mark.parametrize("delta", DELTAS)
 def test_scan_matches_classify(delta, cubic_records):
     # the batch kernel against the readable classifier on every prime to the
-    # scan bounds of the paper's tables: full verdicts and checksums
+    # scan bounds of the paper's tables: full verdicts and checksums, one
+    # chunk of int64 lanes (the shared int64 rule passes)
     rec = cubic_records[delta]
-    assert _int64_ok(rec)
     for mode, pmax in ((MODE_ORDINARY, 200_000), (MODE_H2, 100_000)):
-        rng = PrimeRange(2, pmax)
-        rep = scan_cubic(rec, rng, mode=mode, full_verdicts=True)
-        _assert_same_report(rep, _reference_report(rec, rng, mode), mode)
+        rep, = check_scans(CUBIC[mode], [rec], PrimeRange(2, pmax), (np.int64,))
         tested = sorted({v.p for v in rep.hits}.union(rep.clears))
-        weight = (lambda p: 1 / p**2) if mode == MODE_H2 else (lambda p: 2 / (p + 1))
-        assert rep.expected_hits == pytest.approx(sum(map(weight, tested)), rel=1e-12)
+        want = sum(1 / _DENOMINATORS[mode](p) for p in tested)  # in floats, term by term
+        assert rep.expected_hits == pytest.approx(want, rel=1e-12)
 
 
 def test_batch_tiny_chunks(cubic_records):
-    # chunks with no prime, or one, leave some kernel stages without lanes
-    rng = PrimeRange(2, 400)
-    for delta in (-23, -140):
-        rec = cubic_records[delta]
-        for mode in (MODE_H2, MODE_ORDINARY):
-            ref = _reference_report(rec, rng, mode)
-            for span in (1, 2, 7):
-                verdicts = run_chunked(_cubic_chunk, (rec, mode), rng.lo, rng.hi, 1, span)
-                rep = assemble_report(ref.field_id, mode, rng.lo, rng.hi, verdicts, True)
-                _assert_same_report(rep, ref, (delta, mode, span))
-            # a chunk without primes gives an empty block
-            assert list(_cubic_chunk((rec, mode), 24, 28)) == []
+    for family in CUBIC.values():
+        check_tiny_chunks(family, (cubic_records[-23], cubic_records[-140]), PrimeRange(2, 400))
 
 
 def test_z_zero_at_a_power_of_the_unit(cubic_records):
@@ -481,11 +447,8 @@ def test_z_zero_at_a_power_of_the_unit(cubic_records):
         unit = cubic_mul(unit, rec23.unit, rec23.spec.defining_poly)
     rec = CubicFieldRecord(-23, rec23.spec, None, unit, "derived")
     rng = PrimeRange(2, 3000)
-    for mode in (MODE_H2, MODE_ORDINARY):
-        rep = scan_cubic(rec, rng, mode=mode, full_verdicts=True)
-        _assert_same_report(rep, _reference_report(rec, rng, mode), mode)
-    assert [v.p for v in scan_cubic(rec, rng, mode=MODE_H2).hits] == [13]
-    assert scan_cubic(rec, rng, mode=MODE_ORDINARY).excluded_counts["z_zero"] == 1
+    (h2,), (ordinary,) = (check_scans(family, [rec], rng) for family in CUBIC.values())
+    assert [v.p for v in h2.hits] == [13] and ordinary.excluded_counts["z_zero"] == 1
 
 
 def _shifted_record(rec23, c):
@@ -496,70 +459,20 @@ def _shifted_record(rec23, c):
     return CubicFieldRecord(-23, spec, None, (c, 1, 0), "derived")
 
 
-@pytest.fixture
-def kernel_calls(monkeypatch):
-    """What the scans hand each path: the dtype of every lane array that
-    prime_lanes builds, and the primes classify_cubic_prime sees through the
-    module global (the tests' own reference calls do not count)."""
-    import unitscan.cubic as cubic_mod
-
-    calls = {"dtypes": [], "scalar": []}
-    lanes, scalar = cubic_mod.prime_lanes, cubic_mod.classify_cubic_prime
-
-    def counted_lanes(primes, fits_int64=True):
-        out = lanes(primes, fits_int64)
-        calls["dtypes"].append(out.dtype)
-        return out
-
-    def counted_scalar(rec, p, mode):
-        calls["scalar"].append(p)
-        return scalar(rec, p, mode)
-
-    monkeypatch.setattr(cubic_mod, "prime_lanes", counted_lanes)
-    monkeypatch.setattr(cubic_mod, "classify_cubic_prime", counted_scalar)
-    return calls
-
-
-def _check_window(records, rng, kernel_calls, dtypes=(object,)):
-    """Each record's scan of the range, in both modes, against
-    classify_cubic_prime: one lane array of each dtype in turn (Python ints
-    for a one-chunk range), and no per-prime call."""
-    for rec in records:
-        for mode in (MODE_H2, MODE_ORDINARY):
-            kernel_calls["dtypes"].clear()
-            rep = scan_cubic(rec, rng, mode=mode, full_verdicts=True)
-            assert kernel_calls["dtypes"] == list(map(np.dtype, dtypes)), (rec.spec, mode)
-            _assert_same_report(rep, _reference_report(rec, rng, mode), (rec.spec, mode))
-    assert kernel_calls["scalar"] == []
-
-
-def test_batch_bound_straddles_2_25(cubic_records, kernel_calls):
-    rng = PrimeRange(MULMOD_PMAX - 3000, MULMOD_PMAX + 3000)
-    primes = list(primes_in(rng))
-    below = [p for p in primes if p < MULMOD_PMAX]
-    assert below and len(below) < len(primes)
+def test_batch_bound_straddles_2_25(cubic_records):
     # -23 as shipped, and shifted by 6: a fold column sum of 3971, near the 2^12 bound
     assert _fold_sum(_shifted_record(cubic_records[-23], 6).spec.reduction) == 3971
     records = (cubic_records[-23], _shifted_record(cubic_records[-23], 6))
-    for rec in records:
-        assert _int64_ok(rec)
-        for mode in (MODE_H2, MODE_ORDINARY):
-            # the primes below 2^25 alone take int64 lanes; each lane of the
-            # block matches the scalar classifier on status, reason and aux
-            want = [classify_cubic_prime(rec, p, mode) for p in below]
-            kernel_calls["dtypes"].clear()
-            assert list(_classify_lanes(rec, mode, np.array(below))) == want, mode
-            assert kernel_calls["dtypes"] == [np.dtype(np.int64)]
-    # the scan cuts its chunks at 2^25: int64 lanes below, Python ints above
-    _check_window(records, rng, kernel_calls, (np.int64, object))
+    for family in CUBIC.values():
+        check_straddle(family, records)
 
 
-def test_scan_near_range_limit_matches_classify(cubic_records, kernel_calls):
-    rng = PrimeRange(RANGE_LIMIT - 20_000, RANGE_LIMIT)
-    _check_window((cubic_records[-23], cubic_records[-140]), rng, kernel_calls)
+def test_scan_near_range_limit_matches_classify(cubic_records):
+    for family in CUBIC.values():
+        check_scans(family, (cubic_records[-23], cubic_records[-140]), NEAR_LIMIT, (object,))
 
 
-def test_large_coefficients_take_python_int_lanes(cubic_records, kernel_calls):
+def test_large_coefficients_take_python_int_lanes(cubic_records):
     rec23 = cubic_records[-23]
     big_unit = rec23.unit
     for _ in range(160):  # eps^161: coefficients beyond 2^63
@@ -567,11 +480,9 @@ def test_large_coefficients_take_python_int_lanes(cubic_records, kernel_calls):
     assert max(map(abs, big_unit)) >= 1 << 63
     big_power = CubicFieldRecord(-23, rec23.spec, None, big_unit, "derived")
     shifted = _shifted_record(rec23, 7)  # f2 * f0 = 7035 > 2^12
-    f7 = shifted.spec.reduction
-    assert _fold_sum(f7) >= 1 << 12
+    assert _fold_sum(shifted.spec.reduction) >= 1 << 12
     huge_h = CubicFieldRecord(-23, rec23.spec, 1 << 70, rec23.unit, "derived")
-    records = (big_power, shifted, huge_h)
-    assert not any(map(_int64_ok, records))
+    records = (big_power, shifted, huge_h)  # each fails the int64 rule: Python-int lanes below 2^25
     # The Newton step also reads the adjugate and norm of f'(theta) exactly.  No
     # cubic record overflows on those alone: the norm is -Delta, and the fold
     # rule keeps every |f_i| below 2^12, so the adjugate stays below 2^40.
@@ -581,10 +492,10 @@ def test_large_coefficients_take_python_int_lanes(cubic_records, kernel_calls):
         adj, det = _adjugate((f[1], 2 * f[2], 3), f)
         assert det == -rec.delta and max(map(abs, adj)) < 1 << 40
     rng = PrimeRange(2, 3000)
-    _check_window(records, rng, kernel_calls)
+    check_scans(CUBIC[MODE_H2], records, rng, (object,))
+    _, rep, _ = check_scans(CUBIC[MODE_ORDINARY], records, rng, (object,))
     # the shifted model is the same field: same hits and clears as shipped
     base = scan_cubic(rec23, rng, mode=MODE_ORDINARY, full_verdicts=True)
-    rep = scan_cubic(shifted, rng, mode=MODE_ORDINARY, full_verdicts=True)
     assert [v.p for v in rep.hits] == [v.p for v in base.hits] == [13]
     assert rep.clears == base.clears
 
@@ -666,14 +577,7 @@ def test_scan_hyp3_exclusion_applies(cubic_records):
 
 
 def test_scan_parallel_determinism(cubic_records, chunk_counts):
-    rec = cubic_records[-107]
-    rng = PrimeRange((1 << 18) - 100_000, (1 << 18) + 100_000)  # across a chunk cut
-    r1 = scan_cubic(rec, rng, mode=MODE_ORDINARY, workers=1)
-    r2 = scan_cubic(rec, rng, mode=MODE_ORDINARY, workers=2)
-    assert chunk_counts[1] > 1  # so the two workers ran in a pool
-    assert r1.checksum == r2.checksum
-    assert r1.hits == r2.hits
-    assert r1.tested == r2.tested and r1.excluded_counts == r2.excluded_counts
+    check_workers(CUBIC[MODE_ORDINARY], cubic_records[-107], chunk_counts)
 
 
 def test_frobenius_density_at_one_million(cubic_records):

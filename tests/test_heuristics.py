@@ -1,4 +1,3 @@
-import inspect
 import math
 from fractions import Fraction
 
@@ -6,7 +5,6 @@ import numpy as np
 import pytest
 
 from unitscan import heuristics
-from unitscan._parallel import run_chunked
 from unitscan.heuristics import (
     HeuristicValue,
     expected_exceptional_count,
@@ -17,9 +15,11 @@ from unitscan.heuristics import (
     scan_wieferich,
 )
 from unitscan.order_arith import MULMOD_PMAX, prime_lanes
-from unitscan.primes import RANGE_LIMIT, PrimeRange, primes_in
-from unitscan.report import assemble_report
+from unitscan.primes import PrimeRange, primes_in
+from unitscan.report import CLEAR, EXCLUDED, HIT, Verdict
 
+from _blocks import (NEAR_LIMIT, STRADDLE, Family, check_scans, check_straddle, check_tiny_chunks,
+                     check_workers, lane_calls)
 from _oracles import exhaustive_injective_fraction, rank_mod_p
 
 ENUMERATION_GRID = [(2, 1, 1), (2, 1, 2), (2, 2, 2), (2, 2, 3), (3, 1, 1), (3, 1, 2), (3, 2, 2)]
@@ -209,17 +209,20 @@ def test_wieferich_report():
     rep = scan_wieferich(2, PrimeRange(3, 300_000))
     assert [v.p for v in rep.hits] == [1093, 3511]
     assert rep.field_id == "wieferich(base=2)"
-    # two chunks, cut at 2^18, so two workers really split the range
-    two = scan_wieferich(2, PrimeRange(3, 300_000), workers=2)
-    assert two.checksum == rep.checksum
-    assert (two.tested, two.expected_hits) == (rep.tested, rep.expected_hits)
     # 2 and 5 divide the base: excluded, not tested, out of the 168 primes to 1000
     rep = scan_wieferich(10, PrimeRange(2, 1000))
     assert rep.excluded_counts == {"divides_base": 2} and rep.tested == 166
 
 
-def reference_hits(base, primes):
-    return [p for p in primes if base % p and pow(base, p - 1, p * p) == 1]
+def _wieferich_verdict(base, p):
+    if base % p == 0:
+        return Verdict(p, EXCLUDED, reason="divides_base")
+    return Verdict(p, HIT if pow(base, p - 1, p * p) == 1 else CLEAR)
+
+
+# no scan calls the builtin pow; the lane kernel sees the primes not dividing the base
+WIEFERICH = Family(heuristics, "pow", scan_wieferich, _wieferich_verdict, full_verdicts=False,
+                   kernel="_wieferich_lanes")
 
 
 # 1093^2 is divisible by a prime in range; 2^63 - 1 is the largest base that
@@ -228,97 +231,56 @@ LANE_BASES = (2, 3, 5, 10, 1093**2, (1 << 63) - 1)
 BIG_BASE = (1 << 63) + 1
 
 
-@pytest.fixture
-def kernel_calls(monkeypatch):
-    """Primes the lane kernel sees and the dtype of each lane array, and the
-    primes a builtin pow shadowed by a module global sees: no scan calls it."""
-    calls = {"lanes": [], "dtypes": [], "scalar": []}
-    lanes = heuristics._wieferich_lanes
-
-    def counted_lanes(base, p):
-        calls["lanes"] += p.tolist()
-        calls["dtypes"].append(p.dtype)
-        return lanes(base, p)
-
-    def counted_pow(base, e, m):
-        calls["scalar"].append(e + 1)
-        return pow(base, e, m)
-
-    monkeypatch.setattr(heuristics, "_wieferich_lanes", counted_lanes)
-    monkeypatch.setattr(heuristics, "pow", counted_pow, raising=False)
-    return calls
-
-
-def _check_scans(bases, rng, kernel_calls, dtypes):
-    """Hits of every base against the builtin pow: one lane array per chunk,
-    of the dtypes listed for the base, holding every prime not dividing it."""
-    primes = list(primes_in(rng))
-    for base in bases:
-        kernel_calls["lanes"].clear()
-        kernel_calls["dtypes"].clear()
-        assert wieferich_hits(base, rng) == reference_hits(base, primes), base
-        assert kernel_calls["lanes"] == [p for p in primes if base % p], base
-        assert kernel_calls["dtypes"] == list(map(np.dtype, dtypes(base))), base
-    assert kernel_calls["scalar"] == []
-
-
-def test_wieferich_lanes_match_builtin_pow(kernel_calls):
+def test_wieferich_lanes_match_builtin_pow():
     rng = PrimeRange(2, 200_000)
     primes = list(primes_in(rng))
     for base in LANE_BASES + (BIG_BASE,):
         want = [pow(base, p - 1, p * p) for p in primes]
         for fits in {base < 1 << 63, False}:  # int64 lanes where base allows, Python ints
             assert heuristics._wieferich_lanes(base, prime_lanes(primes, fits)).tolist() == want
-    span = inspect.signature(run_chunked).parameters["chunk_span"].default
-    chunks = rng.hi // span - rng.lo // span + 1  # one lane call per chunk
-    _check_scans(LANE_BASES + (BIG_BASE,), rng, kernel_calls,
-                 lambda base: [np.int64 if base < 1 << 63 else object] * chunks)
+    # one chunk, of int64 lanes for every base but BIG_BASE
+    check_scans(WIEFERICH, LANE_BASES, rng, (np.int64,))
+    check_scans(WIEFERICH, (BIG_BASE,), rng, (object,))
 
 
-def test_wieferich_bound_straddles_2_25(kernel_calls):
-    # the scan cuts its chunks at 2^25: int64 lanes below, Python ints above
-    rng = PrimeRange(MULMOD_PMAX - 3000, MULMOD_PMAX + 3000)
-    primes = list(primes_in(rng))
+def test_wieferich_bound_straddles_2_25():
+    primes = list(primes_in(STRADDLE))
     below = [p for p in primes if p < MULMOD_PMAX]
-    assert below and len(below) < len(primes)
     q = primes[-1]  # q^2 + 1 = 1 mod q^2 makes q a hit
     bases = (2, 3, 1093**2, q * q + 1)
     for base in bases:
         want = [pow(base, p - 1, p * p) for p in below]
         assert heuristics._wieferich_lanes(base, prime_lanes(below)).tolist() == want
-    _check_scans(bases, rng, kernel_calls, lambda base: (np.int64, object))
-    assert q in wieferich_hits(q * q + 1, rng)
+    assert q in [v.p for v in check_straddle(WIEFERICH, bases)[-1].hits]
 
 
-def test_wieferich_near_range_limit(kernel_calls):
-    rng = PrimeRange(RANGE_LIMIT - 20_000, RANGE_LIMIT)
-    q = list(primes_in(rng))[100]
-    _check_scans((2, 3, q * q + 1, BIG_BASE), rng, kernel_calls, lambda base: (object,))
-    assert q in wieferich_hits(q * q + 1, rng)
+def test_wieferich_near_range_limit():
+    q = list(primes_in(NEAR_LIMIT))[100]
+    _, _, rep, _ = check_scans(WIEFERICH, (2, 3, q * q + 1, BIG_BASE), NEAR_LIMIT, (object,))
+    assert q in [v.p for v in rep.hits]
 
 
-def test_wieferich_published_hit_above_2_25(kernel_calls):
+def test_wieferich_published_hit_above_2_25():
     # 53,471,161 is a base-5 Wieferich prime: P. L. Montgomery, "New solutions
     # of a^(p-1) = 1 (mod p^2)", Math. Comp. 61 (1993)
     q = 53_471_161
-    assert wieferich_hits(5, PrimeRange(q - 5000, q + 5000)) == [q]
-    assert kernel_calls["dtypes"] == [np.dtype(object)]  # one chunk, on Python-int lanes
+    with lane_calls(WIEFERICH) as calls:
+        assert wieferich_hits(5, PrimeRange(q - 5000, q + 5000)) == [q]
+    assert calls["dtypes"] == [np.dtype(object)]  # one chunk, on Python-int lanes
 
 
 @pytest.mark.parametrize("span", [1, 2, 7])
 def test_wieferich_tiny_chunks(span):
-    # most chunks hold one prime or none, so most have no kernel lanes;
     # base 5 is a hit at p = 2 (5 = 1 mod 4), base 3 at p = 11
-    cases = ((2, PrimeRange(1000, 1200)), (5, PrimeRange(2, 300)), (3, PrimeRange(2, 300)))
-    for base, rng in cases:
-        hits = run_chunked(heuristics._wieferich_chunk, base, rng.lo, rng.hi, 1, span)
-        rep = assemble_report(f"wieferich(base={base})", "wieferich", rng.lo, rng.hi, hits)
-        assert [v.p for v in rep.hits] == reference_hits(base, primes_in(rng))
-        assert len(hits) == len(rep.hits)  # the chunks keep their hits alone
-        whole = scan_wieferich(base, rng)
-        assert rep.checksum == whole.checksum
-        assert (rep.tested, rep.excluded_counts, rep.expected_hits) == (
-            whole.tested, whole.excluded_counts, whole.expected_hits)
+    check_tiny_chunks(WIEFERICH, (2,), PrimeRange(1000, 1200), (span,))
+    check_tiny_chunks(WIEFERICH, (5, 3), PrimeRange(2, 300), (span,))
+
+
+def test_wieferich_parallel_determinism(chunk_counts):
+    # 1 + (q r)^2 hits at q and r either side of the 2^18 cut: the chunks' hits keep their order
+    q, r = 262_139, 262_147
+    check_workers(WIEFERICH, 2, chunk_counts)
+    assert {q, r} <= {v.p for v in check_workers(WIEFERICH, 1 + (q * r) ** 2, chunk_counts).hits}
 
 
 def test_densities_examples():

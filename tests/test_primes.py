@@ -1,6 +1,9 @@
 import pytest
 
-from unitscan.primes import PrimeRange, count_primes, is_prime, primes_in, sieve_upto
+from unitscan.cubic import z_value
+from unitscan.heuristics import injective_probability, level_raising_densities, monte_carlo_injective
+from unitscan.primes import PrimeRange, count_primes, is_prime, primes_in, require_prime, sieve_upto
+from unitscan.quadratic import quad_unit_test
 
 from _oracles import trial_division_primes
 
@@ -58,6 +61,18 @@ def test_is_prime_examples():
     assert not is_prime(1)
     assert not is_prime(0)
     assert is_prime(2)
+
+
+@pytest.mark.parametrize("p", [1, 4, 9, 15, 25])
+def test_per_prime_api_names_a_p_that_is_not_prime(p, quad_records, cubic_records):
+    # one check, one message, at every entry point that takes a prime
+    calls = [require_prime, lambda p: quad_unit_test(quad_records[2], p),
+             lambda p: z_value(cubic_records[-23], p), lambda p: injective_probability(p, 1, 1),
+             lambda p: monte_carlo_injective(p, 1, 1, 10, 0), level_raising_densities]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^p={p} is not prime$"):
+            call(p)
+    assert require_prime(1093) is None
 
 
 def test_is_prime_vs_trial_division():

@@ -1,11 +1,12 @@
 import inspect
 import tracemalloc
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from unitscan import _parallel
+from unitscan import _parallel, quadratic
 from unitscan._data import DataFileError
 from unitscan._parallel import run_chunked
 from unitscan.heuristics import scan_wieferich
@@ -25,13 +26,14 @@ from unitscan.quadratic import (
     _quad_chunk,
 )
 from unitscan.order_arith import MULMOD_PMAX, frobenius_quotient, mul2, poly_discriminant, poly_pow
-from unitscan.primes import RANGE_LIMIT
-from unitscan.report import CLEAR, EXCLUDED, HIT, HIT_CODE, Block, Verdict, assemble_report
+from unitscan.report import EXCLUDED, HIT, HIT_CODE, Block, Verdict
 
-from _blocks import block_of
+from _blocks import NEAR_LIMIT, Family, check_scans, check_straddle, check_tiny_chunks, check_workers
 from _oracles import narrow_class_number_bqf, quad_hit_naive, quad_unit_exhaustive
 
 SQUAREFREE_TO_30 = [d for d in range(2, 31) if is_squarefree(d)]
+
+QUAD = Family(quadratic, "classify_quad_prime", partial(scan_quadratic, full_verdicts=True), classify_quad_prime)
 
 
 def test_unit_examples():
@@ -94,56 +96,10 @@ def test_fermat_sanity(quad_records):
             assert poly_pow((rec.unit.a, rec.unit.b), p * p - 1, f, p) == (1, 0)
 
 
-@pytest.fixture
-def kernel_calls(monkeypatch):
-    """What the scans hand each path: the dtype of every lane array that
-    prime_lanes builds, and the primes classify_quad_prime sees through the
-    module global (the tests' own reference calls do not count)."""
-    import unitscan.quadratic as quad_mod
-
-    calls = {"dtypes": [], "scalar": []}
-    lanes, scalar = quad_mod.prime_lanes, quad_mod.classify_quad_prime
-
-    def counted_lanes(primes, fits_int64=True):
-        out = lanes(primes, fits_int64)
-        calls["dtypes"].append(out.dtype)
-        return out
-
-    def counted_scalar(rec, p):
-        calls["scalar"].append(p)
-        return scalar(rec, p)
-
-    monkeypatch.setattr(quad_mod, "prime_lanes", counted_lanes)
-    monkeypatch.setattr(quad_mod, "classify_quad_prime", counted_scalar)
-    return calls
-
-
-def _reference_report(rec, rng):
-    """The report assembled from classify_quad_prime, one prime at a time."""
-    verdicts = block_of(classify_quad_prime(rec, p) for p in primes_in(rng))
-    return assemble_report(f"quad(D={rec.d})", "quad", rng.lo, rng.hi, verdicts, True)
-
-
-def _assert_same_report(rep, ref, label):
-    assert rep.hits == ref.hits, label
-    assert rep.excluded == ref.excluded, label
-    assert rep.clears == ref.clears, label
-    assert rep.checksum == ref.checksum, label
-    # the counters, to the last bit of the expected hit count
-    assert rep.tested == ref.tested, label
-    assert rep.excluded_counts == ref.excluded_counts, label
-    assert rep.expected_hits == ref.expected_hits, label
-
-
-def test_lanes_match_classify_to_2e5(quad_records, kernel_calls):
+def test_lanes_match_classify_to_2e5(quad_records):
     # the lane kernel against the scalar classifier on every prime to 2e5:
-    # full verdicts and checksums, int64 lanes only, no per-prime call
-    rng = PrimeRange(2, 200_000)
-    for d, rec in quad_records.items():
-        rep = scan_quadratic(rec, rng, full_verdicts=True)
-        _assert_same_report(rep, _reference_report(rec, rng), d)
-    assert set(kernel_calls["dtypes"]) == {np.dtype(np.int64)}
-    assert kernel_calls["scalar"] == []
+    # full verdicts and checksums, one chunk of int64 lanes, no per-prime call
+    check_scans(QUAD, quad_records.values(), PrimeRange(2, 200_000), (np.int64,))
 
 
 def test_lanes_and_classify_match_naive_power(quad_records):
@@ -187,41 +143,19 @@ def test_frobenius_quotient_zero_exactly_at_naive_hits(quad_records):
     assert hits == 18
 
 
-def _check_window(records, rng, kernel_calls, dtypes=(object,)):
-    """Each record's scan of the range against classify_quad_prime: one lane
-    array of each dtype in turn (Python ints for a one-chunk range), and no
-    per-prime call."""
-    for d, rec in records.items():
-        kernel_calls["dtypes"].clear()
-        rep = scan_quadratic(rec, rng, full_verdicts=True)
-        assert kernel_calls["dtypes"] == list(map(np.dtype, dtypes)), d
-        _assert_same_report(rep, _reference_report(rec, rng), d)
-    assert kernel_calls["scalar"] == []
+def test_batch_bound_straddles_2_25(quad_records):
+    check_straddle(QUAD, quad_records.values())
 
 
-def test_batch_bound_straddles_2_25(quad_records, kernel_calls):
-    rng = PrimeRange(MULMOD_PMAX - 3000, MULMOD_PMAX + 3000)
-    primes = list(primes_in(rng))
-    below = [p for p in primes if p < MULMOD_PMAX]
-    assert below and len(below) < len(primes)
-    for d in (2, 5, 23):
-        rec = quad_records[d]
-        # the primes below 2^25 alone take int64 lanes; each lane of the
-        # block matches the scalar classifier on status, reason and aux
-        kernel_calls["dtypes"].clear()
-        block = _classify_lanes(rec, np.array(below))
-        assert list(block) == [classify_quad_prime(rec, p) for p in below], d
-        assert kernel_calls["dtypes"] == [np.dtype(np.int64)]
-    # the scan cuts its chunks at 2^25: int64 lanes below, Python ints above
-    _check_window(quad_records, rng, kernel_calls, (np.int64, object))
+def test_scan_near_range_limit_matches_classify(quad_records):
+    check_scans(QUAD, quad_records.values(), NEAR_LIMIT, (object,))
 
 
-def test_scan_near_range_limit_matches_classify(quad_records, kernel_calls):
-    rng = PrimeRange(RANGE_LIMIT - 20_000, RANGE_LIMIT)
-    _check_window(quad_records, rng, kernel_calls)
+def test_batch_tiny_chunks(quad_records):
+    check_tiny_chunks(QUAD, [quad_records[d] for d in (2, 10, 29)], PrimeRange(2, 400))
 
 
-def test_large_unit_takes_python_int_lanes(quad_records, kernel_calls):
+def test_large_unit_takes_python_int_lanes(quad_records):
     # eps^51 of Q(sqrt 2): coefficients beyond 2^63.  (1 + p*y)^51 = 1 + 51*p*y,
     # so the hits of eps^51 are those of eps together with 3 and 17.
     a, b = 1, 1
@@ -240,9 +174,7 @@ def test_large_unit_takes_python_int_lanes(quad_records, kernel_calls):
     golden = QuadFieldRecord(5, 1, QuadUnit(fib[91], fib[92]))
     assert max(fib[91], fib[92]) < 1 << 63 <= max(map(abs, golden.unit_inverse))
     assert golden.unit_inverse == (fib[93], -fib[92])
-    rng = PrimeRange(2, 3000)
-    _check_window({2: rec, 4098: wide, 5: golden}, rng, kernel_calls)
-    rep = scan_quadratic(rec, rng, full_verdicts=True)
+    rep, _, _ = check_scans(QUAD, (rec, wide, golden), PrimeRange(2, 3000), (object,))
     assert [v.p for v in rep.hits] == [3, 13, 17, 31]
     assert [p for p in rep.clears if quad_hit_naive(2, a, b, p)] == []
     assert list(_classify_lanes(rec, np.array([], dtype=np.int64))) == []
@@ -274,28 +206,8 @@ def test_scan_full_verdicts(quad_records):
     assert 5 in rep.clears and 7 in rep.clears
 
 
-def test_scan_matches_classify(quad_records):
-    rec = quad_records[15]
-    rep = scan_quadratic(rec, PrimeRange(2, 2000), full_verdicts=True)
-    verdicts = {v.p: v for v in (*rep.hits, *rep.excluded)}
-    for p in primes_in(PrimeRange(2, 2000)):
-        want = classify_quad_prime(rec, p)
-        if want.status == CLEAR:
-            assert p in rep.clears
-        else:
-            assert verdicts[p] == want
-
-
 def test_scan_parallel_determinism(quad_records, chunk_counts):
-    rec = quad_records[10]
-    rng = PrimeRange((1 << 18) - 100_000, (1 << 18) + 100_000)  # across a chunk cut
-    r1 = scan_quadratic(rec, rng, full_verdicts=True, workers=1)
-    r2 = scan_quadratic(rec, rng, full_verdicts=True, workers=2)
-    assert chunk_counts[1] > 1  # so the two workers ran in a pool
-    assert r1.checksum == r2.checksum
-    assert r1.hits == r2.hits and r1.excluded == r2.excluded and r1.clears == r2.clears
-    assert r1.tested == r2.tested and r1.excluded_counts == r2.excluded_counts
-    assert r1.expected_hits == r2.expected_hits
+    check_workers(QUAD, quad_records[10], chunk_counts)
 
 
 def test_hits_only_scan_memory(quad_records):

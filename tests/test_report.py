@@ -16,6 +16,7 @@ from unitscan.report import (
     QUAD_TABLE,
     Block,
     ScanReport,
+    TableDiff,
     Verdict,
     _diff_row,
     compute_checksum,
@@ -160,6 +161,8 @@ def test_diff_row_sorts_missing_primes():
     assert (row.expected, row.got, row.missing, row.extra, row.by_design) == (
         (2, 5, 7), (5, 11), (7,), (11,), ("note 2",))
     assert not row.ok
+    assert TableDiff("t", (row,)).render() == (
+        "table t: FAIL\n  -1: DIFF expected=[2, 5, 7] missing=[7] extra=[11] [note 2]")
     assert _diff_row(-1, [2, 5], [5], by_design=lambda p: "note").ok
 
 
