@@ -32,7 +32,7 @@ def read_table_rows(path: Path) -> list[list[str]]:
     rows = []
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataFileError(f"cannot read {path}: {exc}") from exc
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -43,6 +43,11 @@ def read_table_rows(path: Path) -> list[list[str]]:
 
 def read_json(path: Path) -> dict:
     try:
-        return json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(path.read_text())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataFileError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
         raise DataFileError(f"cannot parse {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataFileError(f"{path} holds a JSON {type(doc).__name__}, not an object")
+    return doc

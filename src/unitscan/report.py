@@ -239,17 +239,22 @@ class ReportKeyError(KeyError, ValueError):
 
 
 def report_from_json(text: str) -> ScanReport:
-    doc = json.loads(text)
+    doc, args = json.loads(text), {}
+    if not isinstance(doc, dict):
+        raise ValueError(f"report file holds a JSON {type(doc).__name__}, not an object")
+    opt = lambda parse: lambda v: None if v is None else parse(v)
+    parse = dict(range=lambda r: (r[0], r[1]), warnings=tuple, clears=opt(tuple),
+                 hits=lambda hs: tuple(Verdict(h["p"], HIT, aux=opt(tuple)(h["aux"])) for h in hs),
+                 excluded=opt(lambda ex: _exclusions([e["p"] for e in ex], [e["reason"] for e in ex])))
     try:
-        ex, clears = doc["excluded"], doc["clears"]
-        args = dict(
-            field_id=doc["field"], lo=doc["range"][0], hi=doc["range"][1], warnings=tuple(doc["warnings"]),
-            hits=tuple(Verdict(h["p"], HIT, aux=None if h["aux"] is None else tuple(h["aux"])) for h in doc["hits"]),
-            excluded=None if ex is None else _exclusions([e["p"] for e in ex], [e["reason"] for e in ex]),
-            clears=None if clears is None else tuple(clears), **{name: doc[name] for name in _JSON_FIELDS})
+        for key in ("field", *parse, *_JSON_FIELDS):
+            args[key] = parse.get(key, lambda v: v)(doc[key])
     except KeyError as exc:
         raise ReportKeyError(f"report file lacks the key {exc.args[0]!r}") from None
-    return ScanReport(**args, **{name: doc.get(name) for name in _JSON_COUNTERS})
+    except (TypeError, IndexError) as exc:  # a value of the wrong shape
+        raise ValueError(f"report file key {key!r} is malformed: {exc}") from None
+    (lo, hi), field_id = args.pop("range"), args.pop("field")
+    return ScanReport(field_id, lo=lo, hi=hi, **args, **{name: doc.get(name) for name in _JSON_COUNTERS})
 
 
 def _csv_row(*cells) -> str:
@@ -289,7 +294,12 @@ def load_reference_tables(data_dir=None) -> dict:
     for key in (QUAD_TABLE, H5_TABLE, CUBIC_ORDINARY_TABLE):
         if key not in doc:
             raise DataFileError(f"reference table {key!r} missing")
-        doc[key] = {int(k): list(v) for k, v in doc[key].items()}
+        if not isinstance(doc[key], dict):
+            raise DataFileError(f"reference table {key!r} is not a JSON object")
+        for k, row in doc[key].items():
+            if not (k.removeprefix("-").isdecimal() and isinstance(row, list) and all(type(c) is int for c in row)):
+                raise DataFileError(f"reference table {key!r} row {k!r}: want a decimal key and an array of integers")
+        doc[key] = {int(k): row for k, row in doc[key].items()}
     return doc
 
 

@@ -234,21 +234,40 @@ def test_missing_data_dir_exit_3(runner, tmp_path):
 TABLES_CMD = ["verify-tables", "--table", "h5"]
 
 
+def tables_json(h5):
+    """A reference_tables.json whose h5 table is the JSON text h5."""
+    return f'{{"quad_table": {{}}, "h5_table": {h5}, "cubic_ordinary_table": {{"-23": []}}}}'
+
+
 @pytest.mark.parametrize(
     "name, text, message, command",
     [("quad_fields.txt", None, "cannot read", ["scan-quad", "--d", "2"]),
-     ("reference_tables.json", None, "cannot parse", TABLES_CMD),
+     ("quad_fields.txt", b"2 1\n\xff\n", "cannot read", ["scan-quad", "--d", "2"]),
+     ("reference_tables.json", None, "cannot read", TABLES_CMD),
+     ("reference_tables.json", b"\xff{}", "cannot read", TABLES_CMD),
      ("reference_tables.json", "{not json", "cannot parse", TABLES_CMD),
      ("reference_tables.json", '{"quad_table": {}, "h5_table": {}}',
-      "reference table 'cubic_ordinary_table' missing", TABLES_CMD)],
-    ids=["unreadable_fields", "unreadable_tables", "unparsable_tables", "table_missing"],
+      "reference table 'cubic_ordinary_table' missing", TABLES_CMD),
+     ("reference_tables.json", "[]", "holds a JSON list, not an object", TABLES_CMD),
+     ("reference_tables.json", tables_json("[[-23, [11]]]"),
+      "reference table 'h5_table' is not a JSON object", TABLES_CMD),
+     ("reference_tables.json", tables_json('{"-23": [11], "x": [5]}'),
+      "reference table 'h5_table' row 'x': want a decimal key", TABLES_CMD),
+     ("reference_tables.json", tables_json('{"-108": [], "-23": "11"}'),
+      "reference table 'h5_table' row '-23': want a decimal key and an array of integers", TABLES_CMD),
+     ("reference_tables.json", tables_json('{"-23": [11, "7"]}'),
+      "reference table 'h5_table' row '-23'", TABLES_CMD)],
+    ids=["unreadable_fields", "fields_not_utf8", "unreadable_tables", "tables_not_utf8",
+         "unparsable_tables", "table_missing",
+         "document_not_object", "table_not_object", "key_not_integer", "row_not_array",
+         "row_entry_not_integer"],
 )
 def test_bad_data_file_exit_3(runner, tmp_path, name, text, message, command):
     path = tmp_path / name
     if text is None:
         path.mkdir()  # a directory: unreadable as a file whatever the permissions
     else:
-        path.write_text(text)
+        path.write_bytes(text) if isinstance(text, bytes) else path.write_text(text)
     load = load_quad_fields if name == "quad_fields.txt" else load_reference_tables
     with pytest.raises(DataFileError, match=re.escape(message)):
         load(tmp_path)

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import random
 
@@ -16,7 +17,6 @@ from unitscan.order_arith import (
     mul3,
     poly_discriminant,
     poly_pow,
-    pow_lanes,
     prime_lanes,
     ring_apply,
     ring_fits_int64,
@@ -182,16 +182,19 @@ def test_spec_validation():
 # the 40 largest primes below 2^25: the largest moduli of the exact int64
 # path, and their squares, the largest of the float-quotient path; Python-int
 # lanes take the squares of the 40 largest primes to 1e9, the Mersenne prime
-# 2^61 - 1 and its square, all beyond the int64 paths
+# 2^61 - 1 and its square, all beyond the int64 paths; every kind also takes
+# small moduli (and the float path 2^31 - 1), down to 3 or its square
 TOP_PRIMES = list(primes_in(PrimeRange(MULMOD_PMAX - 2000, MULMOD_PMAX)))[-40:]
 LIMIT_PRIMES = list(primes_in(PrimeRange(RANGE_LIMIT - 2000, RANGE_LIMIT)))[-40:]
+SMALL_PRIMES = [3, 5, 7, 1009, 65521, 65537]
 KINDS = ["exact", "float", "object"]
 
 
 def moduli(kind):
-    if kind == "object":
-        return [p * p for p in LIMIT_PRIMES] + [(1 << 61) - 1, ((1 << 61) - 1) ** 2]
-    return [p * p if kind == "float" else p for p in TOP_PRIMES]
+    if kind == "exact":
+        return TOP_PRIMES + SMALL_PRIMES
+    squares = [p * p for p in (LIMIT_PRIMES if kind == "object" else TOP_PRIMES) + SMALL_PRIMES]
+    return squares + ([(1 << 61) - 1, ((1 << 61) - 1) ** 2] if kind == "object" else [(1 << 31) - 1])
 
 
 def lanes_of(values, kind="exact"):
@@ -241,107 +244,7 @@ def test_lanes_path_follows_the_largest_modulus():
         assert Lanes(lanes * lanes).minv is None
 
 
-def pow_cases(rng, ms):
-    """Bases (zero and m - 1 among them) and exponents (0 and 1 among them)
-    of mixed bit lengths below 2^62, one lane per modulus."""
-    bases = [0, 1, ms[2] - 1] + [rng.randrange(m) for m in ms[3:]]
-    exps = [0, 1, 2, 3] + [rng.randrange(1 << rng.randint(1, 62)) for _ in ms[4:]]
-    return bases, exps
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_lanes_pow_matches_builtin_pow(kind):
-    rng = random.Random(31)
-    ms = moduli(kind) + ([5 * 5, 7 * 7] if kind != "exact" else [5, 7])
-    lanes = Lanes(lanes_of(ms, kind))
-    for _ in range(5):
-        bases, exps = pow_cases(rng, ms)
-        want = [pow(b, e, m) for b, e, m in zip(bases, exps, ms)]
-        assert lanes.pow(lanes_of(bases, kind), lanes_of(exps, kind)).tolist() == want
-        for e in (0, 1):
-            got = lanes.pow(lanes_of(bases, kind), lanes_of([e] * len(ms), kind))
-            assert got.tolist() == [pow(b, e, m) for b, m in zip(bases, ms)]
-    assert Lanes(lanes_of([], kind)).pow(lanes_of([], kind), lanes_of([], kind)).size == 0
-
-
-def test_pow_lanes_on_pairs_matches_builtin_pow():
-    # two powers at once through a tuple state, with plain int64 products and
-    # per-lane digit tables of each window width
-    rng = random.Random(37)
-    ms = [3, 5, 7, 1009, 65521, 65537] + [rng.randrange(2, 1 << 31) for _ in range(20)]
-    m = lanes_of(ms)
-    a, e = (lanes_of(v) for v in pow_cases(rng, ms))
-    b = lanes_of([rng.randrange(k) for k in ms])
-    lane = np.arange(len(ms))
-    for w in (1, 2, 3):
-        ta, tb = (np.array([[pow(int(x), k, n) for x, n in zip(v, ms)] for k in range(1 << w)])
-                  for v in (a, b))
-        r = pow_lanes(
-            e,
-            w,
-            lambda d: (ta[d, lane], tb[d, lane]),
-            lambda r: (r[0] * r[0] % m, r[1] * r[1] % m),
-            lambda r, d: (r[0] * ta[d, lane] % m, r[1] * tb[d, lane] % m),
-        )
-        assert r[0].tolist() == [pow(x, y, k) for x, y, k in zip(a.tolist(), e.tolist(), ms)]
-        assert r[1].tolist() == [pow(x, y, k) for x, y, k in zip(b.tolist(), e.tolist(), ms)]
-
-
-# exponents 0, 1, 2^k - 1 and 2^k, of bit lengths on and off the multiples of 3
-EDGE_EXPS = [0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 31, 32, 63, 64, 255, 256, (1 << 17) - 1, 1 << 17,
-             (1 << 18) - 1, 1 << 18, (1 << 40) - 1, 1 << 40, (1 << 61) - 1, 1 << 61]
-
-
-def widest_base(n, top):
-    """The largest a with a^n * top < 2^63."""
-    a = int(((1 << 63) / top) ** (1 / n))
-    while (a + 1) ** n * top < 1 << 63:
-        a += 1
-    while a**n * top >= 1 << 63:
-        a -= 1
-    return a
-
-
-def exact_base_cases(kind):
-    """The int bases of the scans, and the bases on each side of the limit of
-    each window width for the largest modulus, with the width their table takes
-    (0: no table, the per-lane fallback).  Python-int lanes take the bases of
-    the float-quotient lanes."""
-    top = max(moduli("float" if kind == "object" else kind))
-    cases = {a: 3 for a in (0, 1, -1)}
-    for w in (3, 2, 1):
-        a = widest_base((1 << w) - 1, top)
-        cases.update({a: w, -a: w, a + 1: w - 1, -a - 1: w - 1})
-    for a in (2, 3, -23, -108):
-        cases[a] = max(w for w in (0, 1, 2, 3) if w == 0 or abs(a) ** ((1 << w) - 1) * top < 1 << 63)
-    cases[(1 << 62) - 1] = 0  # past every width
-    return cases
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_exact_digit_pow_matches_builtin_pow(kind):
-    # an int base is one exact constant: its digit table widens as far as
-    # int64 allows, and past w = 1 the lanes fall back to residues
-    rng = random.Random(41)
-    ms = moduli(kind)
-    lanes = Lanes(lanes_of(ms, kind))
-    exps = EDGE_EXPS + [rng.randrange(1 << rng.randint(1, 62)) for _ in ms[len(EDGE_EXPS):]]
-    cases = exact_base_cases(kind)
-    assert {2, 3, -23, -108} <= cases.keys() and {0, 1, 2, 3} <= set(cases.values())
-    for a, w in cases.items():
-        w = 3 if kind == "object" else w  # Python-int lanes take the widest table
-        table = lanes.table((a,))
-        assert (len(table) if table else 1) == 1 << w, (a, w)
-        assert table is None or table == [(a**k,) for k in range(1 << w)]
-        assert lanes.pow(a, lanes_of(exps, kind)).tolist() == [
-            pow(a, e, m) for e, m in zip(exps, ms)], a
-        for e in EDGE_EXPS:
-            got = lanes.pow(a, lanes_of([e] * len(ms), kind))
-            assert got.tolist() == [pow(a, e, m) for m in ms], (a, e)
-    assert Lanes(lanes_of([], kind)).pow(-108, lanes_of([], kind)).size == 0
-
-
-# -- the lane ring -----------------------------------------------------------------
+# -- the lane ring: Z/m (f = ()) and (Z/m)[x]/(f), on every lane kind --------------
 
 # reductions (f0, f1[, f2]) of monic f; the "bound" ones have a fold row sum
 # of 4095 = 2^12 - 1, the largest that int64 lanes take
@@ -355,6 +258,18 @@ RING_POLYS = {
     "x3-23 shifted by 6": (209, 107, 18),
     "x2-11": (-11, 0),  # the unit 10 + 3 sqrt(11) of its constants crosses 2^12 at the cube
 }
+RINGS = {"Zm": (), **RING_POLYS}
+
+# exponents 0, 1, 2^k - 1 and 2^k, of bit lengths on and off the multiples of 3
+EDGE_EXPS = [0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 31, 32, 63, 64, 255, 256, (1 << 17) - 1, 1 << 17,
+             (1 << 18) - 1, 1 << 18, (1 << 40) - 1, 1 << 40, (1 << 61) - 1, 1 << 61]
+
+# the exact constants of the scans and 2^62 - 1, past every width: Wieferich
+# bases and the Delta and D of the Legendre tests in Z/m; in the rings, padded
+# with zeros, x of the inertness test, units and coefficient sums near 2^12
+SCALAR_CONSTANTS = [(0,), (1,), (-1,), (2,), (3,), (-23,), (-108,), ((1 << 62) - 1,)]
+RING_CONSTANTS = [(0, 1), (-1, 1), (3, 2), (-23, -108), (17, 12), (4095, 0), (4096, 0),
+                  ((1 << 62) - 1, 5), (10, 3)]
 
 
 def test_fold_rows_and_int64_rule():
@@ -376,32 +291,52 @@ def _transpose(lanes):
     return list(zip(*(c.tolist() for c in lanes)))
 
 
+def lane_ring(f, ms, kind):
+    """The ring on lanes of the moduli ms with its power of a d-tuple of ints or
+    lanes (Z/m through Lanes.pow, the entry point of the scans), then the tuple
+    references mod m: product and power."""
+    m = lanes_of(ms, kind)
+    if not f:
+        ring = Lanes(m)
+        return (ring, lambda a, e: (ring.pow(a[0], e),), lambda a, b, m: (a[0] * b[0] % m,),
+                lambda a, e, m: (pow(a[0], e, m),))
+    mul = mul2 if len(f) == 2 else mul3
+    ring = RingLanes(f, m)
+    return ring, ring.pow, lambda a, b, m: mul(a, b, f, m), lambda a, e, m: poly_pow(a, e, f, m)
+
+
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("f", RING_POLYS.values(), ids=RING_POLYS.keys())
+@pytest.mark.parametrize("f", RINGS.values(), ids=RINGS.keys())
 def test_ring_lanes_match_scalar(kind, f):
-    # mul, square, pow (of residues and of the exact x) and apply, one lane per
-    # modulus, against the scalar
-    # products and poly_pow; the first lanes hold 0 and all-(m - 1) elements
+    # mul, square and pow of residues, one lane per modulus, against the tuple
+    # references: the first lanes hold 0, all-(m - 1) and 1, exponents 0 to 3
+    # lead the random ones, and all-0 and all-1 exponents follow; rings also
+    # raise the exact x and apply images
     rng = random.Random(43)
-    ms = moduli(kind)
-    d = len(f)
-    ring = RingLanes(f, lanes_of(ms, kind))
-    scalar_mul = mul2 if d == 2 else mul3
+    ms, d = moduli(kind), max(len(f), 1)
+    ring, power, mul, scalar_pow = lane_ring(f, ms, kind)
 
     def elements():
         """One element per lane, as tuples and as the ring's lanes."""
-        out = [(0,) * d, (ms[1] - 1,) * d] + [tuple(rng.randrange(m) for _ in range(d))
-                                              for m in ms[2:]]
+        out = [(0,) * d, (ms[1] - 1,) * d, (1,) + (0,) * (d - 1)] + [
+            tuple(rng.randrange(m) for _ in range(d)) for m in ms[3:]]
         return out, tuple(lanes_of([x[k] for x in out], kind) for k in range(d))
 
     (a, la), (b, lb) = elements(), elements()
-    assert _transpose(ring.mul(la, lb)) == [scalar_mul(x, y, f, m) for x, y, m in zip(a, b, ms)]
-    exps = [0, 1, 2] + [rng.randrange(1 << rng.randint(2, 40)) for _ in ms[3:]]
-    e = lanes_of(exps, kind)
-    assert _transpose(ring.square(la)) == [scalar_mul(x, x, f, m) for x, m in zip(a, ms)]
-    assert _transpose(ring.pow(la, e)) == [poly_pow(x, k, f, m) for x, k, m in zip(a, exps, ms)]
+    assert _transpose(ring.mul(la, lb)) == [mul(x, y, m) for x, y, m in zip(a, b, ms)]
+    assert _transpose(ring.square(la)) == [mul(x, x, m) for x, m in zip(a, ms)]
+    exps = [0, 1, 2, 3] + [rng.randrange(1 << rng.randint(1, 62)) for _ in ms[4:]]
+    for x, lx in ((a, la), (b, lb)):
+        for es in (exps, [0] * len(ms), [1] * len(ms)):
+            assert _transpose(power(lx, lanes_of(es, kind))) == [
+                scalar_pow(y, k, m) for y, k, m in zip(x, es, ms)]
+    none = lanes_of([], kind)
+    assert all(c.size == 0 for c in lane_ring(f, [], kind)[1]((none,) * d, none))
+    if d == 1:
+        return
     x = (0, 1) + (0,) * (d - 2)
-    assert _transpose(ring.pow(x, e)) == [poly_pow(x, k, f, m) for k, m in zip(exps, ms)]
+    assert _transpose(power(x, lanes_of(exps, kind))) == [
+        scalar_pow(x, k, m) for k, m in zip(exps, ms)]
     images = [elements() for _ in range(d - 1)]
     want = [tuple((c[0] * (k == 0) + sum(c[i] * s[0][j][k] for i, s in enumerate(images, 1))) % m
                   for k in range(d)) for j, (c, m) in enumerate(zip(a, ms))]
@@ -410,8 +345,8 @@ def test_ring_lanes_match_scalar(kind, f):
 
 def exact_powers(a, f, n):
     """a^0, ..., a^(n - 1) in Z[x]/(f), exact, by schoolbook products and
-    x^k = -x^(k-d) * (f0 + f1 x + ...) from the top down."""
-    d = len(f)
+    x^k = -x^(k-d) * (f0 + f1 x + ...) from the top down (plain ints for f = ())."""
+    d = max(len(f), 1)
     out = [(1,) + (0,) * (d - 1)]
     while len(out) < n:
         c = [0] * (2 * d - 1)
@@ -425,53 +360,57 @@ def exact_powers(a, f, n):
     return out
 
 
-@pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("f", RING_POLYS.values(), ids=RING_POLYS.keys())
-def test_ring_exact_digit_pow_matches_poly_pow(kind, f):
-    # a d-tuple of ints is one exact constant: its table of exact powers in
-    # Z[x]/(f) is as wide as keeps (sum of |a^k| + F) * max m below 2^63, F the
-    # largest column sum of |fold_rows(f)| (the table of x narrows on the bound
-    # polys near 2^50), and past w = 1 the lanes fall back to residues; Python-int lanes
-    # take the widest table
-    rng = random.Random(53)
-    ms = moduli(kind)
-    d = len(f)
-    ring = RingLanes(f, lanes_of(ms, kind))
-    exps = EDGE_EXPS + [rng.randrange(1 << rng.randint(1, 62)) for _ in ms[len(EDGE_EXPS):]]
-    pad = (0,) * (d - 2)
-    constants = [(0, 1) + pad, (-1, 1) + pad, (3, 2) + pad, (-23, -108) + pad, (17, 12) + pad,
-                 (4095, 0) + pad, (4096, 0) + pad, ((1 << 62) - 1, 5) + pad, (10, 3) + pad]
-    top = max(ms)
-    fold = max(sum(abs(r[k]) for r in fold_rows(f)) for k in range(d))
-    widths = []
-    for a in constants:
-        powers = exact_powers(a, f, 8)
-        w = max([w for w in (1, 2, 3)
-                 if all((sum(map(abs, t)) + fold) * top < 1 << 63 for t in powers[:1 << w])],
-                default=0)
-        w = 3 if kind == "object" else w
-        widths.append(w)
-        assert ring.table(a) == (powers[:1 << w] if w else None), a
-        assert _transpose(ring.pow(a, lanes_of(exps, kind))) == [
-            poly_pow(a, e, f, m) for e, m in zip(exps, ms)], a
-        e = (1 << 17) - 1
-        assert _transpose(ring.pow(a, lanes_of([e] * len(ms), kind))) == [
-            poly_pow(a, e, f, m) for m in ms], a
-    if kind != "object":
-        # (4096, 0) fits as well as (4095, 0), where a fixed cap of 2^12 on the
-        # coefficient sums refused it: w = 2 below 2^25, w = 1 near 2^50
-        assert widths[5:8] == ([2, 2, 0] if kind == "exact" else [1, 1, 0])
-        if f == RING_POLYS["x2-2"]:
-            assert widths == ([3, 3, 3, 2, 3, 2, 2, 0, 3] if kind == "exact"
-                              else [3, 3, 2, 1, 1, 1, 1, 0, 2])
-        if f == RING_POLYS["x2-11"]:  # the fixed cap held 10 + 3 sqrt(11) to w = 1
-            assert widths[-1] == (3 if kind == "exact" else 2)
-        if kind == "float" and f in (RING_POLYS["x2-4095x+4095 bound"],
-                                     RING_POLYS["x3+4095 bound"]):
-            assert widths[0] < 3  # the table of x narrows near 2^50
-    assert all(len(c) == 0 for c in RingLanes(f, lanes_of([], kind)).pow(constants[0],
-                                                                         lanes_of([], kind)))
+def table_width(a, f, top):
+    """The width rule of Lanes.table: the widest w <= 3 whose exact powers a^0,
+    ..., a^(2^w - 1) keep (sum of |a^k| + F) * top below 2^63, F the largest
+    column sum of |fold_rows(f)| (0 for Z/m); 0 when a^1 misses."""
+    fold = max((sum(abs(r[k]) for r in fold_rows(f)) for k in range(len(f))), default=0)
+    fits = [(sum(map(abs, t)) + fold) * top < 1 << 63 for t in exact_powers(a, f, 8)]
+    return max([w for w in (1, 2, 3) if all(fits[:1 << w])], default=0)
 
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("f", RINGS.values(), ids=RINGS.keys())
+def test_ring_exact_digit_pow_matches_poly_pow(kind, f):
+    # a d-tuple of ints is one exact constant: its table of exact powers is as wide
+    # as table_width allows (Python-int lanes take the widest), and past w = 1 the
+    # lanes fall back to residues; the constants of the scans, and (a, 0, ...) on
+    # each side of every width of the largest modulus (of the float kind for Python ints)
+    rng = random.Random(53)
+    ms, d = moduli(kind), max(len(f), 1)
+    ring, power, _, scalar_pow = lane_ring(f, ms, kind)
+    pad = lambda a: a + (0,) * (d - len(a))
+    top = max(moduli("float" if kind == "object" else kind))
+    constants = list(SCALAR_CONSTANTS if d == 1 else RING_CONSTANTS)
+    for w in (3, 2, 1):  # the largest a whose (a, 0, ...) takes a table of width w or more
+        a = bisect.bisect(range(1 << 62), False, key=lambda a: table_width(pad((a,)), f, top) < w) - 1
+        constants += [(a,), (-a,), (a + 1,), (-a - 1,)]
+    exps = EDGE_EXPS + [rng.randrange(1 << rng.randint(1, 62)) for _ in ms[len(EDGE_EXPS):]]
+    widths = {}
+    for a in constants:
+        widths[a] = w = 3 if kind == "object" else table_width(pad(a), f, top)
+        assert ring.table(pad(a)) == (exact_powers(pad(a), f, 1 << w) if w else None), a
+        assert _transpose(power(pad(a), lanes_of(exps, kind))) == [
+            scalar_pow(pad(a), e, m) for e, m in zip(exps, ms)], a
+        for e in EDGE_EXPS if d == 1 else [(1 << 17) - 1]:  # on every lane at once
+            assert _transpose(power(pad(a), lanes_of([e] * len(ms), kind))) == [
+                scalar_pow(pad(a), e, m) for m in ms], (a, e)
+    assert all(c.size == 0 for c in lane_ring(f, [], kind)[1](pad((-108,)), lanes_of([], kind)))
+    if kind != "object":
+        assert set(widths.values()) == {0, 1, 2, 3}
+    if kind == "object" or d == 1:
+        return
+    # (4096, 0) fits as well as (4095, 0), where a fixed cap of 2^12 on the
+    # coefficient sums refused it: w = 2 below 2^25, w = 1 near 2^50
+    exact = kind == "exact"
+    assert [widths[a] for a in RING_CONSTANTS[5:8]] == ([2, 2, 0] if exact else [1, 1, 0])
+    if f == RING_POLYS["x2-2"]:
+        assert [widths[a] for a in RING_CONSTANTS] == ([3, 3, 3, 2, 3, 2, 2, 0, 3] if exact
+                                                       else [3, 3, 2, 1, 1, 1, 1, 0, 2])
+    if f == RING_POLYS["x2-11"]:  # the fixed cap held 10 + 3 sqrt(11) to w = 1
+        assert widths[(10, 3)] == (3 if exact else 2)
+    if not exact and f in (RING_POLYS["x2-4095x+4095 bound"], RING_POLYS["x3+4095 bound"]):
+        assert widths[(0, 1)] < 3  # the table of x narrows near 2^50
 
 
 # -- the Frobenius quotient -------------------------------------------------------

@@ -296,6 +296,21 @@ def test_missing_key_named(path):
         report_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("key, value, message", [
+    (None, [], "report file holds a JSON list, not an object"),
+    ("range", 5, "report file key 'range' is malformed"),
+    ("range", [3], "report file key 'range' is malformed"),
+    ("hits", [3], "report file key 'hits' is malformed"),
+    ("excluded", [[11, "z_zero"]], "report file key 'excluded' is malformed"),
+])
+def test_malformed_report_named(key, value, message):
+    # the document itself (key None) or a value of the wrong shape: a ValueError
+    # naming the fault and the key, not a TypeError
+    doc = json.loads(report_to_json(sample_report(full=True)))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        report_from_json(json.dumps(value if key is None else {**doc, key: value}))
+
+
 def test_full_verdicts_build_no_verdict_per_exclusion(monkeypatch, quad_records):
     # scan, report, JSON and CSV keep the exclusions as lanes: Verdicts are
     # made for the hits alone (once by the scan, once more read back from JSON)
