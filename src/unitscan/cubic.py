@@ -25,7 +25,7 @@ from ._parallel import run_chunked
 # pow3 is poly_pow, called through this module global: the benchmark traces that name
 from .order_arith import (Lanes, OrderSpec, RingLanes, frobenius_quotient, mul3, poly_pow as pow3,
                           prime_lanes, ring_apply, ring_fits_int64)
-from .primes import PrimeRange, prime_divisors, primes_in, require_prime
+from .primes import PrimeRange, prime_array, prime_divisors, primes_in, require_prime  # the benchmark traces primes_in
 from .report import (CLEAR, CLEAR_CODE, CODES, EXCLUDED, HIT, HIT_CODE, Block, ScanReport,
                      Verdict, assemble_report)
 
@@ -481,7 +481,7 @@ def _classify_lanes(rec: CubicFieldRecord, mode: str, primes: np.ndarray) -> Blo
 def _cubic_chunk(args, lo: int, hi: int) -> Block:
     """The primes in [lo, hi] classified by the batch kernel."""
     rec, mode = args
-    return _classify_lanes(rec, mode, np.fromiter(primes_in(PrimeRange(lo, hi)), dtype=np.int64))
+    return _classify_lanes(rec, mode, prime_array(lo, hi))
 
 
 def scan_cubic(

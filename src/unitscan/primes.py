@@ -15,8 +15,6 @@ RANGE_LIMIT = 10**9
 # They double as the trial divisors, so is_prime settles small n exactly.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_YIELD_SLICE = 1 << 15
-
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test, correct for all n < 2^64."""
@@ -97,42 +95,43 @@ def sieve_upto(n: int) -> list[int]:
 
 
 @cache
-def _odd_base_primes() -> tuple[int, ...]:
+def _odd_base_primes() -> np.ndarray:
     """The odd primes up to isqrt(RANGE_LIMIT), enough to sieve any scan
-    range; computed once per process, on first use."""
-    return tuple(sieve_upto(isqrt(RANGE_LIMIT))[1:])
+    range, as int64; computed once per process, on first use."""
+    return np.array(sieve_upto(isqrt(RANGE_LIMIT))[1:], dtype=np.int64)
+
+
+def prime_array(lo: int, hi: int) -> np.ndarray:
+    """The primes in [lo, hi] as an ascending int64 array, by one odd-only sieve
+    of about (hi - lo) / 2 bytes; the first odd multiple at or above max(q^2, lo)
+    of every base prime q <= isqrt(hi) is one array expression."""
+    PrimeRange(lo, hi)  # the bounds check: the base primes cover RANGE_LIMIT
+    start = max(lo, 3) | 1
+    mark = np.ones((hi - start) // 2 + 1, dtype=bool)  # the odd numbers start, start + 2, ..., <= hi
+    q = _odd_base_primes()
+    q = q[: np.searchsorted(q, isqrt(hi), side="right")]
+    first = np.maximum(q * q, -(-start // q) * q)
+    first += q * (first % 2 == 0)
+    for step, i in zip(q.tolist(), ((first - start) // 2).tolist()):
+        mark[i::step] = False
+    primes = 2 * np.flatnonzero(mark) + start
+    return np.concatenate(([2], primes)) if lo == 2 else primes
+
+
+def _segments(rng: PrimeRange, segment_size: int) -> Iterator[np.ndarray]:
+    """prime_array over rng, 2 * segment_size integers at a time, so memory
+    use is bounded regardless of the range."""
+    if segment_size < 8:
+        raise ValueError("segment_size too small")
+    span = 2 * segment_size
+    return (prime_array(a, min(a + span - 1, rng.hi)) for a in range(rng.lo, rng.hi + 1, span))
 
 
 def primes_in(rng: PrimeRange, segment_size: int = 1 << 20) -> Iterator[int]:
-    """Yield the primes in [rng.lo, rng.hi] in ascending order.
-
-    Segmented odd-only sieve on a numpy mask of segment_size bytes, so memory
-    use is bounded regardless of the range and ranges up to the budget stream.
-    """
-    if segment_size < 8:
-        raise ValueError("segment_size too small")
-    lo, hi = rng.lo, rng.hi
-    if lo <= 2 <= hi:
-        yield 2
-    start = max(lo, 3) | 1
-    last = hi if hi % 2 else hi - 1  # the largest odd number in range
-    span = 2 * segment_size  # integers covered per segment
-    for seg_lo in range(start, last + 1, span):
-        seg_hi = min(seg_lo + span - 2, last)
-        n_odds = (seg_hi - seg_lo) // 2 + 1
-        mark = np.ones(n_odds, dtype=bool)
-        for q in _odd_base_primes():  # the q * q > seg_hi break ends the walk
-            q2 = q * q
-            if q2 > seg_hi:
-                break
-            first = max(q2, ((seg_lo + q - 1) // q) * q)
-            if first % 2 == 0:
-                first += q
-            mark[(first - seg_lo) // 2 :: q] = False
-        # Python ints (callers square p), converted a bounded slice at a time
-        for i in range(0, n_odds, _YIELD_SLICE):
-            yield from (2 * np.flatnonzero(mark[i : i + _YIELD_SLICE]) + (seg_lo + 2 * i)).tolist()
+    """Yield the primes in [rng.lo, rng.hi] in ascending order, as Python ints."""
+    for primes in _segments(rng, segment_size):
+        yield from primes.tolist()
 
 
 def count_primes(rng: PrimeRange, segment_size: int = 1 << 20) -> int:
-    return sum(1 for _ in primes_in(rng, segment_size))
+    return sum(len(primes) for primes in _segments(rng, segment_size))

@@ -25,7 +25,7 @@ from ._parallel import run_chunked
 # pow2 is poly_pow, called through this module global: the benchmark traces that name
 from .order_arith import (Lanes, OrderSpec, RingLanes, frobenius_quotient, poly_pow as pow2,
                           prime_lanes, ring_fits_int64)
-from .primes import PrimeRange, prime_divisors, primes_in, require_prime
+from .primes import PrimeRange, prime_array, prime_divisors, primes_in, require_prime  # the benchmark traces primes_in
 from .report import (CLEAR, CLEAR_CODE, CODES, EXCLUDED, HIT, HIT_CODE, Block, ScanReport,
                      Verdict, assemble_report)
 
@@ -229,7 +229,7 @@ def _classify_lanes(rec: QuadFieldRecord, primes: np.ndarray) -> Block:
 
 def _quad_chunk(rec: QuadFieldRecord, lo: int, hi: int) -> Block:
     """The primes in [lo, hi] classified by the lane kernel."""
-    return _classify_lanes(rec, np.fromiter(primes_in(PrimeRange(lo, hi)), dtype=np.int64))
+    return _classify_lanes(rec, prime_array(lo, hi))
 
 
 def scan_quadratic(

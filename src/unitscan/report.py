@@ -238,14 +238,24 @@ class ReportKeyError(KeyError, ValueError):
     """A report file lacks a required key (a KeyError, as it always was)."""
 
 
+def _json_values(kind: type, values: list) -> tuple:
+    """values as a tuple if each one's type is kind (a JSON true is no int), else a TypeError naming one."""
+    bad = [v for v in values if type(v) is not kind]
+    if bad:
+        raise TypeError(f"{bad[0]!r} is not a JSON {'integer' if kind is int else 'string'}")
+    return tuple(values)
+
+
 def report_from_json(text: str) -> ScanReport:
     doc, args = json.loads(text), {}
     if not isinstance(doc, dict):
         raise ValueError(f"report file holds a JSON {type(doc).__name__}, not an object")
     opt = lambda parse: lambda v: None if v is None else parse(v)
-    parse = dict(range=lambda r: (r[0], r[1]), warnings=tuple, clears=opt(tuple),
-                 hits=lambda hs: tuple(Verdict(h["p"], HIT, aux=opt(tuple)(h["aux"])) for h in hs),
-                 excluded=opt(lambda ex: _exclusions([e["p"] for e in ex], [e["reason"] for e in ex])))
+    ps = lambda entries: _json_values(int, [e["p"] for e in entries])
+    parse = dict(range=lambda r: (r[0], r[1]), warnings=lambda ws: _json_values(str, ws),
+                 clears=opt(lambda cs: _json_values(int, cs)),
+                 hits=lambda hs: tuple(Verdict(p, HIT, aux=opt(tuple)(h["aux"])) for p, h in zip(ps(hs), hs)),
+                 excluded=opt(lambda ex: _exclusions(ps(ex), [e["reason"] for e in ex])))
     try:
         for key in ("field", *parse, *_JSON_FIELDS):
             args[key] = parse.get(key, lambda v: v)(doc[key])
@@ -329,15 +339,9 @@ class TableDiff:
     def render(self) -> str:
         lines = [f"table {self.table}: {'PASS' if self.passed else 'FAIL'}"]
         for r in self.rows:
-            status = "ok" if r.ok else "DIFF"
-            detail = ""
-            if r.missing:
-                detail += f" missing={list(r.missing)}"
-            if r.extra:
-                detail += f" extra={list(r.extra)}"
-            for note in r.by_design:
-                detail += f" [{note}]"
-            lines.append(f"  {r.key}: {status} expected={list(r.expected)}{detail}")
+            detail = f" missing={list(r.missing)}" if r.missing else ""
+            detail += (f" extra={list(r.extra)}" if r.extra else "") + "".join(f" [{note}]" for note in r.by_design)
+            lines.append(f"  {r.key}: {'ok' if r.ok else 'DIFF'} expected={list(r.expected)}{detail}")
         return "\n".join(lines)
 
 
@@ -347,14 +351,8 @@ def _diff_row(key, expected, got, by_design=lambda p: None) -> RowDiff:
     failure), or None when it is a real mismatch."""
     exp, g = set(expected), set(got)
     notes = {p: by_design(p) for p in sorted(exp - g)}
-    return RowDiff(
-        key,
-        tuple(sorted(exp)),
-        tuple(sorted(g)),
-        tuple(p for p, note in notes.items() if not note),
-        tuple(sorted(g - exp)),
-        tuple(note for note in notes.values() if note),
-    )
+    return RowDiff(key, tuple(sorted(exp)), tuple(sorted(g)), tuple(p for p, note in notes.items() if not note),
+                   tuple(sorted(g - exp)), tuple(note for note in notes.values() if note))
 
 
 def verify_tables(table: str, pmax: int | None = None, workers: int = 1, data_dir=None) -> TableDiff:

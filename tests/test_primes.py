@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
 from unitscan.cubic import z_value
 from unitscan.heuristics import injective_probability, level_raising_densities, monte_carlo_injective
-from unitscan.primes import PrimeRange, count_primes, is_prime, primes_in, require_prime, sieve_upto
+from unitscan.primes import (PrimeRange, count_primes, is_prime, prime_array, primes_in, require_prime,
+                             sieve_upto)
 from unitscan.quadratic import quad_unit_test
 
 from _oracles import trial_division_primes
@@ -26,9 +28,28 @@ def test_sieve_interior_range():
 
 
 def test_segment_size_independence():
-    a = list(primes_in(PrimeRange(2, 300_000), segment_size=1 << 10))
-    b = list(primes_in(PrimeRange(2, 300_000), segment_size=1 << 18))
-    assert a == b
+    for rng in (PrimeRange(2, 300_000), PrimeRange(1001, 150_000)):
+        a = list(primes_in(rng, segment_size=1 << 10))
+        for segment_size in (8, 9, 1000, 1 << 18):
+            assert list(primes_in(rng, segment_size=segment_size)) == a, (rng, segment_size)
+
+
+Q = 31_607  # the largest base prime: Q * Q <= RANGE_LIMIT
+PRIME_ARRAY_WINDOWS = [
+    (2, 3000), (3, 3000), (4, 3000), (2, 2), (3, 3), (2, 3),
+    (9, 10), (4, 4),  # empty
+    (2, 9), (2, 8), (9, 9), (Q * Q - 3000, Q * Q), (Q * Q - 3000, Q * Q - 1), (Q * Q, Q * Q + 3000),
+    (2**18 - 3000, 2**18 + 3000), (2**25 - 3000, 2**25 + 3000),
+    (10**9 - 20_000, 10**9),
+]
+
+
+@pytest.mark.parametrize("lo, hi", PRIME_ARRAY_WINDOWS)
+def test_prime_array_matches_is_prime(lo, hi):
+    # hi = q^2 and q^2 - 1 take the isqrt(hi) cut-off of the base primes both ways
+    got = prime_array(lo, hi)
+    assert got.dtype == np.int64
+    assert got.tolist() == [n for n in range(lo, hi + 1) if is_prime(n)]
 
 
 @pytest.mark.parametrize("segment_size", [8, 64, 1 << 20])

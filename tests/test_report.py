@@ -302,6 +302,12 @@ def test_missing_key_named(path):
     ("range", [3], "report file key 'range' is malformed"),
     ("hits", [3], "report file key 'hits' is malformed"),
     ("excluded", [[11, "z_zero"]], "report file key 'excluded' is malformed"),
+    # a prime or a warning of the wrong JSON type, named with its key
+    ("hits", [{"p": "x", "aux": None}], "report file key 'hits' is malformed: 'x' is not a JSON integer"),
+    ("excluded", [{"p": "x", "reason": "ramified"}],
+     "report file key 'excluded' is malformed: 'x' is not a JSON integer"),
+    ("clears", [3, "x"], "report file key 'clears' is malformed: 'x' is not a JSON integer"),
+    ("warnings", [1], "report file key 'warnings' is malformed: 1 is not a JSON string"),
 ])
 def test_malformed_report_named(key, value, message):
     # the document itself (key None) or a value of the wrong shape: a ValueError

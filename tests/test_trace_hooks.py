@@ -29,8 +29,10 @@ def test_trace_hooks_resolve(monkeypatch, quad_records, cubic_records):
         cubic.classify_cubic_prime(cubic_records[-23], 13, cubic.MODE_H2)  # 13 is inert
         tracer.exit(tracing.ROOT)
     assert quadratic._quad_chunk is before
-    for span in ("quadratic.scan", "quadratic.chunk", "primes.sieve"):
+    for span in ("quadratic.scan", "quadratic.chunk"):
         assert tracer.calls[span] > 0, span
+    # a chunk's primes come from primes.prime_array, not through the traced primes_in
+    assert tracer.calls["primes.sieve"] == 0
     for span in ("order_arith.pow2", "order_arith.pow3.inert", "order_arith.pow3.z"):
         assert tracer.calls[span] > 0, span
 
@@ -42,11 +44,16 @@ def test_wieferich_trace_hooks_resolve(monkeypatch):
     with tracing.instrument(tracer):
         tracer.enter()
         rep = heuristics.scan_wieferich(2, PrimeRange(3, 5000))
+        scan_calls = tracer.calls["primes.sieve"]
+        heuristics.expected_exceptional_count(5000)
         tracer.exit(tracing.ROOT)
     assert [v.p for v in rep.hits] == [1093, 3511]
-    for span in ("heuristics.wieferich_scan", "heuristics.wieferich_chunk", "primes.sieve"):
+    for span in ("heuristics.wieferich_scan", "heuristics.wieferich_chunk"):
         assert tracer.calls[span] > 0, span
-    assert tracer.counts["primes.sieve"] == 668  # every prime in [3, 5000] passed through
+    # the chunks take their primes from primes.prime_array; the Mertens sum streams
+    # them through the traced primes_in, every prime in [2, 5000]
+    assert scan_calls == 0
+    assert tracer.counts["primes.sieve"] == 669
 
 
 def test_traced_cubic_reason_counts(monkeypatch, cubic_records):
