@@ -68,6 +68,10 @@ class MonteCarloResult:
     std_error: float = field(init=False)
 
     def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError(f"trials={self.trials} must be at least 1")
+        if not 0 <= self.successes <= self.trials:
+            raise ValueError(f"successes={self.successes} must lie in [0, trials={self.trials}]")
         freq = self.successes / self.trials
         object.__setattr__(self, "frequency", freq)
         object.__setattr__(self, "std_error", math.sqrt(freq * (1 - freq) / self.trials))
@@ -96,31 +100,43 @@ def _count_injective(mats: np.ndarray, p: int) -> int:
 
 
 def _rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
-    """Rank over F_p of each (m, n) matrix of a (trials, m, n) block with
-    entries in [0, p): fraction-free Gaussian elimination on all trials at
-    once, _RANK_SLICE trials at a time in lanes-last (m, n, lanes) layout.
+    """Rank over F_p of each (m, n) matrix, m >= n as in every injectivity
+    trial, of a (trials, m, n) block with entries in [0, p): fraction-free
+    Gaussian elimination on all trials at once, _RANK_SLICE trials at a time
+    in lanes-last (m, n, lanes) layout.
 
-    Column c pivots on its first nonzero row (pv = 1 in lanes with none),
-    and every row becomes row*pv - row[c]*pivot_row mod p.  That zeroes the
-    pivot row too, so it never pivots again.  int64 products stay below
-    2^62 for p < 2^31; larger p use Python ints in object arrays.
+    Column c pivots on its first nonzero row, picked by a bottom-up select:
+    start from the last row and let each row above replace it where its
+    entry in column c is nonzero.  A lane has a pivot when the picked entry
+    is nonzero, and pv = max(pivot, 1) is 1 in lanes with none, since
+    entries lie in [0, p).  Every row becomes row*pv - row[c]*pivot_row
+    mod p.  That zeroes the pivot row too, so it never pivots again.
+
+    int64 products stay below 2^62 for p < 2^31, and there the reduction is
+    x - x // p * p: the same floor remainder as x % p, but numpy divides
+    int64 by a scalar with a multiply and shift, which it does not do for %.
+    Larger p use Python ints in object arrays, where one % is cheaper.
     """
-    n = mats.shape[2]
-    dtype = np.int64 if p < 1 << 31 else object
+    m, n = mats.shape[1:]
+    wide = p >= 1 << 31
+    dtype = object if wide else np.int64
     ranks = np.zeros(len(mats), dtype=np.int64)
     for s in range(0, len(mats), _RANK_SLICE):
         a = mats[s:s + _RANK_SLICE].transpose(1, 2, 0).astype(dtype, order="C")
         for c in range(n):
-            nonzero = a[:, c] != 0
-            has = nonzero.any(axis=0)
-            ranks[s:s + _RANK_SLICE] += has
+            prow = a[-1, c:]
+            for r in range(m - 2, -1, -1):
+                prow = np.where(a[r, c] != 0, a[r, c:], prow)
+            ranks[s:s + _RANK_SLICE] += prow[0] != 0
             if c == n - 1:
                 break
-            prow = np.take_along_axis(a[:, c:], nonzero.argmax(axis=0)[None, None], axis=0)
             rest = a[:, c + 1:]
-            rest *= np.where(has, prow[0, 0], 1)
-            rest -= a[:, c:c + 1] * prow[:, 1:]
-            rest %= p
+            rest *= np.maximum(prow[0], 1)
+            rest -= a[:, c:c + 1] * prow[1:]
+            if wide:
+                rest %= p
+            else:
+                rest -= rest // p * p
     return ranks
 
 
@@ -137,8 +153,6 @@ def monte_carlo_injective(p: int, n: int, m: int, trials: int, seed: int) -> Mon
         raise ValueError(f"seed={seed} must be non-negative")
     if n < 1 or m < n:
         raise ValueError("need 1 <= n <= m")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     successes = 0
     done = 0
     block = 0

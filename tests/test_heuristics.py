@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from unitscan import heuristics
 from unitscan.heuristics import (
     HeuristicValue,
+    MonteCarloResult,
     expected_exceptional_count,
     injective_probability,
     level_raising_densities,
@@ -90,6 +92,14 @@ def test_monte_carlo_validation():
         monte_carlo_injective(3, 3, 2, trials=10, seed=1)
 
 
+@pytest.mark.parametrize("trials, successes, bad", [
+    (0, 0, "trials=0"), (-3, 0, "trials=-3"), (10, 11, "successes=11"), (10, -1, "successes=-1")])
+def test_monte_carlo_result_rejects_impossible_counts(trials, successes, bad):
+    with pytest.raises(ValueError, match=bad):
+        MonteCarloResult(trials, successes, 1)
+    assert MonteCarloResult(10, 10, 1).std_error == MonteCarloResult(10, 0, 1).std_error == 0.0
+
+
 def test_monte_carlo_rejects_unsampleable_p_and_negative_seed():
     # 2^63 + 29 is prime but has no int64 draw, 2^63 - 25 is the largest
     # prime that has; a negative seed has no SeedSequence
@@ -111,14 +121,19 @@ def test_monte_carlo_pinned_counts():
     assert got == [15517, 28313, 49837, 50000]
 
 
-RANK_SHAPES = [(1, 1), (3, 1), (2, 2), (3, 2), (5, 2), (3, 3), (5, 3), (4, 4), (5, 5)]
+# (6, 2) and (8, 3) give the pivot select a long run of rows to pass over
+RANK_SHAPES = [(1, 1), (3, 1), (2, 2), (3, 2), (5, 2), (3, 3), (5, 3), (4, 4), (5, 5), (6, 2), (8, 3)]
 
 
 def _structured_block(p: int, m: int, n: int, rng) -> np.ndarray:
     """Random matrices plus zero, identity, all-(p-1), repeated-column,
-    proportional-column and low-rank ones, entries in [0, p)."""
+    proportional-column, low-rank and last-row-pivot ones, entries in [0, p)."""
     mats = [np.zeros((m, n), dtype=object), np.eye(m, n, dtype=np.int64).astype(object)]
     mats.append(np.full((m, n), p - 1, dtype=object))
+    last = rng.integers(0, p, size=(m, n), dtype=np.int64).astype(object)
+    last[:-1, 0] = 0
+    last[-1, 0] = int(rng.integers(1, p))
+    mats.append(last)
     for _ in range(6):
         a = rng.integers(0, p, size=(m, n), dtype=np.int64).astype(object)
         mats.append(a.copy())
@@ -157,6 +172,15 @@ def test_rank_kernel_across_slices(p, m, n):
     mats[::7] = 0
     got = heuristics._rank_mod_p(mats, p)
     assert got.tolist() == [rank_mod_p(a.tolist(), p) for a in mats]
+
+
+@pytest.mark.parametrize("p, m, n", [(2, 3, 3), (3, 2, 2), (3, 3, 2), (2, 4, 2)])
+def test_rank_kernel_exhaustive(p, m, n):
+    # every matrix of the shape over F_p
+    mats = np.array(list(itertools.product(range(p), repeat=m * n)), dtype=np.int64).reshape(-1, m, n)
+    got = heuristics._rank_mod_p(mats, p)
+    assert got.tolist() == [rank_mod_p(a.tolist(), p) for a in mats]
+    assert int((got == n).sum()) == exhaustive_injective_fraction(p, n, m) * p ** (m * n)
 
 
 def test_mertens_examples():
