@@ -19,7 +19,7 @@ def run_chunked(worker, args, lo: int, hi: int, workers: int = 1, chunk_span: in
     """Join the Blocks of worker(args, a, b) over [lo, hi] in chunk_span-wide pieces."""
     if workers < 1 or chunk_span < 1:
         raise ValueError(f"workers={workers} and chunk_span={chunk_span} must be at least 1")
-    # a power of two dividing 2^25 (MULMOD_PMAX): no chunk straddles prime_lanes' int64 bound
+    # a power of two dividing 2^25 (MULMOD_PMAX) keeps a chunk's primes below it off the slower digit path
     chunks = [(args, max(a, lo), min(a + chunk_span - 1, hi))
               for a in range(lo - lo % chunk_span, hi + 1, chunk_span)]
     size = min(workers, len(chunks), os.cpu_count() or 1)  # never more processes than cores

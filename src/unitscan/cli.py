@@ -228,7 +228,7 @@ def densities_cmd(p):
 
 @heuristics_group.command("mult-dist")
 @click.option("--k0", type=int, required=True, help="Size of the coefficient field (prime power).")
-@click.option("--imax", type=int, default=5, show_default=True)
+@click.option("--imax", type=click.IntRange(min=1), default=5, show_default=True)
 def mult_dist_cmd(k0, imax):
     """Expected multiplicity distribution over 1 <= i <= imax."""
     with _bad_input():

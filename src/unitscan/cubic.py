@@ -24,7 +24,7 @@ from ._data import DataFileError, data_path, read_table_rows
 from ._parallel import run_chunked
 # pow3 is poly_pow, called through this module global: the benchmark traces that name
 from .order_arith import (Lanes, OrderSpec, RingLanes, frobenius_quotient, mul3, poly_pow as pow3,
-                          prime_lanes, ring_apply, ring_fits_int64)
+                          residues, ring_apply)
 from .primes import PrimeRange, prime_array, prime_divisors, primes_in, require_prime  # the benchmark traces primes_in
 from .report import (CLEAR, CLEAR_CODE, CODES, EXCLUDED, HIT, HIT_CODE, Block, ScanReport,
                      Verdict, assemble_report)
@@ -389,12 +389,10 @@ def classify_cubic_prime(rec: CubicFieldRecord, p: int, mode: str) -> Verdict:
 
 # -- batched scan kernel ---------------------------------------------------------
 #
-# A scan chunk classifies its primes together, one numpy lane per prime, with
+# A scan chunk classifies its primes together, one int64 lane per prime, with
 # the tests of classify_cubic_prime in the same order, on order_arith.RingLanes,
-# z coming from the Frobenius quotient as in _z_coeffs.  The lanes are int64 when
-# every prime is below 2^25 and ring_fits_int64 passes (its fold rule also keeps
-# the Newton residue f(t) below 2^63; the unit, its inverse, Delta, h_E and the
-# adjugate and norm of f'(theta) enter as x % m or exact digit tables), else Python ints.
+# z coming from the Frobenius quotient as in _z_coeffs.  The unit, its inverse,
+# Delta, h_E, f and the adjugate and norm of f'(theta) enter as residues or exact digit tables.
 
 
 def _equals(a, c):
@@ -408,12 +406,10 @@ def _z_lanes(unit, inv, f, p, xp):
     m = p * p
     rp = RingLanes(f, p)
     rm = RingLanes(f, m)
-    f0, f1, f2 = f
     # sigma(theta) mod p^2: one Newton step s - f(s)/f'(s) from s = theta^p.
-    t2 = rm.square(xp)
-    t3 = rm.mul(t2, xp)
-    ft = [(t3[i] + f2 * t2[i] + f1 * xp[i]) % m for i in range(3)]
-    ft[0] = (ft[0] + f0) % m
+    t2 = rm.square(xp)  # f(s) is s^3 plus f0 + f1 x + f2 x^2 at x = s
+    rest = rm.apply(tuple(residues(c, m) for c in f), (xp, t2))
+    ft = [(c + s) % m for c, s in zip(rm.mul(t2, xp), rest)]
     bad = ~_equals([c % p for c in ft], (0, 0, 0))
     if bad.any():
         raise ArithmeticError(f"theta^p is not a root of f mod {p[bad][0]}: corrupt inputs")
@@ -422,12 +418,13 @@ def _z_lanes(unit, inv, f, p, xp):
     if bad.any():
         raise ArithmeticError(f"p={p[bad][0]} is not inert: theta^p or theta^(p^2) is theta")
     # 1/f'(sigma(theta)) mod p is sigma(adj) / det, where f'(theta) * adj = det
-    adj, det = _adjugate((f1, 2 * f2, 3), f)
-    bad = det % p == 0
+    adj, det = _adjugate((f[1], 2 * f[2], 3), f)
+    bad = residues(det, p) == 0
     if bad.any():
         raise ArithmeticError(f"f'(theta) is not invertible mod {p[bad][0]}")
     dinv = Lanes(p).pow(det, p - 2)
-    step = rp.mul(tuple(c // p * dinv % p for c in ft), rp.apply(tuple(c % p for c in adj), images))
+    sigma_adj = rp.apply(tuple(residues(c, p) for c in adj), images)
+    step = rp.mul(tuple(c // p * dinv % p for c in ft), sigma_adj)
     s1 = tuple((c - p * s) % m for c, s in zip(xp, step))
     t = rm.frobenius_quotient(p, rm.pow(unit, p), inv, (s1, rm.square(s1)))
     return rp.apply(rp.apply(t, images), images)
@@ -436,24 +433,21 @@ def _z_lanes(unit, inv, f, p, xp):
 def _classify_lanes(rec: CubicFieldRecord, mode: str, primes: np.ndarray) -> Block:
     """classify_cubic_prime for every prime of the int64 array."""
     f = rec.spec.reduction
-    # f'(theta)'s adj and det need no check: det = -delta, and the fold rule keeps |adj| < 2^40
-    P = prime_lanes(primes, ring_fits_int64(
-        f, (*rec.unit, *rec.unit_inverse, rec.delta, rec.class_number_e or 0)))
-    code = np.full(len(P), CLEAR_CODE, dtype=np.int8)  # clear marks the lanes still live
+    code = np.full(len(primes), CLEAR_CODE, dtype=np.int8)  # clear marks the lanes still live
 
     def exclude(lanes, reason):
         code[lanes[code[lanes] == CLEAR_CODE]] = CODES.index(reason)
 
-    every = np.arange(len(P))
-    exclude(every[(P == 2) | (P == 3)], "hyp1_divides_6")
-    exclude(every[rec.delta % P == 0], "hyp2_ramified")
+    every = np.arange(len(primes))
+    exclude(every[(primes == 2) | (primes == 3)], "hyp1_divides_6")
+    exclude(every[residues(rec.delta, primes) == 0], "hyp2_ramified")
     if rec.class_number_e is not None:
-        exclude(every[rec.class_number_e % P == 0], "hyp3_class_number")
-    exclude(every[np.isin(P, sorted(h5_set(rec.ramified)))], "hyp5_in_H5")
+        exclude(every[residues(rec.class_number_e, primes) == 0], "hyp3_class_number")
+    exclude(every[np.isin(primes, sorted(h5_set(rec.ramified)))], "hyp5_in_H5")
     if mode == MODE_ORDINARY:
-        exclude(every[P % 3 == 2], "p_2_mod_3")
+        exclude(every[primes % 3 == 2], "p_2_mod_3")
     live = np.flatnonzero(code == CLEAR_CODE)
-    p = P[live]
+    p = primes[live]
     nonresidue = Lanes(p).pow(rec.delta, (p - 1) >> 1) != 1
     exclude(live[nonresidue], "frob_order_not_3")
     live, p = live[~nonresidue], p[~nonresidue]

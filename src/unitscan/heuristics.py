@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._parallel import run_chunked
-from .order_arith import Lanes, prime_lanes
+from .order_arith import Lanes, residues
 from .primes import PrimeRange, prime_array, prime_divisors, primes_in, require_prime  # the benchmark traces primes_in
 from .report import CLEAR_CODE, CODES, HIT_CODE, Block, ScanReport, assemble_report
 
@@ -181,18 +181,16 @@ def expected_exceptional_count(x: int, power: int = 1) -> float:
 
 
 def _wieferich_lanes(base: int, p: np.ndarray) -> np.ndarray:
-    """base^(p-1) mod p^2, one lane per prime of the lane array p (int64 only
-    when base < 2^63, see order_arith.prime_lanes)."""
+    """base^(p-1) mod p^2, one lane per prime of the int64 array p."""
     return Lanes(p * p).pow(base, p - 1)
 
 
 def _wieferich_chunk(base: int, lo: int, hi: int) -> Block:
     """The primes in [lo, hi] by the lane kernel; those dividing base are excluded."""
     primes = prime_array(lo, hi)
-    lanes = prime_lanes(primes, base < 1 << 63)
-    tested = np.flatnonzero(base % lanes != 0)
+    tested = np.flatnonzero(residues(base, primes) != 0)
     code = np.full(len(primes), CODES.index("divides_base"), dtype=np.int8)
-    code[tested] = np.where(_wieferich_lanes(base, lanes[tested]) == 1, HIT_CODE, CLEAR_CODE)
+    code[tested] = np.where(_wieferich_lanes(base, primes[tested]) == 1, HIT_CODE, CLEAR_CODE)
     return Block.of(primes, code, hits_only=True)
 
 

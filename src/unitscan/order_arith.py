@@ -5,8 +5,9 @@ satisfies (degree 2 or 3).  Ring elements are coefficient vectors on the
 power basis 1, theta[, theta^2], with entries reduced into [0, m) for m = p^k.
 The ring (Z/m)[x]/(f) is written once per side: on tuples (the scalar
 references) by the products mul2 and mul3 under the one power loop poly_pow,
-and lane by lane (the scans) by RingLanes, for both degrees.  Lane powers take
-w-bit digits, exact in int64 for the exact constants the scans raise (Lanes.table).
+and lane by lane (the scans) by RingLanes, for both degrees, on int64 lanes
+only: constants of any size enter as per-lane residues (residues).  Lane powers
+take w-bit digits, exact in int64 for the exact constants the scans raise (Lanes.table).
 The quadratic and cubic scans decide on one Frobenius quotient, also once per
 side: t in O/p with eps^p * sigma(eps)^-1 = 1 + p*t mod p^2 at an unramified p,
 for the Frobenius sigma that the caller supplies (images of x, ..., x^(d-1)).
@@ -29,10 +30,9 @@ __all__ = [
     "ring_apply",
     "frobenius_quotient",
     "Lanes",
-    "prime_lanes",
+    "residues",
     "pow_lanes",
     "fold_rows",
-    "ring_fits_int64",
     "RingLanes",
 ]
 
@@ -147,13 +147,12 @@ def frobenius_quotient(up, inv, images, f, p):
 MULMOD_PMAX = 1 << 25  # moduli below it multiply in plain int64; p^2 < 2^50 for primes below it
 
 
-def prime_lanes(primes, fits_int64=True):
-    """The int64 primes as one lane array: int64 when every prime is below
-    MULMOD_PMAX and fits_int64 (the caller's other inputs fit int64), else
-    Python ints (dtype object), which are exact at any size."""
-    lanes = np.asarray(primes, dtype=np.int64)
-    small = fits_int64 and lanes.max(initial=0) < MULMOD_PMAX
-    return lanes if small else lanes.astype(object)
+def residues(c, m):
+    """c mod m lane by lane, for an int (of any size) or int64 lanes c and int64
+    moduli m: one int64 % when |c| < 2^63, else one Python % per lane."""
+    if np.ndim(c) or abs(c) < 1 << 63:
+        return c % m
+    return np.array([c % x for x in m.tolist()], dtype=np.int64)
 
 
 def pow_lanes(e, w, first, square, times):
@@ -176,16 +175,19 @@ def _sum(pairs, extra=None):
 
 
 class Lanes:
-    """Z/m lane by lane, for an array m of moduli: int64 below 2^50, or Python
-    ints (dtype object) of any size.  Products act on d-tuples of residue arrays
-    in [0, m) by one plan; here d = 1 and pow takes plain arrays."""
+    """Z/m lane by lane, for an int64 array m of moduli: every m below 2^50, or
+    squares q^2 below 2^60.  Products act on d-tuples of residue arrays in
+    [0, m) by one plan; here d = 1 and pow takes plain arrays."""
 
     d, rows = 1, []
 
     def __init__(self, m):
         self.m = m
-        wide = m.dtype == np.int64 and m.max(initial=0) >= MULMOD_PMAX
-        self.minv = 1.0 / m if wide else None
+        top = int(m.max(initial=0))
+        self.minv = 1.0 / m if MULMOD_PMAX <= top < 1 << 50 else None
+        self.q = np.sqrt(m).round().astype(np.int64) if top >= 1 << 50 else None
+        if self.q is not None and (top >= 1 << 60 or np.any(self.q * self.q != m)):
+            raise ValueError(f"moduli from 2^50 must be squares below 2^60, got up to {top}")
         d = self.d
         self.one = (np.ones_like(m),) + (np.zeros_like(m),) * (d - 1)
         ks = [range(max(0, k - d + 1), min(k, d - 1) + 1) for k in range(2 * d - 1)]
@@ -193,43 +195,67 @@ class Lanes:
         self.mul_plan = [[(i, d + k - i) for i in ij] for k, ij in enumerate(ks)]
         self.square_plan = [[(i, i if 2 * i == k else d + k - i - 1) for i in ij if 2 * i <= k]
                             for k, ij in enumerate(ks)]
-        # for each x^k below x^d, the (j, c) of the entries c != 0 of fold row j
+        # for each x^k below x^d, the (j, c) of the entries c != 0 of fold row j, and
+        # with c as per-lane residues when the fold goes through dot pairs (see _product)
         self.folds = [[(j, r[k]) for j, r in enumerate(self.rows) if r[k]] for k in range(d)]
+        self.lane_folds = ([[(j, residues(c, m)) for j, c in fold] for fold in self.folds]
+                           if self.q is not None or _fold_sum(self.rows) >= 1 << 12 else None)
 
     def dot(self, pairs, extra=None):
         """(s = sum of a*b over the pairs + extra) mod m, for one to three pairs
-        of a, b >= 0 whose products add up to below 3m^2 (a, b in [0, m), say)
-        and, on int64 lanes, |extra| < 2^62 (no extra term when None).
+        of a in [0, m) and b in [0, 2m) (b = 2a' in a square) whose products add
+        up to below 3m^2, and |extra| < 2^62 (no extra term when None).
 
-        Python-int lanes compute s exactly.  While every int64 modulus is
-        below MULMOD_PMAX, s < 2^62 + 3 * 2^50 is exact in int64.  Otherwise
-        this is the float-quotient MulMod of Shoup's NTL: q is s/m computed
-        in float64 and truncated.  Its terms add up to at most 3m^2 + 2^62,
-        and at most eight roundings of 2^-53 each put q within
-        8 * 2^-53 * (3m + 2^62/m) + 1 of s/m, so r = s - q*m has
+        While every modulus is below MULMOD_PMAX, s < 2^62 + 3 * 2^50 is exact
+        in int64.  Below 2^50 this is the float-quotient MulMod of Shoup's NTL:
+        q is s/m computed in float64 and truncated.  Its terms add up to at
+        most 3m^2 + 2^62, and at most eight roundings of 2^-53 each put q
+        within 8 * 2^-53 * (3m + 2^62/m) + 1 of s/m, so r = s - q*m has
         |r| < 2m + 8 * 2^-53 * (3m^2 + 2^62) < 2^53.  Wrapping int64
         arithmetic gets s and q*m right modulo 2^64, hence r exactly, and
-        r % m is the residue."""
+        r % m is the residue.
+
+        On squares m = q^2 < 2^60 the operands split into base-q digits,
+        a = a0 + q*a1, and a*b = a0*b0 + q*(a0*b1 + a1*b0) mod m, for any
+        three pairs: the low sum with extra stays below 3q^2 + 2^62, a pair's
+        middle term below 3q^2 and two of them below 6q^2 < 2^63, so a third
+        is added to their residue mod q, and low + q*(middle mod q) < 2^63."""
+        if self.q is not None:
+            q = self.q
+            low, mid = 0 if extra is None else extra, 0
+            for i, (a, b) in enumerate(pairs):
+                (a1, a0), (b1, b0) = np.divmod(a, q), np.divmod(b, q)
+                low = low + a0 * b0
+                mid = (mid % q if i > 1 else mid) + a0 * b1 + a1 * b0
+            return (low + q * (mid % q)) % self.m
         s = _sum(pairs, extra)
         if self.minv is not None:
             est = _sum([(a.astype(np.float64), b) for a, b in pairs], extra)
             s = s - (est * self.minv).astype(np.int64) * self.m
         return s % self.m
 
-    def _product(self, operands, plan, reduction):
-        """The sums of the plan by reduction(pairs, extra), x^d, ..., x^(2d-2)
-        first, folded back by the exact fold_rows as the extra of the rest."""
+    def _product(self, operands, plan, reduction=None):
+        """The sums of the plan, x^d, ..., x^(2d-2) first, folded back as the
+        extra of the rest: by reduction(pairs, extra) and the exact fold rows, or
+        by dot when reduction is None, through dot pairs of the per-lane fold
+        entries where lane_folds holds them (the digit path, or a fold column
+        sum of 2^12 or more: past the 2^62 extra term of dot for residues below 2^50)."""
+        folds, fold = self.folds, lambda terms: reduce(add, [h if c == 1 else h * c for h, c in terms])
+        if reduction is None:
+            reduction = self.dot
+            if self.lane_folds is not None:
+                folds, fold = self.lane_folds, self.dot
         high = [reduction([(operands[i], operands[j]) for i, j in ij]) for ij in plan[self.d:]]
         return tuple(reduction([(operands[i], operands[j]) for i, j in ij],
-                               reduce(add, [high[j] if c == 1 else high[j] * c for j, c in fold])
-                               if fold else None) for ij, fold in zip(plan, self.folds))
+                               fold([(high[j], c) for j, c in f]) if f else None)
+                     for ij, f in zip(plan, folds))
 
     def mul(self, a, b):
-        return self._product((*a, *b), self.mul_plan, self.dot)
+        return self._product((*a, *b), self.mul_plan)
 
     def square(self, a):
         """mul(a, a), each cross product a_i * a_j (i < j) taken once as a_i * 2 a_j."""
-        return self._product((*a, *(c + c for c in a[1:])), self.square_plan, self.dot)
+        return self._product((*a, *(c + c for c in a[1:])), self.square_plan)
 
     def table(self, a):
         """The exact powers a^0, ..., a^(2^w - 1) of the d-tuple of ints a for the
@@ -237,14 +263,14 @@ class Lanes:
         (sum of |a^k| + F) * max m < 2^63, F the fold's weight (_fold_sum; 0 for
         d = 1), since a coefficient of r * a^k is at most (m - 1) * sum of |a^k|
         from its pairs plus (m - 1) * F from the reduced high terms folded back.
-        w = 3 on Python-int lanes; None when a^1 misses."""
+        None when a^1 misses."""
         powers = [(1,) + (0,) * (self.d - 1)]
         while len(powers) < 8:
             powers.append(self._product((*powers[-1], *a), self.mul_plan, _sum))
         top, fold = int(self.m.max(initial=1)), _fold_sum(self.rows)
         fits = lambda t: (sum(map(abs, t)) + fold) * top < 1 << 63
         for w in (3, 2, 1):
-            if self.m.dtype == object or all(map(fits, powers[: 1 << w])):
+            if all(map(fits, powers[: 1 << w])):
                 return powers[: 1 << w]
         return None
 
@@ -252,23 +278,21 @@ class Lanes:
         """a^e lane by lane for a d-tuple a and e >= 0 by pow_lanes.  Ints are one
         exact constant: each digit multiplies by table(a), gathered from d int64
         columns, with one exact product and reduction per coefficient; residues
-        per lane, and ints with no table, take w = 1 and the full product mul."""
+        per lane, and ints with no table (as residues), take w = 1 and the full product mul."""
         m = self.m
         table = None if any(map(np.ndim, a)) else self.table(tuple(map(int, a)))
         if table is None:
-            a = tuple(c % m for c in a)
+            a = tuple(residues(c, m) for c in a)
             pick = lambda d: tuple(np.where(d == 1, c, o) for c, o in zip(a, self.one))
             return pow_lanes(e, 1, pick, self.square, lambda r, d: self.mul(r, pick(d)))
-        cols = [np.array(c, dtype=m.dtype) for c in zip(*table)]
+        cols = [np.array(c, dtype=np.int64) for c in zip(*table)]
         first = lambda d: tuple(c[d] % m for c in cols)
         exact = lambda pairs, extra=None: _sum(pairs, extra) % m
         times = lambda r, d: self._product((*r, *(c[d] for c in cols)), self.mul_plan, exact)
         return pow_lanes(e, len(table).bit_length() - 1, first, self.square, times)
 
     def pow(self, a, e):
-        """a^e for an int a or residues a in [0, m) by power; Python-int lanes use builtin pow."""
-        if self.m.dtype == object:
-            return np.frompyfunc(pow, 3, 1)(a, e, self.m)
+        """a^e for an int a or residues a in [0, m) by power."""
         return self.power((a,), e)[0]
 
 
@@ -286,17 +310,9 @@ def _fold_sum(rows) -> int:
     return max((sum(map(abs, column)) for column in zip(*rows)), default=0)
 
 
-def ring_fits_int64(f, exact=()) -> bool:
-    """RingLanes(f, m) is exact on int64 lanes, and so is a kernel whose other
-    inputs, each entering as x % m, are those of exact: every column sum of
-    |fold_rows(f)| is below 2^12, keeping the fold term under the 2^62 extra
-    term of Lanes.dot for residues below 2^50, and every |x| is below 2^63."""
-    return _fold_sum(fold_rows(f)) < 1 << 12 and all(abs(x) < 1 << 63 for x in exact)
-
-
 class RingLanes(Lanes):
     """(Z/m)[x]/(f) lane by lane for a monic f of degree d = len(f) in {2, 3}: the
-    products fold by fold_rows(f) (on int64 lanes, see ring_fits_int64)."""
+    products fold by fold_rows(f)."""
 
     def __init__(self, f, m):
         self.d, self.rows = len(f), fold_rows(f)
@@ -311,5 +327,5 @@ class RingLanes(Lanes):
 
     def frobenius_quotient(self, p, up, inv, images):
         """frobenius_quotient lane by lane over m = p^2: up and the images are lanes
-        mod m, inv the exact inverse (its entries enter as x % m)."""
-        return _quotient(self.mul(up, self.apply(tuple(c % self.m for c in inv), images)), p)
+        mod m, inv the exact inverse (its entries enter as residues)."""
+        return _quotient(self.mul(up, self.apply(tuple(residues(c, self.m) for c in inv), images)), p)

@@ -23,8 +23,7 @@ import numpy as np
 from ._data import DataFileError, data_path, read_table_rows
 from ._parallel import run_chunked
 # pow2 is poly_pow, called through this module global: the benchmark traces that name
-from .order_arith import (Lanes, OrderSpec, RingLanes, frobenius_quotient, poly_pow as pow2,
-                          prime_lanes, ring_fits_int64)
+from .order_arith import Lanes, OrderSpec, RingLanes, frobenius_quotient, poly_pow as pow2, residues
 from .primes import PrimeRange, prime_array, prime_divisors, primes_in, require_prime  # the benchmark traces primes_in
 from .report import (CLEAR, CLEAR_CODE, CODES, EXCLUDED, HIT, HIT_CODE, Block, ScanReport,
                      Verdict, assemble_report)
@@ -208,16 +207,14 @@ def classify_quad_prime(rec: QuadFieldRecord, p: int) -> Verdict:
 def _classify_lanes(rec: QuadFieldRecord, primes: np.ndarray) -> Block:
     """classify_quad_prime for every prime of the int64 array."""
     u = rec.unit
-    exact = (u.a, u.b, *rec.unit_inverse, rec.field_disc, rec.class_number)  # each as x % p or p^2
-    P = prime_lanes(primes, ring_fits_int64(rec.reduction, exact))
-    code = np.full(len(P), CLEAR_CODE, dtype=np.int8)  # clear marks the lanes still live
+    code = np.full(len(primes), CLEAR_CODE, dtype=np.int8)  # clear marks the lanes still live
     # the exclusions in the order classify_quad_prime applies them
-    excluded = {"below_min_p": P < MIN_SCAN_PRIME, "ramified": rec.field_disc % P == 0,
-                "divides_class_number": rec.class_number % P == 0}
+    excluded = {"below_min_p": primes < MIN_SCAN_PRIME, "ramified": residues(rec.field_disc, primes) == 0,
+                "divides_class_number": residues(rec.class_number, primes) == 0}
     for reason, mask in excluded.items():
         code[(code == CLEAR_CODE) & mask] = CODES.index(reason)
     live = np.flatnonzero(code == CLEAR_CODE)
-    p = P[live]
+    p = primes[live]
     m = p * p
     ring = RingLanes(rec.reduction, m)
     inert = Lanes(p).pow(rec.d, (p - 1) >> 1) != 1

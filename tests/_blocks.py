@@ -1,7 +1,8 @@
 """The checks every scan family shares: a Family (quadratic, cubic in each
 mode, Wieferich) scanned against the report assembled from its per-prime
-reference through block_of, on any range, across the 2^25 int64 bound, near
-RANGE_LIMIT, on tiny chunks, and with 1 against 2 workers."""
+reference through block_of, on any range, across the 2^25 chunk cut where the
+p^2 lanes leave the float-quotient path for base-p digits, near RANGE_LIMIT,
+on tiny chunks, and with 1 against 2 workers."""
 
 from __future__ import annotations
 
@@ -15,12 +16,22 @@ import numpy as np
 import pytest
 
 from unitscan._parallel import run_chunked
-from unitscan.order_arith import MULMOD_PMAX
+from unitscan.order_arith import MULMOD_PMAX, Lanes
 from unitscan.primes import RANGE_LIMIT, PrimeRange, primes_in
 from unitscan.report import CODES, EXCLUDED, HIT, Block, assemble_report
 
 STRADDLE = PrimeRange(MULMOD_PMAX - 3000, MULMOD_PMAX + 3000)
-NEAR_LIMIT = PrimeRange(RANGE_LIMIT - 20_000, RANGE_LIMIT)  # one chunk, of Python-int lanes
+NEAR_LIMIT = PrimeRange(RANGE_LIMIT - 20_000, RANGE_LIMIT)  # one chunk, on the digit path
+
+# the product paths of Lanes, narrowest first: exact int64 below 2^25, the float
+# quotient below 2^50, base-q digits on squares q^2 from there
+PATHS = ("exact", "float", "digits")
+
+
+def lanes_path(lanes: Lanes) -> str:
+    if lanes.q is not None:
+        return "digits"
+    return "float" if lanes.minv is not None else "exact"
 
 
 def block_of(verdicts, denominators=None) -> Block:
@@ -41,9 +52,10 @@ class Family:
     """A scan family: scan(rec, rng, workers) reports every prime it keeps
     (all of them, or the hits alone when not full_verdicts); reference(rec, p)
     is one prime's Verdict, a tested one hitting with probability
-    1/denominators(p) (default 1/p).  The checks shadow module's prime_lanes,
-    its global per_prime (else the builtin) and, if named, kernel: a lane
-    kernel whose last argument must hold exactly the tested primes."""
+    1/denominators(p) (default 1/p).  The checks shadow Lanes.__init__,
+    module's run_chunked, its global per_prime (else the builtin) and, if
+    named, kernel: a lane kernel whose last argument must hold exactly the
+    tested primes."""
 
     module: ModuleType
     per_prime: str
@@ -56,11 +68,29 @@ class Family:
 
 @contextmanager
 def lane_calls(family: Family):
-    """What a scan hands each path: the dtype of every lane array prime_lanes
-    builds, the arguments of every per-prime call through the module global
-    (the checks' own reference calls do not count), and the primes the kernel sees."""
-    calls = {"dtypes": [], "per_prime": [], "kernel": []}
+    """What a scan hands each path: the widest product path of the Lanes each
+    chunk builds, the arguments of every per-prime call through the module
+    global (the checks' own reference calls do not count), and the primes the kernel sees."""
+    calls = {"paths": [], "per_prime": [], "kernel": []}
+    built = []
     with pytest.MonkeyPatch.context() as m:
+        init, run = Lanes.__init__, family.module.run_chunked
+
+        def recorded(lanes, moduli):
+            init(lanes, moduli)
+            built.append(lanes_path(lanes))
+
+        def per_chunk(worker, *rest):
+            def chunk(*args):
+                built.clear()
+                out = worker(*args)
+                calls["paths"].append(max(built, key=PATHS.index))
+                return out
+
+            return run(chunk, *rest)
+
+        m.setattr(Lanes, "__init__", recorded)
+        m.setattr(family.module, "run_chunked", per_chunk)
 
         def spy(attr, key, note):
             f = getattr(family.module, attr, None) or getattr(builtins, attr)
@@ -72,7 +102,6 @@ def lane_calls(family: Family):
 
             m.setattr(family.module, attr, counted, raising=False)
 
-        spy("prime_lanes", "dtypes", lambda args, out: [out.dtype])
         spy(family.per_prime, "per_prime", lambda args, out: [args])
         if family.kernel:
             spy(family.kernel, "kernel", lambda args, out: args[-1].tolist())
@@ -86,10 +115,10 @@ def assert_same_report(rep, ref, label):
         assert getattr(rep, name) == getattr(ref, name), (label, name)
 
 
-def check_scans(family: Family, records, rng: PrimeRange, dtypes=None) -> list:
+def check_scans(family: Family, records, rng: PrimeRange, paths=None) -> list:
     """Each record's scan of rng against the report assembled from
-    family.reference: no per-prime call, one lane array of each dtype in turn
-    when dtypes are given, and the kernel, if named, on the tested primes.
+    family.reference: no per-prime call, one chunk on each product path in
+    turn when paths are given, and the kernel, if named, on the tested primes.
     Returns the reports."""
     primes = list(primes_in(rng))
     reports = []
@@ -102,8 +131,8 @@ def check_scans(family: Family, records, rng: PrimeRange, dtypes=None) -> list:
         label = (rec, rep.mode)
         assert_same_report(rep, ref, label)
         assert calls["per_prime"] == [], label
-        if dtypes is not None:
-            assert calls["dtypes"] == list(map(np.dtype, dtypes)), label
+        if paths is not None:
+            assert calls["paths"] == list(paths), label
         if family.kernel:
             assert calls["kernel"] == [v.p for v in verdicts if v.status != EXCLUDED], label
         reports.append(rep)
@@ -112,10 +141,10 @@ def check_scans(family: Family, records, rng: PrimeRange, dtypes=None) -> list:
 
 def check_straddle(family: Family, records) -> list:
     """check_scans on MULMOD_PMAX +- 3000: the scan cuts its chunks at 2^25,
-    so int64 lanes below and Python ints above."""
+    so the p^2 lanes take the float quotient below and base-p digits above."""
     primes = list(primes_in(STRADDLE))
     assert primes[0] < MULMOD_PMAX < primes[-1]
-    return check_scans(family, records, STRADDLE, (np.int64, object))
+    return check_scans(family, records, STRADDLE, ("float", "digits"))
 
 
 def check_tiny_chunks(family: Family, records, rng: PrimeRange, spans=(1, 2, 7)):

@@ -148,6 +148,10 @@ def test_heuristics_mult_dist(runner):
     res = runner.invoke(main, ["heuristics", "mult-dist", "--k0", "3", "--imax", "3"])
     assert res.exit_code == 0
     assert "2/3" in res.stdout and "2/27" in res.stdout
+    # an empty range of i printed nothing and exited 0
+    res = runner.invoke(main, ["heuristics", "mult-dist", "--k0", "4", "--imax", "0"])
+    assert res.exit_code == 2 and "density" not in res.output
+    assert "Invalid value for '--imax': 0 is not in the range x>=1." in res.output
 
 
 def test_heuristics_mertens(runner):

@@ -424,10 +424,10 @@ CUBIC = {mode: Family(cubic, "classify_cubic_prime", partial(scan_cubic, mode=mo
 def test_scan_matches_classify(delta, cubic_records):
     # the batch kernel against the readable classifier on every prime to the
     # scan bounds of the paper's tables: full verdicts and checksums, one
-    # chunk of int64 lanes (the shared int64 rule passes)
+    # chunk on the float-quotient path
     rec = cubic_records[delta]
     for mode, pmax in ((MODE_ORDINARY, 200_000), (MODE_H2, 100_000)):
-        rep, = check_scans(CUBIC[mode], [rec], PrimeRange(2, pmax), (np.int64,))
+        rep, = check_scans(CUBIC[mode], [rec], PrimeRange(2, pmax), ("float",))
         tested = sorted({v.p for v in rep.hits}.union(rep.clears))
         want = sum(1 / _DENOMINATORS[mode](p) for p in tested)  # in floats, term by term
         assert rep.expected_hits == pytest.approx(want, rel=1e-12)
@@ -469,10 +469,10 @@ def test_batch_bound_straddles_2_25(cubic_records):
 
 def test_scan_near_range_limit_matches_classify(cubic_records):
     for family in CUBIC.values():
-        check_scans(family, (cubic_records[-23], cubic_records[-140]), NEAR_LIMIT, (object,))
+        check_scans(family, (cubic_records[-23], cubic_records[-140]), NEAR_LIMIT, ("digits",))
 
 
-def test_large_coefficients_take_python_int_lanes(cubic_records):
+def test_large_coefficients_take_int64_lanes(cubic_records):
     rec23 = cubic_records[-23]
     big_unit = rec23.unit
     for _ in range(160):  # eps^161: coefficients beyond 2^63
@@ -482,22 +482,25 @@ def test_large_coefficients_take_python_int_lanes(cubic_records):
     shifted = _shifted_record(rec23, 7)  # f2 * f0 = 7035 > 2^12
     assert _fold_sum(shifted.spec.reduction) >= 1 << 12
     huge_h = CubicFieldRecord(-23, rec23.spec, 1 << 70, rec23.unit, "derived")
-    records = (big_power, shifted, huge_h)  # each fails the int64 rule: Python-int lanes below 2^25
-    # The Newton step also reads the adjugate and norm of f'(theta) exactly.  No
-    # cubic record overflows on those alone: the norm is -Delta, and the fold
-    # rule keeps every |f_i| below 2^12, so the adjugate stays below 2^40.
-    # (The quadratic unit inverse can: test_large_unit_takes_python_int_lanes.)
+    # each constant enters as per-lane residues, and the shifted ring folds through dot pairs
+    records = (big_power, shifted, huge_h)
+    # The Newton step also reads the adjugate and norm of f'(theta) as residues.
+    # No cubic record needs a Python % per lane for those: the norm is -Delta,
+    # and the adjugate stays below 2^40.  (The quadratic unit inverse can need
+    # one: test_large_unit_takes_int64_lanes.)
     for rec in (*cubic_records.values(), shifted):
         f = rec.spec.reduction
         adj, det = _adjugate((f[1], 2 * f[2], 3), f)
         assert det == -rec.delta and max(map(abs, adj)) < 1 << 40
     rng = PrimeRange(2, 3000)
-    check_scans(CUBIC[MODE_H2], records, rng, (object,))
-    _, rep, _ = check_scans(CUBIC[MODE_ORDINARY], records, rng, (object,))
+    check_scans(CUBIC[MODE_H2], records, rng, ("exact",))
+    _, rep, _ = check_scans(CUBIC[MODE_ORDINARY], records, rng, ("exact",))
     # the shifted model is the same field: same hits and clears as shipped
     base = scan_cubic(rec23, rng, mode=MODE_ORDINARY, full_verdicts=True)
     assert [v.p for v in rep.hits] == [v.p for v in base.hits] == [13]
     assert rep.clears == base.clears
+    for family in CUBIC.values():  # residues, digit products and pair folds at once
+        check_scans(family, records, NEAR_LIMIT, ("digits",))
 
 
 def _double_root(f, p):

@@ -16,7 +16,7 @@ from unitscan.heuristics import (
     multiplicity_distribution,
     scan_wieferich,
 )
-from unitscan.order_arith import MULMOD_PMAX, prime_lanes
+from unitscan.order_arith import MULMOD_PMAX
 from unitscan.primes import PrimeRange, primes_in
 from unitscan.report import CLEAR, EXCLUDED, HIT, Verdict
 
@@ -250,9 +250,11 @@ WIEFERICH = Family(heuristics, "pow", scan_wieferich, _wieferich_verdict, full_v
 
 
 # 1093^2 is divisible by a prime in range; 2^63 - 1 is the largest base that
-# int64 lanes take, and 2^63 + 1 (divisible by 3, 19, 43 and 5419) fits no int64
+# enters the lanes by one int64 %, and 2^63 + 1 (divisible by 3, 19, 43 and
+# 5419) and 10^30 + 7 fit no int64: one Python % per lane
 LANE_BASES = (2, 3, 5, 10, 1093**2, (1 << 63) - 1)
 BIG_BASE = (1 << 63) + 1
+HUGE_BASE = 10**30 + 7
 
 
 def test_wieferich_lanes_match_builtin_pow():
@@ -260,11 +262,9 @@ def test_wieferich_lanes_match_builtin_pow():
     primes = list(primes_in(rng))
     for base in LANE_BASES + (BIG_BASE,):
         want = [pow(base, p - 1, p * p) for p in primes]
-        for fits in {base < 1 << 63, False}:  # int64 lanes where base allows, Python ints
-            assert heuristics._wieferich_lanes(base, prime_lanes(primes, fits)).tolist() == want
-    # one chunk, of int64 lanes for every base but BIG_BASE
-    check_scans(WIEFERICH, LANE_BASES, rng, (np.int64,))
-    check_scans(WIEFERICH, (BIG_BASE,), rng, (object,))
+        assert heuristics._wieferich_lanes(base, np.array(primes)).tolist() == want
+    # one chunk, on the float-quotient path for every base
+    check_scans(WIEFERICH, LANE_BASES + (BIG_BASE,), rng, ("float",))
 
 
 def test_wieferich_bound_straddles_2_25():
@@ -274,13 +274,13 @@ def test_wieferich_bound_straddles_2_25():
     bases = (2, 3, 1093**2, q * q + 1)
     for base in bases:
         want = [pow(base, p - 1, p * p) for p in below]
-        assert heuristics._wieferich_lanes(base, prime_lanes(below)).tolist() == want
+        assert heuristics._wieferich_lanes(base, np.array(below)).tolist() == want
     assert q in [v.p for v in check_straddle(WIEFERICH, bases)[-1].hits]
 
 
 def test_wieferich_near_range_limit():
     q = list(primes_in(NEAR_LIMIT))[100]
-    _, _, rep, _ = check_scans(WIEFERICH, (2, 3, q * q + 1, BIG_BASE), NEAR_LIMIT, (object,))
+    _, _, rep, _, _ = check_scans(WIEFERICH, (2, 3, q * q + 1, BIG_BASE, HUGE_BASE), NEAR_LIMIT, ("digits",))
     assert q in [v.p for v in rep.hits]
 
 
@@ -290,7 +290,7 @@ def test_wieferich_published_hit_above_2_25():
     q = 53_471_161
     with lane_calls(WIEFERICH) as calls:
         assert wieferich_hits(5, PrimeRange(q - 5000, q + 5000)) == [q]
-    assert calls["dtypes"] == [np.dtype(object)]  # one chunk, on Python-int lanes
+    assert calls["paths"] == ["digits"]  # one chunk, on base-p digits
 
 
 @pytest.mark.parametrize("span", [1, 2, 7])

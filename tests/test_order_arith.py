@@ -17,12 +17,12 @@ from unitscan.order_arith import (
     mul3,
     poly_discriminant,
     poly_pow,
-    prime_lanes,
+    residues,
     ring_apply,
-    ring_fits_int64,
 )
 from unitscan.primes import RANGE_LIMIT, PrimeRange, primes_in
 
+from _blocks import lanes_path
 from _oracles import count_poly_roots_brute, cubic_is_inert
 
 X2_MINUS_2 = OrderSpec((-2, 0, 1))
@@ -180,44 +180,44 @@ def test_spec_validation():
 # -- lane arithmetic -------------------------------------------------------------
 
 # the 40 largest primes below 2^25: the largest moduli of the exact int64
-# path, and their squares, the largest of the float-quotient path; Python-int
-# lanes take the squares of the 40 largest primes to 1e9, the Mersenne prime
-# 2^61 - 1 and its square, all beyond the int64 paths; every kind also takes
-# small moduli (and the float path 2^31 - 1), down to 3 or its square
+# path, and their squares, the largest of the float-quotient path; the digit
+# path takes the squares of the 40 largest primes to 1e9, (2^25)^2 = 2^50 and
+# (2^30 - 1)^2, the largest square below 2^60; every kind also takes small
+# moduli (and the float path 2^31 - 1), down to 3 or its square
 TOP_PRIMES = list(primes_in(PrimeRange(MULMOD_PMAX - 2000, MULMOD_PMAX)))[-40:]
 LIMIT_PRIMES = list(primes_in(PrimeRange(RANGE_LIMIT - 2000, RANGE_LIMIT)))[-40:]
 SMALL_PRIMES = [3, 5, 7, 1009, 65521, 65537]
-KINDS = ["exact", "float", "object"]
+KINDS = ["exact", "float", "digits"]
 
 
 def moduli(kind):
     if kind == "exact":
         return TOP_PRIMES + SMALL_PRIMES
-    squares = [p * p for p in (LIMIT_PRIMES if kind == "object" else TOP_PRIMES) + SMALL_PRIMES]
-    return squares + ([(1 << 61) - 1, ((1 << 61) - 1) ** 2] if kind == "object" else [(1 << 31) - 1])
+    squares = [p * p for p in (LIMIT_PRIMES if kind == "digits" else TOP_PRIMES) + SMALL_PRIMES]
+    return squares + ([1 << 50, ((1 << 30) - 1) ** 2] if kind == "digits" else [(1 << 31) - 1])
 
 
-def lanes_of(values, kind="exact"):
-    return np.array(values, dtype=object if kind == "object" else np.int64)
+def lanes_of(values):
+    return np.array(values, dtype=np.int64)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_float_quotient_mulmod_exact(kind):
-    # operands 0, m - 1 and random, one to three pairs, and the extra term
-    # at 0, +-(2^62 - 1), random and absent (Python ints: any size)
+    # dot on each path: operands 0, m - 1 and random, one to three pairs, and
+    # the extra term at 0, +-(2^62 - 1), random and absent
     rng = random.Random(29)
     ms = moduli(kind)
-    lanes = Lanes(lanes_of(ms, kind))
-    assert (lanes.minv is not None) == (kind == "float")
+    lanes = Lanes(lanes_of(ms))
+    assert lanes_path(lanes) == kind
     operands = [[0] * len(ms), [m - 1 for m in ms]]
     operands += [[rng.randrange(m) for m in ms] for _ in range(3)]
-    top = (1 << 62) - 1 if kind != "object" else (1 << 200) - 1
+    top = (1 << 62) - 1
     extras = [[e] * len(ms) for e in (0, top, -top)]
     extras += [[rng.randint(-top, top) for _ in ms], None]
 
     def check(pairs, extra):
-        lane_pairs = [(lanes_of(a, kind), lanes_of(b, kind)) for a, b in pairs]
-        got = lanes.dot(lane_pairs, None if extra is None else lanes_of(extra, kind))
+        lane_pairs = [(lanes_of(a), lanes_of(b)) for a, b in pairs]
+        got = lanes.dot(lane_pairs, None if extra is None else lanes_of(extra))
         extra = extra or [0] * len(ms)
         want = [(sum(a[j] * b[j] for a, b in pairs) + extra[j]) % m for j, m in enumerate(ms)]
         assert got.tolist() == want
@@ -231,23 +231,48 @@ def test_float_quotient_mulmod_exact(kind):
 
 
 def test_lanes_path_follows_the_largest_modulus():
-    assert Lanes(lanes_of([3, MULMOD_PMAX - 1])).minv is None
-    assert Lanes(lanes_of([3, MULMOD_PMAX])).minv is not None
-    assert Lanes(lanes_of([])).minv is None
-    # primes switch from int64 to Python ints at 2^25, or when the caller's
-    # other inputs do not fit int64; Python-int lanes never take a float path
-    assert prime_lanes([3, MULMOD_PMAX - 39]).dtype == np.int64
-    assert prime_lanes([]).dtype == np.int64
-    for lanes in (prime_lanes([3, MULMOD_PMAX + 15]), prime_lanes([3, 5], fits_int64=False)):
-        assert lanes.dtype == object
-        assert all(type(p) is int for p in lanes)
-        assert Lanes(lanes * lanes).minv is None
+    # exact int64 below 2^25, the float quotient below 2^50, and base-q digits
+    # from there, where every modulus must be a square q^2 below 2^60
+    for ms, path in (([3, MULMOD_PMAX - 1], "exact"), ([], "exact"), ([3, MULMOD_PMAX], "float"),
+                     ([3, (1 << 50) - 1], "float"), ([9, 1 << 50], "digits"),
+                     ([4, ((1 << 30) - 1) ** 2], "digits")):
+        assert lanes_path(Lanes(lanes_of(ms))) == path, ms
+    assert Lanes(lanes_of([9, 1 << 50])).q.tolist() == [3, 1 << 25]
+    for ms in ([(1 << 50) + 1], [3, 1 << 50], [1 << 60], [9, (1 << 62) - 1]):
+        with pytest.raises(ValueError, match="squares below 2\\^60"):
+            Lanes(lanes_of(ms))
+
+
+def test_digit_path_bounds():
+    # every p^2 of the scans takes the digit path; at q = 2^25 and q = 2^30 - 1,
+    # dot on up to three pairs of the largest operands it takes, a = m - 1 and
+    # b = 2m - 1 (the doubled operand of square), with extra m - 1 and +-(2^62 - 1)
+    assert RANGE_LIMIT**2 < 1 << 60
+    for q in (1 << 25, (1 << 30) - 1):
+        m = q * q
+        lanes = Lanes(lanes_of([m]))
+        assert lanes.q.tolist() == [q]
+        a, b = lanes_of([m - 1]), lanes_of([2 * m - 1])
+        for n, extra in itertools.product((1, 2, 3), (m - 1, (1 << 62) - 1, 1 - (1 << 62))):
+            got = lanes.dot([(a, b)] * n, lanes_of([extra]))
+            assert got.tolist() == [(n * (m - 1) * (2 * m - 1) + extra) % m], (q, n, extra)
+        square = RingLanes((-2, 0), lanes_of([m])).square((a, a))
+        assert _transpose(square) == [mul2((m - 1, m - 1), (m - 1, m - 1), (-2, 0), m)]
+
+
+def test_residues_of_any_size():
+    # one int64 % below 2^63 in absolute value, one Python % per lane beyond
+    ms = moduli("digits")
+    for c in (0, -1, 2, (1 << 63) - 1, 1 - (1 << 63), 1 << 63, -(1 << 63), 10**30 + 7, -(10**30 + 7)):
+        got = residues(c, lanes_of(ms))
+        assert got.dtype == np.int64 and got.tolist() == [c % m for m in ms], c
+    assert residues(10**30, lanes_of([])).tolist() == []
 
 
 # -- the lane ring: Z/m (f = ()) and (Z/m)[x]/(f), on every lane kind --------------
 
-# reductions (f0, f1[, f2]) of monic f; the "bound" ones have a fold row sum
-# of 4095 = 2^12 - 1, the largest that int64 lanes take
+# reductions (f0, f1[, f2]) of monic f; the "bound" ones have a fold column
+# sum of 4095 = 2^12 - 1, the largest that folds by one exact extra term
 RING_POLYS = {
     "x2-2": (-2, 0),
     "x2-x-1": (-1, -1),
@@ -257,6 +282,8 @@ RING_POLYS = {
     "x3+4095 bound": (4095, 0, 0),
     "x3-23 shifted by 6": (209, 107, 18),
     "x2-11": (-11, 0),  # the unit 10 + 3 sqrt(11) of its constants crosses 2^12 at the cube
+    "x2-4098 pair fold": (-4098, 0),
+    "x3-23 shifted by 7 pair fold": (335, 146, 21),
 }
 RINGS = {"Zm": (), **RING_POLYS}
 
@@ -276,26 +303,31 @@ def test_fold_rows_and_int64_rule():
     assert fold_rows((-2, 0)) == [(2, 0)]
     assert fold_rows((-1, -1, 0)) == [(1, 1, 0), (0, 1, 1)]  # x^3 = 1 + x, x^4 = x + x^2
     assert fold_rows((209, 107, 18)) == [(-209, -107, -18), (3762, 1717, 217)]
-    for f in RING_POLYS.values():
-        assert ring_fits_int64(f)
-    assert ring_fits_int64((-2, 0), ((1 << 63) - 1, -(1 << 63) + 1))
-    assert not ring_fits_int64((-2, 0), (1 << 63,))
-    assert not ring_fits_int64((-2, 0), (-(1 << 63),))
-    # one past the bound, in either row, sends a ring to Python-int lanes
-    for f in ((-4096, 0), (0, 4096), (4096, 0, 0), (0, 0, 64),
-              (335, 146, 21)):  # x^3 - x - 1 shifted by 7
-        assert not ring_fits_int64(f), f
+    # a fold column sum below 2^12 (the "bound" rings: 4095) folds by one exact
+    # extra term below 2^50; 2^12 or more (one past the bound, in either row),
+    # or the digit path, folds through dot pairs of per-lane residues
+    exact, float_, digits = (lanes_of(ms) for ms in ([3, MULMOD_PMAX - 1], [3, (1 << 50) - 1],
+                                                      [9, 1 << 50]))
+    over = [f for k, f in RING_POLYS.items() if k.endswith("pair fold")]
+    over += [(-4096, 0), (0, 4096), (4096, 0, 0), (0, 0, 64)]
+    for f in [*RING_POLYS.values()] + over:
+        for m in (exact, float_):
+            assert (RingLanes(f, m).lane_folds is not None) == (f in over), f
+        assert RingLanes(f, digits).lane_folds is not None, f
+    residue_folds = lambda f, m: [[(j, c.tolist()) for j, c in fold] for fold in RingLanes(f, m).lane_folds]
+    assert residue_folds((-2, 0), digits) == [[(0, [2, 2])], []]
+    assert residue_folds((-4096, 0), exact) == [[(0, [4096 % 3, 4096])], []]
 
 
 def _transpose(lanes):
     return list(zip(*(c.tolist() for c in lanes)))
 
 
-def lane_ring(f, ms, kind):
+def lane_ring(f, ms):
     """The ring on lanes of the moduli ms with its power of a d-tuple of ints or
     lanes (Z/m through Lanes.pow, the entry point of the scans), then the tuple
     references mod m: product and power."""
-    m = lanes_of(ms, kind)
+    m = lanes_of(ms)
     if not f:
         ring = Lanes(m)
         return (ring, lambda a, e: (ring.pow(a[0], e),), lambda a, b, m: (a[0] * b[0] % m,),
@@ -314,13 +346,13 @@ def test_ring_lanes_match_scalar(kind, f):
     # raise the exact x and apply images
     rng = random.Random(43)
     ms, d = moduli(kind), max(len(f), 1)
-    ring, power, mul, scalar_pow = lane_ring(f, ms, kind)
+    ring, power, mul, scalar_pow = lane_ring(f, ms)
 
     def elements():
         """One element per lane, as tuples and as the ring's lanes."""
         out = [(0,) * d, (ms[1] - 1,) * d, (1,) + (0,) * (d - 1)] + [
             tuple(rng.randrange(m) for _ in range(d)) for m in ms[3:]]
-        return out, tuple(lanes_of([x[k] for x in out], kind) for k in range(d))
+        return out, tuple(lanes_of([x[k] for x in out]) for k in range(d))
 
     (a, la), (b, lb) = elements(), elements()
     assert _transpose(ring.mul(la, lb)) == [mul(x, y, m) for x, y, m in zip(a, b, ms)]
@@ -328,14 +360,14 @@ def test_ring_lanes_match_scalar(kind, f):
     exps = [0, 1, 2, 3] + [rng.randrange(1 << rng.randint(1, 62)) for _ in ms[4:]]
     for x, lx in ((a, la), (b, lb)):
         for es in (exps, [0] * len(ms), [1] * len(ms)):
-            assert _transpose(power(lx, lanes_of(es, kind))) == [
+            assert _transpose(power(lx, lanes_of(es))) == [
                 scalar_pow(y, k, m) for y, k, m in zip(x, es, ms)]
-    none = lanes_of([], kind)
-    assert all(c.size == 0 for c in lane_ring(f, [], kind)[1]((none,) * d, none))
+    none = lanes_of([])
+    assert all(c.size == 0 for c in lane_ring(f, [])[1]((none,) * d, none))
     if d == 1:
         return
     x = (0, 1) + (0,) * (d - 2)
-    assert _transpose(power(x, lanes_of(exps, kind))) == [
+    assert _transpose(power(x, lanes_of(exps))) == [
         scalar_pow(x, k, m) for k, m in zip(exps, ms)]
     images = [elements() for _ in range(d - 1)]
     want = [tuple((c[0] * (k == 0) + sum(c[i] * s[0][j][k] for i, s in enumerate(images, 1))) % m
@@ -360,11 +392,16 @@ def exact_powers(a, f, n):
     return out
 
 
+def fold_weight(f):
+    """F, the largest column sum of |fold_rows(f)| (0 for Z/m)."""
+    return max((sum(abs(r[k]) for r in fold_rows(f)) for k in range(len(f))), default=0)
+
+
 def table_width(a, f, top):
     """The width rule of Lanes.table: the widest w <= 3 whose exact powers a^0,
-    ..., a^(2^w - 1) keep (sum of |a^k| + F) * top below 2^63, F the largest
-    column sum of |fold_rows(f)| (0 for Z/m); 0 when a^1 misses."""
-    fold = max((sum(abs(r[k]) for r in fold_rows(f)) for k in range(len(f))), default=0)
+    ..., a^(2^w - 1) keep (sum of |a^k| + F) * top below 2^63, F = fold_weight(f);
+    0 when a^1 misses."""
+    fold = fold_weight(f)
     fits = [(sum(map(abs, t)) + fold) * top < 1 << 63 for t in exact_powers(a, f, 8)]
     return max([w for w in (1, 2, 3) if all(fits[:1 << w])], default=0)
 
@@ -373,14 +410,14 @@ def table_width(a, f, top):
 @pytest.mark.parametrize("f", RINGS.values(), ids=RINGS.keys())
 def test_ring_exact_digit_pow_matches_poly_pow(kind, f):
     # a d-tuple of ints is one exact constant: its table of exact powers is as wide
-    # as table_width allows (Python-int lanes take the widest), and past w = 1 the
-    # lanes fall back to residues; the constants of the scans, and (a, 0, ...) on
-    # each side of every width of the largest modulus (of the float kind for Python ints)
+    # as table_width allows, and past w = 1 the lanes fall back to residues; the
+    # constants of the scans, and (a, 0, ...) on each side of every width of the
+    # largest modulus
     rng = random.Random(53)
     ms, d = moduli(kind), max(len(f), 1)
-    ring, power, _, scalar_pow = lane_ring(f, ms, kind)
+    ring, power, _, scalar_pow = lane_ring(f, ms)
     pad = lambda a: a + (0,) * (d - len(a))
-    top = max(moduli("float" if kind == "object" else kind))
+    top = max(ms)
     constants = list(SCALAR_CONSTANTS if d == 1 else RING_CONSTANTS)
     for w in (3, 2, 1):  # the largest a whose (a, 0, ...) takes a table of width w or more
         a = bisect.bisect(range(1 << 62), False, key=lambda a: table_width(pad((a,)), f, top) < w) - 1
@@ -388,28 +425,32 @@ def test_ring_exact_digit_pow_matches_poly_pow(kind, f):
     exps = EDGE_EXPS + [rng.randrange(1 << rng.randint(1, 62)) for _ in ms[len(EDGE_EXPS):]]
     widths = {}
     for a in constants:
-        widths[a] = w = 3 if kind == "object" else table_width(pad(a), f, top)
+        widths[a] = w = table_width(pad(a), f, top)
         assert ring.table(pad(a)) == (exact_powers(pad(a), f, 1 << w) if w else None), a
-        assert _transpose(power(pad(a), lanes_of(exps, kind))) == [
+        assert _transpose(power(pad(a), lanes_of(exps))) == [
             scalar_pow(pad(a), e, m) for e, m in zip(exps, ms)], a
         for e in EDGE_EXPS if d == 1 else [(1 << 17) - 1]:  # on every lane at once
-            assert _transpose(power(pad(a), lanes_of([e] * len(ms), kind))) == [
+            assert _transpose(power(pad(a), lanes_of([e] * len(ms)))) == [
                 scalar_pow(pad(a), e, m) for m in ms], (a, e)
-    assert all(c.size == 0 for c in lane_ring(f, [], kind)[1](pad((-108,)), lanes_of([], kind)))
-    if kind != "object":
-        assert set(widths.values()) == {0, 1, 2, 3}
-    if kind == "object" or d == 1:
+    assert all(c.size == 0 for c in lane_ring(f, [])[1](pad((-108,)), lanes_of([])))
+    if (1 + fold_weight(f)) * top >= 1 << 63:  # near 2^60 a fold weight of 8 or more: no table
+        assert set(widths.values()) == {0}
+    else:  # near 2^60 no constant of x^3 - x - 1 takes w = 2
+        assert set(widths.values()) >= ({0, 1, 3} if kind == "digits" else {0, 1, 2, 3})
+    if d == 1:
         return
     # (4096, 0) fits as well as (4095, 0), where a fixed cap of 2^12 on the
-    # coefficient sums refused it: w = 2 below 2^25, w = 1 near 2^50
-    exact = kind == "exact"
-    assert [widths[a] for a in RING_CONSTANTS[5:8]] == ([2, 2, 0] if exact else [1, 1, 0])
+    # coefficient sums refused it: w = 2 below 2^25, w = 1 near 2^50, none near 2^60
+    if fold_weight(f) < 1 << 12:
+        assert [widths[a] for a in RING_CONSTANTS[5:8]] == {
+            "exact": [2, 2, 0], "float": [1, 1, 0], "digits": [0, 0, 0]}[kind]
     if f == RING_POLYS["x2-2"]:
-        assert [widths[a] for a in RING_CONSTANTS] == ([3, 3, 3, 2, 3, 2, 2, 0, 3] if exact
-                                                       else [3, 3, 2, 1, 1, 1, 1, 0, 2])
+        assert [widths[a] for a in RING_CONSTANTS] == {
+            "exact": [3, 3, 3, 2, 3, 2, 2, 0, 3], "float": [3, 3, 2, 1, 1, 1, 1, 0, 2],
+            "digits": [2, 1, 1, 0, 0, 0, 0, 0, 0]}[kind]
     if f == RING_POLYS["x2-11"]:  # the fixed cap held 10 + 3 sqrt(11) to w = 1
-        assert widths[(10, 3)] == (3 if exact else 2)
-    if not exact and f in (RING_POLYS["x2-4095x+4095 bound"], RING_POLYS["x3+4095 bound"]):
+        assert widths[(10, 3)] == {"exact": 3, "float": 2, "digits": 0}[kind]
+    if kind != "exact" and f in (RING_POLYS["x2-4095x+4095 bound"], RING_POLYS["x3+4095 bound"]):
         assert widths[(0, 1)] < 3  # the table of x narrows near 2^50
 
 
@@ -444,24 +485,24 @@ QUOTIENT_UNITS = {
 
 @pytest.mark.parametrize("f, unit, inv", QUOTIENT_UNITS.values(), ids=QUOTIENT_UNITS.keys())
 def test_frobenius_quotient_lanes_match_scalar(f, unit, inv):
-    # the lane step against the tuple step at split and inert primes, on int64
-    # lanes below 2^25 and on Python-int lanes above; both raise on a wrong
+    # the lane step against the tuple step at split and inert primes, on the
+    # exact path below 2^25 and on base-p digits above; both raise on a wrong
     # inverse or a wrong image, naming a prime where w is not 1 mod p
     d = len(f)
     assert (mul2 if d == 2 else mul3)(unit, inv, f, 1 << 80) == (1,) + (0,) * (d - 1)
     identity = tuple(tuple(int(j == k) for j in range(d)) for k in range(1, d))
-    for lo, kind in ((5, "exact"), (MULMOD_PMAX, "object")):
+    for lo, path in ((5, "exact"), (MULMOD_PMAX, "digits")):
         primes = [p for p in primes_in(PrimeRange(lo, lo + 3000))
                   if poly_discriminant(f + (1,)) % p][:24]
-        P = prime_lanes(primes)
-        assert P.dtype == lanes_of([], kind).dtype
+        P = lanes_of(primes)
         inert, images = zip(*(_frobenius_images(f, p) for p in primes))
         assert any(inert) and not all(inert)
         ups = [poly_pow(unit, p, f, p * p) for p in primes]
         want = [frobenius_quotient(u, inv, s, f, p) for u, s, p in zip(ups, images, primes)]
         assert all(0 <= c < p for t, p in zip(want, primes) for c in t)
         ring = RingLanes(f, P * P)
-        cols = lambda rows: tuple(lanes_of(c, kind) for c in zip(*rows))
+        assert lanes_path(ring) == path
+        cols = lambda rows: tuple(lanes_of(c) for c in zip(*rows))
         up, im = cols(ups), tuple(map(cols, zip(*images)))
         assert _transpose(ring.frobenius_quotient(P, up, inv, im)) == want
         for p, u, s, i in zip(primes, ups, images, inert):

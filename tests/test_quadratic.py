@@ -98,8 +98,8 @@ def test_fermat_sanity(quad_records):
 
 def test_lanes_match_classify_to_2e5(quad_records):
     # the lane kernel against the scalar classifier on every prime to 2e5:
-    # full verdicts and checksums, one chunk of int64 lanes, no per-prime call
-    check_scans(QUAD, quad_records.values(), PrimeRange(2, 200_000), (np.int64,))
+    # full verdicts and checksums, one chunk on the float-quotient path, no per-prime call
+    check_scans(QUAD, quad_records.values(), PrimeRange(2, 200_000), ("float",))
 
 
 def test_lanes_and_classify_match_naive_power(quad_records):
@@ -148,14 +148,14 @@ def test_batch_bound_straddles_2_25(quad_records):
 
 
 def test_scan_near_range_limit_matches_classify(quad_records):
-    check_scans(QUAD, quad_records.values(), NEAR_LIMIT, (object,))
+    check_scans(QUAD, quad_records.values(), NEAR_LIMIT, ("digits",))
 
 
 def test_batch_tiny_chunks(quad_records):
     check_tiny_chunks(QUAD, [quad_records[d] for d in (2, 10, 29)], PrimeRange(2, 400))
 
 
-def test_large_unit_takes_python_int_lanes(quad_records):
+def test_large_unit_takes_int64_lanes(quad_records):
     # eps^51 of Q(sqrt 2): coefficients beyond 2^63.  (1 + p*y)^51 = 1 + 51*p*y,
     # so the hits of eps^51 are those of eps together with 3 and 17.
     a, b = 1, 1
@@ -174,8 +174,10 @@ def test_large_unit_takes_python_int_lanes(quad_records):
     golden = QuadFieldRecord(5, 1, QuadUnit(fib[91], fib[92]))
     assert max(fib[91], fib[92]) < 1 << 63 <= max(map(abs, golden.unit_inverse))
     assert golden.unit_inverse == (fib[93], -fib[92])
-    rep, _, _ = check_scans(QUAD, (rec, wide, golden), PrimeRange(2, 3000), (object,))
+    # each constant enters as per-lane residues, and x^2 - 4098 folds through dot pairs
+    rep, _, _ = check_scans(QUAD, (rec, wide, golden), PrimeRange(2, 3000), ("exact",))
     assert [v.p for v in rep.hits] == [3, 13, 17, 31]
+    check_scans(QUAD, (rec, wide, golden), NEAR_LIMIT, ("digits",))
     assert [p for p in rep.clears if quad_hit_naive(2, a, b, p)] == []
     assert list(_classify_lanes(rec, np.array([], dtype=np.int64))) == []
 
@@ -239,7 +241,8 @@ def _span(args, a, b):
 
 def test_default_chunk_span_divides_int64_bound():
     # a power of two dividing 2^25 puts a cut at 2^25, so no chunk holds
-    # primes on both sides of prime_lanes' int64 switch
+    # primes on both sides of it: the p^2 lanes of primes below take the float
+    # quotient, not the slower base-p digits
     span = inspect.signature(run_chunked).parameters["chunk_span"].default
     assert type(span) is int and span > 1 and span & (span - 1) == 0
     assert MULMOD_PMAX % span == 0
