@@ -170,7 +170,7 @@ def h5_cmd(delta, fmt, data_dir):
 @main.command("wieferich")
 @click.option("--base", type=click.IntRange(min=2), default=2, show_default=True)
 @click.option("--pmax", type=integer, required=True)
-@click.option("--pmin", type=integer, default=3, show_default=True)
+@click.option("--pmin", type=integer, default=2, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 @_workers_option
 def wieferich_cmd(base, pmax, pmin, fmt, workers):

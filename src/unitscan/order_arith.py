@@ -158,7 +158,8 @@ def residues(c, m):
 def pow_lanes(e, w, first, square, times):
     """Left-to-right powering lane by lane over the w-bit digits of e >= 0 (the
     largest e places them): r = first(d) at the leading digit d, then each later
-    digit d squares r w times and applies times(r, d), the product by base^d."""
+    digit d squares r w times and applies times(r, d), the product by base^d;
+    r stays in [0, m), or in (-m, m) for Lanes.pow to reduce once at the end."""
     digit = lambda shift: ((e >> shift) & ((1 << w) - 1)).astype(np.intp)
     top = max(int(e.max(initial=0)).bit_length() - 1, 0) // w * w
     r = first(digit(top))
@@ -195,10 +196,10 @@ class Lanes:
         self.mul_plan = [[(i, d + k - i) for i in ij] for k, ij in enumerate(ks)]
         self.square_plan = [[(i, i if 2 * i == k else d + k - i - 1) for i in ij if 2 * i <= k]
                             for k, ij in enumerate(ks)]
-        # for each x^k below x^d, the (j, c) of the entries c != 0 of fold row j, and
-        # with c as per-lane residues when the fold goes through dot pairs (see _product)
+        # for each x^k below x^d, the (j, c) of the entries c != 0 of fold row j, and with
+        # c as per-lane residues, split once, when the fold goes through dot pairs (_product)
         self.folds = [[(j, r[k]) for j, r in enumerate(self.rows) if r[k]] for k in range(d)]
-        self.lane_folds = ([[(j, residues(c, m)) for j, c in fold] for fold in self.folds]
+        self.lane_folds = ([[(j, self._split(residues(c, m))) for j, c in fold] for fold in self.folds]
                            if self.q is not None or _fold_sum(self.rows) >= 1 << 12 else None)
 
     def dot(self, pairs, extra=None):
@@ -220,11 +221,17 @@ class Lanes:
         three pairs: the low sum with extra stays below 3q^2 + 2^62, a pair's
         middle term below 3q^2 and two of them below 6q^2 < 2^63, so a third
         is added to their residue mod q, and low + q*(middle mod q) < 2^63."""
+        return self._dot([(self._split(a), self._split(b)) for a, b in pairs], extra)
+
+    def _split(self, x):  # x as its base-q digits (x // q, x % q) on the digit path
+        return x if self.q is None else np.divmod(x, self.q)
+
+    def _dot(self, pairs, extra=None):
+        """dot on operands already split by _split, each split once per product."""
         if self.q is not None:
             q = self.q
             low, mid = 0 if extra is None else extra, 0
-            for i, (a, b) in enumerate(pairs):
-                (a1, a0), (b1, b0) = np.divmod(a, q), np.divmod(b, q)
+            for i, ((a1, a0), (b1, b0)) in enumerate(pairs):
                 low = low + a0 * b0
                 mid = (mid % q if i > 1 else mid) + a0 * b1 + a1 * b0
             return (low + q * (mid % q)) % self.m
@@ -241,21 +248,36 @@ class Lanes:
         entries where lane_folds holds them (the digit path, or a fold column
         sum of 2^12 or more: past the 2^62 extra term of dot for residues below 2^50)."""
         folds, fold = self.folds, lambda terms: reduce(add, [h if c == 1 else h * c for h, c in terms])
+        split = lambda h: h
         if reduction is None:
-            reduction = self.dot
+            reduction, operands = self._dot, [self._split(x) for x in operands]
             if self.lane_folds is not None:
-                folds, fold = self.lane_folds, self.dot
-        high = [reduction([(operands[i], operands[j]) for i, j in ij]) for ij in plan[self.d:]]
+                folds, fold, split = self.lane_folds, self._dot, self._split
+        high = [split(reduction([(operands[i], operands[j]) for i, j in ij])) for ij in plan[self.d:]]
         return tuple(reduction([(operands[i], operands[j]) for i, j in ij],
                                fold([(high[j], c) for j, c in f]) if f else None)
                      for ij, f in zip(plan, folds))
 
-    def mul(self, a, b):
-        return self._product((*a, *b), self.mul_plan)
+    def mul(self, a, b, reduction=None):
+        return self._product((*a, *b), self.mul_plan, reduction)
 
-    def square(self, a):
+    def square(self, a, reduction=None):
         """mul(a, a), each cross product a_i * a_j (i < j) taken once as a_i * 2 a_j."""
-        return self._product((*a, *(c + c for c in a[1:])), self.square_plan)
+        return self._product((*a, *(c + c for c in a[1:])), self.square_plan, reduction)
+
+    def mulmod(self, x, y):
+        """x*y mod m in (-m, m), written over x, on the float path: r = x*y - q*m for
+        q = rint(fl(x) * fl(y) * minv), exact in wrapping int64 since |r| < 2^63.
+        Three roundings of 2^-53 put the estimate within |x*y/m| * 3 * 2^-53 of x*y/m.
+        For |x|, |y| < m < 2^50 that is below 0.375, so q is off by at most 0.875 and
+        |r| < 0.875 m; for y an entry of table, |x*y| < m*|y| < 2^63 by its width rule,
+        so |y| < 2^63 / 2^25 = 2^38 is exact in float64 and q is off by at most 0.5 + 2^-13."""
+        est = x.astype(np.float64)  # two temporaries, the rest in place: fresh arrays page-fault
+        est *= est if y is x else y
+        est *= self.minv
+        q = np.rint(est, out=est).astype(np.int64)
+        q *= self.m
+        return np.subtract(np.multiply(x, y, out=x), q, out=x)
 
     def table(self, a):
         """The exact powers a^0, ..., a^(2^w - 1) of the d-tuple of ints a for the
@@ -274,26 +296,33 @@ class Lanes:
                 return powers[: 1 << w]
         return None
 
-    def power(self, a, e):
+    def power(self, a, e, reduction=None):
         """a^e lane by lane for a d-tuple a and e >= 0 by pow_lanes.  Ints are one
         exact constant: each digit multiplies by table(a), gathered from d int64
         columns, with one exact product and reduction per coefficient; residues
-        per lane, and ints with no table (as residues), take w = 1 and the full product mul."""
+        per lane, and ints with no table (as residues), take w = 1 and the full product mul.
+        A reduction(pairs, extra), if given, reduces every product instead."""
         m = self.m
+        square = lambda r: self.square(r, reduction)
         table = None if any(map(np.ndim, a)) else self.table(tuple(map(int, a)))
         if table is None:
             a = tuple(residues(c, m) for c in a)
             pick = lambda d: tuple(np.where(d == 1, c, o) for c, o in zip(a, self.one))
-            return pow_lanes(e, 1, pick, self.square, lambda r, d: self.mul(r, pick(d)))
+            return pow_lanes(e, 1, pick, square, lambda r, d: self.mul(r, pick(d), reduction))
         cols = [np.array(c, dtype=np.int64) for c in zip(*table)]
         first = lambda d: tuple(c[d] % m for c in cols)
-        exact = lambda pairs, extra=None: _sum(pairs, extra) % m
+        exact = reduction or (lambda pairs, extra=None: _sum(pairs, extra) % m)
         times = lambda r, d: self._product((*r, *(c[d] for c in cols)), self.mul_plan, exact)
-        return pow_lanes(e, len(table).bit_length() - 1, first, self.square, times)
+        return pow_lanes(e, len(table).bit_length() - 1, first, square, times)
 
     def pow(self, a, e):
-        """a^e for an int a or residues a in [0, m) by power."""
-        return self.power((a,), e)[0]
+        """a^e for an int a or residues a in [0, m) by power.  On the float path each
+        square and digit product is one mulmod on balanced residues in (-m, m), and
+        one % ends the power.  RingLanes keep dot: two or three pairs per coefficient
+        can put the quotient estimate more than 1 off near m = 2^50."""
+        if self.minv is None:
+            return self.power((a,), e)[0]
+        return self.power((a,), e, lambda pairs, extra=None: self.mulmod(*pairs[0]))[0] % self.m
 
 
 def fold_rows(f) -> list[tuple[int, ...]]:

@@ -109,6 +109,11 @@ def test_wieferich_cli(runner):
     assert "1093,wieferich,hit" in res.stdout
     # observed against expected hits, over the 302 odd primes to 2000
     assert "1 hit(s) (1.79 expected) of 302 tested" in res.stderr
+    # --pmin defaults to 2, a Wieferich prime to bases 5 and 13 (5 = 1 mod 4); to
+    # base 2 it divides the base and is excluded, so the counts above hold either way
+    res = runner.invoke(main, ["wieferich", "--base", "5", "--pmax", "50000", "--workers", "1"])
+    assert res.exit_code == 0, res.output
+    assert [line.split(",")[1] for line in res.stdout.splitlines()[1:]] == ["2", "20771", "40487"]
 
 
 def test_heuristics_injective(runner):

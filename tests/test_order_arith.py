@@ -228,6 +228,26 @@ def test_float_quotient_mulmod_exact(kind):
     for _ in range(100):
         n = rng.randint(2, 3)
         check([(rng.choice(operands), rng.choice(operands)) for _ in range(n)], rng.choice(extras))
+    if kind != "float":
+        return
+    # mulmod, the one pair of the balanced Z/m powers on the float path: x and y
+    # in (-m, m) give |r| < 0.875 m; x times an entry y of the table of a base at
+    # each width boundary of the largest modulus, negative ones too, gives
+    # |r| < (0.5 + 2^-13) m; a rounded quotient, never a truncated one
+    balanced = operands + [[-c for c in x] for x in operands] + [[1] * len(ms), [-1] * len(ms)]
+
+    def check_mulmod(x, y, bound):
+        got = lanes.mulmod(lanes_of(x), lanes_of(y)).tolist()
+        assert [(r - a * b) % m for r, a, b, m in zip(got, x, y, ms)] == [0] * len(ms)
+        assert max(abs(r) / m for r, m in zip(got, ms)) < bound
+
+    for x, y in itertools.product(balanced, repeat=2):
+        check_mulmod(x, y, 0.875)
+    for w in (3, 2, 1):
+        a = bisect.bisect(range(1 << 62), False, key=lambda a: len(lanes.table((a,)) or ()) < 1 << w) - 1
+        for c in (c for base in (a, -a) for (c,) in lanes.table((base,))):
+            for x in balanced:
+                check_mulmod(x, [c] * len(ms), 0.5 + 2**-13)
 
 
 def test_lanes_path_follows_the_largest_modulus():
@@ -236,7 +256,9 @@ def test_lanes_path_follows_the_largest_modulus():
     for ms, path in (([3, MULMOD_PMAX - 1], "exact"), ([], "exact"), ([3, MULMOD_PMAX], "float"),
                      ([3, (1 << 50) - 1], "float"), ([9, 1 << 50], "digits"),
                      ([4, ((1 << 30) - 1) ** 2], "digits")):
-        assert lanes_path(Lanes(lanes_of(ms))) == path, ms
+        lanes = Lanes(lanes_of(ms))
+        # Lanes.pow runs on balanced residues where minv is set: the float path alone
+        assert lanes_path(lanes) == path and (lanes.minv is not None) == (path == "float"), ms
     assert Lanes(lanes_of([9, 1 << 50])).q.tolist() == [3, 1 << 25]
     for ms in ([(1 << 50) + 1], [3, 1 << 50], [1 << 60], [9, (1 << 62) - 1]):
         with pytest.raises(ValueError, match="squares below 2\\^60"):
@@ -315,7 +337,9 @@ def test_fold_rows_and_int64_rule():
             assert (RingLanes(f, m).lane_folds is not None) == (f in over), f
         assert RingLanes(f, digits).lane_folds is not None, f
     residue_folds = lambda f, m: [[(j, c.tolist()) for j, c in fold] for fold in RingLanes(f, m).lane_folds]
-    assert residue_folds((-2, 0), digits) == [[(0, [2, 2])], []]
+    # on the digit path each entry is held split once, as its base-q digits (c // q, c % q)
+    assert [[(j, [c1.tolist(), c0.tolist()]) for j, (c1, c0) in fold]
+            for fold in RingLanes((-2, 0), digits).lane_folds] == [[(0, [[0, 0], [2, 2]])], []]
     assert residue_folds((-4096, 0), exact) == [[(0, [4096 % 3, 4096])], []]
 
 
@@ -342,23 +366,28 @@ def lane_ring(f, ms):
 def test_ring_lanes_match_scalar(kind, f):
     # mul, square and pow of residues, one lane per modulus, against the tuple
     # references: the first lanes hold 0, all-(m - 1) and 1, exponents 0 to 3
-    # lead the random ones, and all-0 and all-1 exponents follow; rings also
+    # lead the random ones, and all-0 and all-1 exponents follow; one more
+    # element holds m - 1 on every lane, up to the largest modulus of each path
+    # (33,554,393, the largest prime below 2^25, and its square); rings also
     # raise the exact x and apply images
     rng = random.Random(43)
     ms, d = moduli(kind), max(len(f), 1)
     ring, power, mul, scalar_pow = lane_ring(f, ms)
 
-    def elements():
+    def elements(out=None):
         """One element per lane, as tuples and as the ring's lanes."""
-        out = [(0,) * d, (ms[1] - 1,) * d, (1,) + (0,) * (d - 1)] + [
+        out = out or [(0,) * d, (ms[1] - 1,) * d, (1,) + (0,) * (d - 1)] + [
             tuple(rng.randrange(m) for _ in range(d)) for m in ms[3:]]
         return out, tuple(lanes_of([x[k] for x in out]) for k in range(d))
 
     (a, la), (b, lb) = elements(), elements()
+    top = elements([(m - 1,) * d for m in ms])
+    assert kind == "digits" or max(ms) in (33_554_393, 33_554_393**2)
     assert _transpose(ring.mul(la, lb)) == [mul(x, y, m) for x, y, m in zip(a, b, ms)]
-    assert _transpose(ring.square(la)) == [mul(x, x, m) for x, m in zip(a, ms)]
+    for x, lx in ((a, la), top):
+        assert _transpose(ring.square(lx)) == [mul(y, y, m) for y, m in zip(x, ms)]
     exps = [0, 1, 2, 3] + [rng.randrange(1 << rng.randint(1, 62)) for _ in ms[4:]]
-    for x, lx in ((a, la), (b, lb)):
+    for x, lx in ((a, la), (b, lb), top):
         for es in (exps, [0] * len(ms), [1] * len(ms)):
             assert _transpose(power(lx, lanes_of(es))) == [
                 scalar_pow(y, k, m) for y, k, m in zip(x, es, ms)]
