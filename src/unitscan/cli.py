@@ -36,7 +36,7 @@ _workers_option = click.option("--workers", type=click.IntRange(min=1), default=
 
 
 def integer(value) -> int:
-    """Click type of a prime bound: an integer, plain or as digits times a power of ten."""
+    """Click type of a prime bound or a count: an integer, plain or as digits times a power of ten."""
     m = re.fullmatch(r"([+-]?\d+)(?:[eE]\+?(\d{1,2}))?", str(value).strip())
     if m is None:
         raise click.BadParameter(f"{value!r} is not an integer such as 10000000 or 1e7")
@@ -204,7 +204,7 @@ def injective_prob_cmd(p, n, m):
 @click.option("-p", type=int, required=True)
 @click.option("-n", type=int, required=True)
 @click.option("-m", type=int, required=True)
-@click.option("--trials", type=int, default=100_000, show_default=True)
+@click.option("--trials", type=integer, default=100_000, show_default=True)
 @click.option("--seed", type=int, default=42, show_default=True)
 def monte_carlo_cmd(p, n, m, trials, seed):
     """Seeded empirical injectivity frequency (reproducible)."""

@@ -36,7 +36,8 @@ __all__ = [
 # generator keyed by (seed, block index): results do not depend on how blocks
 # are distributed across workers.
 _MC_BLOCK = 1 << 14
-# Trials per elimination slice in _rank_mod_p: bounds its working copies.
+# Trials per draw and per _rank_mod_p call in monte_carlo_injective: bounds
+# the draw buffer and the elimination's working copies.
 _RANK_SLICE = 1 << 12
 
 
@@ -102,41 +103,44 @@ def _count_injective(mats: np.ndarray, p: int) -> int:
 def _rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
     """Rank over F_p of each (m, n) matrix, m >= n as in every injectivity
     trial, of a (trials, m, n) block with entries in [0, p): fraction-free
-    Gaussian elimination on all trials at once, _RANK_SLICE trials at a time
-    in lanes-last (m, n, lanes) layout.
+    Gaussian elimination on all trials at once in lanes-last (m, n, lanes)
+    layout.
 
     Column c pivots on its first nonzero row, picked by a bottom-up select:
-    start from the last row and let each row above replace it where its
-    entry in column c is nonzero.  A lane has a pivot when the picked entry
-    is nonzero, and pv = max(pivot, 1) is 1 in lanes with none, since
-    entries lie in [0, p).  Every row becomes row*pv - row[c]*pivot_row
-    mod p.  That zeroes the pivot row too, so it never pivots again.
+    start from the last row and let each row above replace it, as
+    prow + (row - prow) * mask, where its entry in column c is nonzero.  A
+    lane has a pivot when the picked entry is nonzero, and pv = max(pivot, 1)
+    is 1 in lanes with none, since entries lie in [0, p).  Every row becomes
+    row*pv - row[c]*pivot_row mod p.  That zeroes the pivot row too, so it
+    never pivots again.
 
-    int64 products stay below 2^62 for p < 2^31, and there the reduction is
-    x - x // p * p: the same floor remainder as x % p, but numpy divides
-    int64 by a scalar with a multiply and shift, which it does not do for %.
-    Larger p use Python ints in object arrays, where one % is cheaper.
+    Products of entries stay within (p - 1)^2 and x // p * p within p(p - 1)
+    in magnitude, so the lanes are the narrowest dtype holding p(p - 1): int8
+    for p <= 11, int16 for p <= 181, int32 for p <= 46337, int64 for
+    p <= 3037000493.  There the reduction is x - x // p * p: the same floor
+    remainder as x % p, but numpy divides by a scalar with a multiply and
+    shift, which it does not do for %.  Larger p use Python ints in object
+    arrays, where one % is cheaper.
     """
     m, n = mats.shape[1:]
-    wide = p >= 1 << 31
-    dtype = object if wide else np.int64
+    fits = (t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= p * (p - 1))
+    dtype = next(fits, object)
+    a = mats.transpose(1, 2, 0).astype(dtype, order="C")
     ranks = np.zeros(len(mats), dtype=np.int64)
-    for s in range(0, len(mats), _RANK_SLICE):
-        a = mats[s:s + _RANK_SLICE].transpose(1, 2, 0).astype(dtype, order="C")
-        for c in range(n):
-            prow = a[-1, c:]
-            for r in range(m - 2, -1, -1):
-                prow = np.where(a[r, c] != 0, a[r, c:], prow)
-            ranks[s:s + _RANK_SLICE] += prow[0] != 0
-            if c == n - 1:
-                break
-            rest = a[:, c + 1:]
-            rest *= np.maximum(prow[0], 1)
-            rest -= a[:, c:c + 1] * prow[1:]
-            if wide:
-                rest %= p
-            else:
-                rest -= rest // p * p
+    for c in range(n):
+        prow = a[-1, c:]
+        for r in range(m - 2, -1, -1):
+            prow = prow + (a[r, c:] - prow) * (a[r, c] != 0)
+        ranks += prow[0] != 0
+        if c == n - 1:
+            break
+        rest = a[:, c + 1:]
+        rest *= np.maximum(prow[0], 1)
+        rest -= a[:, c:c + 1] * prow[1:]
+        if dtype is object:
+            rest %= p
+        else:
+            rest -= rest // p * p
     return ranks
 
 
@@ -144,7 +148,10 @@ def monte_carlo_injective(p: int, n: int, m: int, trials: int, seed: int) -> Mon
     """Empirical injectivity frequency over seeded uniform matrices.
 
     Deterministic: the same seed gives a bit-identical result on any
-    platform and partitioning.
+    platform and partitioning.  Each block is drawn and ranked _RANK_SLICE
+    trials at a time; the slices equal one draw of the whole block, since
+    the block's Philox generator is one counter stream and numpy's bounded
+    integers (Lemire's method) take it one value at a time.
     """
     require_prime(p)
     if p >= 1 << 63:
@@ -159,8 +166,9 @@ def monte_carlo_injective(p: int, n: int, m: int, trials: int, seed: int) -> Mon
     while done < trials:
         count = min(_MC_BLOCK, trials - done)
         g = _block_generator(seed, block)
-        mats = g.integers(0, p, size=(count, m, n), dtype=np.int64)
-        successes += _count_injective(mats, p)
+        for s in range(0, count, _RANK_SLICE):
+            size = (min(_RANK_SLICE, count - s), m, n)
+            successes += _count_injective(g.integers(0, p, size=size, dtype=np.int64), p)
         done += count
         block += 1
     return MonteCarloResult(trials, successes, seed)

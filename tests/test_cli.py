@@ -133,6 +133,14 @@ def test_heuristics_monte_carlo_deterministic(runner):
     assert out1.stdout == out2.stdout
 
 
+def test_heuristics_monte_carlo_trials_take_a_power_of_ten(runner):
+    args = ["heuristics", "monte-carlo", "-p", "3", "-n", "2", "-m", "2", "--seed", "9"]
+    res = runner.invoke(main, [*args, "--trials", "1e4"])
+    assert res.exit_code == 0, res.output
+    assert "/10000," in res.stdout
+    assert res.stdout == runner.invoke(main, [*args, "--trials", "10000"]).stdout
+
+
 def test_heuristics_monte_carlo_bad_seed_and_p(runner):
     args = ["heuristics", "monte-carlo", "-n", "1", "-m", "1", "--trials", "10"]
     res = runner.invoke(main, [*args, "-p", "3", "--seed", "-1"])

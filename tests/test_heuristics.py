@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -127,7 +128,8 @@ RANK_SHAPES = [(1, 1), (3, 1), (2, 2), (3, 2), (5, 2), (3, 3), (5, 3), (4, 4), (
 
 def _structured_block(p: int, m: int, n: int, rng) -> np.ndarray:
     """Random matrices plus zero, identity, all-(p-1), repeated-column,
-    proportional-column, low-rank and last-row-pivot ones, entries in [0, p)."""
+    proportional-column, low-rank, last-row-pivot and {0, 1, p-1} ones,
+    entries in [0, p)."""
     mats = [np.zeros((m, n), dtype=object), np.eye(m, n, dtype=np.int64).astype(object)]
     mats.append(np.full((m, n), p - 1, dtype=object))
     last = rng.integers(0, p, size=(m, n), dtype=np.int64).astype(object)
@@ -145,15 +147,25 @@ def _structured_block(p: int, m: int, n: int, rng) -> np.ndarray:
         b = rng.integers(0, p, size=(m, r), dtype=np.int64).astype(object)
         c = rng.integers(0, p, size=(r, n), dtype=np.int64).astype(object)
         mats.append(b.dot(c) % p if r else np.zeros((m, n), dtype=object))
+    for _ in range(6):
+        # entries 0 and +-1: row*pv - row[c]*pivot_row reaches (p - 1)^2 in magnitude before
+        # the reduction, which a lane one size too narrow wraps; all-(p - 1) rows cancel to 0
+        a = np.array([0, 1, p - 1], dtype=object)[rng.integers(0, 3, size=(m, n))]
+        mats.append(a.copy())
+        a[:, -1] = -a[:, 0] % p  # swaps 1 and p - 1: one column overflows, the other not
+        mats.append(a)
     mats += list(rng.integers(0, p, size=(40, m, n), dtype=np.int64).astype(object))
     return np.array(mats, dtype=object).astype(np.int64)
 
 
 @pytest.mark.parametrize(
-    "p", [2, 3, 5, 1_000_003, 2**31 - 1, 2147483659, 2**32 - 5, 2**61 - 1])
+    "p", [2, 3, 5, 11, 13, 181, 191, 46337, 46349, 1_000_003, 2**31 - 1, 2147483659, 2**32 - 5,
+          3037000493, 3037000507, 2**61 - 1])
 def test_rank_kernel_matches_oracle(p):
-    # 2147483659 is the first prime above 2^31: it, 2^32 - 5 and 2^61 - 1
-    # take the object-array side, the rest the int64 side
+    # each pair 11, 13 / 181, 191 / 46337, 46349 / 3037000493, 3037000507
+    # straddles the int8, int16, int32 and int64 lane bounds on p(p - 1),
+    # which the {0, 1, p - 1} matrices reach; 3037000507 and 2^61 - 1 take
+    # the object-array side
     rng = np.random.default_rng(p % 1000)
     for m, n in RANK_SHAPES:
         mats = _structured_block(p, m, n, rng)
@@ -162,16 +174,48 @@ def test_rank_kernel_matches_oracle(p):
         assert heuristics._rank_mod_p(mats[:1], p).tolist() == got[:1].tolist()
 
 
-@pytest.mark.parametrize("p, m, n", [(3, 4, 4), (2, 5, 3), (2**31 - 1, 3, 3)])
+# 3 and 2^31 - 1 draw on numpy's 32-bit bounded path, 4294967311 (the first
+# prime above 2^32) and 2^61 - 1 on its 64-bit path
+DRAW_PRIMES = [3, 2**31 - 1, 4294967311, 2**61 - 1]
+
+
+@pytest.mark.parametrize("p", DRAW_PRIMES)
+def test_sliced_draws_equal_the_block_draw(p):
+    sizes = [1, 2, heuristics._RANK_SLICE, 1237]
+    whole = heuristics._block_generator(5, 3).integers(0, p, size=(sum(sizes), 3, 2), dtype=np.int64)
+    g = heuristics._block_generator(5, 3)
+    sliced = [g.integers(0, p, size=(k, 3, 2), dtype=np.int64) for k in sizes]
+    assert np.array_equal(np.concatenate(sliced), whole)
+
+
+@pytest.mark.parametrize(
+    "p, m, n", [(3, 4, 4), (2, 5, 3), (2**31 - 1, 3, 3), (4294967311, 2, 2), (2**61 - 1, 2, 2)])
 def test_rank_kernel_across_slices(p, m, n):
-    # two full slices and a partial one, with repeated columns and zero
-    # matrices mixed in
-    trials = 2 * heuristics._RANK_SLICE + 37
-    mats = np.random.default_rng(n).integers(0, p, size=(trials, m, n), dtype=np.int64)
-    mats[::5, :, -1] = mats[::5, :, 0]
-    mats[::7] = 0
-    got = heuristics._rank_mod_p(mats, p)
-    assert got.tolist() == [rank_mod_p(a.tolist(), p) for a in mats]
+    # monte_carlo_injective draws and ranks a full block and a tail of two
+    # full slices and a partial one, slice by slice; the oracle ranks each
+    # block drawn whole
+    tail = 2 * heuristics._RANK_SLICE + 37
+    want = 0
+    for block, count in enumerate((heuristics._MC_BLOCK, tail)):
+        g = heuristics._block_generator(n, block)
+        want += sum(rank_mod_p(a.tolist(), p) == n for a in g.integers(0, p, size=(count, m, n), dtype=np.int64))
+    assert monte_carlo_injective(p, n, m, heuristics._MC_BLOCK + tail, n).successes == want
+
+
+def test_monte_carlo_draw_memory_is_one_slice():
+    # a whole 2^14-trial block of 12 x 12 int64 draws is 18.9 MB; one slice is 4.7 MB
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        monte_carlo_injective(3, 12, 12, 2**14, 1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < 12e6, peak
 
 
 @pytest.mark.parametrize("p, m, n", [(2, 3, 3), (3, 2, 2), (3, 3, 2), (2, 4, 2)])
