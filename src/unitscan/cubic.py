@@ -25,7 +25,7 @@ from ._parallel import run_chunked
 # pow3 is poly_pow, called through this module global: the benchmark traces that name
 from .order_arith import (Lanes, OrderSpec, RingLanes, frobenius_quotient, mul3, poly_pow as pow3,
                           residues, ring_apply)
-from .primes import PrimeRange, prime_array, prime_divisors, primes_in, require_prime  # the benchmark traces primes_in
+from .primes import PrimeRange, prime_divisors, primes_in, require_prime  # the benchmark traces primes_in
 from .report import (CLEAR, CLEAR_CODE, CODES, EXCLUDED, HIT, HIT_CODE, Block, ScanReport,
                      Verdict, assemble_report)
 
@@ -430,8 +430,9 @@ def _z_lanes(unit, inv, f, p, xp):
     return rp.apply(rp.apply(t, images), images)
 
 
-def _classify_lanes(rec: CubicFieldRecord, mode: str, primes: np.ndarray) -> Block:
-    """classify_cubic_prime for every prime of the int64 array."""
+def _cubic_chunk(args: tuple[CubicFieldRecord, str], primes: np.ndarray) -> Block:
+    """classify_cubic_prime for every prime of the int64 array, args = (rec, mode)."""
+    rec, mode = args
     f = rec.spec.reduction
     code = np.full(len(primes), CLEAR_CODE, dtype=np.int8)  # clear marks the lanes still live
 
@@ -470,12 +471,6 @@ def _classify_lanes(rec: CubicFieldRecord, mode: str, primes: np.ndarray) -> Blo
     denominators = primes * primes if mode == MODE_H2 else (primes + 1) >> 1
     aux = tuple(zip(*(c[hit].tolist() for c in z)))
     return Block.of(primes, code, aux, denominators=denominators)
-
-
-def _cubic_chunk(args, lo: int, hi: int) -> Block:
-    """The primes in [lo, hi] classified by the batch kernel."""
-    rec, mode = args
-    return _classify_lanes(rec, mode, prime_array(lo, hi))
 
 
 def scan_cubic(

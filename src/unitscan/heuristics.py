@@ -18,7 +18,7 @@ import numpy as np
 
 from ._parallel import run_chunked
 from .order_arith import Lanes, residues
-from .primes import PrimeRange, prime_array, prime_divisors, primes_in, require_prime  # the benchmark traces primes_in
+from .primes import PrimeRange, prime_divisors, primes_in, require_prime  # the benchmark traces primes_in
 from .report import CLEAR_CODE, CODES, HIT_CODE, Block, ScanReport, assemble_report
 
 __all__ = [
@@ -193,9 +193,8 @@ def _wieferich_lanes(base: int, p: np.ndarray) -> np.ndarray:
     return Lanes(p * p).pow(base, p - 1)
 
 
-def _wieferich_chunk(base: int, lo: int, hi: int) -> Block:
-    """The primes in [lo, hi] by the lane kernel; those dividing base are excluded."""
-    primes = prime_array(lo, hi)
+def _wieferich_chunk(base: int, primes: np.ndarray) -> Block:
+    """The hits among the primes of the int64 array; those dividing base are excluded."""
     tested = np.flatnonzero(residues(base, primes) != 0)
     code = np.full(len(primes), CODES.index("divides_base"), dtype=np.int8)
     code[tested] = np.where(_wieferich_lanes(base, primes[tested]) == 1, HIT_CODE, CLEAR_CODE)

@@ -10,6 +10,7 @@ from typing import Iterator
 import numpy as np
 
 RANGE_LIMIT = 10**9
+SEGMENT_SIZE = 1 << 20  # odd numbers, one sieve byte each, per segment of primes_in and count_primes
 
 # Strong-pseudoprime witnesses covering every n < 2^64 (Sinclair / Sorenson-Webster set).
 # They double as the trial divisors, so is_prime settles small n exactly.
@@ -118,20 +119,18 @@ def prime_array(lo: int, hi: int) -> np.ndarray:
     return np.concatenate(([2], primes)) if lo == 2 else primes
 
 
-def _segments(rng: PrimeRange, segment_size: int) -> Iterator[np.ndarray]:
-    """prime_array over rng, 2 * segment_size integers at a time, so memory
+def _segments(rng: PrimeRange) -> Iterator[np.ndarray]:
+    """prime_array over rng, 2 * SEGMENT_SIZE integers at a time, so memory
     use is bounded regardless of the range."""
-    if segment_size < 8:
-        raise ValueError("segment_size too small")
-    span = 2 * segment_size
+    span = 2 * SEGMENT_SIZE
     return (prime_array(a, min(a + span - 1, rng.hi)) for a in range(rng.lo, rng.hi + 1, span))
 
 
-def primes_in(rng: PrimeRange, segment_size: int = 1 << 20) -> Iterator[int]:
+def primes_in(rng: PrimeRange) -> Iterator[int]:
     """Yield the primes in [rng.lo, rng.hi] in ascending order, as Python ints."""
-    for primes in _segments(rng, segment_size):
+    for primes in _segments(rng):
         yield from primes.tolist()
 
 
-def count_primes(rng: PrimeRange, segment_size: int = 1 << 20) -> int:
-    return sum(len(primes) for primes in _segments(rng, segment_size))
+def count_primes(rng: PrimeRange) -> int:
+    return sum(len(primes) for primes in _segments(rng))

@@ -24,7 +24,7 @@ from ._data import DataFileError, data_path, read_table_rows
 from ._parallel import run_chunked
 # pow2 is poly_pow, called through this module global: the benchmark traces that name
 from .order_arith import Lanes, OrderSpec, RingLanes, frobenius_quotient, poly_pow as pow2, residues
-from .primes import PrimeRange, prime_array, prime_divisors, primes_in, require_prime  # the benchmark traces primes_in
+from .primes import PrimeRange, prime_divisors, primes_in, require_prime  # the benchmark traces primes_in
 from .report import (CLEAR, CLEAR_CODE, CODES, EXCLUDED, HIT, HIT_CODE, Block, ScanReport,
                      Verdict, assemble_report)
 
@@ -204,7 +204,7 @@ def classify_quad_prime(rec: QuadFieldRecord, p: int) -> Verdict:
     return Verdict(p, HIT if t == (0, 0) else CLEAR)
 
 
-def _classify_lanes(rec: QuadFieldRecord, primes: np.ndarray) -> Block:
+def _quad_chunk(rec: QuadFieldRecord, primes: np.ndarray) -> Block:
     """classify_quad_prime for every prime of the int64 array."""
     u = rec.unit
     code = np.full(len(primes), CLEAR_CODE, dtype=np.int8)  # clear marks the lanes still live
@@ -222,11 +222,6 @@ def _classify_lanes(rec: QuadFieldRecord, primes: np.ndarray) -> Block:
     t = ring.frobenius_quotient(p, ring.pow((u.a, u.b), p), rec.unit_inverse, (image,))
     code[live[(t[0] == 0) & (t[1] == 0)]] = HIT_CODE
     return Block.of(primes, code)
-
-
-def _quad_chunk(rec: QuadFieldRecord, lo: int, hi: int) -> Block:
-    """The primes in [lo, hi] classified by the lane kernel."""
-    return _classify_lanes(rec, prime_array(lo, hi))
 
 
 def scan_quadratic(

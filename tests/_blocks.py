@@ -15,9 +15,10 @@ from typing import Callable
 import numpy as np
 import pytest
 
+from unitscan import _parallel
 from unitscan._parallel import run_chunked
 from unitscan.order_arith import MULMOD_PMAX, Lanes
-from unitscan.primes import RANGE_LIMIT, PrimeRange, primes_in
+from unitscan.primes import RANGE_LIMIT, PrimeRange, prime_array, primes_in
 from unitscan.report import CODES, EXCLUDED, HIT, Block, assemble_report
 
 STRADDLE = PrimeRange(MULMOD_PMAX - 3000, MULMOD_PMAX + 3000)
@@ -80,10 +81,10 @@ def lane_calls(family: Family):
             init(lanes, moduli)
             built.append(lanes_path(lanes))
 
-        def per_chunk(worker, *rest):
-            def chunk(*args):
+        def per_chunk(classify, *rest):
+            def chunk(args, primes):
                 built.clear()
-                out = worker(*args)
+                out = classify(args, primes)
                 calls["paths"].append(max(built, key=PATHS.index))
                 return out
 
@@ -153,23 +154,29 @@ def check_tiny_chunks(family: Family, records, rng: PrimeRange, spans=(1, 2, 7))
     (full verdicts) or its hits alone, and a chunk without primes none."""
     primes = list(primes_in(rng))
     for span in spans:
-        sizes = []
+        bounds, sizes = [], []
 
-        def tiny(worker, args, lo, hi, workers):
-            def counted(args, a, b):
-                block = worker(args, a, b)
-                sizes.append((a, b, len(block.primes)))
+        def sieved(a, b):
+            bounds.append((a, b))
+            return prime_array(a, b)
+
+        def tiny(classify, args, lo, hi, workers):
+            def counted(args, primes):
+                block = classify(args, primes)
+                sizes.append(len(block.primes))
                 return block
 
             return run_chunked(counted, args, lo, hi, workers, span)
 
         with pytest.MonkeyPatch.context() as m:
+            m.setattr(_parallel, "prime_array", sieved)
             m.setattr(family.module, "run_chunked", tiny)
             for rec in records:
+                bounds.clear()
                 sizes.clear()
                 rep, = check_scans(family, [rec], rng)
                 kept = primes if family.full_verdicts else [v.p for v in rep.hits]
-                want = [(a, b, sum(a <= p <= b for p in kept)) for a, b, _ in sizes]
+                want = [sum(a <= p <= b for p in kept) for a, b in bounds]
                 assert sizes == want, (rec, rep.mode, span)
 
 

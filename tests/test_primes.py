@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from unitscan import primes as primes_mod
 from unitscan.cubic import z_value
 from unitscan.heuristics import injective_probability, level_raising_densities, monte_carlo_injective
 from unitscan.primes import (PrimeRange, count_primes, is_prime, prime_array, primes_in, require_prime,
@@ -17,9 +18,9 @@ def test_small_ranges():
     assert list(primes_in(PrimeRange(3, 3))) == [3]
 
 
-def test_sieve_matches_trial_division():
-    assert list(primes_in(PrimeRange(2, 100_000), segment_size=1 << 12)) == \
-        trial_division_primes(2, 100_000)
+def test_sieve_matches_trial_division(monkeypatch):
+    monkeypatch.setattr(primes_mod, "SEGMENT_SIZE", 1 << 12)
+    assert list(primes_in(PrimeRange(2, 100_000))) == trial_division_primes(2, 100_000)
 
 
 def test_sieve_interior_range():
@@ -27,11 +28,14 @@ def test_sieve_interior_range():
     assert got == trial_division_primes(10_000, 10_200)
 
 
-def test_segment_size_independence():
+def test_segment_size_independence(monkeypatch):
     for rng in (PrimeRange(2, 300_000), PrimeRange(1001, 150_000)):
-        a = list(primes_in(rng, segment_size=1 << 10))
+        monkeypatch.setattr(primes_mod, "SEGMENT_SIZE", 1 << 10)
+        a = list(primes_in(rng))
         for segment_size in (8, 9, 1000, 1 << 18):
-            assert list(primes_in(rng, segment_size=segment_size)) == a, (rng, segment_size)
+            monkeypatch.setattr(primes_mod, "SEGMENT_SIZE", segment_size)
+            assert list(primes_in(rng)) == a, (rng, segment_size)
+            assert count_primes(rng) == len(a), (rng, segment_size)
 
 
 Q = 31_607  # the largest base prime: Q * Q <= RANGE_LIMIT
@@ -53,12 +57,13 @@ def test_prime_array_matches_is_prime(lo, hi):
 
 
 @pytest.mark.parametrize("segment_size", [8, 64, 1 << 20])
-def test_sieve_matches_sieve_upto_across_segments(segment_size):
+def test_sieve_matches_sieve_upto_across_segments(monkeypatch, segment_size):
     # each range covers two segment boundaries, from an even and an odd start
+    monkeypatch.setattr(primes_mod, "SEGMENT_SIZE", segment_size)
     span = 2 * segment_size
     for lo in (2, span - 5, span - 4):
         hi = lo + 2 * span + 11
-        got = list(primes_in(PrimeRange(lo, hi), segment_size))
+        got = list(primes_in(PrimeRange(lo, hi)))
         assert got == [q for q in sieve_upto(hi) if q >= lo], (lo, hi)
         assert all(type(q) is int for q in got)
 
@@ -128,7 +133,6 @@ def test_sieve_upto():
 
 def test_base_primes_sieved_once_per_process(monkeypatch, quad_records):
     # many chunks, small and near the range limit, share one base-prime sieve
-    from unitscan import primes as primes_mod
     from unitscan.quadratic import scan_quadratic
 
     calls = []
@@ -138,11 +142,12 @@ def test_base_primes_sieved_once_per_process(monkeypatch, quad_records):
         return sieve_upto(n)
 
     monkeypatch.setattr(primes_mod, "sieve_upto", counted)
+    monkeypatch.setattr(primes_mod, "SEGMENT_SIZE", 1 << 10)
     primes_mod._odd_base_primes.cache_clear()
     try:
         rep = scan_quadratic(quad_records[2], PrimeRange(3, 500_000))  # 2 chunks
         lo = 10**9 - 2**16 + 1
-        top = list(primes_in(PrimeRange(lo, 10**9), segment_size=1 << 10))  # 64 segments
+        top = list(primes_in(PrimeRange(lo, 10**9)))  # 32 segments
     finally:
         primes_mod._odd_base_primes.cache_clear()
     assert calls == [31_622]

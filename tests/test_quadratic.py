@@ -22,7 +22,6 @@ from unitscan.quadratic import (
     quad_unit_test,
     scan_quadratic,
     unit_norm,
-    _classify_lanes,
     _quad_chunk,
 )
 from unitscan.order_arith import MULMOD_PMAX, frobenius_quotient, mul2, poly_discriminant, poly_pow
@@ -179,7 +178,7 @@ def test_large_unit_takes_int64_lanes(quad_records):
     assert [v.p for v in rep.hits] == [3, 13, 17, 31]
     check_scans(QUAD, (rec, wide, golden), NEAR_LIMIT, ("digits",))
     assert [p for p in rep.clears if quad_hit_naive(2, a, b, p)] == []
-    assert list(_classify_lanes(rec, np.array([], dtype=np.int64))) == []
+    assert list(_quad_chunk(rec, np.array([], dtype=np.int64))) == []
 
 
 def test_exclusion_verdicts(quad_records):
@@ -189,7 +188,7 @@ def test_exclusion_verdicts(quad_records):
     synthetic = QuadFieldRecord(7, 5)  # pretend class number 5
     v = classify_quad_prime(synthetic, 5)
     assert v.status == EXCLUDED and v.reason == "divides_class_number"
-    assert list(_classify_lanes(synthetic, np.array([2, 5, 7]))) == [
+    assert list(_quad_chunk(synthetic, np.array([2, 5, 7]))) == [
         classify_quad_prime(synthetic, p) for p in (2, 5, 7)]
     with pytest.raises(ValueError, match=r"p=3 ramifies in Q\(sqrt\(6\)\)"):
         quad_unit_test(quad_records[6], 3)
@@ -233,10 +232,10 @@ def test_partition_arguments_checked(quad_records):
             run_chunked(_quad_chunk, quad_records[2], 3, 100, 1, span)
 
 
-def _span(args, a, b):
-    # one hit per chunk whose aux records the call, so the joined aux shows
-    # both the args passed and the exact chunk boundaries of every path
-    return Block.of(np.array([a]), np.array([HIT_CODE], dtype=np.int8), ((args, a, b),))
+def _span(args, primes):
+    # one hit per chunk whose aux records the args passed and the chunk's first
+    # number; a spy on the sieve stands in for it and records each chunk's bounds
+    return Block.of(primes[:1], np.array([HIT_CODE], dtype=np.int8), ((args, int(primes[0])),))
 
 
 def test_default_chunk_span_divides_int64_bound():
@@ -267,15 +266,27 @@ def test_pool_size_capped_at_cores(monkeypatch):
             return [worker(*c) for c in chunks]
 
     monkeypatch.setattr(_parallel, "get_context", lambda: SimpleNamespace(Pool=Pool))
-    serial = run_chunked(_span, "x", 1, 10, 1, 2).aux
-    # cuts at the multiples of the span, the first chunk starting at lo
-    assert serial == (("x", 1, 1), ("x", 2, 3), ("x", 4, 5), ("x", 6, 7), ("x", 8, 9), ("x", 10, 10))
-    for cores, workers, want in ((2, 1000, [2]), (8, 3, [3]), (8, 1000, [6]), (1, 1000, []),
-                                 (None, 1000, [])):
-        monkeypatch.setattr(_parallel.os, "cpu_count", lambda: cores)
-        sizes.clear()
-        assert run_chunked(_span, "x", 1, 10, workers, 2).aux == serial
-        assert sizes == want, (cores, workers)
+    bounds = []
+
+    def sieved(a, b):
+        bounds.append((a, b))
+        return np.arange(a, b + 1)
+
+    with monkeypatch.context() as m:
+        m.setattr(_parallel, "prime_array", sieved)
+        serial = run_chunked(_span, "x", 1, 10, 1, 2).aux
+        # cuts at the multiples of the span, the first chunk starting at lo
+        chunks = [(1, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 10)]
+        assert bounds == chunks
+        assert serial == tuple(("x", a) for a, _ in chunks)
+        for cores, workers, want in ((2, 1000, [2]), (8, 3, [3]), (8, 1000, [6]), (1, 1000, []),
+                                     (None, 1000, [])):
+            m.setattr(_parallel.os, "cpu_count", lambda: cores)
+            sizes.clear()
+            bounds.clear()
+            assert run_chunked(_span, "x", 1, 10, workers, 2).aux == serial
+            assert bounds == chunks, (cores, workers)
+            assert sizes == want, (cores, workers)
     monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
     sizes.clear()
     rng = PrimeRange(3, 300_000)

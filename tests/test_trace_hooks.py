@@ -74,3 +74,34 @@ def test_traced_cubic_reason_counts(monkeypatch, cubic_records):
                                         for p in primes_in(rng)) if v.status == EXCLUDED)
     assert traced == scalar == rep.excluded_counts
     assert sum(v.status != EXCLUDED for v in out) == rep.tested
+
+
+def test_clock_checkpoints_resolve(monkeypatch, quad_records, cubic_records, chunk_counts):
+    # every untraced serial benchmark pass places its speed probes by swapping
+    # the CHECKPOINTS calls (perfbench/clock.py): each must be swapped, and
+    # called through its module global once per chunk or per rank slice
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    clock = importlib.import_module("clock")
+    calls = Counter()
+    for mod, attr in clock.CHECKPOINTS:
+        def counted(*args, f=getattr(mod, attr), name=attr):
+            calls[name] += 1
+            return f(*args)
+
+        monkeypatch.setattr(mod, attr, counted)
+    hooked = {attr: getattr(mod, attr) for mod, attr in clock.CHECKPOINTS}
+    timer = clock.Clock()
+    probes = []
+    timer.checkpoint = lambda: probes.append(None)
+    rng = PrimeRange((1 << 18) - 2000, (1 << 18) + 2000)  # two chunks
+    with clock.checkpoints(timer):
+        for mod, attr in clock.CHECKPOINTS:
+            assert getattr(mod, attr) is not hooked[attr], attr
+        quadratic.scan_quadratic(quad_records[2], rng)
+        cubic.scan_cubic(cubic_records[-23], rng, mode=cubic.MODE_H2)
+        heuristics.scan_wieferich(2, rng)
+        heuristics.monte_carlo_injective(3, 2, 2, 5000, 1)  # two rank slices of at most 4,096 trials
+    assert all(getattr(mod, attr) is hooked[attr] for mod, attr in clock.CHECKPOINTS)
+    assert chunk_counts == [2, 2, 2]
+    assert calls == {"_quad_chunk": 2, "_cubic_chunk": 2, "_wieferich_chunk": 2, "_count_injective": 2}
+    assert len(probes) == sum(calls.values())
