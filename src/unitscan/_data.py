@@ -14,17 +14,16 @@ class DataFileError(Exception):
     """A bundled or user-supplied data file failed validation."""
 
 
-def data_path(name: str, data_dir: str | None = None) -> Path:
-    """Resolve a data file: explicit directory, then $UNITSCAN_DATA_DIR, then bundled."""
+def data_path(name: str, data_dir: str | None = None) -> Path | resources.abc.Traversable:
+    """Resolve a data file: explicit directory, then $UNITSCAN_DATA_DIR, then the
+    bundled resource, read in place (so also from a zip or a wheel)."""
     for d in (data_dir, os.environ.get(DATA_DIR_ENV)):
         if d:
             p = Path(d) / name
             if not p.exists():
                 raise DataFileError(f"data file {p} not found")
             return p
-    p = resources.files("unitscan").joinpath("data", name)
-    with resources.as_file(p) as concrete:
-        return Path(concrete)
+    return resources.files("unitscan") / "data" / name
 
 
 def read_table_rows(path: Path) -> list[list[str]]:

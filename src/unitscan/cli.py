@@ -102,7 +102,7 @@ def main():
 
 @main.command("scan-quad")
 @click.option("--d", "d_key", required=True, help="Squarefree D >= 2, or 'all'.")
-@click.option("--pmax", type=integer, default=9999, show_default=True, help="Inclusive upper bound.")
+@click.option("--pmax", type=integer, default=report.QUAD_TABLE_PMAX, show_default=True, help="Inclusive upper bound.")
 @click.option("--pmin", type=integer, default=quadratic.MIN_SCAN_PRIME, show_default=True)
 @click.option("--full-verdicts", is_flag=True, help="Report clears and exclusions too.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
@@ -119,7 +119,7 @@ def scan_quad(d_key, pmax, pmin, full_verdicts, fmt, workers, data_dir):
 
 @main.command("scan-cubic")
 @click.option("--delta", required=True, help="Field discriminant (negative), or 'all'.")
-@click.option("--pmax", type=integer, default=200_000, show_default=True)
+@click.option("--pmax", type=integer, default=report.CUBIC_TABLE_DEFAULT_PMAX, show_default=True)
 @click.option("--pmin", type=integer, default=3, show_default=True)
 @click.option("--mode", type=click.Choice([cubic.MODE_H2, cubic.MODE_ORDINARY]), required=True)
 @click.option("--full-verdicts", is_flag=True)
@@ -253,7 +253,8 @@ def expected_count_cmd(x, power):
     default="all",
     show_default=True,
 )
-@click.option("--pmax", type=integer, default=None, help="Scan bound (defaults per table).")
+@click.option("--pmax", type=integer, default=None,
+              help=f"Scan bound (defaults per table); the quad table never scans past {report.QUAD_TABLE_PMAX}.")
 @_workers_option
 @click.option("--data-dir", default=None)
 def verify_tables_cmd(table, pmax, workers, data_dir):

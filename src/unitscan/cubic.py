@@ -16,6 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 from math import log
 
 import numpy as np
@@ -113,21 +114,9 @@ def _inverse_mod(g, f, m: int) -> tuple[int, int, int]:
 
 
 def real_root(spec: OrderSpec) -> float:
-    """The unique real root of f (disc < 0), by bisection."""
-    f0, f1, f2 = spec.reduction
-
-    def g(x):
-        return ((x + f2) * x + f1) * x + f0
-
-    bound = 1.0 + max(abs(f0), abs(f1), abs(f2))
-    lo, hi = -bound, bound
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if g(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+    """The unique real root of f (disc < 0): numpy's root of least imaginary part."""
+    roots = np.roots(spec.defining_poly[::-1])
+    return float(roots[np.argmin(abs(roots.imag))].real)
 
 
 def _embed(triple, root: float) -> float:
@@ -151,15 +140,11 @@ def _normalize_unit(spec: OrderSpec, triple, root: float):
 
 def _unit_candidates(spec: OrderSpec, bound: int, root: float):
     best = None
-    for a in range(-bound, bound + 1):
-        for b in range(-bound, bound + 1):
-            for c in range(-bound, bound + 1):
-                if b == 0 and c == 0:
-                    continue  # rational integers: only the torsion +-1
-                if element_norm(spec, (a, b, c)) in (1, -1):
-                    lg = abs(log(abs(_embed((a, b, c), root))))
-                    if lg > 1e-12 and (best is None or lg < best[0] - 1e-12):
-                        best = (lg, (a, b, c))
+    for t in product(range(-bound, bound + 1), repeat=3):
+        if t[1:] != (0, 0) and element_norm(spec, t) in (1, -1):  # rational integers: only the torsion +-1
+            lg = abs(log(abs(_embed(t, root))))
+            if lg > 1e-12 and (best is None or lg < best[0] - 1e-12):
+                best = (lg, t)
     return best
 
 
@@ -177,20 +162,14 @@ def find_fundamental_unit(spec: OrderSpec, coeff_bound: int = 10):
         raise ValueError("needs a cubic order of negative discriminant (unit rank 1)")
     root = real_root(spec)
     absd = -spec.discriminant
-    best = _unit_candidates(spec, coeff_bound, root)
-    if best is None:
-        raise ValueError(
-            f"no unit with coefficients up to {coeff_bound}; retry with a larger bound"
-        )
-    triple, val = _normalize_unit(spec, best[1], root)
-    if absd > 28 and 4 * val**1.5 + 24 <= absd - _ARTIN_SLACK:
-        return triple, "artin"
-    enlarged = max(coeff_bound + 5, (3 * coeff_bound) // 2)
-    best2 = _unit_candidates(spec, enlarged, root)
-    triple2, val2 = _normalize_unit(spec, best2[1], root)
-    if absd > 28 and 4 * val2**1.5 + 24 <= absd - _ARTIN_SLACK:
-        return triple2, "artin"
-    return triple2, "exhaustive"
+    for bound in (coeff_bound, max(coeff_bound + 5, (3 * coeff_bound) // 2)):
+        best = _unit_candidates(spec, bound, root)
+        if best is None:
+            raise ValueError(f"no unit with coefficients up to {bound}; retry with a larger bound")
+        triple, val = _normalize_unit(spec, best[1], root)
+        if absd > 28 and 4 * val**1.5 + 24 <= absd - _ARTIN_SLACK:
+            return triple, "artin"
+    return triple, "exhaustive"
 
 
 # -- field records --------------------------------------------------------------

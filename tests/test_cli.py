@@ -4,6 +4,7 @@ import re
 import pytest
 from click.testing import CliRunner
 
+from unitscan import report
 from unitscan._data import DataFileError
 from unitscan.cli import main
 from unitscan.primes import PrimeRange
@@ -192,6 +193,18 @@ def test_verify_tables_quad(runner):
     short = runner.invoke(main, command + ["1e4"])
     assert short.exit_code == 0 and short.stdout == res.stdout
     assert runner.invoke(main, command + ["1.5e3"]).exit_code == 2
+
+
+def test_pmax_defaults_are_the_table_bounds(runner):
+    def pmax_default(command):
+        return next(p.default for p in main.commands[command].params if p.name == "pmax")
+
+    assert pmax_default("scan-quad") == report.QUAD_TABLE_PMAX
+    assert pmax_default("scan-cubic") == report.CUBIC_TABLE_DEFAULT_PMAX
+    # the help names the cap that a larger --pmax does not lift
+    assert str(report.QUAD_TABLE_PMAX) in runner.invoke(main, ["verify-tables", "--help"]).stdout
+    command = ["verify-tables", "--table", "quad", "--workers", "1"]
+    assert runner.invoke(main, command + ["--pmax", "2e4"]).stdout == runner.invoke(main, command).stdout
 
 
 def test_bad_arguments_exit_2(runner):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -189,6 +190,17 @@ def test_unit_minus31_normalization(cubic_records):
     assert invert_unit(spec, unit) == (0, 1, 0)
     root = real_root(spec)
     assert 0 < _embed((0, 1, 0), root) < 1 < _embed(unit, root)
+
+
+def test_real_root_brackets_a_sign_change(cubic_records):
+    # f = x^3 + ... is monic with one real root r: negative just below r, positive just above
+    shifted = _shifted_record(cubic_records[-23], 6).spec
+    assert shifted.defining_poly == (209, 107, 18, 1)
+    for spec in [rec.spec for rec in cubic_records.values()] + [shifted]:
+        r = real_root(spec)
+        eps = 1e-9 * (1 + abs(r))
+        f = [sum(c * Fraction(x) ** i for i, c in enumerate(spec.defining_poly)) for x in (r - eps, r + eps)]
+        assert f[0] < 0 < f[1], (spec.defining_poly, r)
 
 
 @pytest.mark.parametrize("delta", DELTAS)

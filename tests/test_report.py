@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -132,6 +136,31 @@ def test_reference_tables_load(ref_tables):
     assert len(ref_tables["cubic_ordinary_table"]) == 14
     assert ref_tables["quad_table"][14] == [2]
     assert ref_tables["cubic_ordinary_table"][-83] == [7, 31]
+
+
+def test_bundled_data_loads_from_a_zipped_package(tmp_path, ref_tables):
+    # the bundled files are read in place: a zip import has no file on disk to hand out
+    package = Path(report.__file__).parent
+    archive = tmp_path / "unitscan.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for path in sorted(package.rglob("*")):
+            if path.is_file() and "__pycache__" not in path.parts:
+                zf.write(path, path.relative_to(package.parent).as_posix())
+    script = (
+        "import json, unitscan\n"
+        "from unitscan.report import load_reference_tables, verify_tables\n"
+        "print(json.dumps([unitscan.__file__, len(unitscan.load_quad_fields()), len(unitscan.load_cubic_fields()),\n"
+        "                  {k: len(v) for k, v in load_reference_tables().items()}, verify_tables('h5_table').passed]))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "UNITSCAN_DATA_DIR")}
+    out = subprocess.run([sys.executable, "-c", script], env=dict(env, PYTHONPATH=str(archive)),
+                         cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    where, quads, cubics, tables, passed = json.loads(out.stdout)
+    assert Path(where).is_relative_to(archive)
+    assert (quads, cubics, passed) == (18, 14, True)
+    assert {QUAD_TABLE, H5_TABLE, CUBIC_ORDINARY_TABLE} <= tables.keys()
+    assert tables == {k: len(v) for k, v in ref_tables.items()}
 
 
 def test_verify_h5_table():
