@@ -24,8 +24,8 @@ import numpy as np
 from ._data import DataFileError, data_path, read_table_rows
 from ._parallel import run_chunked
 # pow3 is poly_pow, called through this module global: the benchmark traces that name
-from .order_arith import (Lanes, OrderSpec, RingLanes, frobenius_quotient, mul3, poly_pow as pow3,
-                          residues, ring_apply)
+from .order_arith import (OrderSpec, RingLanes, frobenius_quotient, inverse, legendre, mul3,
+                          poly_pow as pow3, residues, ring_apply)
 from .primes import PrimeRange, prime_divisors, primes_in, require_prime  # the benchmark traces primes_in
 from .report import (CLEAR, CLEAR_CODE, CODES, EXCLUDED, HIT, HIT_CODE, Block, ScanReport,
                      Verdict, assemble_report)
@@ -370,8 +370,8 @@ def classify_cubic_prime(rec: CubicFieldRecord, p: int, mode: str) -> Verdict:
 #
 # A scan chunk classifies its primes together, one int64 lane per prime, with
 # the tests of classify_cubic_prime in the same order, on order_arith.RingLanes,
-# z coming from the Frobenius quotient as in _z_coeffs.  The unit, its inverse,
-# Delta, h_E, f and the adjugate and norm of f'(theta) enter as residues or exact digit tables.
+# z coming from the Frobenius quotient as in _z_coeffs.  The unit, its inverse, h_E, f and the
+# adjugate of f'(theta) enter as residues or digit tables, (Delta/p) and 1/N(f'(theta)) by per-field tables.
 
 
 def _equals(a, c):
@@ -381,7 +381,8 @@ def _equals(a, c):
 
 def _z_lanes(unit, inv, f, p, xp):
     """_z_coeffs lane by lane, with the same guards: z at the primes p where
-    theta^p mod (f, p) is xp, for the exact unit and its exact inverse."""
+    theta^p mod (f, p) is xp, for the exact unit and its exact inverse: one power, eps^p
+    mod p^2; 1/det mod p for det = N(f'(theta)) = -Delta comes from a table (inverse)."""
     m = p * p
     rp = RingLanes(f, p)
     rm = RingLanes(f, m)
@@ -401,7 +402,7 @@ def _z_lanes(unit, inv, f, p, xp):
     bad = residues(det, p) == 0
     if bad.any():
         raise ArithmeticError(f"f'(theta) is not invertible mod {p[bad][0]}")
-    dinv = Lanes(p).pow(det, p - 2)
+    dinv = inverse(det, p)
     sigma_adj = rp.apply(tuple(residues(c, p) for c in adj), images)
     step = rp.mul(tuple(c // p * dinv % p for c in ft), sigma_adj)
     s1 = tuple((c - p * s) % m for c, s in zip(xp, step))
@@ -419,18 +420,17 @@ def _cubic_chunk(args: tuple[CubicFieldRecord, str], primes: np.ndarray) -> Bloc
         code[lanes[code[lanes] == CLEAR_CODE]] = CODES.index(reason)
 
     every = np.arange(len(primes))
+    chi = legendre(rec.delta, primes)  # 0 at the ramified p > 3, -1 where Frobenius has order 2
     exclude(every[(primes == 2) | (primes == 3)], "hyp1_divides_6")
-    exclude(every[residues(rec.delta, primes) == 0], "hyp2_ramified")
+    exclude(every[chi == 0], "hyp2_ramified")
     if rec.class_number_e is not None:
         exclude(every[residues(rec.class_number_e, primes) == 0], "hyp3_class_number")
     exclude(every[np.isin(primes, sorted(h5_set(rec.ramified)))], "hyp5_in_H5")
     if mode == MODE_ORDINARY:
         exclude(every[primes % 3 == 2], "p_2_mod_3")
+    exclude(every[chi != 1], "frob_order_not_3")
     live = np.flatnonzero(code == CLEAR_CODE)
     p = primes[live]
-    nonresidue = Lanes(p).pow(rec.delta, (p - 1) >> 1) != 1
-    exclude(live[nonresidue], "frob_order_not_3")
-    live, p = live[~nonresidue], p[~nonresidue]
     xp = RingLanes(f, p).pow((0, 1, 0), p)
     split = _equals(xp, (0, 1, 0))
     exclude(live[split], "frob_order_not_3")

@@ -16,7 +16,8 @@ for the Frobenius sigma that the caller supplies (images of x, ..., x^(d-1)).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
+from math import gcd
 from operator import add
 
 import numpy as np
@@ -31,6 +32,8 @@ __all__ = [
     "frobenius_quotient",
     "Lanes",
     "residues",
+    "legendre",
+    "inverse",
     "pow_lanes",
     "fold_rows",
     "RingLanes",
@@ -145,6 +148,7 @@ def frobenius_quotient(up, inv, images, f, p):
 # -- lane arithmetic: one numpy lane per modulus -------------------------------
 
 MULMOD_PMAX = 1 << 25  # moduli below it multiply in plain int64; p^2 < 2^50 for primes below it
+TABLE_MAX = 1 << 16  # entries of the largest per-constant table; past it legendre and inverse take Lanes.pow
 
 
 def residues(c, m):
@@ -153,6 +157,40 @@ def residues(c, m):
     if np.ndim(c) or abs(c) < 1 << 63:
         return c % m
     return np.array([c % x for x in m.tolist()], dtype=np.int64)
+
+
+def _jacobi(a, n):  # (a/n) for odd n > 0, by reciprocity (H. Cohen, GTM 138, Algorithm 1.4.10)
+    a %= n
+    if not a & 1:
+        return int(n == 1) if a == 0 else (-1 if n & 7 in (3, 5) else 1) * _jacobi(a >> 1, n)
+    return (-1 if a & n & 3 == 3 else 1) * _jacobi(n, a)
+
+
+@lru_cache(maxsize=None)
+def _characters(a):  # (a/r) at odd r < 4|a|, 0 at even r
+    return np.array([_jacobi(a, r) if r & 1 else 0 for r in range(4 * abs(a))], dtype=np.int8)
+
+
+@lru_cache(maxsize=None)
+def _inverses(c):  # r^-1 mod c at r < c, 0 where there is none
+    return np.array([pow(r, -1, c) if gcd(r, c) == 1 else 0 for r in range(c)], dtype=np.int32)
+
+
+def legendre(a, p):
+    """(a/p) in {-1, 0, 1} lane by lane for an int a and odd primes p, read off p mod 4|a|
+    (quadratic reciprocity) in a table cached per a; past TABLE_MAX by Euler's criterion,
+    a^((p-1)/2) in {0, 1, p - 1}, shifted to {0, 1, -1} by (s + 1) % p - 1."""
+    if 0 < 4 * abs(a) <= TABLE_MAX:
+        return _characters(a)[p % (4 * abs(a))]
+    return ((Lanes(p).pow(a, (p - 1) >> 1) + 1) % p - 1).astype(np.int8)
+
+
+def inverse(c, p):
+    """c^-1 mod p lane by lane for an int c and primes p < 2^34 not dividing it: ((1 - p*u) // c) % p
+    for u = p^-1 mod |c| read off p mod |c| in a table cached per |c| (p*u < 2^50); by Fermat past TABLE_MAX."""
+    if 0 < abs(c) <= TABLE_MAX:
+        return (1 - p * _inverses(abs(c))[p % abs(c)]) // c % p
+    return Lanes(p).pow(c, p - 2)
 
 
 def pow_lanes(e, w, first, square, times):

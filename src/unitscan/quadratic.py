@@ -23,7 +23,7 @@ import numpy as np
 from ._data import DataFileError, data_path, read_table_rows
 from ._parallel import run_chunked
 # pow2 is poly_pow, called through this module global: the benchmark traces that name
-from .order_arith import Lanes, OrderSpec, RingLanes, frobenius_quotient, poly_pow as pow2, residues
+from .order_arith import OrderSpec, RingLanes, frobenius_quotient, legendre, poly_pow as pow2, residues
 from .primes import PrimeRange, prime_divisors, primes_in, require_prime  # the benchmark traces primes_in
 from .report import (CLEAR, CLEAR_CODE, CODES, EXCLUDED, HIT, HIT_CODE, Block, ScanReport,
                      Verdict, assemble_report)
@@ -208,8 +208,9 @@ def _quad_chunk(rec: QuadFieldRecord, primes: np.ndarray) -> Block:
     """classify_quad_prime for every prime of the int64 array."""
     u = rec.unit
     code = np.full(len(primes), CLEAR_CODE, dtype=np.int8)  # clear marks the lanes still live
+    chi = legendre(rec.d, primes)  # (D/p), 0 exactly at the odd p dividing 4D: the ramified ones
     # the exclusions in the order classify_quad_prime applies them
-    excluded = {"below_min_p": primes < MIN_SCAN_PRIME, "ramified": residues(rec.field_disc, primes) == 0,
+    excluded = {"below_min_p": primes < MIN_SCAN_PRIME, "ramified": chi == 0,
                 "divides_class_number": residues(rec.class_number, primes) == 0}
     for reason, mask in excluded.items():
         code[(code == CLEAR_CODE) & mask] = CODES.index(reason)
@@ -217,7 +218,7 @@ def _quad_chunk(rec: QuadFieldRecord, primes: np.ndarray) -> Block:
     p = primes[live]
     m = p * p
     ring = RingLanes(rec.reduction, m)
-    inert = Lanes(p).pow(rec.d, (p - 1) >> 1) != 1
+    inert = chi[live] != 1
     image = (np.where(inert, -rec.reduction[1] % m, 0), np.where(inert, m - 1, 1))
     t = ring.frobenius_quotient(p, ring.pow((u.a, u.b), p), rec.unit_inverse, (image,))
     code[live[(t[0] == 0) & (t[1] == 0)]] = HIT_CODE

@@ -17,7 +17,7 @@ import pytest
 
 from unitscan import _parallel
 from unitscan._parallel import run_chunked
-from unitscan.order_arith import MULMOD_PMAX, Lanes
+from unitscan.order_arith import MULMOD_PMAX, Lanes, RingLanes
 from unitscan.primes import RANGE_LIMIT, PrimeRange, prime_array, primes_in
 from unitscan.report import CODES, EXCLUDED, HIT, Block, assemble_report
 
@@ -53,15 +53,17 @@ class Family:
     """A scan family: scan(rec, rng, workers) reports every prime it keeps
     (all of them, or the hits alone when not full_verdicts); reference(rec, p)
     is one prime's Verdict, a tested one hitting with probability
-    1/denominators(p) (default 1/p).  The checks shadow Lanes.__init__,
-    module's run_chunked, its global per_prime (else the builtin) and, if
-    named, kernel: a lane kernel whose last argument must hold exactly the
-    tested primes."""
+    1/denominators(p) (default 1/p); each chunk takes exactly powers lane
+    powers (calls of Lanes.power).  The checks shadow Lanes.__init__,
+    Lanes.power, RingLanes.pow, module's run_chunked, its global per_prime
+    (else the builtin) and, if named, kernel: a lane kernel whose last
+    argument must hold exactly the tested primes."""
 
     module: ModuleType
     per_prime: str
     scan: Callable
     reference: Callable
+    powers: int
     denominators: Callable | None = None
     full_verdicts: bool = True
     kernel: str | None = None
@@ -70,27 +72,36 @@ class Family:
 @contextmanager
 def lane_calls(family: Family):
     """What a scan hands each path: the widest product path of the Lanes each
-    chunk builds, the arguments of every per-prime call through the module
-    global (the checks' own reference calls do not count), and the primes the kernel sees."""
-    calls = {"paths": [], "per_prime": [], "kernel": []}
-    built = []
+    chunk builds and the number of lane powers it takes, the arguments of every
+    per-prime call through the module global (the checks' own reference calls
+    do not count), and the primes the kernel sees."""
+    calls = {"paths": [], "powers": [], "per_prime": [], "kernel": []}
+    built, powers = [], [0]
     with pytest.MonkeyPatch.context() as m:
-        init, run = Lanes.__init__, family.module.run_chunked
+        init, power, run = Lanes.__init__, Lanes.power, family.module.run_chunked
 
         def recorded(lanes, moduli):
             init(lanes, moduli)
             built.append(lanes_path(lanes))
 
+        def counted_power(lanes, *args, **kwargs):  # Lanes.pow and RingLanes.pow both end here
+            powers[0] += 1
+            return power(lanes, *args, **kwargs)
+
         def per_chunk(classify, *rest):
             def chunk(args, primes):
                 built.clear()
+                powers[0] = 0
                 out = classify(args, primes)
                 calls["paths"].append(max(built, key=PATHS.index))
+                calls["powers"].append(powers[0])
                 return out
 
             return run(chunk, *rest)
 
         m.setattr(Lanes, "__init__", recorded)
+        m.setattr(Lanes, "power", counted_power)
+        m.setattr(RingLanes, "pow", counted_power)
         m.setattr(family.module, "run_chunked", per_chunk)
 
         def spy(attr, key, note):
@@ -118,8 +129,9 @@ def assert_same_report(rep, ref, label):
 
 def check_scans(family: Family, records, rng: PrimeRange, paths=None) -> list:
     """Each record's scan of rng against the report assembled from
-    family.reference: no per-prime call, one chunk on each product path in
-    turn when paths are given, and the kernel, if named, on the tested primes.
+    family.reference: no per-prime call, family.powers lane powers in every
+    chunk, one chunk on each product path in turn when paths are given, and the
+    kernel, if named, on the tested primes.
     Returns the reports."""
     primes = list(primes_in(rng))
     reports = []
@@ -132,6 +144,7 @@ def check_scans(family: Family, records, rng: PrimeRange, paths=None) -> list:
         label = (rec, rep.mode)
         assert_same_report(rep, ref, label)
         assert calls["per_prime"] == [], label
+        assert calls["powers"] == [family.powers] * len(calls["paths"]), label
         if paths is not None:
             assert calls["paths"] == list(paths), label
         if family.kernel:

@@ -428,8 +428,9 @@ def _fold_sum(f):
 _DENOMINATORS = {MODE_H2: lambda p: p * p, MODE_ORDINARY: lambda p: (p + 1) // 2}
 
 
+# two lane powers per chunk in either mode: theta^p mod p and eps^p mod p^2
 CUBIC = {mode: Family(cubic, "classify_cubic_prime", partial(scan_cubic, mode=mode, full_verdicts=True),
-                      partial(classify_cubic_prime, mode=mode), _DENOMINATORS[mode]) for mode in _DENOMINATORS}
+                      partial(classify_cubic_prime, mode=mode), 2, _DENOMINATORS[mode]) for mode in _DENOMINATORS}
 
 
 @pytest.mark.parametrize("delta", DELTAS)

@@ -289,7 +289,8 @@ def _wieferich_verdict(base, p):
 
 
 # no scan calls the builtin pow; the lane kernel sees the primes not dividing the base
-WIEFERICH = Family(heuristics, "pow", scan_wieferich, _wieferich_verdict, full_verdicts=False,
+# and takes one lane power per chunk, base^(p-1) mod p^2
+WIEFERICH = Family(heuristics, "pow", scan_wieferich, _wieferich_verdict, 1, full_verdicts=False,
                    kernel="_wieferich_lanes")
 
 

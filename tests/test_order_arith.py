@@ -5,14 +5,18 @@ import random
 import numpy as np
 import pytest
 
-from unitscan.cubic import _inert_xp
+from unitscan import order_arith
+from unitscan.cubic import _adjugate, _inert_xp
 from unitscan.order_arith import (
     MULMOD_PMAX,
+    TABLE_MAX,
     Lanes,
     OrderSpec,
     RingLanes,
     fold_rows,
     frobenius_quotient,
+    inverse,
+    legendre,
     mul2,
     mul3,
     poly_discriminant,
@@ -289,6 +293,53 @@ def test_residues_of_any_size():
         got = residues(c, lanes_of(ms))
         assert got.dtype == np.int64 and got.tolist() == [c % m for m in ms], c
     assert residues(10**30, lanes_of([])).tolist() == []
+
+
+# -- per-constant tables: (a/p) and c^-1 mod p without a lane power -----------------
+
+# primes of the small scans, across 2^25, where the p^2 lanes leave the float quotient
+# for base-p digits, and of the last chunk below RANGE_LIMIT
+TABLE_WINDOWS = {"small": PrimeRange(3, 200_000), "straddle": PrimeRange(MULMOD_PMAX - 3000, MULMOD_PMAX + 3000),
+                 "near_limit": PrimeRange(RANGE_LIMIT - 20_000, RANGE_LIMIT)}
+# the largest constants with a table and the smallest without, for each helper:
+# legendre's table has 4|a| entries, inverse's |c|
+TABLE_EDGES = (1 << 14, -((1 << 14) + 1), -(1 << 16), (1 << 16) + 1)
+
+
+@pytest.fixture(scope="module")
+def table_constants(quad_records, cubic_records):
+    """Every bundled D, Delta and det = N(f'(theta)) (= -Delta), small constants and TABLE_EDGES."""
+    dets = [_adjugate((f[1], 2 * f[2], 3), f)[1] for f in (r.spec.reduction for r in cubic_records.values())]
+    assert dets == [-delta for delta in cubic_records]
+    return sorted({*quad_records, *cubic_records, *dets, 1, -1, 2, -4, *TABLE_EDGES})
+
+
+@pytest.mark.parametrize("window", TABLE_WINDOWS)
+def test_legendre_and_inverse_match_builtin_pow(window, table_constants, monkeypatch):
+    # (a/p) against Euler's criterion and c^-1 mod p against pow(c, -1, p), by
+    # builtin pow, on each window: from the tables, with no lane power, for the
+    # constants within TABLE_MAX; by Lanes.pow past it, and for every constant
+    # with the bound at 0: both branches give the same arrays
+    ps = list(primes_in(TABLE_WINDOWS[window]))
+    powers, power = [], Lanes.power
+
+    def counted(lanes, *args, **kwargs):
+        powers.append(args)
+        return power(lanes, *args, **kwargs)
+
+    monkeypatch.setattr(Lanes, "power", counted)
+    for c in table_constants:
+        symbols = [{0: 0, 1: 1, p - 1: -1}[pow(c, (p - 1) // 2, p)] for p in ps]
+        coprime = [p for p in ps if c % p]
+        inverses = [pow(c, -1, p) for p in coprime]
+        for bound in (TABLE_MAX, 0):
+            monkeypatch.setattr(order_arith, "TABLE_MAX", bound)
+            powers.clear()
+            got = legendre(c, lanes_of(ps))
+            assert got.dtype == np.int8 and got.tolist() == symbols, (c, bound)
+            got = inverse(c, lanes_of(coprime))
+            assert got.dtype == np.int64 and got.tolist() == inverses, (c, bound)
+            assert len(powers) == (4 * abs(c) > bound) + (abs(c) > bound), (c, bound)
 
 
 # -- the lane ring: Z/m (f = ()) and (Z/m)[x]/(f), on every lane kind --------------

@@ -32,7 +32,8 @@ from _oracles import narrow_class_number_bqf, quad_hit_naive, quad_unit_exhausti
 
 SQUAREFREE_TO_30 = [d for d in range(2, 31) if is_squarefree(d)]
 
-QUAD = Family(quadratic, "classify_quad_prime", partial(scan_quadratic, full_verdicts=True), classify_quad_prime)
+# one lane power per chunk: eps^p mod p^2
+QUAD = Family(quadratic, "classify_quad_prime", partial(scan_quadratic, full_verdicts=True), classify_quad_prime, 1)
 
 
 def test_unit_examples():
