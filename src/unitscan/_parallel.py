@@ -5,7 +5,8 @@ A scan range is cut at the multiples of the chunk width, 2^18 for every scan
 chunk is sieved to an int64 array in the process that classifies it, and a
 scan family's lane classifier turns (args, primes) into a report.Block; the
 blocks are joined in range order, so the result is identical for any worker
-count.  A range within one chunk runs serially: a pool would cost more.
+count.  A range within one chunk runs serially: a pool would cost more.  A
+worker that dies (killed, crashed, unable to start) raises BrokenProcessPool.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ def run_chunked(classify, args, lo: int, hi: int, workers: int = 1, chunk_span: 
     if size <= 1:
         parts = [_chunk(*c) for c in chunks]
     else:
-        with get_context().Pool(size) as pool:
-            parts = pool.starmap(_chunk, chunks, chunksize=1)
+        from concurrent.futures import ProcessPoolExecutor  # here, so a serial scan never loads it
+        with ProcessPoolExecutor(size, mp_context=get_context()) as pool:
+            parts = list(pool.map(_chunk, *zip(*chunks)))
     return Block.join(parts)

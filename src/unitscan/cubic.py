@@ -24,7 +24,7 @@ import numpy as np
 from ._data import DataFileError, data_path, read_table_rows
 from ._parallel import run_chunked
 # pow3 is poly_pow, called through this module global: the benchmark traces that name
-from .order_arith import (OrderSpec, RingLanes, frobenius_quotient, inverse, legendre, mul3,
+from .order_arith import (Lanes, OrderSpec, frobenius_quotient, inverse, legendre, mul3,
                           poly_pow as pow3, residues, ring_apply)
 from .primes import PrimeRange, prime_divisors, primes_in, require_prime  # the benchmark traces primes_in
 from .report import (CLEAR, CLEAR_CODE, CODES, EXCLUDED, HIT, HIT_CODE, Block, ScanReport,
@@ -369,7 +369,7 @@ def classify_cubic_prime(rec: CubicFieldRecord, p: int, mode: str) -> Verdict:
 # -- batched scan kernel ---------------------------------------------------------
 #
 # A scan chunk classifies its primes together, one int64 lane per prime, with
-# the tests of classify_cubic_prime in the same order, on order_arith.RingLanes,
+# the tests of classify_cubic_prime in the same order, on the lane ring order_arith.Lanes(m, f),
 # z coming from the Frobenius quotient as in _z_coeffs.  The unit, its inverse, h_E, f and the
 # adjugate of f'(theta) enter as residues or digit tables, (Delta/p) and 1/N(f'(theta)) by per-field tables.
 
@@ -384,8 +384,8 @@ def _z_lanes(unit, inv, f, p, xp):
     theta^p mod (f, p) is xp, for the exact unit and its exact inverse: one power, eps^p
     mod p^2; 1/det mod p for det = N(f'(theta)) = -Delta comes from a table (inverse)."""
     m = p * p
-    rp = RingLanes(f, p)
-    rm = RingLanes(f, m)
+    rp = Lanes(p, f)
+    rm = Lanes(m, f)
     # sigma(theta) mod p^2: one Newton step s - f(s)/f'(s) from s = theta^p.
     t2 = rm.square(xp)  # f(s) is s^3 plus f0 + f1 x + f2 x^2 at x = s
     rest = rm.apply(tuple(residues(c, m) for c in f), (xp, t2))
@@ -431,7 +431,7 @@ def _cubic_chunk(args: tuple[CubicFieldRecord, str], primes: np.ndarray) -> Bloc
     exclude(every[chi != 1], "frob_order_not_3")
     live = np.flatnonzero(code == CLEAR_CODE)
     p = primes[live]
-    xp = RingLanes(f, p).pow((0, 1, 0), p)
+    xp = Lanes(p, f).pow((0, 1, 0), p)
     split = _equals(xp, (0, 1, 0))
     exclude(live[split], "frob_order_not_3")
     live, p, xp = live[~split], p[~split], tuple(c[~split] for c in xp)
@@ -439,7 +439,7 @@ def _cubic_chunk(args: tuple[CubicFieldRecord, str], primes: np.ndarray) -> Bloc
     zero = _equals(z, (0, 0, 0))
     if mode == MODE_ORDINARY:
         exclude(live[zero], "z_zero")
-        lanes = RingLanes(f, p)
+        lanes = Lanes(p, f)
         cube = lanes.mul(lanes.square(z), z)
         hit = ~zero & (cube[1] == 0) & (cube[2] == 0)
     else:

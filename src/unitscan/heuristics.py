@@ -19,7 +19,7 @@ import numpy as np
 from ._parallel import run_chunked
 from .order_arith import Lanes, residues
 from .primes import PrimeRange, prime_divisors, primes_in, require_prime  # the benchmark traces primes_in
-from .report import CLEAR_CODE, CODES, HIT_CODE, Block, ScanReport, assemble_report
+from .report import _RECIP_BITS, CLEAR_CODE, CODES, HIT_CODE, Block, ScanReport, assemble_report
 
 __all__ = [
     "HeuristicValue",
@@ -178,19 +178,20 @@ def expected_exceptional_count(x: int, power: int = 1) -> float:
     """Sum of 1/p^power over p <= x (power 1: the log log X count of
     expected exceptional primes; power >= 2: a convergent tail).
 
-    Float accumulation in ascending prime order; for power 1 the rounding
-    error stays below 1e-9 for x up to 1e8.
+    The fixed point of a scan's expected_hits: the terms 2^60 // p^power
+    summed as ints and divided once, so the error is at most pi(x) * 2^-60
+    (below 5e-11 to RANGE_LIMIT).
     """
     if x < 2:
         raise ValueError("x must be at least 2")
     if power < 1:
         raise ValueError("power must be at least 1")
-    return sum(1.0 / p**power for p in primes_in(PrimeRange(2, x)))
+    return sum((1 << _RECIP_BITS) // p**power for p in primes_in(PrimeRange(2, x))) / (1 << _RECIP_BITS)
 
 
 def _wieferich_lanes(base: int, p: np.ndarray) -> np.ndarray:
     """base^(p-1) mod p^2, one lane per prime of the int64 array p."""
-    return Lanes(p * p).pow(base, p - 1)
+    return Lanes(p * p).pow((base,), p - 1)[0]
 
 
 def _wieferich_chunk(base: int, primes: np.ndarray) -> Block:

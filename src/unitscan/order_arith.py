@@ -5,9 +5,10 @@ satisfies (degree 2 or 3).  Ring elements are coefficient vectors on the
 power basis 1, theta[, theta^2], with entries reduced into [0, m) for m = p^k.
 The ring (Z/m)[x]/(f) is written once per side: on tuples (the scalar
 references) by the products mul2 and mul3 under the one power loop poly_pow,
-and lane by lane (the scans) by RingLanes, for both degrees, on int64 lanes
-only: constants of any size enter as per-lane residues (residues).  Lane powers
-take w-bit digits, exact in int64 for the exact constants the scans raise (Lanes.table).
+and lane by lane (the scans) by Lanes(m, f), for both degrees and for Z/m
+itself (f = (), d = 1), on int64 lanes only: constants of any size enter as
+per-lane residues (residues).  Lanes.pow takes d-tuples in every ring and
+w-bit digits, exact in int64 for the exact constants the scans raise (Lanes.table).
 The quadratic and cubic scans decide on one Frobenius quotient, also once per
 side: t in O/p with eps^p * sigma(eps)^-1 = 1 + p*t mod p^2 at an unramified p,
 for the Frobenius sigma that the caller supplies (images of x, ..., x^(d-1)).
@@ -36,7 +37,6 @@ __all__ = [
     "inverse",
     "pow_lanes",
     "fold_rows",
-    "RingLanes",
 ]
 
 
@@ -182,7 +182,7 @@ def legendre(a, p):
     a^((p-1)/2) in {0, 1, p - 1}, shifted to {0, 1, -1} by (s + 1) % p - 1."""
     if 0 < 4 * abs(a) <= TABLE_MAX:
         return _characters(a)[p % (4 * abs(a))]
-    return ((Lanes(p).pow(a, (p - 1) >> 1) + 1) % p - 1).astype(np.int8)
+    return ((Lanes(p).pow((a,), (p - 1) >> 1)[0] + 1) % p - 1).astype(np.int8)
 
 
 def inverse(c, p):
@@ -190,7 +190,7 @@ def inverse(c, p):
     for u = p^-1 mod |c| read off p mod |c| in a table cached per |c| (p*u < 2^50); by Fermat past TABLE_MAX."""
     if 0 < abs(c) <= TABLE_MAX:
         return (1 - p * _inverses(abs(c))[p % abs(c)]) // c % p
-    return Lanes(p).pow(c, p - 2)
+    return Lanes(p).pow((c,), p - 2)[0]
 
 
 def pow_lanes(e, w, first, square, times):
@@ -214,14 +214,13 @@ def _sum(pairs, extra=None):
 
 
 class Lanes:
-    """Z/m lane by lane, for an int64 array m of moduli: every m below 2^50, or
-    squares q^2 below 2^60.  Products act on d-tuples of residue arrays in
-    [0, m) by one plan; here d = 1 and pow takes plain arrays."""
+    """(Z/m)[x]/(f) lane by lane, for an int64 array m of moduli (every m below
+    2^50, or squares q^2 below 2^60) and the non-leading coefficients f of a
+    monic f of degree d = len(f) in {2, 3}, or f = () for Z/m (d = 1).  Products
+    act on d-tuples of residue arrays in [0, m) by one plan and fold by fold_rows(f)."""
 
-    d, rows = 1, []
-
-    def __init__(self, m):
-        self.m = m
+    def __init__(self, m, f=()):
+        self.m, self.d, self.rows = m, max(len(f), 1), fold_rows(f)
         top = int(m.max(initial=0))
         self.minv = 1.0 / m if MULMOD_PMAX <= top < 1 << 50 else None
         self.q = np.sqrt(m).round().astype(np.int64) if top >= 1 << 50 else None
@@ -334,58 +333,29 @@ class Lanes:
                 return powers[: 1 << w]
         return None
 
-    def power(self, a, e, reduction=None):
+    def pow(self, a, e):
         """a^e lane by lane for a d-tuple a and e >= 0 by pow_lanes.  Ints are one
         exact constant: each digit multiplies by table(a), gathered from d int64
         columns, with one exact product and reduction per coefficient; residues
         per lane, and ints with no table (as residues), take w = 1 and the full product mul.
-        A reduction(pairs, extra), if given, reduces every product instead."""
+        In Z/m on the float path each square and digit product is one mulmod on
+        balanced residues in (-m, m), and one % ends the power.  Rings keep dot: two
+        or three pairs per coefficient can put the quotient estimate more than 1 off near m = 2^50."""
         m = self.m
-        square = lambda r: self.square(r, reduction)
+        balanced = self.d == 1 and self.minv is not None
+        reduction = (lambda pairs, extra=None: self.mulmod(*pairs[0])) if balanced else None
         table = None if any(map(np.ndim, a)) else self.table(tuple(map(int, a)))
         if table is None:
             a = tuple(residues(c, m) for c in a)
-            pick = lambda d: tuple(np.where(d == 1, c, o) for c, o in zip(a, self.one))
-            return pow_lanes(e, 1, pick, square, lambda r, d: self.mul(r, pick(d), reduction))
-        cols = [np.array(c, dtype=np.int64) for c in zip(*table)]
-        first = lambda d: tuple(c[d] % m for c in cols)
-        exact = reduction or (lambda pairs, extra=None: _sum(pairs, extra) % m)
-        times = lambda r, d: self._product((*r, *(c[d] for c in cols)), self.mul_plan, exact)
-        return pow_lanes(e, len(table).bit_length() - 1, first, square, times)
-
-    def pow(self, a, e):
-        """a^e for an int a or residues a in [0, m) by power.  On the float path each
-        square and digit product is one mulmod on balanced residues in (-m, m), and
-        one % ends the power.  RingLanes keep dot: two or three pairs per coefficient
-        can put the quotient estimate more than 1 off near m = 2^50."""
-        if self.minv is None:
-            return self.power((a,), e)[0]
-        return self.power((a,), e, lambda pairs, extra=None: self.mulmod(*pairs[0]))[0] % self.m
-
-
-def fold_rows(f) -> list[tuple[int, ...]]:
-    """x^d, ..., x^(2d-2) mod the monic f of degree d = len(f), as exact rows."""
-    rows = [tuple(-c for c in f)]
-    while len(rows) < len(f) - 1:
-        rows.append(tuple(lo - rows[-1][-1] * c for lo, c in zip((0,) + rows[-1][:-1], f)))
-    return rows
-
-
-def _fold_sum(rows) -> int:
-    """The largest column sum of |rows| (0 for none): a product's fold term is at
-    most this many times its largest reduced high coefficient."""
-    return max((sum(map(abs, column)) for column in zip(*rows)), default=0)
-
-
-class RingLanes(Lanes):
-    """(Z/m)[x]/(f) lane by lane for a monic f of degree d = len(f) in {2, 3}: the
-    products fold by fold_rows(f)."""
-
-    def __init__(self, f, m):
-        self.d, self.rows = len(f), fold_rows(f)
-        super().__init__(m)
-
-    pow = Lanes.power
+            w, first = 1, lambda d: tuple(np.where(d == 1, c, o) for c, o in zip(a, self.one))
+            times = lambda r, d: self.mul(r, first(d), reduction)
+        else:
+            cols = [np.array(c, dtype=np.int64) for c in zip(*table)]
+            w, first = len(table).bit_length() - 1, lambda d: tuple(c[d] % m for c in cols)
+            exact = reduction or (lambda pairs, extra=None: _sum(pairs, extra) % m)
+            times = lambda r, d: self._product((*r, *(c[d] for c in cols)), self.mul_plan, exact)
+        r = pow_lanes(e, w, first, lambda r: self.square(r, reduction), times)
+        return r if reduction is None else (r[0] % m,)
 
     def apply(self, a, images):
         """a0 + a1 x + ... -> a0 + a1 s1 + ..., for the images s1, ... of x, ..., x^(d-1)."""
@@ -396,3 +366,17 @@ class RingLanes(Lanes):
         """frobenius_quotient lane by lane over m = p^2: up and the images are lanes
         mod m, inv the exact inverse (its entries enter as residues)."""
         return _quotient(self.mul(up, self.apply(tuple(residues(c, self.m) for c in inv), images)), p)
+
+
+def fold_rows(f) -> list[tuple[int, ...]]:
+    """x^d, ..., x^(2d-2) mod the monic f of degree d = len(f), as exact rows (none for f = ())."""
+    rows = [tuple(-c for c in f)] if f else []
+    while len(rows) < len(f) - 1:
+        rows.append(tuple(lo - rows[-1][-1] * c for lo, c in zip((0,) + rows[-1][:-1], f)))
+    return rows
+
+
+def _fold_sum(rows) -> int:
+    """The largest column sum of |rows| (0 for none): a product's fold term is at
+    most this many times its largest reduced high coefficient."""
+    return max((sum(map(abs, column)) for column in zip(*rows)), default=0)

@@ -23,7 +23,7 @@ import numpy as np
 from ._data import DataFileError, data_path, read_table_rows
 from ._parallel import run_chunked
 # pow2 is poly_pow, called through this module global: the benchmark traces that name
-from .order_arith import OrderSpec, RingLanes, frobenius_quotient, legendre, poly_pow as pow2, residues
+from .order_arith import Lanes, OrderSpec, frobenius_quotient, legendre, poly_pow as pow2, residues
 from .primes import PrimeRange, prime_divisors, primes_in, require_prime  # the benchmark traces primes_in
 from .report import (CLEAR, CLEAR_CODE, CODES, EXCLUDED, HIT, HIT_CODE, Block, ScanReport,
                      Verdict, assemble_report)
@@ -217,7 +217,7 @@ def _quad_chunk(rec: QuadFieldRecord, primes: np.ndarray) -> Block:
     live = np.flatnonzero(code == CLEAR_CODE)
     p = primes[live]
     m = p * p
-    ring = RingLanes(rec.reduction, m)
+    ring = Lanes(m, rec.reduction)
     inert = chi[live] != 1
     image = (np.where(inert, -rec.reduction[1] % m, 0), np.where(inert, m - 1, 1))
     t = ring.frobenius_quotient(p, ring.pow((u.a, u.b), p), rec.unit_inverse, (image,))

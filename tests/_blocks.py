@@ -17,7 +17,7 @@ import pytest
 
 from unitscan import _parallel
 from unitscan._parallel import run_chunked
-from unitscan.order_arith import MULMOD_PMAX, Lanes, RingLanes
+from unitscan.order_arith import MULMOD_PMAX, Lanes
 from unitscan.primes import RANGE_LIMIT, PrimeRange, prime_array, primes_in
 from unitscan.report import CODES, EXCLUDED, HIT, Block, assemble_report
 
@@ -54,8 +54,8 @@ class Family:
     (all of them, or the hits alone when not full_verdicts); reference(rec, p)
     is one prime's Verdict, a tested one hitting with probability
     1/denominators(p) (default 1/p); each chunk takes exactly powers lane
-    powers (calls of Lanes.power).  The checks shadow Lanes.__init__,
-    Lanes.power, RingLanes.pow, module's run_chunked, its global per_prime
+    powers (calls of Lanes.pow).  The checks shadow Lanes.__init__,
+    Lanes.pow, module's run_chunked, its global per_prime
     (else the builtin) and, if named, kernel: a lane kernel whose last
     argument must hold exactly the tested primes."""
 
@@ -78,13 +78,13 @@ def lane_calls(family: Family):
     calls = {"paths": [], "powers": [], "per_prime": [], "kernel": []}
     built, powers = [], [0]
     with pytest.MonkeyPatch.context() as m:
-        init, power, run = Lanes.__init__, Lanes.power, family.module.run_chunked
+        init, power, run = Lanes.__init__, Lanes.pow, family.module.run_chunked
 
-        def recorded(lanes, moduli):
-            init(lanes, moduli)
+        def recorded(lanes, *args):
+            init(lanes, *args)
             built.append(lanes_path(lanes))
 
-        def counted_power(lanes, *args, **kwargs):  # Lanes.pow and RingLanes.pow both end here
+        def counted_power(lanes, *args, **kwargs):
             powers[0] += 1
             return power(lanes, *args, **kwargs)
 
@@ -100,8 +100,7 @@ def lane_calls(family: Family):
             return run(chunk, *rest)
 
         m.setattr(Lanes, "__init__", recorded)
-        m.setattr(Lanes, "power", counted_power)
-        m.setattr(RingLanes, "pow", counted_power)
+        m.setattr(Lanes, "pow", counted_power)
         m.setattr(family.module, "run_chunked", per_chunk)
 
         def spy(attr, key, note):

@@ -248,6 +248,12 @@ def test_expected_exceptional_count():
         expected_exceptional_count(10, 0)
 
 
+@pytest.mark.parametrize("x", [10**5, 10**6])
+def test_expected_count_is_the_scans_fixed_point(x):
+    # the same sum of 2^60 // p as a scan's expected_hits, to the last bit; 1/2 is p = 2
+    assert expected_exceptional_count(x) - 0.5 == scan_wieferich(2, PrimeRange(3, x)).expected_hits
+
+
 def wieferich_hits(base, rng):
     return [v.p for v in scan_wieferich(base, rng).hits]
 

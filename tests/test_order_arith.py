@@ -12,7 +12,6 @@ from unitscan.order_arith import (
     TABLE_MAX,
     Lanes,
     OrderSpec,
-    RingLanes,
     fold_rows,
     frobenius_quotient,
     inverse,
@@ -282,7 +281,7 @@ def test_digit_path_bounds():
         for n, extra in itertools.product((1, 2, 3), (m - 1, (1 << 62) - 1, 1 - (1 << 62))):
             got = lanes.dot([(a, b)] * n, lanes_of([extra]))
             assert got.tolist() == [(n * (m - 1) * (2 * m - 1) + extra) % m], (q, n, extra)
-        square = RingLanes((-2, 0), lanes_of([m])).square((a, a))
+        square = Lanes(lanes_of([m]), (-2, 0)).square((a, a))
         assert _transpose(square) == [mul2((m - 1, m - 1), (m - 1, m - 1), (-2, 0), m)]
 
 
@@ -321,13 +320,13 @@ def test_legendre_and_inverse_match_builtin_pow(window, table_constants, monkeyp
     # constants within TABLE_MAX; by Lanes.pow past it, and for every constant
     # with the bound at 0: both branches give the same arrays
     ps = list(primes_in(TABLE_WINDOWS[window]))
-    powers, power = [], Lanes.power
+    powers, power = [], Lanes.pow
 
     def counted(lanes, *args, **kwargs):
         powers.append(args)
         return power(lanes, *args, **kwargs)
 
-    monkeypatch.setattr(Lanes, "power", counted)
+    monkeypatch.setattr(Lanes, "pow", counted)
     for c in table_constants:
         symbols = [{0: 0, 1: 1, p - 1: -1}[pow(c, (p - 1) // 2, p)] for p in ps]
         coprime = [p for p in ps if c % p]
@@ -373,6 +372,7 @@ RING_CONSTANTS = [(0, 1), (-1, 1), (3, 2), (-23, -108), (17, 12), (4095, 0), (40
 
 
 def test_fold_rows_and_int64_rule():
+    assert fold_rows(()) == []  # Z/m: nothing folds
     assert fold_rows((-2, 0)) == [(2, 0)]
     assert fold_rows((-1, -1, 0)) == [(1, 1, 0), (0, 1, 1)]  # x^3 = 1 + x, x^4 = x + x^2
     assert fold_rows((209, 107, 18)) == [(-209, -107, -18), (3762, 1717, 217)]
@@ -385,12 +385,12 @@ def test_fold_rows_and_int64_rule():
     over += [(-4096, 0), (0, 4096), (4096, 0, 0), (0, 0, 64)]
     for f in [*RING_POLYS.values()] + over:
         for m in (exact, float_):
-            assert (RingLanes(f, m).lane_folds is not None) == (f in over), f
-        assert RingLanes(f, digits).lane_folds is not None, f
-    residue_folds = lambda f, m: [[(j, c.tolist()) for j, c in fold] for fold in RingLanes(f, m).lane_folds]
+            assert (Lanes(m, f).lane_folds is not None) == (f in over), f
+        assert Lanes(digits, f).lane_folds is not None, f
+    residue_folds = lambda f, m: [[(j, c.tolist()) for j, c in fold] for fold in Lanes(m, f).lane_folds]
     # on the digit path each entry is held split once, as its base-q digits (c // q, c % q)
     assert [[(j, [c1.tolist(), c0.tolist()]) for j, (c1, c0) in fold]
-            for fold in RingLanes((-2, 0), digits).lane_folds] == [[(0, [[0, 0], [2, 2]])], []]
+            for fold in Lanes(digits, (-2, 0)).lane_folds] == [[(0, [[0, 0], [2, 2]])], []]
     assert residue_folds((-4096, 0), exact) == [[(0, [4096 % 3, 4096])], []]
 
 
@@ -399,17 +399,13 @@ def _transpose(lanes):
 
 
 def lane_ring(f, ms):
-    """The ring on lanes of the moduli ms with its power of a d-tuple of ints or
-    lanes (Z/m through Lanes.pow, the entry point of the scans), then the tuple
-    references mod m: product and power."""
-    m = lanes_of(ms)
+    """The ring Lanes(m, f) on lanes of the moduli ms, then the tuple references
+    mod m: product and power (of ints by builtin pow in Z/m, f = ())."""
+    ring = Lanes(lanes_of(ms), f)
     if not f:
-        ring = Lanes(m)
-        return (ring, lambda a, e: (ring.pow(a[0], e),), lambda a, b, m: (a[0] * b[0] % m,),
-                lambda a, e, m: (pow(a[0], e, m),))
+        return ring, lambda a, b, m: (a[0] * b[0] % m,), lambda a, e, m: (pow(a[0], e, m),)
     mul = mul2 if len(f) == 2 else mul3
-    ring = RingLanes(f, m)
-    return ring, ring.pow, lambda a, b, m: mul(a, b, f, m), lambda a, e, m: poly_pow(a, e, f, m)
+    return ring, lambda a, b, m: mul(a, b, f, m), lambda a, e, m: poly_pow(a, e, f, m)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -423,7 +419,7 @@ def test_ring_lanes_match_scalar(kind, f):
     # raise the exact x and apply images
     rng = random.Random(43)
     ms, d = moduli(kind), max(len(f), 1)
-    ring, power, mul, scalar_pow = lane_ring(f, ms)
+    ring, mul, scalar_pow = lane_ring(f, ms)
 
     def elements(out=None):
         """One element per lane, as tuples and as the ring's lanes."""
@@ -440,14 +436,14 @@ def test_ring_lanes_match_scalar(kind, f):
     exps = [0, 1, 2, 3] + [rng.randrange(1 << rng.randint(1, 62)) for _ in ms[4:]]
     for x, lx in ((a, la), (b, lb), top):
         for es in (exps, [0] * len(ms), [1] * len(ms)):
-            assert _transpose(power(lx, lanes_of(es))) == [
+            assert _transpose(ring.pow(lx, lanes_of(es))) == [
                 scalar_pow(y, k, m) for y, k, m in zip(x, es, ms)]
     none = lanes_of([])
-    assert all(c.size == 0 for c in lane_ring(f, [])[1]((none,) * d, none))
+    assert all(c.size == 0 for c in Lanes(none, f).pow((none,) * d, none))
     if d == 1:
         return
     x = (0, 1) + (0,) * (d - 2)
-    assert _transpose(power(x, lanes_of(exps))) == [
+    assert _transpose(ring.pow(x, lanes_of(exps))) == [
         scalar_pow(x, k, m) for k, m in zip(exps, ms)]
     images = [elements() for _ in range(d - 1)]
     want = [tuple((c[0] * (k == 0) + sum(c[i] * s[0][j][k] for i, s in enumerate(images, 1))) % m
@@ -495,7 +491,7 @@ def test_ring_exact_digit_pow_matches_poly_pow(kind, f):
     # largest modulus
     rng = random.Random(53)
     ms, d = moduli(kind), max(len(f), 1)
-    ring, power, _, scalar_pow = lane_ring(f, ms)
+    ring, _, scalar_pow = lane_ring(f, ms)
     pad = lambda a: a + (0,) * (d - len(a))
     top = max(ms)
     constants = list(SCALAR_CONSTANTS if d == 1 else RING_CONSTANTS)
@@ -507,12 +503,12 @@ def test_ring_exact_digit_pow_matches_poly_pow(kind, f):
     for a in constants:
         widths[a] = w = table_width(pad(a), f, top)
         assert ring.table(pad(a)) == (exact_powers(pad(a), f, 1 << w) if w else None), a
-        assert _transpose(power(pad(a), lanes_of(exps))) == [
+        assert _transpose(ring.pow(pad(a), lanes_of(exps))) == [
             scalar_pow(pad(a), e, m) for e, m in zip(exps, ms)], a
         for e in EDGE_EXPS if d == 1 else [(1 << 17) - 1]:  # on every lane at once
-            assert _transpose(power(pad(a), lanes_of([e] * len(ms)))) == [
+            assert _transpose(ring.pow(pad(a), lanes_of([e] * len(ms)))) == [
                 scalar_pow(pad(a), e, m) for m in ms], (a, e)
-    assert all(c.size == 0 for c in lane_ring(f, [])[1](pad((-108,)), lanes_of([])))
+    assert all(c.size == 0 for c in Lanes(lanes_of([]), f).pow(pad((-108,)), lanes_of([])))
     if (1 + fold_weight(f)) * top >= 1 << 63:  # near 2^60 a fold weight of 8 or more: no table
         assert set(widths.values()) == {0}
     else:  # near 2^60 no constant of x^3 - x - 1 takes w = 2
@@ -580,7 +576,7 @@ def test_frobenius_quotient_lanes_match_scalar(f, unit, inv):
         ups = [poly_pow(unit, p, f, p * p) for p in primes]
         want = [frobenius_quotient(u, inv, s, f, p) for u, s, p in zip(ups, images, primes)]
         assert all(0 <= c < p for t, p in zip(want, primes) for c in t)
-        ring = RingLanes(f, P * P)
+        ring = Lanes(P * P, f)
         assert lanes_path(ring) == path
         cols = lambda rows: tuple(lanes_of(c) for c in zip(*rows))
         up, im = cols(ups), tuple(map(cols, zip(*images)))

@@ -1,7 +1,10 @@
+import concurrent.futures
 import inspect
+import multiprocessing
+import os
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 from functools import partial
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ import pytest
 from unitscan import _parallel, quadratic
 from unitscan._data import DataFileError
 from unitscan._parallel import run_chunked
+from unitscan.cubic import MODE_ORDINARY, scan_cubic
 from unitscan.heuristics import scan_wieferich
 from unitscan.primes import PrimeRange, primes_in
 from unitscan.quadratic import (
@@ -27,7 +31,8 @@ from unitscan.quadratic import (
 from unitscan.order_arith import MULMOD_PMAX, frobenius_quotient, mul2, poly_discriminant, poly_pow
 from unitscan.report import EXCLUDED, HIT, HIT_CODE, Block, Verdict
 
-from _blocks import NEAR_LIMIT, Family, check_scans, check_straddle, check_tiny_chunks, check_workers
+from _blocks import (NEAR_LIMIT, Family, assert_same_report, check_scans, check_straddle, check_tiny_chunks,
+                     check_workers)
 from _oracles import narrow_class_number_bqf, quad_hit_naive, quad_unit_exhaustive
 
 SQUAREFREE_TO_30 = [d for d in range(2, 31) if is_squarefree(d)]
@@ -249,12 +254,12 @@ def test_default_chunk_span_divides_int64_bound():
 
 
 def test_pool_size_capped_at_cores(monkeypatch):
-    # a stand-in context records the pool size asked for and runs the chunks
+    # a stand-in executor records the pool size asked for and runs the chunks
     # in this process: no worker process is ever started
     sizes = []
 
-    class Pool:
-        def __init__(self, size):
+    class Executor:
+        def __init__(self, size, mp_context):
             sizes.append(size)
 
         def __enter__(self):
@@ -263,10 +268,10 @@ def test_pool_size_capped_at_cores(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def starmap(self, worker, chunks, chunksize):
-            return [worker(*c) for c in chunks]
+        def map(self, worker, *columns):
+            return map(worker, *columns)
 
-    monkeypatch.setattr(_parallel, "get_context", lambda: SimpleNamespace(Pool=Pool))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Executor)
     bounds = []
 
     def sieved(a, b):
@@ -293,6 +298,42 @@ def test_pool_size_capped_at_cores(monkeypatch):
     rng = PrimeRange(3, 300_000)
     assert scan_wieferich(2, rng, workers=1000).checksum == scan_wieferich(2, rng).checksum
     assert sizes == [2]
+
+
+def _exits(args, primes):
+    # a pool worker that dies, as on an OOM kill; never in the test process itself
+    assert multiprocessing.parent_process() is not None
+    os._exit(1)
+
+
+def test_dead_worker_raises(monkeypatch):
+    # the pool raises when a worker dies, instead of waiting for its chunk forever
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
+    with pytest.raises(BrokenProcessPool):
+        run_chunked(_exits, None, 2, 10, 2, 2)
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_reports_do_not_depend_on_start_method(method, monkeypatch, quad_records, cubic_records):
+    # each family's 2-worker scan across the 2^18 chunk cut, its pool started by
+    # spawn and by forkserver (the Linux default from Python 3.14), against the
+    # serial report
+    rng = PrimeRange((1 << 18) - 2000, (1 << 18) + 2000)
+    scans = (partial(scan_quadratic, quad_records[2], full_verdicts=True),
+             partial(scan_cubic, cubic_records[-23], mode=MODE_ORDINARY, full_verdicts=True),
+             partial(scan_wieferich, 2))
+    serial = [scan(rng) for scan in scans]
+    started = []
+
+    def context():
+        started.append(method)
+        return multiprocessing.get_context(method)
+
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_parallel, "get_context", context)
+    for scan, one in zip(scans, serial):
+        assert_same_report(scan(rng, workers=2), one, (method, one.field_id))
+    assert started == [method] * len(scans)
 
 
 def test_record_validation():
