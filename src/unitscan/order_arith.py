@@ -8,7 +8,8 @@ references) by the products mul2 and mul3 under the one power loop poly_pow,
 and lane by lane (the scans) by Lanes(m, f), for both degrees and for Z/m
 itself (f = (), d = 1), on int64 lanes only: constants of any size enter as
 per-lane residues (residues).  Lanes.pow takes d-tuples in every ring and
-w-bit digits, exact in int64 for the exact constants the scans raise (Lanes.table).
+w-bit digits, exact in int64 for the exact constants the scans raise (Lanes.table),
+and squares on the float path on balanced residues (Lanes.mulmod, Lanes._square).
 The quadratic and cubic scans decide on one Frobenius quotient, also once per
 side: t in O/p with eps^p * sigma(eps)^-1 = 1 + p*t mod p^2 at an unramified p,
 for the Frobenius sigma that the caller supplies (images of x, ..., x^(d-1)).
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from math import gcd
-from operator import add
+from operator import add, iadd
 
 import numpy as np
 
@@ -236,13 +237,18 @@ class Lanes:
         # for each x^k below x^d, the (j, c) of the entries c != 0 of fold row j, and with
         # c as per-lane residues, split once, when the fold goes through dot pairs (_product)
         self.folds = [[(j, r[k]) for j, r in enumerate(self.rows) if r[k]] for k in range(d)]
+        weight = _fold_sum(self.rows)
         self.lane_folds = ([[(j, self._split(residues(c, m))) for j, c in fold] for fold in self.folds]
-                           if self.q is not None or _fold_sum(self.rows) >= 1 << 12 else None)
+                           if self.q is not None or weight >= 1 << 12 else None)
+        # pow's squares (_square): on balanced residues, and with high terms folded back unreduced
+        self.balanced = self.minv is not None and (d == 1 or top < 1 << 46 and self.lane_folds is None)
+        self.lazy = self.q is None and (top < 1 << 40 and weight < 64 if self.minv is not None
+                                        else (3 + 2 * weight) * top * top < 1 << 63)
 
     def dot(self, pairs, extra=None):
         """(s = sum of a*b over the pairs + extra) mod m, for one to three pairs
-        of a in [0, m) and b in [0, 2m) (b = 2a' in a square) whose products add
-        up to below 3m^2, and |extra| < 2^62 (no extra term when None).
+        of a in [0, m) ((-m, m) off the digit path) and b in [0, 2m) (b = 2a' in a
+        square) whose products add up to below 3m^2, and |extra| < 2^62 (no extra term when None).
 
         While every modulus is below MULMOD_PMAX, s < 2^62 + 3 * 2^50 is exact
         in int64.  Below 2^50 this is the float-quotient MulMod of Shoup's NTL:
@@ -283,7 +289,9 @@ class Lanes:
         extra of the rest: by reduction(pairs, extra) and the exact fold rows, or
         by dot when reduction is None, through dot pairs of the per-lane fold
         entries where lane_folds holds them (the digit path, or a fold column
-        sum of 2^12 or more: past the 2^62 extra term of dot for residues below 2^50)."""
+        sum of 2^12 or more: past the 2^62 extra term of dot for residues below 2^50).
+        A first operand |r| < m (pow's balanced squares) keeps a digit product by table exact,
+        below (sum of |a^k| + F) * max m < 2^63, and a mul within the bounds of dot."""
         folds, fold = self.folds, lambda terms: reduce(add, [h if c == 1 else h * c for h, c in terms])
         split = lambda h: h
         if reduction is None:
@@ -311,10 +319,13 @@ class Lanes:
         so |y| < 2^63 / 2^25 = 2^38 is exact in float64 and q is off by at most 0.5 + 2^-13."""
         est = x.astype(np.float64)  # two temporaries, the rest in place: fresh arrays page-fault
         est *= est if y is x else y
+        return self._near(np.multiply(x, y, out=x), est)
+
+    def _near(self, s, est):  # s - rint(est * minv) * m, in place on the int64 s and its float64 estimate
         est *= self.minv
         q = np.rint(est, out=est).astype(np.int64)
         q *= self.m
-        return np.subtract(np.multiply(x, y, out=x), q, out=x)
+        return np.subtract(s, q, out=s)
 
     def table(self, a):
         """The exact powers a^0, ..., a^(2^w - 1) of the d-tuple of ints a for the
@@ -338,12 +349,12 @@ class Lanes:
         exact constant: each digit multiplies by table(a), gathered from d int64
         columns, with one exact product and reduction per coefficient; residues
         per lane, and ints with no table (as residues), take w = 1 and the full product mul.
-        In Z/m on the float path each square and digit product is one mulmod on
-        balanced residues in (-m, m), and one % ends the power.  Rings keep dot: two
-        or three pairs per coefficient can put the quotient estimate more than 1 off near m = 2^50."""
+        Where balanced (the float path; rings below 2^46 with F < 2^12) squares run on residues in
+        (-m, m): by mulmod in Z/m, digit products too, and one % ends the power; by _square in rings,
+        whose digit products (_product) take |r| < m and reduce by %.  The exact path takes _square where lazy."""
         m = self.m
-        balanced = self.d == 1 and self.minv is not None
-        reduction = (lambda pairs, extra=None: self.mulmod(*pairs[0])) if balanced else None
+        reduction = (lambda pairs, extra=None: self.mulmod(*pairs[0])) if self.d == 1 and self.balanced else None
+        square = self._square if self.d > 1 and (self.balanced or self.lazy) else lambda r: self.square(r, reduction)
         table = None if any(map(np.ndim, a)) else self.table(tuple(map(int, a)))
         if table is None:
             a = tuple(residues(c, m) for c in a)
@@ -354,8 +365,31 @@ class Lanes:
             w, first = len(table).bit_length() - 1, lambda d: tuple(c[d] % m for c in cols)
             exact = reduction or (lambda pairs, extra=None: _sum(pairs, extra) % m)
             times = lambda r, d: self._product((*r, *(c[d] for c in cols)), self.mul_plan, exact)
-        r = pow_lanes(e, w, first, lambda r: self.square(r, reduction), times)
+        r = pow_lanes(e, w, first, square, times)
         return r if reduction is None else (r[0] % m,)
+
+    def _square(self, a):
+        """square(a) in a ring for pow, |a_i| < m: each x^k by the wrapping int64 sum s of its
+        pairs (of a and 2a) and, where balanced, the float64 sum est of the same pairs (a in
+        float64 once); x^d, ..., x^(2d-2) fold back unreduced where lazy, else by _near first.
+        The exact path, a in [0, m), keeps s exact and takes one % per coefficient while
+        (3 + 2F) * m^2 < 2^63: s is at most d <= 3 times m^2 at x^k < x^d, d - 1 times above.
+        Balanced, |est - s| <= 5 * 2^-53 * S for S the sum of |leaves| (a leaf takes a product,
+        a fold factor and three additions), est * minv 2 roundings more, so q = rint(est * minv)
+        gives |r| = |s - q*m| < m/2 + 7.01 * 2^-53 * S, exact in wrapping int64: unreduced
+        highs (m < 2^40, F < 64: S < 129 m^2) give |r| < 0.62 m; highs reduced to |h| < 0.55 m
+        (m < 2^46: S < 3 m^2 + 0.55 m F, F < 2^12) give |r| < 0.67 m."""
+        ops = (*a, *(c + c for c in a[1:]))
+        fl = [c.astype(np.float64) for c in a] if self.balanced else []
+        fops = (*fl, *(c + c for c in fl[1:]))
+        def sums(ij, fold=()):  # the pair and fold terms of x^k, summed in int64 and, where balanced, float64
+            return [reduce(iadd, [h[n] if c == 1 else h[n] * c for h, c in fold], _sum([(o[i], o[j]) for i, j in ij]))
+                    for n, o in enumerate((ops, fops)[:1 + self.balanced])]
+        high = [sums(ij) for ij in self.square_plan[self.d:]]
+        if not self.lazy:
+            high = [(h, h.astype(np.float64)) for h in (self._near(*x) for x in high)]
+        low = (sums(ij, [(high[j], c) for j, c in fold]) for ij, fold in zip(self.square_plan, self.folds))
+        return tuple(self._near(*x) if self.balanced else x[0] % self.m for x in low)
 
     def apply(self, a, images):
         """a0 + a1 x + ... -> a0 + a1 s1 + ..., for the images s1, ... of x, ..., x^(d-1)."""

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import partial
 
@@ -594,6 +595,21 @@ def test_scan_hyp3_exclusion_applies(cubic_records):
 
 def test_scan_parallel_determinism(cubic_records, chunk_counts):
     check_workers(CUBIC[MODE_ORDINARY], cubic_records[-107], chunk_counts)
+
+
+def test_hits_only_cubic_scan_memory(cubic_records):
+    # 26,153 primes tested in 2^18-wide chunks: each chunk's lane kernel (two lane
+    # powers, the Frobenius step and their temporaries, the float64 sums of the
+    # balanced squares among them) and the hits-only Blocks stay within the bound
+    # of the quadratic test (about 3.7 MiB with numpy 2.4)
+    tracemalloc.start()
+    try:
+        rep = scan_cubic(cubic_records[-23], PrimeRange(3, 10**6), mode=MODE_H2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.tested == 26_153
+    assert peak < 4 << 20
 
 
 def test_frobenius_density_at_one_million(cubic_records):
