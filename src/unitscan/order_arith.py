@@ -9,7 +9,8 @@ and lane by lane (the scans) by Lanes(m, f), for both degrees and for Z/m
 itself (f = (), d = 1), on int64 lanes only: constants of any size enter as
 per-lane residues (residues).  Lanes.pow takes d-tuples in every ring and
 w-bit digits, exact in int64 for the exact constants the scans raise (Lanes.table),
-and squares on the float path on balanced residues (Lanes.mulmod, Lanes._square).
+and squares on the float path on balanced residues (Lanes.mulmod; Lanes._square,
+in rings below 2^40).
 The quadratic and cubic scans decide on one Frobenius quotient, also once per
 side: t in O/p with eps^p * sigma(eps)^-1 = 1 + p*t mod p^2 at an unramified p,
 for the Frobenius sigma that the caller supplies (images of x, ..., x^(d-1)).
@@ -237,13 +238,10 @@ class Lanes:
         # for each x^k below x^d, the (j, c) of the entries c != 0 of fold row j, and with
         # c as per-lane residues, split once, when the fold goes through dot pairs (_product)
         self.folds = [[(j, r[k]) for j, r in enumerate(self.rows) if r[k]] for k in range(d)]
-        weight = _fold_sum(self.rows)
         self.lane_folds = ([[(j, self._split(residues(c, m))) for j, c in fold] for fold in self.folds]
-                           if self.q is not None or weight >= 1 << 12 else None)
-        # pow's squares (_square): on balanced residues, and with high terms folded back unreduced
-        self.balanced = self.minv is not None and (d == 1 or top < 1 << 46 and self.lane_folds is None)
-        self.lazy = self.q is None and (top < 1 << 40 and weight < 64 if self.minv is not None
-                                        else (3 + 2 * weight) * top * top < 1 << 63)
+                           if self.q is not None or _fold_sum(self.rows) >= 1 << 12 else None)
+        # pow on balanced residues: by mulmod in Z/m, by _square in rings below 2^40 with F < 64
+        self.balanced = self.minv is not None and (d == 1 or top < 1 << 40 and _fold_sum(self.rows) < 64)
 
     def dot(self, pairs, extra=None):
         """(s = sum of a*b over the pairs + extra) mod m, for one to three pairs
@@ -349,12 +347,12 @@ class Lanes:
         exact constant: each digit multiplies by table(a), gathered from d int64
         columns, with one exact product and reduction per coefficient; residues
         per lane, and ints with no table (as residues), take w = 1 and the full product mul.
-        Where balanced (the float path; rings below 2^46 with F < 2^12) squares run on residues in
+        Where balanced (the float path; rings below 2^40 with F < 64) squares run on residues in
         (-m, m): by mulmod in Z/m, digit products too, and one % ends the power; by _square in rings,
-        whose digit products (_product) take |r| < m and reduce by %.  The exact path takes _square where lazy."""
+        whose digit products (_product) take |r| < m and reduce by %.  Other rings square by dot."""
         m = self.m
         reduction = (lambda pairs, extra=None: self.mulmod(*pairs[0])) if self.d == 1 and self.balanced else None
-        square = self._square if self.d > 1 and (self.balanced or self.lazy) else lambda r: self.square(r, reduction)
+        square = self._square if self.d > 1 and self.balanced else lambda r: self.square(r, reduction)
         table = None if any(map(np.ndim, a)) else self.table(tuple(map(int, a)))
         if table is None:
             a = tuple(residues(c, m) for c in a)
@@ -369,27 +367,22 @@ class Lanes:
         return r if reduction is None else (r[0] % m,)
 
     def _square(self, a):
-        """square(a) in a ring for pow, |a_i| < m: each x^k by the wrapping int64 sum s of its
-        pairs (of a and 2a) and, where balanced, the float64 sum est of the same pairs (a in
-        float64 once); x^d, ..., x^(2d-2) fold back unreduced where lazy, else by _near first.
-        The exact path, a in [0, m), keeps s exact and takes one % per coefficient while
-        (3 + 2F) * m^2 < 2^63: s is at most d <= 3 times m^2 at x^k < x^d, d - 1 times above.
-        Balanced, |est - s| <= 5 * 2^-53 * S for S the sum of |leaves| (a leaf takes a product,
-        a fold factor and three additions), est * minv 2 roundings more, so q = rint(est * minv)
-        gives |r| = |s - q*m| < m/2 + 7.01 * 2^-53 * S, exact in wrapping int64: unreduced
-        highs (m < 2^40, F < 64: S < 129 m^2) give |r| < 0.62 m; highs reduced to |h| < 0.55 m
-        (m < 2^46: S < 3 m^2 + 0.55 m F, F < 2^12) give |r| < 0.67 m."""
+        """square(a) for pow in a balanced ring, |a_i| < m: each x^k by the wrapping int64 sum s
+        of its pairs (of a and 2a) and the float64 sum est of the same pairs (a in float64 once),
+        x^d, ..., x^(2d-2) folded back unreduced, and r = s - rint(est * minv) * m by _near.
+        |est - s| <= 5 * 2^-53 * S for S the sum of |leaves| (a leaf takes a product, a fold
+        factor and three additions), and est * minv 2 roundings more, so |r| < m/2 + 7.01 * 2^-53 * S,
+        exact in wrapping int64.  A high sum is below 2 m^2, so S < (3 + 2F) m^2 <= 129 m^2 for
+        F < 64, and below m = 2^40 that gives |r| < 0.62 m."""
         ops = (*a, *(c + c for c in a[1:]))
-        fl = [c.astype(np.float64) for c in a] if self.balanced else []
+        fl = [c.astype(np.float64) for c in a]
         fops = (*fl, *(c + c for c in fl[1:]))
-        def sums(ij, fold=()):  # the pair and fold terms of x^k, summed in int64 and, where balanced, float64
+        def sums(ij, fold=()):  # the pair and fold terms of x^k, summed in int64 and in float64
             return [reduce(iadd, [h[n] if c == 1 else h[n] * c for h, c in fold], _sum([(o[i], o[j]) for i, j in ij]))
-                    for n, o in enumerate((ops, fops)[:1 + self.balanced])]
+                    for n, o in enumerate((ops, fops))]
         high = [sums(ij) for ij in self.square_plan[self.d:]]
-        if not self.lazy:
-            high = [(h, h.astype(np.float64)) for h in (self._near(*x) for x in high)]
-        low = (sums(ij, [(high[j], c) for j, c in fold]) for ij, fold in zip(self.square_plan, self.folds))
-        return tuple(self._near(*x) if self.balanced else x[0] % self.m for x in low)
+        return tuple(self._near(*sums(ij, [(high[j], c) for j, c in fold]))
+                     for ij, fold in zip(self.square_plan, self.folds))
 
     def apply(self, a, images):
         """a0 + a1 x + ... -> a0 + a1 s1 + ..., for the images s1, ... of x, ..., x^(d-1)."""

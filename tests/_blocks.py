@@ -25,9 +25,9 @@ STRADDLE = PrimeRange(MULMOD_PMAX - 3000, MULMOD_PMAX + 3000)
 NEAR_LIMIT = PrimeRange(RANGE_LIMIT - 20_000, RANGE_LIMIT)  # one chunk, on the digit path
 
 # the product paths of Lanes, narrowest first: exact int64 below 2^25, the float
-# quotient below 2^50, base-q digits on squares q^2 from there; within the first
-# two, the regime of the ring squares of Lanes.pow (Lanes.balanced below 2^46,
-# Lanes.lazy) is not recorded here: test_order_arith pins it at each cut
+# quotient below 2^50, base-q digits on squares q^2 from there; whether the ring
+# squares of Lanes.pow are balanced (Lanes.balanced, the float path below 2^40) is
+# not recorded here: test_order_arith pins it at each cut
 PATHS = ("exact", "float", "digits")
 
 

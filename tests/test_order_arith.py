@@ -1,6 +1,5 @@
 import bisect
 import itertools
-import math
 import random
 
 import numpy as np
@@ -205,15 +204,6 @@ def lanes_of(values):
     return np.array(values, dtype=np.int64)
 
 
-BOUND_CUBIC = (4095, 0, 0)  # x^3 + 4095, of fold weight F = 4095
-
-
-def lazy_cut(weight):
-    """The least modulus on the exact path whose ring squares reduce their high
-    terms before the fold, for the fold weight F: (3 + 2F) * m^2 reaches 2^63."""
-    return math.isqrt(((1 << 63) - 1) // (3 + 2 * weight)) + 1
-
-
 @pytest.mark.parametrize("kind", KINDS)
 def test_float_quotient_mulmod_exact(kind):
     # dot on each path: operands 0, m - 1 and random, one to three pairs, and
@@ -277,24 +267,19 @@ def test_lanes_path_follows_the_largest_modulus():
     for ms in ([(1 << 50) + 1], [3, 1 << 50], [1 << 60], [9, (1 << 62) - 1]):
         with pytest.raises(ValueError, match="squares below 2\\^60"):
             Lanes(lanes_of(ms))
-    # the squares of ring powers (Lanes._square): balanced on the float path below 2^46
-    # with F < 2^12, their high terms unreduced there below 2^40 with F < 64, and on
-    # the exact path while (3 + 2F) * m^2 < 2^63; neither on the digit path
-    for ms, f, balanced, lazy in (
-            ([3, MULMOD_PMAX - 1], (-1, -1, 0), False, True),
-            ([3, lazy_cut(4098) - 1], (-4098, 0), False, True),  # F = 4098, past the lane-fold cut
-            ([3, lazy_cut(4095) - 1], BOUND_CUBIC, False, True),
-            ([3, lazy_cut(4095)], BOUND_CUBIC, False, False),
-            ([3, MULMOD_PMAX], (-1, -1, 0), True, True),
-            ([3, (1 << 40) - 1], (63, 0), True, True),
-            ([3, (1 << 40) - 1], (64, 0), True, False),
-            ([3, 1 << 40], (63, 0), True, False),
-            ([3, (1 << 46) - 1], BOUND_CUBIC, True, False),
-            ([3, (1 << 46) - 1], (-4096, 0), False, False),  # F = 2^12: folds through dot pairs
-            ([3, 1 << 46], (-1, -1, 0), False, False),
-            ([9, 1 << 50], (-1, -1, 0), False, False)):
-        ring = Lanes(lanes_of(ms), f)
-        assert (ring.balanced, ring.lazy) == (balanced, lazy), (ms, f)
+    # the squares of ring powers: balanced (Lanes._square) on the float path below 2^40
+    # with F < 64, by dot on the exact path, from 2^40, for F >= 64 and on the digit path
+    for ms, f, balanced in (
+            ([3, MULMOD_PMAX - 1], (-1, -1, 0), False),
+            ([3, MULMOD_PMAX], (-1, -1, 0), True),
+            ([3, MULMOD_PMAX], (4095, 0, 0), False),
+            ([3, (1 << 40) - 1], (63, 0), True),
+            ([3, (1 << 40) - 1], (64, 0), False),
+            ([3, (1 << 40) - 1], (63, 0, 0), True),
+            ([3, 1 << 40], (63, 0), False),
+            ([3, (1 << 50) - 1], (-1, -1, 0), False),
+            ([9, 1 << 50], (-1, -1, 0), False)):
+        assert Lanes(lanes_of(ms), f).balanced == balanced, (ms, f)
 
 
 def test_digit_path_bounds():
@@ -567,22 +552,15 @@ def primes_around(cut, n=8):
             list(primes_in(PrimeRange(cut, cut + 2000)))[:n])
 
 
-# the cuts of the ring squares, in p, whether the moduli are p^2 (else p), and which
-# of F = 2 and F = 4095 (the "bound" rings) change regime there: balanced squares on
-# the float path below 2^46 = (2^23)^2 (for F < 2^12), dot products from there; high
-# terms unreduced there below 2^40 = (2^20)^2 (for F < 64), and on the exact path
-# while (3 + 2F) m^2 < 2^63, up to the float path at 2^25 for small F
-POW_CUTS = {"balanced": (1 << 23, True, (2, 4095)), "float fold": (1 << 20, True, (2,)),
-            "exact fold F=4095": (lazy_cut(4095), False, (4095,)),
-            "exact to float": (MULMOD_PMAX, False, (2, 4095))}
+# the cuts of the ring squares, in p, and whether the moduli are p^2 (else p): balanced
+# squares on the float path, from 2^25, below 2^40 = (2^20)^2 for F < 64, dot elsewhere;
+# a ring changes regime at both cuts when F < 64 and at neither otherwise
+POW_CUTS = {"balanced": (1 << 20, True), "exact to float": (MULMOD_PMAX, False)}
 
 
 def square_regime(f, top):
-    """(balanced, lazy) of Lanes(m, f) by its largest modulus, on the first two paths."""
-    weight = fold_weight(f)
-    if top < MULMOD_PMAX:
-        return False, (3 + 2 * weight) * top * top < 1 << 63
-    return top < 1 << 46 and weight < 1 << 12, top < 1 << 40 and weight < 64
+    """Lanes(m, f).balanced by its largest modulus, below 2^50."""
+    return MULMOD_PMAX <= top < 1 << 40 and fold_weight(f) < 64
 
 
 @pytest.mark.parametrize("cut", POW_CUTS)
@@ -593,13 +571,13 @@ def test_ring_pow_on_either_side_of_each_cut(f, cut):
     # exact constants by their tables, to the exponents 2^k - 1, so that every square
     # follows a digit product whose output may be near m
     rng = random.Random(61)
-    d, (p, square, moved) = len(f), POW_CUTS[cut]
+    d, (p, square) = len(f), POW_CUTS[cut]
     exps = lanes_of([(1 << k) - 1 for k in (1, 2, 3, 5, 18, 40, 62, 63)])
     regimes = []
     for ps in primes_around(p):
         ms = [q * q for q in ps] if square else ps
         ring, _, scalar_pow = lane_ring(f, ms)
-        regimes.append((ring.balanced, ring.lazy))
+        regimes.append(ring.balanced)
         assert regimes[-1] == square_regime(f, max(ms)), ps
         for x in ([(m - 1,) * d for m in ms], [tuple(rng.randrange(m) for _ in range(d)) for m in ms]):
             got = ring.pow(tuple(lanes_of(c) for c in zip(*x)), exps)
@@ -607,29 +585,27 @@ def test_ring_pow_on_either_side_of_each_cut(f, cut):
         for a in RING_CONSTANTS:
             a += (0,) * (d - len(a))
             assert _transpose(ring.pow(a, exps)) == [scalar_pow(a, e, m) for e, m in zip(exps.tolist(), ms)], a
-    if fold_weight(f) in (2, 4095):
-        assert (regimes[0] != regimes[1]) == (fold_weight(f) in moved), regimes
+    assert (regimes[0] != regimes[1]) == (fold_weight(f) < 64), regimes
 
 
-@pytest.mark.parametrize("f", [RING_POLYS[k] for k in ("x2-x-1", "x3-x-1", "x2-4095x+4095 bound", "x3+4095 bound")])
+@pytest.mark.parametrize("f", [RING_POLYS["x2-x-1"], RING_POLYS["x3-x-1"], (63, 0), (63, 0, 0)],
+                         ids=["x2-x-1", "x3-x-1", "x2+63", "x3+63"])
 def test_balanced_square_within_its_bound(f):
     # one balanced square of every element with coefficients +-(m - 1) and
-    # +-floor(m/2), on the largest moduli below 2^40 and below 2^46: congruent to
-    # the product, and |r| < 0.62 m with the high terms unreduced, 0.67 m with
-    # them reduced first (Lanes._square); a rounded quotient, never a truncated one
+    # +-floor(m/2), on the largest moduli below 2^40, for F = 1, 2 and the
+    # largest F = 63: congruent to the product, and |r| < 0.62 m (Lanes._square);
+    # a rounded quotient, never a truncated one
     d = len(f)
     mul = mul2 if d == 2 else mul3
-    for cut in (1 << 20, 1 << 23):
-        ms = [p * p for p in primes_around(cut)[0]]
-        ring = Lanes(lanes_of(ms), f)
-        assert ring.balanced and ring.lazy == (cut == 1 << 20 and fold_weight(f) < 64)
-        bound = 0.62 if ring.lazy else 0.67
-        for signs in itertools.product(range(4), repeat=d):
-            x = [tuple((m - 1, 1 - m, m // 2, -(m // 2))[s] for s in signs) for m in ms]
-            got = _transpose(ring._square(tuple(lanes_of(c) for c in zip(*x))))
-            for r, y, m in zip(got, x, ms):
-                assert [(c - w) % m for c, w in zip(r, mul(y, y, f, m))] == [0] * d, (m, y)
-                assert max(map(abs, r)) < bound * m, (m, y, r)
+    ms = [p * p for p in primes_around(1 << 20)[0]]
+    ring = Lanes(lanes_of(ms), f)
+    assert ring.balanced
+    for signs in itertools.product(range(4), repeat=d):
+        x = [tuple((m - 1, 1 - m, m // 2, -(m // 2))[s] for s in signs) for m in ms]
+        got = _transpose(ring._square(tuple(lanes_of(c) for c in zip(*x))))
+        for r, y, m in zip(got, x, ms):
+            assert [(c - w) % m for c, w in zip(r, mul(y, y, f, m))] == [0] * d, (m, y)
+            assert max(map(abs, r)) < 0.62 * m, (m, y, r)
 
 
 # -- the Frobenius quotient -------------------------------------------------------
