@@ -1,16 +1,13 @@
 """Exact arithmetic in quotient rings O/p^k O of monogenic orders O = Z[theta].
 
 The order is described by the monic integer polynomial f that theta
-satisfies (degree 2 or 3).  Ring elements are coefficient vectors on the
-power basis 1, theta[, theta^2], with entries reduced into [0, m) for m = p^k.
+satisfies (degree 2 or 3 in an OrderSpec).  Ring elements are coefficient vectors
+on the power basis 1, theta, ..., with entries reduced into [0, m) for m = p^k.
 The ring (Z/m)[x]/(f) is written once per side: on tuples (the scalar
 references) by the products mul2 and mul3 under the one power loop poly_pow,
-and lane by lane (the scans) by Lanes(m, f), for both degrees and for Z/m
+and lane by lane (the scans) by Lanes(m, f), for a monic f of any degree d and Z/m
 itself (f = (), d = 1), on int64 lanes only: constants of any size enter as
-per-lane residues (residues).  Lanes.pow takes d-tuples in every ring and
-w-bit digits, exact in int64 for the exact constants the scans raise (Lanes.table),
-and squares on the float path on balanced residues (Lanes.mulmod; Lanes._square,
-in rings below 2^40).
+per-lane residues (residues).  Lanes.pow is the one lane power, in every ring.
 The quadratic and cubic scans decide on one Frobenius quotient, also once per
 side: t in O/p with eps^p * sigma(eps)^-1 = 1 + p*t mod p^2 at an unramified p,
 for the Frobenius sigma that the caller supplies (images of x, ..., x^(d-1)).
@@ -218,8 +215,10 @@ def _sum(pairs, extra=None):
 class Lanes:
     """(Z/m)[x]/(f) lane by lane, for an int64 array m of moduli (every m below
     2^50, or squares q^2 below 2^60) and the non-leading coefficients f of a
-    monic f of degree d = len(f) in {2, 3}, or f = () for Z/m (d = 1).  Products
-    act on d-tuples of residue arrays in [0, m) by one plan and fold by fold_rows(f)."""
+    monic f of degree d = len(f) <= 64, or f = () for Z/m (d = 1).  Products act on
+    d-tuples of residue arrays in [0, m) by one plan and fold by fold_rows(f), the bounds of
+    every path in d: x^k sums at most d pairs a_i*b_j, i + j = k, and x^k below x^d folds in at
+    most d - 1 high sums x^d, ..., x^(2d-2), by weights adding up to at most F (fold_weight)."""
 
     def __init__(self, m, f=()):
         self.m, self.d, self.rows = m, max(len(f), 1), fold_rows(f)
@@ -238,30 +237,34 @@ class Lanes:
         # for each x^k below x^d, the (j, c) of the entries c != 0 of fold row j, and with
         # c as per-lane residues, split once, when the fold goes through dot pairs (_product)
         self.folds = [[(j, r[k]) for j, r in enumerate(self.rows) if r[k]] for k in range(d)]
+        # F, the largest column sum of |rows| (0 for none): a fold term is at most F times its largest high sum
+        self.fold_weight = F = max((sum(map(abs, column)) for column in zip(*self.rows)), default=0)
         self.lane_folds = ([[(j, self._split(residues(c, m))) for j, c in fold] for fold in self.folds]
-                           if self.q is not None or _fold_sum(self.rows) >= 1 << 12 else None)
-        # pow on balanced residues: by mulmod in Z/m, by _square in rings below 2^40 with F < 64
-        self.balanced = self.minv is not None and (d == 1 or top < 1 << 40 and _fold_sum(self.rows) < 64)
+                           if self.q is not None or F >= 1 << 12 else None)
+        # pow on balanced residues: by mulmod in Z/m, by _square in rings below 2^40 with F < 64 within its bound
+        self.balanced = self.minv is not None and (d == 1 or top < 1 << 40 and F < 64
+                                                   and (2 * d + 2) * (d + (d - 1) * F) <= 1 << 12)
 
     def dot(self, pairs, extra=None):
-        """(s = sum of a*b over the pairs + extra) mod m, for one to three pairs
-        of a in [0, m) ((-m, m) off the digit path) and b in [0, 2m) (b = 2a' in a
-        square) whose products add up to below 3m^2, and |extra| < 2^62 (no extra term when None).
+        """(s = sum of a*b over the pairs + extra) mod m, for n <= 64 pairs of a in [0, m)
+        ((-m, m) off the digit path) and b in [0, 2m) (b = 2a' in a square), so that P, the sum
+        of |a*b|, is below 2n m^2, and |extra| < 2^62 (no extra term when None): any ring product.
 
-        While every modulus is below MULMOD_PMAX, s < 2^62 + 3 * 2^50 is exact
-        in int64.  Below 2^50 this is the float-quotient MulMod of Shoup's NTL:
-        q is s/m computed in float64 and truncated.  Its terms add up to at
-        most 3m^2 + 2^62, and at most eight roundings of 2^-53 each put q
-        within 8 * 2^-53 * (3m + 2^62/m) + 1 of s/m, so r = s - q*m has
-        |r| < 2m + 8 * 2^-53 * (3m^2 + 2^62) < 2^53.  Wrapping int64
+        While every modulus is below MULMOD_PMAX, |s| < 2n * 2^50 + 2^62 < 2^63 is
+        exact in int64.  Below 2^50 this is the float-quotient MulMod of Shoup's NTL:
+        q is s/m computed in float64 and truncated.  A term takes at most n + 3 roundings
+        of 2^-53 (a product or the extra's conversion, n additions, minv and est * minv),
+        which put q within (n + 3) * 2^-53 * (P + 2^62)/m + 1 of s/m, so r = s - q*m has
+        |r| < m + (n + 3) * 2^-53 * (2n m^2 + 2^62) < 2^61.  Wrapping int64
         arithmetic gets s and q*m right modulo 2^64, hence r exactly, and
         r % m is the residue.
 
-        On squares m = q^2 < 2^60 the operands split into base-q digits,
-        a = a0 + q*a1, and a*b = a0*b0 + q*(a0*b1 + a1*b0) mod m, for any
-        three pairs: the low sum with extra stays below 3q^2 + 2^62, a pair's
-        middle term below 3q^2 and two of them below 6q^2 < 2^63, so a third
-        is added to their residue mod q, and low + q*(middle mod q) < 2^63."""
+        On squares m = q^2 < 2^60 the operands split into base-q digits, a = a0 + q*a1,
+        and a*b = a0*b0 + q*(a0*b1 + a1*b0) mod m, for any n: a pair's low term is below
+        q^2 and its middle term below 3q^2.  Three low terms and extra stay below 3q^2 + 2^62,
+        so a fourth and later are added to the low sum's residue mod m; two middle terms
+        stay below 6q^2 < 2^63, so a third and later are added to the middle sum's residue
+        mod q; and low + q*(middle mod q) < 2^62 + 4q^2 < 2^63."""
         return self._dot([(self._split(a), self._split(b)) for a, b in pairs], extra)
 
     def _split(self, x):  # x as its base-q digits (x // q, x % q) on the digit path
@@ -273,7 +276,7 @@ class Lanes:
             q = self.q
             low, mid = 0 if extra is None else extra, 0
             for i, ((a1, a0), (b1, b0)) in enumerate(pairs):
-                low = low + a0 * b0
+                low = (low % self.m if i > 2 else low) + a0 * b0
                 mid = (mid % q if i > 1 else mid) + a0 * b1 + a1 * b0
             return (low + q * (mid % q)) % self.m
         s = _sum(pairs, extra)
@@ -286,8 +289,8 @@ class Lanes:
         """The sums of the plan, x^d, ..., x^(2d-2) first, folded back as the
         extra of the rest: by reduction(pairs, extra) and the exact fold rows, or
         by dot when reduction is None, through dot pairs of the per-lane fold
-        entries where lane_folds holds them (the digit path, or a fold column
-        sum of 2^12 or more: past the 2^62 extra term of dot for residues below 2^50).
+        entries where lane_folds holds them (the digit path, or F >= 2^12: a fold of reduced
+        highs, up to F * (m - 1), would pass the 2^62 extra term of dot for m below 2^50).
         A first operand |r| < m (pow's balanced squares) keeps a digit product by table exact,
         below (sum of |a^k| + F) * max m < 2^63, and a mul within the bounds of dot."""
         folds, fold = self.folds, lambda terms: reduce(add, [h if c == 1 else h * c for h, c in terms])
@@ -328,14 +331,14 @@ class Lanes:
     def table(self, a):
         """The exact powers a^0, ..., a^(2^w - 1) of the d-tuple of ints a for the
         widest w <= 3 keeping each digit product r * a^k, r in [0, m), in int64:
-        (sum of |a^k| + F) * max m < 2^63, F the fold's weight (_fold_sum; 0 for
-        d = 1), since a coefficient of r * a^k is at most (m - 1) * sum of |a^k|
-        from its pairs plus (m - 1) * F from the reduced high terms folded back.
-        None when a^1 misses."""
+        (sum of |a^k| + F) * max m < 2^63, F the fold weight (0 for d = 1),
+        since in any degree a coefficient of r * a^k is at most (m - 1) times the sum of
+        |a^k| from its pairs (each entry of a^k once) plus (m - 1) * F from the reduced
+        high terms folded back.  None when a^1 misses."""
         powers = [(1,) + (0,) * (self.d - 1)]
         while len(powers) < 8:
             powers.append(self._product((*powers[-1], *a), self.mul_plan, _sum))
-        top, fold = int(self.m.max(initial=1)), _fold_sum(self.rows)
+        top, fold = int(self.m.max(initial=1)), self.fold_weight
         fits = lambda t: (sum(map(abs, t)) + fold) * top < 1 << 63
         for w in (3, 2, 1):
             if all(map(fits, powers[: 1 << w])):
@@ -347,7 +350,7 @@ class Lanes:
         exact constant: each digit multiplies by table(a), gathered from d int64
         columns, with one exact product and reduction per coefficient; residues
         per lane, and ints with no table (as residues), take w = 1 and the full product mul.
-        Where balanced (the float path; rings below 2^40 with F < 64) squares run on residues in
+        Where balanced (the float path; rings below 2^40 within _square's bound) squares run on residues in
         (-m, m): by mulmod in Z/m, digit products too, and one % ends the power; by _square in rings,
         whose digit products (_product) take |r| < m and reduce by %.  Other rings square by dot."""
         m = self.m
@@ -370,10 +373,12 @@ class Lanes:
         """square(a) for pow in a balanced ring, |a_i| < m: each x^k by the wrapping int64 sum s
         of its pairs (of a and 2a) and the float64 sum est of the same pairs (a in float64 once),
         x^d, ..., x^(2d-2) folded back unreduced, and r = s - rint(est * minv) * m by _near.
-        |est - s| <= 5 * 2^-53 * S for S the sum of |leaves| (a leaf takes a product, a fold
-        factor and three additions), and est * minv 2 roundings more, so |r| < m/2 + 7.01 * 2^-53 * S,
-        exact in wrapping int64.  A high sum is below 2 m^2, so S < (3 + 2F) m^2 <= 129 m^2 for
-        F < 64, and below m = 2^40 that gives |r| < 0.62 m."""
+        A leaf takes a product, a fold factor and at most 2d - 3 additions (a high sum has at most
+        d/2 pairs, a low one (d + 1)/2, and d - 1 folds), so |est - s| <= (2d - 1) * 2^-53 * S for S
+        the sum of |leaves|, below (d + (d - 1)F) m^2, and with est * minv 2 roundings more, |r| < m/2
+        + (2d + 1.01)(d + (d - 1)F) * 2^-13 m below m = 2^40, exact in wrapping int64: below 0.62 m for
+        d <= 3 and F < 64, and below m while (2d + 2)(d + (d - 1)F) <= 2^12, for every F < 64 to d = 5
+        (F = 1 to d = 31), and for F <= 57 at d = 6, F <= 41 at 7, 19 at 10 and 11 at 13."""
         ops = (*a, *(c + c for c in a[1:]))
         fl = [c.astype(np.float64) for c in a]
         fops = (*fl, *(c + c for c in fl[1:]))
@@ -401,9 +406,3 @@ def fold_rows(f) -> list[tuple[int, ...]]:
     while len(rows) < len(f) - 1:
         rows.append(tuple(lo - rows[-1][-1] * c for lo, c in zip((0,) + rows[-1][:-1], f)))
     return rows
-
-
-def _fold_sum(rows) -> int:
-    """The largest column sum of |rows| (0 for none): a product's fold term is at
-    most this many times its largest reduced high coefficient."""
-    return max((sum(map(abs, column)) for column in zip(*rows)), default=0)

@@ -226,6 +226,33 @@ def cubic_powmod(a, e: int, poly, m: int) -> list[int]:
     return out
 
 
+def poly_mulmod(a, b, poly, m: int) -> tuple[int, ...]:
+    """Product of two residue d-tuples in (Z/m)[x]/(poly) for a monic poly of any
+    degree d (ascending coefficients, poly[-1] = 1): schoolbook product, then
+    long division by poly from the top coefficient down, reduced mod m."""
+    d = len(poly) - 1
+    c = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            c[i + j] += x * y
+    for k in range(2 * d - 2, d - 1, -1):  # subtract c_k * x^(k-d) * poly
+        q = c[k] % m
+        for i, fi in enumerate(poly):
+            c[k - d + i] -= q * fi
+    return tuple(x % m for x in c[:d])
+
+
+def poly_powmod(a, e: int, poly, m: int) -> tuple[int, ...]:
+    """a^e in (Z/m)[x]/(poly) for a monic poly of any degree, left-to-right
+    square and multiply."""
+    out = (1 % m,) + (0,) * (len(poly) - 2)
+    for bit in bin(e)[2:]:
+        out = poly_mulmod(out, out, poly, m)
+        if bit == "1":
+            out = poly_mulmod(out, a, poly, m)
+    return out
+
+
 def cubic_is_inert(poly, p: int) -> bool:
     """f irreducible mod p, for p prime to disc(f): x^p != x and x^(p^2) != x
     mod (f, p), which rules out a root in F_p and in F_(p^2)."""

@@ -26,7 +26,7 @@ from unitscan.order_arith import (
 from unitscan.primes import RANGE_LIMIT, PrimeRange, primes_in
 
 from _blocks import lanes_path
-from _oracles import count_poly_roots_brute, cubic_is_inert
+from _oracles import count_poly_roots_brute, cubic_is_inert, poly_mulmod, poly_powmod
 
 X2_MINUS_2 = OrderSpec((-2, 0, 1))
 X3_CLASSIC = OrderSpec((-1, -1, 0, 1))  # x^3 - x - 1, disc -23
@@ -284,17 +284,23 @@ def test_lanes_path_follows_the_largest_modulus():
 
 def test_digit_path_bounds():
     # every p^2 of the scans takes the digit path; at q = 2^25 and q = 2^30 - 1,
-    # dot on up to three pairs of the largest operands it takes, a = m - 1 and
-    # b = 2m - 1 (the doubled operand of square), with extra m - 1 and +-(2^62 - 1)
+    # dot on 1 to 13 pairs (a product of degree 13 has 13) of the largest operands
+    # it takes, a = m - 1 and b = 2m - 1 (the doubled operand of square), and on lanes
+    # of operands with the largest low digit q - 1 and random high digits, whose
+    # middle sums leave residues mod q of any size, with extra m - 1 and +-(2^62 - 1)
     assert RANGE_LIMIT**2 < 1 << 60
+    rng = random.Random(71)
     for q in (1 << 25, (1 << 30) - 1):
         m = q * q
-        lanes = Lanes(lanes_of([m]))
-        assert lanes.q.tolist() == [q]
+        lanes = Lanes(lanes_of([m] * 16))
+        assert lanes.q.tolist() == [q] * 16
+        x = [m - 1] + [q - 1 + q * rng.randrange(q) for _ in range(15)]
+        y = [2 * m - 1] + [q - 1 + q * rng.randrange(2 * q) for _ in range(15)]
+        a, b = lanes_of(x), lanes_of(y)
+        for n, extra in itertools.product(range(1, 14), (m - 1, (1 << 62) - 1, 1 - (1 << 62))):
+            got = lanes.dot([(a, b)] * n, lanes_of([extra] * 16))
+            assert got.tolist() == [(n * u * v + extra) % m for u, v in zip(x, y)], (q, n, extra)
         a, b = lanes_of([m - 1]), lanes_of([2 * m - 1])
-        for n, extra in itertools.product((1, 2, 3), (m - 1, (1 << 62) - 1, 1 - (1 << 62))):
-            got = lanes.dot([(a, b)] * n, lanes_of([extra]))
-            assert got.tolist() == [(n * (m - 1) * (2 * m - 1) + extra) % m], (q, n, extra)
         square = Lanes(lanes_of([m]), (-2, 0)).square((a, a))
         assert _transpose(square) == [mul2((m - 1, m - 1), (m - 1, m - 1), (-2, 0), m)]
 
@@ -606,6 +612,59 @@ def test_balanced_square_within_its_bound(f):
         for r, y, m in zip(got, x, ms):
             assert [(c - w) % m for c, w in zip(r, mul(y, y, f, m))] == [0] * d, (m, y)
             assert max(map(abs, r)) < 0.62 * m, (m, y, r)
+
+
+# -- any degree: x^d - 1 and x^d + 63 against a schoolbook product ------------------
+
+GRID_DEGREES = (2, 3, 4, 7, 10, 13)
+
+
+def grid_moduli():
+    """Eight or more moduli on each side of each cut, 2^25 (exact to float, m = p),
+    2^40 = (2^20)^2 (balanced squares to dot) and 2^50 = (2^25)^2 (float to digits),
+    and on the digit path the squares of the primes of [1e9 - 400, 1e9] and
+    (2^30 - 1)^2, the largest square below 2^60."""
+    (below, above), (low, high) = primes_around(MULMOD_PMAX), primes_around(1 << 20)
+    squares = lambda ps: [p * p for p in ps]
+    return {"below 2^25": below, "from 2^25": above, "below 2^40": squares(low), "from 2^40": squares(high),
+            "below 2^50": squares(below), "from 2^50": squares(above),
+            "near 1e9": squares(primes_in(PrimeRange(RANGE_LIMIT - 400, RANGE_LIMIT))),
+            "(2^30 - 1)^2": [((1 << 30) - 1) ** 2] * 8}
+
+
+@pytest.mark.parametrize("F", [1, 63], ids=["x^d-1", "x^d+63"])
+@pytest.mark.parametrize("d", GRID_DEGREES)
+def test_any_degree_lanes_match_schoolbook(d, F):
+    # mul of every pair and square and pow (exponents 2^k - 1) of each of the
+    # all-(m - 1), (m - 1 - k)_k and random elements, and pow of the exact constant
+    # 1 + x, against long division by the monic f, on each side of each cut; the
+    # squares are balanced (Lanes._square) on the float path below 2^40 for F < 64
+    # within their bound: x^d - 1 at every d here and x^d + 63 to d = 4, not from
+    # d = 7 on; F = 64 never
+    rng = random.Random(67)
+    f = (-1 if F == 1 else F,) + (0,) * (d - 1)
+    poly, one_plus_x = f + (1,), (1, 1) + (0,) * (d - 2)
+    assert fold_weight(f) == F
+    within = (2 * d + 2) * (d + (d - 1) * F) <= 1 << 12
+    assert within == (F == 1 or d <= 4)
+    exps = [(1 << k) - 1 for k in (1, 2, 3, 5, 8, 13, 21, 30)]  # to 2^30 - 1, the size of p to 1e9
+    for name, ms in grid_moduli().items():
+        ring = Lanes(lanes_of(ms), f)
+        assert ring.balanced == (square_regime(f, max(ms)) and within), name
+        assert not Lanes(lanes_of(ms), (64,) + (0,) * (d - 1)).balanced, name
+        es = [exps[i % len(exps)] for i in range(len(ms))]
+        elements = [[(m - 1,) * d for m in ms], [tuple(m - 1 - k for k in range(d)) for m in ms],
+                    [tuple(rng.randrange(m) for _ in range(d)) for m in ms]]
+        lanes = [tuple(lanes_of(c) for c in zip(*x)) for x in elements]
+        for (x, lx), (y, ly) in itertools.product(zip(elements, lanes), repeat=2):
+            want = [poly_mulmod(u, v, poly, m) for u, v, m in zip(x, y, ms)]
+            assert _transpose(ring.mul(lx, ly)) == want, name
+        for x, lx in zip(elements, lanes):
+            assert _transpose(ring.square(lx)) == [poly_mulmod(u, u, poly, m) for u, m in zip(x, ms)], name
+            want = [poly_powmod(u, e, poly, m) for u, e, m in zip(x, es, ms)]
+            assert _transpose(ring.pow(lx, lanes_of(es))) == want, name
+        want = [poly_powmod(one_plus_x, e, poly, m) for e, m in zip(es, ms)]
+        assert _transpose(ring.pow(one_plus_x, lanes_of(es))) == want, name
 
 
 # -- the Frobenius quotient -------------------------------------------------------
