@@ -6,7 +6,7 @@ column order ``field,p,mode,status,reason,aux``) and JSON (self-describing,
 full metadata).  The checksum is a SHA-256 of the canonical JSON payload of
 the scan content only (field, mode, range, verdict lists), so serial and
 partitioned runs of the same scan hash identically.  All three are written
-from the columns of the exclusions and clears, in json.dumps' and csv's bytes.
+in json.dumps' and csv's bytes, the exclusion and clear columns by ``_column``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -134,6 +134,7 @@ class ScanReport:
     tested: int | None = None  # this and the next two: counters outside the checksum
     excluded_counts: dict[str, int] | None = None
     expected_hits: float | None = None
+    _clears: np.ndarray = field(init=False, repr=False, compare=False)  # clears as int64 lanes
 
     def __post_init__(self):
         ex = self.excluded
@@ -141,14 +142,18 @@ class ScanReport:
             object.__setattr__(self, "excluded", _exclusions([v.p for v in ex], [v.reason for v in ex]))
         lists = [v.p for v in self.hits], [] if self.excluded is None else self.excluded.primes, self.clears or ()
         cols = [np.array(c, dtype=np.int64) for c in lists]
+        first = max(self.lo, 2)
         for name, col in zip(("hits", "excluded", "clears"), cols):
             down = np.flatnonzero(col[1:] <= col[:-1])
             if down.size:
                 raise ValueError(f"{name} must be strictly ascending: p={col[down[0] + 1]} follows p={col[down[0]]}")
+            if col.size and not first <= int(col[0]) <= int(col[-1]) <= self.hi:
+                raise ValueError(f"{name} must lie in [{first}, {self.hi}]: p={col[0] if col[0] < first else col[-1]}")
         every = np.sort(np.concatenate(cols))
         twice = every[1:][every[1:] == every[:-1]]
         if twice.size:
             raise ValueError(f"p={twice[0]} is in more than one of hits, excluded and clears")
+        object.__setattr__(self, "_clears", cols[2])
         want = compute_checksum(self)
         if not self.checksum:
             object.__setattr__(self, "checksum", want)
@@ -199,26 +204,53 @@ def assemble_report(
 # -- serialization ------------------------------------------------------------
 
 
-def _lanes_text(block: Block, head: str, tails, sep: str) -> str:
-    return sep.join([head + p + tails[c] for p, c in zip(map(str, block.primes.tolist()), block.codes.tolist())])
+def _column(primes, codes, head: bytes, tails, sep: bytes) -> list:
+    """sep.join(head + str(p) + tails[c]) over ascending int64 primes p > 0 and their int8 codes c (None:
+    all 0) as bytes-like pieces, with no str per p: one uint8 matrix per digit count m, rows head, the m
+    digits (right to left, in 9-digit uint32 limbs) and tails[c] + sep padded to the widest c present."""
+    codes = np.zeros(len(primes), np.int8) if codes is None else codes
+    ends = [t + sep for t in tails]
+    widths = {len(ends[c]) for c in np.flatnonzero(np.bincount(codes, minlength=len(ends)))}
+    runs = [0, *np.searchsorted(primes, 10 ** np.arange(1, 19, dtype=np.int64)).tolist(), len(primes)]
+    n, q, pieces = len(str(primes[-1])) if len(primes) else 0, primes, []
+    digits = np.empty((n, len(primes)), np.uint8)
+    for i in reversed(range(n)):
+        if (n - 1 - i) % 9 == 0:  # the next 9-digit limb, below 2^32
+            q, limb = np.divmod(q, 10 ** 9) if i >= 9 else (q, q)
+            limb = limb.astype(np.uint32)
+        rest = limb // 10
+        digits[i], limb = limb - rest * 10 + ord("0"), rest
+    for m, (lo, hi) in enumerate(zip(runs, runs[1:]), 1):
+        if lo < hi:
+            row = np.dtype((np.void, len(head) + m + max(widths)))
+            table = b"".join((head + bytes(m) + e)[:row.itemsize].ljust(row.itemsize, b"\0") for e in ends)
+            rows = np.frombuffer(table, row).take(codes[lo:hi]).view(np.uint8).reshape(hi - lo, -1)
+            rows[:, len(head):len(head) + m] = digits[n - m:, lo:hi].T
+            if len(widths) > 1:  # drop the padding
+                keep = np.arange(row.itemsize) < np.array([[len(head) + m + len(e)] for e in ends])
+                rows = rows[keep.view(row).take(codes[lo:hi]).view(bool).reshape(rows.shape)]
+            pieces.append(rows.reshape(-1))
+    return pieces[:-1] + [pieces[-1][:len(pieces[-1]) - len(sep)]] if pieces else []
 
 
-def _json_object(plain: dict, r: ScanReport, seps, exclusion) -> str:
+def _json_object(plain: dict, r: ScanReport, seps, exclusion) -> bytes:
     """The JSON object, keys sorted, of the plain members and of the report's
-    exclusions (exclusion[0], p, exclusion[1] % reason) and clears, if held."""
-    texts = {name: json.dumps(value, sort_keys=True, separators=seps) for name, value in plain.items()}
+    exclusions (exclusion[0], p, exclusion[1] % reason, in bytes) and clears, if held."""
+    sep, colon = (s.encode() for s in seps)
+    texts = {name: [json.dumps(value, sort_keys=True, separators=seps).encode()] for name, value in plain.items()}
     if r.excluded is not None:
-        tails = [exclusion[1] % reason for reason in CODES]
-        texts["excluded"] = "[" + _lanes_text(r.excluded, exclusion[0], tails, seps[0]) + "]"
+        tails = [exclusion[1] % reason.encode() for reason in CODES]
+        texts["excluded"] = [b"[", *_column(r.excluded.primes, r.excluded.codes, exclusion[0], tails, sep), b"]"]
     if r.clears is not None:
-        texts["clears"] = "[" + seps[0].join(map(str, r.clears)) + "]"
-    return "{" + seps[0].join(f'"{name}"{seps[1]}{text}' for name, text in sorted(texts.items())) + "}"
+        texts["clears"] = [b"[", *_column(r._clears, None, b"", [b""], sep), b"]"]
+    pieces = [piece for name, text in sorted(texts.items()) for piece in (sep, b'"%s"' % name.encode(), colon, *text)]
+    return b"".join([b"{", *pieces[1:], b"}"])
 
 
 def compute_checksum(r: ScanReport) -> str:
     plain = {"field": r.field_id, "mode": r.mode, "lo": r.lo, "hi": r.hi,
              "hits": [[v.p, None if v.aux is None else list(v.aux)] for v in r.hits]}
-    return hashlib.sha256(_json_object(plain, r, (",", ":"), ("[", ',"%s"]')).encode()).hexdigest()
+    return hashlib.sha256(_json_object(plain, r, (",", ":"), (b"[", b',"%s"]'))).hexdigest()
 
 
 # ScanReport fields that JSON carries under their own names, and the counters,
@@ -231,7 +263,7 @@ def report_to_json(r: ScanReport) -> str:
     plain = {name: getattr(r, name) for name in _JSON_FIELDS + _JSON_COUNTERS}
     plain.update(field=r.field_id, range=[r.lo, r.hi], warnings=list(r.warnings), excluded=None, clears=None,
                  hits=[{"p": v.p, "aux": None if v.aux is None else list(v.aux)} for v in r.hits])
-    return _json_object(plain, r, (", ", ": "), ('{"p": ', ', "reason": "%s"}'))
+    return _json_object(plain, r, (", ", ": "), (b'{"p": ', b', "reason": "%s"}')).decode()
 
 
 class ReportKeyError(KeyError, ValueError):
@@ -239,10 +271,12 @@ class ReportKeyError(KeyError, ValueError):
 
 
 def _json_values(kind: type, values: list) -> tuple:
-    """values as a tuple if each one's type is kind (a JSON true is no int), else a TypeError naming one."""
+    """values as a tuple if each has type kind (a JSON true is no int) and fits int64, else an error naming one."""
     bad = [v for v in values if type(v) is not kind]
     if bad:
         raise TypeError(f"{bad[0]!r} is not a JSON {'integer' if kind is int else 'string'}")
+    if kind is int and values and not -1 << 63 <= min(values) <= max(values) < 1 << 63:
+        raise OverflowError(f"{max(values, key=abs)} does not fit in 64 bits")
     return tuple(values)
 
 
@@ -252,7 +286,7 @@ def report_from_json(text: str) -> ScanReport:
         raise ValueError(f"report file holds a JSON {type(doc).__name__}, not an object")
     opt = lambda parse: lambda v: None if v is None else parse(v)
     ps = lambda entries: _json_values(int, [e["p"] for e in entries])
-    parse = dict(range=lambda r: (r[0], r[1]), warnings=lambda ws: _json_values(str, ws),
+    parse = dict(range=lambda r: _json_values(int, [r[0], r[1]]), warnings=lambda ws: _json_values(str, ws),
                  clears=opt(lambda cs: _json_values(int, cs)),
                  hits=lambda hs: tuple(Verdict(p, HIT, aux=opt(tuple)(h["aux"])) for p, h in zip(ps(hs), hs)),
                  excluded=opt(lambda ex: _exclusions(ps(ex), [e["reason"] for e in ex])))
@@ -261,7 +295,7 @@ def report_from_json(text: str) -> ScanReport:
             args[key] = parse.get(key, lambda v: v)(doc[key])
     except KeyError as exc:
         raise ReportKeyError(f"report file lacks the key {exc.args[0]!r}") from None
-    except (TypeError, IndexError) as exc:  # a value of the wrong shape
+    except (TypeError, IndexError, OverflowError) as exc:  # a value of the wrong shape or size
         raise ValueError(f"report file key {key!r} is malformed: {exc}") from None
     (lo, hi), field_id = args.pop("range"), args.pop("field")
     return ScanReport(field_id, lo=lo, hi=hi, **args, **{name: doc.get(name) for name in _JSON_COUNTERS})
@@ -280,12 +314,11 @@ def report_to_csv(r: ScanReport, header: bool = True) -> str:
     head = _csv_row(r.field_id, "")[:-1]  # the field's cell and a comma
     rows = [_csv_row(*CSV_COLUMNS)] if header else []
     rows += [f"{head}{v.p}," + _csv_row(r.mode, HIT, "", " ".join(map(str, v.aux or ()))) for v in r.hits]
-    clear = "," + _csv_row(r.mode, CLEAR, "", "")
-    rows += [head + p + clear for p in map(str, r.clears or ())]
+    lanes = _column(r._clears, None, head.encode(), [("," + _csv_row(r.mode, CLEAR, "", "")).encode()], b"")
     if r.excluded is not None:
-        tails = ["," + _csv_row(r.mode, EXCLUDED, reason, "") for reason in CODES]
-        rows.append(_lanes_text(r.excluded, head, tails, ""))
-    return "".join(rows)
+        tails = [("," + _csv_row(r.mode, EXCLUDED, reason, "")).encode() for reason in CODES]
+        lanes += _column(r.excluded.primes, r.excluded.codes, head.encode(), tails, b"")
+    return "".join(rows) + b"".join(lanes).decode()
 
 
 # -- reference tables ----------------------------------------------------------

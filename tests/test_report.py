@@ -6,12 +6,13 @@ import sys
 import zipfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from unitscan import report
 from unitscan.cubic import MODE_H2, MODE_ORDINARY, scan_cubic
 from unitscan.heuristics import scan_wieferich
-from unitscan.primes import PrimeRange
+from unitscan.primes import RANGE_LIMIT, PrimeRange
 from unitscan.quadratic import scan_quadratic
 from unitscan.report import (
     CSV_COLUMNS,
@@ -257,6 +258,12 @@ def odd_reports():
                      clears=(7, 11, 19), tested=6, excluded_counts={"z_zero": 1, "below_min_p": 1},
                      expected_hits=1 / 3)
     yield ScanReport("", "", 2, 10, hits=(Verdict(3, "hit"),), excluded=(), clears=(5, 7))
+    # a NUL and a multi-byte character in the field's cell and in every tail: padding the
+    # exclusions of unequal width with a sentinel byte and deleting it would break the CSV
+    yield ScanReport("q\0(\u00e9)", "m\0\u00f6", 2, 10**6, hits=(Verdict(101, "hit"),), clears=(103, 99991, 999983),
+                     excluded=tuple(Verdict(p, "excluded", reason=why) for p, why in [
+                         (2, "hyp1_divides_6"), (3, "z_zero"), (5, "p_2_mod_3"), (97, "frob_order_not_3"),
+                         (1009, "divides_class_number"), (10007, "ramified"), (100003, "p_2_mod_3")]))
 
 
 def _plain(rep) -> dict:
@@ -272,10 +279,17 @@ def _plain(rep) -> dict:
 
 
 def test_report_bytes_match_oracles(pinned, quad_records, cubic_records):
-    # every checksum, JSON and CSV byte against the dict- and row-based encoders
+    # every checksum, JSON and CSV byte against the dict- and row-based encoders; the
+    # windows cross from 7- to 8-digit primes at 10^7 and end at RANGE_LIMIT (9 digits)
     hits_only = [scan_quadratic(quad_records[22], PrimeRange(3, 20_000)),
                  scan_cubic(cubic_records[-23], PrimeRange(3, 20_000), mode=MODE_ORDINARY)]
-    reports = [*pinned.values(), *hits_only, *odd_reports(), sample_report(), sample_report(True)]
+    windows = [PrimeRange(10**7 - 5_000, 10**7 + 5_000), PrimeRange(RANGE_LIMIT - 20_000, RANGE_LIMIT)]
+    wide = [scan(rng) for rng in windows for scan in (
+        lambda rng: scan_quadratic(quad_records[2], rng, full_verdicts=True),
+        lambda rng: scan_cubic(cubic_records[-23], rng, mode=MODE_H2, full_verdicts=True))]
+    assert all(rep.clears[0] < 10**7 < rep.clears[-1] for rep in wide[:2])
+    assert len(wide[1].excluded) and len(wide[3].excluded)
+    reports = [*pinned.values(), *hits_only, *wide, *odd_reports(), sample_report(), sample_report(True)]
     for rep in reports:
         plain = _plain(rep)
         assert compute_checksum(rep) == rep.checksum == report_checksum_oracle(plain), rep.field_id
@@ -283,6 +297,43 @@ def test_report_bytes_match_oracles(pinned, quad_records, cubic_records):
         for header in (True, False):
             assert report_to_csv(rep, header) == report_csv_oracle(plain, header), rep.field_id
         assert report_from_json(report_to_json(rep)) == rep, rep.field_id
+
+
+# The column renderer against the join it replaces, on every code (tails of unequal width,
+# with a NUL and a multi-byte character) and on the runs of equal digit count around its cuts.
+RENDER_EDGES = [1, 2, 9, 10, 11, 99, 101, 10**9 - 63, 10**9 - 1, 10**9, 10**9 + 7, 2**32 - 5, 2**32 - 1, 2**32,
+                2**32 + 1, 2**32 + 15, 10**18 - 11, 10**18 - 1, 10**18, 10**18 + 9, 2**63 - 25, 2**63 - 1]
+RENDER_TAILS = [f',\0"{reason}\u00e9"]'.encode() for reason in report.CODES]
+RENDER_SPREAD = np.unique((10 ** np.random.default_rng(7).uniform(0, 18.9, 3000)).astype(np.int64))
+
+
+def render_oracle(primes, codes, head, tails, sep):
+    codes = [0] * len(primes) if codes is None else codes.tolist()
+    return sep.join(head + str(p).encode() + tails[c] for p, c in zip(primes.tolist(), codes))
+
+
+@pytest.mark.parametrize("primes, codes", [
+    ([], None),
+    ([], []),
+    ([7], None),
+    ([2**63 - 1], [5]),
+    (range(2, 2 + 3 * len(report.CODES), 3), range(len(report.CODES))),  # every code once
+    (RENDER_EDGES, None),
+    (RENDER_EDGES, [c % len(report.CODES) for c in range(len(RENDER_EDGES))]),
+    (RENDER_SPREAD, None),
+    (RENDER_SPREAD, np.random.default_rng(8).integers(0, len(report.CODES), len(RENDER_SPREAD))),
+], ids=["empty", "empty coded", "one lane", "one coded lane", "every code", "edges", "edges coded", "spread",
+        "spread coded"])
+@pytest.mark.parametrize("head, tails, sep", [
+    (b"", [b""], b","),
+    (b'{"p": ', [b"}"], b", "),
+    ("q\0(\u00e9),".encode(), RENDER_TAILS, b""),
+    (b"[", RENDER_TAILS, b",\0"),
+], ids=["plain", "one tail", "csv-like", "nul sep"])
+def test_column_matches_join(primes, codes, head, tails, sep):
+    primes = np.array(primes, dtype=np.int64)
+    codes = None if codes is None else np.array(codes, dtype=np.int8) % len(tails)
+    assert b"".join(report._column(primes, codes, head, tails, sep)) == render_oracle(primes, codes, head, tails, sep)
 
 
 # (report content changed from sample_report(True), the error it must raise)
@@ -295,6 +346,15 @@ BAD_CONTENT = [
     ({"clears": [7, 13]}, "p=13 is in more than one of hits, excluded and clears"),
     ({"clears": [7, 11]}, "p=11 is in more than one of hits, excluded and clears"),
     ({"excluded": [(13, "z_zero")], "clears": []}, "p=13 is in more than one of hits, excluded and clears"),
+    # primes below 2 or outside [lo, hi]
+    ({"lo": 2, "excluded": [(0, "z_zero")]}, "excluded must lie in [2, 100]: p=0"),
+    ({"lo": 2, "excluded": [(-5, "z_zero"), (11, "ramified")]}, "excluded must lie in [2, 100]: p=-5"),
+    ({"lo": 2, "clears": [0, 5]}, "clears must lie in [2, 100]: p=0"),
+    ({"lo": 2, "clears": [-3]}, "clears must lie in [2, 100]: p=-3"),
+    ({"lo": 0, "clears": [1, 7]}, "clears must lie in [2, 100]: p=1"),
+    ({"clears": [7, 101]}, "clears must lie in [3, 100]: p=101"),
+    ({"lo": 17}, "hits must lie in [17, 100]: p=13"),
+    ({"hi": 30}, "hits must lie in [3, 30]: p=31"),
 ]
 
 
@@ -337,6 +397,13 @@ def test_missing_key_named(path):
      "report file key 'excluded' is malformed: 'x' is not a JSON integer"),
     ("clears", [3, "x"], "report file key 'clears' is malformed: 'x' is not a JSON integer"),
     ("warnings", [1], "report file key 'warnings' is malformed: 1 is not a JSON string"),
+    # a prime past int64, which no lane holds
+    ("excluded", [{"p": 2**64, "reason": "z_zero"}],
+     "report file key 'excluded' is malformed: 18446744073709551616 does not fit in 64 bits"),
+    ("clears", [2**64], "report file key 'clears' is malformed: 18446744073709551616 does not fit in 64 bits"),
+    ("hits", [{"p": -2**63 - 1, "aux": None}],
+     "report file key 'hits' is malformed: -9223372036854775809 does not fit in 64 bits"),
+    ("range", [3, "100"], "report file key 'range' is malformed: '100' is not a JSON integer"),
 ])
 def test_malformed_report_named(key, value, message):
     # the document itself (key None) or a value of the wrong shape: a ValueError
