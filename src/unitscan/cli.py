@@ -13,6 +13,7 @@ import os
 import re
 import sys
 from contextlib import contextmanager
+from fractions import Fraction
 
 import click
 
@@ -36,11 +37,12 @@ _workers_option = click.option("--workers", type=click.IntRange(min=1), default=
 
 
 def integer(value) -> int:
-    """Click type of a prime bound or a count: an integer, plain or as digits times a power of ten."""
-    m = re.fullmatch(r"([+-]?\d+)(?:[eE]\+?(\d{1,2}))?", str(value).strip())
-    if m is None:
+    """Click type of a prime bound or a count: an integer, plain or as a decimal mantissa times a
+    power of ten that makes one (1.2e6, not 1.25e1), read exactly."""
+    m = re.fullmatch(r"([+-]?\d+)(?:(?:\.(\d*))?[eE]\+?(\d{1,2}))?", str(value).strip())
+    if m is None or (n := Fraction(f"{m[1]}.{m[2] or 0}") * 10 ** int(m[3] or 0)).denominator != 1:
         raise click.BadParameter(f"{value!r} is not an integer such as 10000000 or 1e7")
-    return int(m[1]) * 10 ** int(m[2] or 0)
+    return int(n)
 
 
 def _echo_summary(rep):

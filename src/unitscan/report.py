@@ -35,6 +35,7 @@ CODES = (CLEAR, HIT, "below_min_p", "ramified", "divides_class_number", "hyp1_di
          "hyp2_ramified", "hyp3_class_number", "hyp5_in_H5", "p_2_mod_3", "frob_order_not_3",
          "z_zero", "divides_base")
 CLEAR_CODE, HIT_CODE = CODES.index(CLEAR), CODES.index(HIT)
+_REASON_CODES = {reason: code for code, reason in enumerate(CODES) if code > HIT_CODE}  # the exclusions
 # Fraction bits of the fixed-point sum of 1/denominator (terms floored): below 2^63 to 1e9.
 _RECIP_BITS = 60
 
@@ -109,10 +110,12 @@ class Block:
 
 def _exclusions(primes, reasons) -> Block:
     """The Block of excluded primes and their reasons, which must be known ones."""
-    for p, reason in zip(primes, reasons):
-        if reason not in CODES[HIT_CODE + 1:]:
-            raise ValueError(f"unknown exclusion reason {reason!r} at p={p}")
-    return Block.of(np.array(primes, dtype=np.int64), np.array([CODES.index(r) for r in reasons], dtype=np.int8))
+    try:
+        codes = np.fromiter(map(_REASON_CODES.__getitem__, reasons), dtype=np.int8, count=len(reasons))
+    except (KeyError, TypeError):  # name the first unknown reason, hashable or not
+        p, reason = next((p, r) for p, r in zip(primes, reasons) if r not in CODES[HIT_CODE + 1:])
+        raise ValueError(f"unknown exclusion reason {reason!r} at p={p}") from None
+    return Block.of(np.array(primes, dtype=np.int64), codes)
 
 
 @dataclass(frozen=True)

@@ -26,15 +26,15 @@ NEAR_LIMIT = PrimeRange(RANGE_LIMIT - 20_000, RANGE_LIMIT)  # one chunk, on the 
 
 # the product paths of Lanes, narrowest first: exact int64 below 2^25, the float
 # quotient below 2^50, base-q digits on squares q^2 from there; whether the ring
-# squares of Lanes.pow are balanced (Lanes.balanced, the float path below 2^40) is
-# not recorded here: test_order_arith pins it at each cut
+# squares of Lanes.pow are balanced (Lanes.balanced: float64 lanes below 2^25, the
+# float path below 2^40) is not recorded here: test_order_arith pins it at each cut
 PATHS = ("exact", "float", "digits")
 
 
 def lanes_path(lanes: Lanes) -> str:
     if lanes.q is not None:
         return "digits"
-    return "float" if lanes.minv is not None else "exact"
+    return "exact" if lanes.exact else "float"
 
 
 def block_of(verdicts, denominators=None) -> Block:

@@ -1,12 +1,13 @@
 import json
 import re
 
+import click
 import pytest
 from click.testing import CliRunner
 
 from unitscan import report
 from unitscan._data import DataFileError
-from unitscan.cli import main
+from unitscan.cli import integer, main
 from unitscan.primes import PrimeRange
 from unitscan.quadratic import load_quad_fields, scan_quadratic
 from unitscan.report import load_reference_tables, report_from_json
@@ -223,7 +224,7 @@ def test_bad_arguments_exit_2(runner):
 @pytest.mark.parametrize(
     "bounds",
     [["--pmin", "100", "--pmax", "50"], ["--pmin", "1", "--pmax", "50"],
-     ["--pmin", "3", "--pmax", "1000000001"], ["--pmax", "2e9"], ["--pmax", "1.5e3"],
+     ["--pmin", "3", "--pmax", "1000000001"], ["--pmax", "2e9"], ["--pmax", "1.25e1"],
      ["--pmax", "abc"], ["--pmax", "1e"], ["--pmax", "5.0"], ["--pmin", "1e100"]],
     ids=["pmax_below_pmin", "pmin_below_2", "pmax_above_limit", "pmax_above_limit_exponent",
          "pmax_fraction_exponent", "pmax_not_a_number", "pmax_no_exponent", "pmax_decimal",
@@ -240,14 +241,30 @@ def test_bad_range_exit_2(runner, command, bounds):
     ids=["scan-quad", "scan-cubic", "wieferich"],
 )
 def test_bounds_in_exponent_form(runner, command):
-    # 2e1 and 5E+1 are 20 and 50: the same report as the plain integers
+    # 2e1 and 5E+1, and 2.0e1 and 0.5e2, are 20 and 50: the same report as the plain integers
     plain = runner.invoke(main, command + ["--pmin", "20", "--pmax", "50", "--workers", "1"])
-    short = runner.invoke(main, command + ["--pmin", "2e1", "--pmax", "5E+1", "--workers", "1"])
-    assert plain.exit_code == short.exit_code == 0, short.output
-    assert short.stdout == plain.stdout
+    for low, high in (("2e1", "5E+1"), ("2.0e1", "0.5e2")):
+        short = runner.invoke(main, command + ["--pmin", low, "--pmax", high, "--workers", "1"])
+        assert plain.exit_code == short.exit_code == 0, short.output
+        assert short.stdout == plain.stdout
     # 1e9 is the range limit itself
     res = runner.invoke(main, command + ["--pmin", "1e9", "--pmax", "1e9", "--workers", "1"])
     assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1.2e6", 1_200_000), ("12e5", 1_200_000), ("1.5e3", 1500), ("1.20e1", 12), ("2.e1", 20),
+    ("-1.2e1", -12), ("5E+1", 50), ("1e9", 10**9), ("1.000000000000000000001e21", 10**21 + 1)])
+def test_integer_reads_a_decimal_mantissa(text, value):
+    # mantissa times 10^e whenever the product is an integer, in integer arithmetic:
+    # 10^21 + 1 has no float64
+    assert integer(text) == value
+
+
+@pytest.mark.parametrize("text", ["1.25e1", "1e", "5.0", "1.2", "1.2e-6", ".5e1", "1.2.3e4", "1e100"])
+def test_integer_refuses_a_fraction(text):
+    with pytest.raises(click.BadParameter, match=re.escape(f"{text!r} is not an integer such as 10000000 or 1e7")):
+        integer(text)
 
 
 def test_missing_data_dir_exit_3(runner, tmp_path):

@@ -1,6 +1,7 @@
 import bisect
 import itertools
 import random
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -260,17 +261,27 @@ def test_lanes_path_follows_the_largest_modulus():
                      ([3, (1 << 50) - 1], "float"), ([9, 1 << 50], "digits"),
                      ([4, ((1 << 30) - 1) ** 2], "digits")):
         lanes = Lanes(lanes_of(ms))
-        # Lanes.pow runs on balanced residues where minv is set: the float path alone
-        assert lanes_path(lanes) == path and (lanes.minv is not None) == (path == "float"), ms
-        assert lanes.balanced == (path == "float"), ms
+        # Lanes.pow runs Z/m on balanced residues where minv is set, below 2^50: on float64
+        # lanes (fm, m in float64) on the exact path, by mulmod on the float path
+        assert lanes_path(lanes) == path and (lanes.minv is not None) == (path != "digits"), ms
+        assert (lanes.fm is not None) == (path == "exact"), ms
+        assert lanes.balanced == (path != "digits"), ms
     assert Lanes(lanes_of([9, 1 << 50])).q.tolist() == [3, 1 << 25]
     for ms in ([(1 << 50) + 1], [3, 1 << 50], [1 << 60], [9, (1 << 62) - 1]):
         with pytest.raises(ValueError, match="squares below 2\\^60"):
             Lanes(lanes_of(ms))
-    # the squares of ring powers: balanced (Lanes._square) on the float path below 2^40
-    # with F < 64, by dot on the exact path, from 2^40, for F >= 64 and on the digit path
+    # the squares of ring powers: balanced on the float64 lanes of the exact path while
+    # (d + (d - 1)F) * top^2 < 2^53 (K = 7 for x^3 - x - 1, 8 for x^2 + 6 and 9 for x^2 + 7
+    # at 2^25 - 1; 8193 for x^3 + 4095 fits to top = 1,048,512), on the float path
+    # (Lanes._square) below 2^40 with F < 64, by dot from 2^40, for F >= 64 and on the digit path
     for ms, f, balanced in (
-            ([3, MULMOD_PMAX - 1], (-1, -1, 0), False),
+            ([3, MULMOD_PMAX - 1], (-1, -1, 0), True),
+            ([3, MULMOD_PMAX - 1], (6, 0), True),
+            ([3, MULMOD_PMAX - 1], (7, 0), False),
+            ([3, MULMOD_PMAX - 1], (4095, 0, 0), False),
+            ([3, 1_048_512], (4095, 0, 0), True),
+            ([3, 1_048_513], (4095, 0, 0), False),
+            ([], (4095, 0, 0), True),
             ([3, MULMOD_PMAX], (-1, -1, 0), True),
             ([3, MULMOD_PMAX], (4095, 0, 0), False),
             ([3, (1 << 40) - 1], (63, 0), True),
@@ -559,23 +570,53 @@ def primes_around(cut, n=8):
 
 
 # the cuts of the ring squares, in p, and whether the moduli are p^2 (else p): balanced
-# squares on the float path, from 2^25, below 2^40 = (2^20)^2 for F < 64, dot elsewhere;
-# a ring changes regime at both cuts when F < 64 and at neither otherwise
+# squares on float64 lanes below 2^25 while K * top^2 < 2^53 (K = d + (d - 1)F), on int64
+# lanes with float64 twins from 2^25 below 2^40 = (2^20)^2 for F < 64, dot elsewhere; a
+# ring changes regime at the 2^40 cut when F < 64, and at the 2^25 cut its lanes change kind
 POW_CUTS = {"balanced": (1 << 20, True), "exact to float": (MULMOD_PMAX, False)}
 
 
 def square_regime(f, top):
-    """Lanes(m, f).balanced by its largest modulus, below 2^50."""
-    return MULMOD_PMAX <= top < 1 << 40 and fold_weight(f) < 64
+    """Lanes(m, f).balanced by its largest modulus, below 2^50: on the exact path while
+    (d + (d - 1)F) * top^2 < 2^53, on the float path below 2^40 for F < 64 and within
+    (2d + 2)(d + (d - 1)F) <= 2^12 (Lanes._square)."""
+    d, F = max(len(f), 1), fold_weight(f)
+    K = d + (d - 1) * F
+    return K * top * top < 1 << 53 if top < MULMOD_PMAX else top < 1 << 40 and F < 64 and (2 * d + 2) * K <= 1 << 12
+
+
+def float_lanes(a, f, top):
+    """Whether Lanes(m, f).pow(a, e) runs on float64 lanes, for the largest modulus top: a
+    balanced ring below 2^25, and for a d-tuple of ints a whose table (table_width) is
+    not None, every entry keeping (1 + F) * (sum of |a^k|) * top < 2^53; residues always."""
+    if not (top < MULMOD_PMAX and square_regime(f, top)):
+        return False
+    w = 0 if any(map(np.ndim, a)) else table_width(a, f, top)
+    return not w or all((1 + fold_weight(f)) * sum(map(abs, t)) * top < 1 << 53 for t in exact_powers(a, f, 1 << w))
+
+
+@pytest.fixture
+def lane_kinds(monkeypatch):
+    """The dtypes of the lanes each Lanes.pow squares and multiplies, one set per power."""
+    kinds, power = [], order_arith.pow_lanes
+
+    def spied(e, w, first, square, times):
+        kinds.append(seen := set())
+        watch = lambda step: lambda r, *digit: (seen.update(c.dtype.name for c in r), step(r, *digit))[1]
+        return power(e, w, first, watch(square), watch(times))
+
+    monkeypatch.setattr(order_arith, "pow_lanes", spied)
+    return kinds
 
 
 @pytest.mark.parametrize("cut", POW_CUTS)
 @pytest.mark.parametrize("f", RING_POLYS.values(), ids=RING_POLYS.keys())
-def test_ring_pow_on_either_side_of_each_cut(f, cut):
+def test_ring_pow_on_either_side_of_each_cut(f, cut, lane_kinds):
     # pow against poly_pow in every ring on the 8 largest moduli below each cut and
     # the 8 smallest from it on: all-(m - 1) and random elements as residues, and the
     # exact constants by their tables, to the exponents 2^k - 1, so that every square
-    # follows a digit product whose output may be near m
+    # follows a digit product whose output may be near m; each power on float64 lanes
+    # exactly where float_lanes says, on int64 lanes otherwise
     rng = random.Random(61)
     d, (p, square) = len(f), POW_CUTS[cut]
     exps = lanes_of([(1 << k) - 1 for k in (1, 2, 3, 5, 18, 40, 62, 63)])
@@ -586,12 +627,18 @@ def test_ring_pow_on_either_side_of_each_cut(f, cut):
         regimes.append(ring.balanced)
         assert regimes[-1] == square_regime(f, max(ms)), ps
         for x in ([(m - 1,) * d for m in ms], [tuple(rng.randrange(m) for _ in range(d)) for m in ms]):
-            got = ring.pow(tuple(lanes_of(c) for c in zip(*x)), exps)
+            lx = tuple(lanes_of(c) for c in zip(*x))
+            got = ring.pow(lx, exps)
             assert _transpose(got) == [scalar_pow(y, e, m) for y, e, m in zip(x, exps.tolist(), ms)]
+            assert lane_kinds[-1] == {"float64" if float_lanes(lx, f, max(ms)) else "int64"}, ps
         for a in RING_CONSTANTS:
             a += (0,) * (d - len(a))
             assert _transpose(ring.pow(a, exps)) == [scalar_pow(a, e, m) for e, m in zip(exps.tolist(), ms)], a
-    assert (regimes[0] != regimes[1]) == (fold_weight(f) < 64), regimes
+            assert lane_kinds[-1] == {"float64" if float_lanes(a, f, max(ms)) else "int64"}, (ps, a)
+    if cut == "balanced":
+        assert (regimes[0] != regimes[1]) == (fold_weight(f) < 64), regimes
+    else:  # float64 lanes below 2^25 for K * (2^25)^2 < 2^53, int64 lanes from it
+        assert regimes[0] == (d + (d - 1) * fold_weight(f) <= 8), regimes
 
 
 @pytest.mark.parametrize("f", [RING_POLYS["x2-x-1"], RING_POLYS["x3-x-1"], (63, 0), (63, 0, 0)],
@@ -638,9 +685,10 @@ def test_any_degree_lanes_match_schoolbook(d, F):
     # mul of every pair and square and pow (exponents 2^k - 1) of each of the
     # all-(m - 1), (m - 1 - k)_k and random elements, and pow of the exact constant
     # 1 + x, against long division by the monic f, on each side of each cut; the
-    # squares are balanced (Lanes._square) on the float path below 2^40 for F < 64
-    # within their bound: x^d - 1 at every d here and x^d + 63 to d = 4, not from
-    # d = 7 on; F = 64 never
+    # squares are balanced on float64 lanes below 2^25 while (d + (d - 1)F) * top^2 < 2^53
+    # (x^d - 1 to d = 4 here, at top near 2^25), and on the float path below 2^40 for F < 64
+    # within their bound (Lanes._square): x^d - 1 at every d here and x^d + 63 to d = 4, not
+    # from d = 7 on; F = 64 never
     rng = random.Random(67)
     f = (-1 if F == 1 else F,) + (0,) * (d - 1)
     poly, one_plus_x = f + (1,), (1, 1) + (0,) * (d - 2)
@@ -650,7 +698,8 @@ def test_any_degree_lanes_match_schoolbook(d, F):
     exps = [(1 << k) - 1 for k in (1, 2, 3, 5, 8, 13, 21, 30)]  # to 2^30 - 1, the size of p to 1e9
     for name, ms in grid_moduli().items():
         ring = Lanes(lanes_of(ms), f)
-        assert ring.balanced == (square_regime(f, max(ms)) and within), name
+        assert ring.balanced == square_regime(f, max(ms)), name
+        assert name != "from 2^25" or ring.balanced == within, name
         assert not Lanes(lanes_of(ms), (64,) + (0,) * (d - 1)).balanced, name
         es = [exps[i % len(exps)] for i in range(len(ms))]
         elements = [[(m - 1,) * d for m in ms], [tuple(m - 1 - k for k in range(d)) for m in ms],
@@ -665,6 +714,54 @@ def test_any_degree_lanes_match_schoolbook(d, F):
             assert _transpose(ring.pow(lx, lanes_of(es))) == want, name
         want = [poly_powmod(one_plus_x, e, poly, m) for e, m in zip(es, ms)]
         assert _transpose(ring.pow(one_plus_x, lanes_of(es))) == want, name
+
+
+# -- float64 lanes: ring powers below 2^25 while (d + (d - 1)F) * (max m)^2 < 2^53 ------
+
+def float_cut(d, F):
+    """The smallest largest modulus off the float64 lanes of a ring of degree d and fold
+    weight F: the first top with (d + (d - 1)F) * top^2 >= 2^53, or 2^25."""
+    return min(isqrt(((1 << 53) - 1) // (d + (d - 1) * F)) + 1, MULMOD_PMAX)
+
+
+# Z/m, then x^d + F (x^d at F = 0) for d = 2, 3, 7; F = 2^20 puts the cut below 2^17 (92,682 at d = 2)
+FLOAT_RINGS = [(1, 0)] + [(d, F) for d in (2, 3, 7) for F in (0, 1, 8, 30, 63, 1 << 20)]
+
+
+@pytest.mark.parametrize("d, F", FLOAT_RINGS, ids=[f"d{d}-F{F}" for d, F in FLOAT_RINGS])
+def test_float64_lanes_either_side_of_their_cut(d, F, lane_kinds):
+    # pow against the schoolbook power on the 8 largest moduli below the cut of the float64
+    # lanes with the cut - 1 and with the cut itself as the largest, on the 8 smallest from
+    # it, and on moduli below 2^25 - 1 with 2^25 - 1 (the cut is 2^24 = 2^53 / 32 at d = 2,
+    # F = 30, equality included): the all-(m - 1), (m - 1 - k)_k and random residues, 1 + x,
+    # and the constants a and a + 1 on either side of the table bound of the largest
+    # modulus, to exponents 2^k - 1 and 2^k; float64 lanes exactly where float_lanes says
+    rng = random.Random(83)
+    f = (F,) + (0,) * (d - 1) if d > 1 else ()
+    poly = (f or (0,)) + (1,)
+    assert fold_weight(f) == F
+    cut = float_cut(d, F)
+    (below, above), (top_below, _) = primes_around(cut), primes_around(MULMOD_PMAX)
+    sets = {"below the cut": below + [cut - 1], "at the cut": below + [cut], "from the cut": above,
+            "at 2^25 - 1": top_below + [MULMOD_PMAX - 1]}
+    exps = [(1 << k) - j for k in (1, 2, 3, 5, 8, 13, 21, 30) for j in (1, 0)]
+    pad = lambda a: a + (0,) * (d - len(a))
+    for name, ms in sets.items():
+        top = max(ms)
+        ring = Lanes(lanes_of(ms), f)
+        assert ring.balanced == square_regime(f, top) and (top < cut) == (ring.exact and ring.balanced), name
+        edge = ((1 << 53) - 1) // ((1 + F) * top)  # the largest a whose table [1, a] keeps the bound
+        elements = [[(m - 1,) * d for m in ms], [tuple(m - 1 - k for k in range(d)) for m in ms],
+                    [tuple(rng.randrange(m) for _ in range(d)) for m in ms]]
+        constants = [pad((1, 1)[:d]), pad((edge,)), pad((edge + 1,))]
+        if F < 64 and top < cut:  # the edge constant takes float64 lanes, one more int64 lanes
+            assert float_lanes(constants[1], f, top) and not float_lanes(constants[2], f, top), name
+        for es in (exps[:len(ms)], exps[len(ms):] + exps[:2 * len(ms) - len(exps)]):
+            for a in [tuple(lanes_of(c) for c in zip(*x)) for x in elements] + constants:
+                got = _transpose(ring.pow(a, lanes_of(es)))
+                lane = lambda j: tuple(c if isinstance(c, int) else int(c[j]) for c in a)
+                assert got == [poly_powmod(lane(j), e, poly, m) for j, (e, m) in enumerate(zip(es, ms))], (name, a)
+                assert lane_kinds[-1] == {"float64" if float_lanes(a, f, top) else "int64"}, (name, a)
 
 
 # -- the Frobenius quotient -------------------------------------------------------

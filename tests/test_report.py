@@ -404,6 +404,11 @@ def test_missing_key_named(path):
     ("hits", [{"p": -2**63 - 1, "aux": None}],
      "report file key 'hits' is malformed: -9223372036854775809 does not fit in 64 bits"),
     ("range", [3, "100"], "report file key 'range' is malformed: '100' is not a JSON integer"),
+    # the first unknown exclusion reason, hashable or not
+    ("excluded", [{"p": 5, "reason": "ramified"}, {"p": 7, "reason": "bogus"}, {"p": 11, "reason": "hit"}],
+     "unknown exclusion reason 'bogus' at p=7"),
+    ("excluded", [{"p": 5, "reason": "ramified"}, {"p": 11, "reason": ["z_zero"]}],
+     "unknown exclusion reason ['z_zero'] at p=11"),
 ])
 def test_malformed_report_named(key, value, message):
     # the document itself (key None) or a value of the wrong shape: a ValueError
