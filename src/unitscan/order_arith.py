@@ -17,7 +17,7 @@ for the Frobenius sigma that the caller supplies (images of x, ..., x^(d-1)).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from math import gcd
 from operator import add, iadd
 
@@ -193,14 +193,14 @@ def inverse(c, p):
     return Lanes(p).pow((c,), p - 2)[0]
 
 
-def pow_lanes(e, w, first, square, times):
-    """Left-to-right powering lane by lane over the w-bit digits of e >= 0 (the
-    largest e places them): r = first(d) at the leading digit d, then each later
-    digit d squares r w times and applies times(r, d), the product by base^d;
+def pow_lanes(e, w, lead, first, square, times):
+    """Left-to-right powering lane by lane over the w-bit digits of e >= 0: r = first(e >> top),
+    base^(e >> top), at the least multiple top of w with e.max() >> top < lead (lead >= 1), then
+    each later digit d squares r w times and applies times(r, d), the product by base^d;
     r stays in [0, m), or in (-m, m) for Lanes.pow to reduce once at the end."""
     digit = lambda shift: ((e >> shift) & ((1 << w) - 1)).astype(np.intp)
-    top = max(int(e.max(initial=0)).bit_length() - 1, 0) // w * w
-    r = first(digit(top))
+    top = -(-(int(e.max(initial=0)) // lead).bit_length() // w) * w  # e.max() < lead * 2^top
+    r = first((e >> top).astype(np.intp))
     for shift in range(top - w, -1, -w):
         for _ in range(w):
             r = square(r)
@@ -213,6 +213,16 @@ def _sum(pairs, extra=None):
     return reduce(add, [a * b for a, b in pairs] + ([] if extra is None else [extra]))
 
 
+@lru_cache(maxsize=None)
+def _powers(a, f, bound):
+    """The exact powers a^0, a^1, ... of the d-tuple of ints a in Z[x]/(f) while every coefficient
+    c has |c| <= bound < 2^63, at most 64 (a 6-bit digit), as int64 rows: Lanes.table's and Lanes.pow's."""
+    ring, powers = Lanes(np.zeros(0, np.int64), f), [(1,) + (0,) * (len(a) - 1)]
+    while len(powers) < 64 and max(map(abs, x := ring.mul(powers[-1], a, _sum))) <= bound:
+        powers.append(x)
+    return np.array(powers, np.int64)
+
+
 class Lanes:
     """(Z/m)[x]/(f) lane by lane, for an int64 array m of moduli (every m below
     2^50, or squares q^2 below 2^60) and the non-leading coefficients f of a
@@ -222,11 +232,14 @@ class Lanes:
     most d - 1 high sums x^d, ..., x^(2d-2), by weights adding up to at most F (fold_weight).
     pow powers on float64 lanes below 2^25 while (d + (d - 1)F) * (max m)^2 < 2^53 (_square)."""
 
+    # 1/m below 2^50 and m in float64 on the exact path, built where read: dot on the float path, _near
+    minv = cached_property(lambda self: 1.0 / self.m if self.q is None else None)
+    fm = cached_property(lambda self: self.m.astype(np.float64) if self.exact else None)
+
     def __init__(self, m, f=()):
-        self.m, self.d, self.rows = m, max(len(f), 1), fold_rows(f)
+        self.m, self.d, self.f, self.rows = m, max(len(f), 1), tuple(f), fold_rows(f)
         top = int(m.max(initial=0))
         self.exact = top < MULMOD_PMAX  # plain int64 products in dot; pow on float64 lanes (fm) where balanced
-        self.minv, self.fm = 1.0 / m if top < 1 << 50 else None, m.astype(np.float64) if self.exact else None
         self.q = np.sqrt(m).round().astype(np.int64) if top >= 1 << 50 else None
         if self.q is not None and (top >= 1 << 60 or np.any(self.q * self.q != m)):
             raise ValueError(f"moduli from 2^50 must be squares below 2^60, got up to {top}")
@@ -246,8 +259,8 @@ class Lanes:
                            if self.q is not None or F >= 1 << 12 else None)
         # pow on balanced residues: float64 lanes below 2^25, else mulmod in Z/m and _square below 2^40 (bounds there)
         K = d + (d - 1) * F
-        self.balanced = self.minv is not None and (K * top * top < 1 << 53 if self.exact else d == 1
-                                                   or top < 1 << 40 and F < 64 and (2 * d + 2) * K <= 1 << 12)
+        self.balanced = self.q is None and (K * top * top < 1 << 53 if self.exact else d == 1
+                                            or top < 1 << 40 and F < 64 and (2 * d + 2) * K <= 1 << 12)
 
     def dot(self, pairs, extra=None):
         """(s = sum of a*b over the pairs + extra) mod m, for n <= 64 pairs of a in [0, m)
@@ -341,44 +354,45 @@ class Lanes:
         |a^k| from its pairs (each entry of a^k once) plus (m - 1) * F from the reduced
         high terms folded back.  None when a^1 misses.  Float64 lanes (pow) fold the high
         terms unreduced and need (1 + F) * (sum of |a^k|) * max m < 2^53 too (_square)."""
-        powers = [(1,) + (0,) * (self.d - 1)]
-        while len(powers) < 8:
-            powers.append(self._product((*powers[-1], *a), self.mul_plan, _sum))
-        top, fold = int(self.m.max(initial=1)), self.fold_weight
-        fits = lambda t: (sum(map(abs, t)) + fold) * top < 1 << 63
+        powers, top = _powers(a, self.f, (1 << 63) - 1)[:8].tolist(), int(self.m.max(initial=1))
+        fits = lambda t: (sum(map(abs, t)) + self.fold_weight) * top < 1 << 63
         for w in (3, 2, 1):
-            if all(map(fits, powers[: 1 << w])):
-                return powers[: 1 << w]
+            if len(powers) >> w and all(map(fits, powers[: 1 << w])):
+                return list(map(tuple, powers[: 1 << w]))
         return None
 
     def pow(self, a, e):
-        """a^e lane by lane for a d-tuple a and e >= 0 by pow_lanes.  Ints are one
-        exact constant: each digit multiplies by table(a), gathered from d columns,
-        with one exact product and reduction per coefficient; residues per lane,
-        and ints with no table (as residues), take w = 1 and the full product mul.
+        """a^e lane by lane for a d-tuple a and e >= 0 by pow_lanes.  Ints are one exact constant:
+        its leading value e >> top < n gathers a^(e >> top) from the n <= 64 exact powers whose every
+        coefficient c fits the first reduction (_powers): |c| < 2^63 for one int64 %;
+        |c| <= 2^52 on float64 lanes, where _near's q = rint(fl(c * minv)) is within 1/2 + (1 + 2^-54)/m
+        of c/m: |r| <= m/2 + 1 + 2^-54 < m for m >= 3 (exact at m = 2^k), q*m < 2^53.  Each later digit
+        multiplies by table(a), gathered from d columns, with one exact product and reduction per
+        coefficient; residues per lane, and ints with no table (as residues), take w = 1 and mul.
         Where balanced, squares run on residues in (-m, m) with no %.  Below 2^25 so do digit products,
         on float64 lanes converted once, where the table keeps (1 + F) * (sum of |a^k|) * max m < 2^53
         too (_square, _fused: exact); one % in int64 ends the power.  On the float path, by mulmod in
         Z/m, digit products too, and one % ends the power; by _square in rings, whose digit products
         (_product) reduce by %.  Other rings, and float64 lanes whose table misses, square by dot."""
         m, top, F = self.m, int(self.m.max(initial=0)), self.fold_weight
-        table = None if any(map(np.ndim, a)) else self.table(tuple(map(int, a)))
+        table = None if any(map(np.ndim, a)) else self.table(a := tuple(map(int, a)))
         floats = self.exact and self.balanced and all((1 + F) * sum(map(abs, t)) * top < 1 << 53 for t in table or ())
         balanced, dtype = self.balanced and not self.exact, np.float64 if floats else np.int64
         reduction = (lambda pairs, extra=None: self.mulmod(*pairs[0])) if self.d == 1 and balanced else None
         square = self._square if floats or self.d > 1 and balanced else lambda r: self.square(r, reduction)
         if table is None:
             a = tuple(np.asarray(residues(c, m), dtype) for c in a)
-            w, first = 1, lambda d: tuple(np.where(d == 1, c, o) for c, o in zip(a, self.one))
+            w, n, first = 1, 2, lambda d: tuple(np.where(d == 1, c, o) for c, o in zip(a, self.one))
             operand, exact = first, reduction
         else:
-            cols = [np.array(c, dtype) for c in zip(*table)]
-            w, operand = len(table).bit_length() - 1, lambda d: tuple(c[d] for c in cols)
-            first = lambda d: tuple(self._near(c) if floats else c % m for c in operand(d))
+            leading = _powers(a, self.f, 1 << 52 if floats else (1 << 63) - 1)
+            cols, lead = (np.array(t, dtype).T for t in (table, leading))
+            w, n, operand = len(table).bit_length() - 1, len(leading), lambda d: tuple(c[d] for c in cols)
+            first = lambda d: tuple(self._near(c[d]) if floats else c[d] % m for c in lead)
             exact = reduction or (lambda pairs, extra=None: _sum(pairs, extra) % m)
         times = ((lambda r, d: self._fused([(*r, *operand(d))], self.mul_plan)) if floats else
                  lambda r, d: self._product((*r, *operand(d)), self.mul_plan, exact))
-        r = pow_lanes(e, w, first, square, times)
+        r = pow_lanes(e, w, n, first, square, times)
         return r if reduction is None and not floats else tuple(c.astype(np.int64, copy=False) % m for c in r)
 
     def _square(self, a):

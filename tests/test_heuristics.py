@@ -344,6 +344,17 @@ def test_wieferich_published_hit_above_2_25():
     assert calls["paths"] == ["digits"]  # one chunk, on base-p digits
 
 
+@pytest.mark.parametrize("base, hits", [(3, [11, 1_006_003]), (7, [5, 491_531]), (13, [2, 863, 1_747_591])])
+def test_wieferich_published_primes_to_2e6(base, hits):
+    # the base-3, 7 and 13 Wieferich primes to 2e6 (Montgomery, Math. Comp. 61, 1993): the
+    # leading table of each base's power ends at a different exact power on the int64 lanes of
+    # the scan's chunks (3^39, 7^22, 13^17); alone, the hits below 2^12.5 (11 to base 3, 5 to
+    # base 7, 2 and 863 to base 13) have their p^2 below 2^25, on float64 lanes (3^32, 7^18, 13^14 last)
+    assert wieferich_hits(base, PrimeRange(2, 2_000_000)) == hits
+    small = np.array([p for p in hits if p * p < MULMOD_PMAX])
+    assert heuristics._wieferich_lanes(base, small).tolist() == [1] * len(small)
+
+
 @pytest.mark.parametrize("span", [1, 2, 7])
 def test_wieferich_tiny_chunks(span):
     # base 5 is a hit at p = 2 (5 = 1 mod 4), base 3 at p = 11

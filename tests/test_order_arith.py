@@ -597,13 +597,14 @@ def float_lanes(a, f, top):
 
 @pytest.fixture
 def lane_kinds(monkeypatch):
-    """The dtypes of the lanes each Lanes.pow squares and multiplies, one set per power."""
+    """The dtypes of the lanes each Lanes.pow starts from (the output of first), squares and
+    multiplies, one set per power: a leading digit may cover the whole exponent, with no square."""
     kinds, power = [], order_arith.pow_lanes
 
-    def spied(e, w, first, square, times):
+    def spied(e, w, n, first, square, times):
         kinds.append(seen := set())
-        watch = lambda step: lambda r, *digit: (seen.update(c.dtype.name for c in r), step(r, *digit))[1]
-        return power(e, w, first, watch(square), watch(times))
+        watch = lambda r: (seen.update(c.dtype.name for c in r), r)[1]
+        return power(e, w, n, lambda d: watch(first(d)), lambda r: square(watch(r)), lambda r, d: times(watch(r), d))
 
     monkeypatch.setattr(order_arith, "pow_lanes", spied)
     return kinds
@@ -762,6 +763,81 @@ def test_float64_lanes_either_side_of_their_cut(d, F, lane_kinds):
                 lane = lambda j: tuple(c if isinstance(c, int) else int(c[j]) for c in a)
                 assert got == [poly_powmod(lane(j), e, poly, m) for j, (e, m) in enumerate(zip(es, ms))], (name, a)
                 assert lane_kinds[-1] == {"float64" if float_lanes(a, f, top) else "int64"}, (name, a)
+
+
+# -- the leading table of Lanes.pow: exact powers while every coefficient fits the first reduction --
+
+LEADING_BOUNDS = {"float64": 1 << 52, "int64": (1 << 63) - 1}
+
+
+def leading_length(a, f, bound):
+    """n, the exact powers a^0, ..., a^(n - 1) kept while every coefficient has |c| <= bound, at most 64."""
+    return next((k for k, t in enumerate(exact_powers(a, f, 65)) if max(map(abs, t)) > bound), 64)
+
+
+@pytest.fixture
+def pow_steps(monkeypatch):
+    """Per Lanes.pow: the length n of its leading table, the dtype of the lanes first returns,
+    and its numbers of squares and digit products."""
+    steps, power = [], order_arith.pow_lanes
+
+    def spied(e, w, n, first, square, times):
+        steps.append(step := {"n": n, "squares": 0, "products": 0})
+
+        def start(d):
+            r = first(d)
+            step["dtype"] = r[0].dtype.name
+            return r
+
+        def count(key, run):
+            return lambda *args: (step.update({key: step[key] + 1}), run(*args))[1]
+
+        return power(e, w, n, start, count("squares", square), count("products", times))
+
+    monkeypatch.setattr(order_arith, "pow_lanes", spied)
+    return steps
+
+
+# a constant, its ring and the lengths of its leading tables on float64 and int64 lanes: 2 and 3
+# in Z/m (2^52 and 2^62, 3^32 and 3^39 last), 1 + sqrt 2, and -1 in Z/m and the root x of
+# x^3 - x - 1, whose powers stay below 2^24 to x^63, at the cap of 64 entries
+LEADING_CONSTANTS = {"2": ((), (2,), (53, 63)), "3": ((), (3,), (33, 40)), "-1": ((), (-1,), (64, 64)),
+                     "1+sqrt2": ((-2, 0), (1, 1), (42, 51)), "x3-x-1 root": ((-1, -1, 0), (0, 1, 0), (64, 64))}
+
+
+@pytest.mark.parametrize("lanes", LEADING_BOUNDS)
+@pytest.mark.parametrize("name", LEADING_CONSTANTS)
+def test_leading_table_either_side_of_its_cut(name, lanes, pow_steps):
+    # on float64 lanes (the 8 largest primes below 2^25) the leading table keeps the exact powers
+    # while every coefficient has |c| <= 2^52, on int64 lanes (the 8 smallest primes from 2^25,
+    # the float path) while |c| < 2^63, at most 64: powers whose largest exponent leads with the
+    # table's last index n - 1, to the full later digits, and with n, one past it, match
+    # poly_powmod, and start at the least multiple top of w with e.max() >> top < n: top squares
+    # and top / w digit products
+    rng = random.Random(89)
+    f, a, lengths = LEADING_CONSTANTS[name]
+    ms = primes_around(MULMOD_PMAX)[lanes == "int64"]
+    bound, top, poly = LEADING_BOUNDS[lanes], max(ms), (f or (0,)) + (1,)
+    n, w = leading_length(a, f, bound), table_width(a, f, top)
+    assert n == lengths[lanes == "int64"]
+    powers = exact_powers(a, f, n + 1)
+    assert max(map(abs, powers[n - 1])) <= bound and (n == 64 or max(map(abs, powers[n])) > bound)
+    assert float_lanes(a, f, top) == (lanes == "float64") and w == 3
+    ring = Lanes(lanes_of(ms), f)
+    for k in (0, 1, 2, 7):
+        for e in (((n - 1) << k * w) + (1 << k * w) - 1, n << k * w):
+            es = [e] + [rng.randrange(e + 1) for _ in ms[1:]]
+            assert _transpose(ring.pow(a, lanes_of(es))) == [poly_powmod(a, x, poly, m) for x, m in zip(es, ms)]
+            start = next(t for t in itertools.count(0, w) if e >> t < n)
+            assert pow_steps[-1] == {"n": n, "dtype": lanes, "squares": start, "products": start // w}, e
+
+
+def test_wide_leading_digit_squares(pow_steps):
+    # 2^9,999,990 mod 9,999,991^2: 2^0, ..., 2^62 lead on int64 lanes, so the power starts from
+    # 9,999,990 >> 18 = 38 and takes 18 squares and 6 products by 3-bit digits (from >> 21: 21 and 7)
+    p = lanes_of([9_999_991])
+    assert Lanes(p * p).pow((2,), p - 1)[0].tolist() == [pow(2, 9_999_990, 9_999_991**2)]
+    assert pow_steps == [{"n": 63, "dtype": "int64", "squares": 18, "products": 6}]
 
 
 # -- the Frobenius quotient -------------------------------------------------------
