@@ -8,7 +8,7 @@ ring O/p is the field with p^3 elements, and the fundamental unit eps
 satisfies eps^(p^3-1) = 1 + z*p mod p^2 for a unique z in O/p.  The
 invariant z decides the two tests: degree-two cohomology vanishes iff
 z != 0, and for p = 1 mod 3 the ordinary subspace is nonzero iff
-z^(3(p-1)) = 1.
+z^(3(p-1)) = 1.  A scan needs z only at its hits and where p divides [O : Z[eps]] (_cubic_chunk).
 """
 
 from __future__ import annotations
@@ -17,16 +17,16 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from math import log
+from math import isqrt, log
 
 import numpy as np
 
 from ._data import DataFileError, data_path, read_table_rows
 from ._parallel import run_chunked
 # pow3 is poly_pow, called through this module global: the benchmark traces that name
-from .order_arith import (Lanes, OrderSpec, frobenius_quotient, inverse, legendre, mul3,
+from .order_arith import (Lanes, OrderSpec, frobenius_quotient, inverse, legendre, mul3, poly_discriminant,
                           poly_pow as pow3, residues, ring_apply)
-from .primes import PrimeRange, prime_divisors, primes_in, require_prime  # the benchmark traces primes_in
+from .primes import PrimeRange, divides, prime_divisors, primes_in, require_prime  # the benchmark traces primes_in
 from .report import (CLEAR, CLEAR_CODE, CODES, EXCLUDED, HIT, HIT_CODE, Block, ScanReport,
                      Verdict, assemble_report)
 
@@ -187,6 +187,8 @@ class CubicFieldRecord:
     unit_certificate: str = "shipped"
     ramified: frozenset[int] = field(init=False, repr=False, compare=False)
     unit_inverse: tuple[int, int, int] = field(init=False, repr=False, compare=False)
+    # g = x^3 - T x^2 + S x - N, the characteristic polynomial of the unit eps: T, S, N and [Z[theta] : Z[eps]]
+    unit_poly: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.delta >= 0:
@@ -202,10 +204,15 @@ class CubicFieldRecord:
         a, b, c = self.unit
         if b == 0 and c == 0:
             raise ValueError("unit must not be rational (+-1)")
-        if element_norm(self.spec, self.unit) not in (1, -1):
+        n = element_norm(self.spec, self.unit)
+        if n not in (1, -1):
             raise ValueError("unit norm is not +-1")
         object.__setattr__(self, "ramified", prime_divisors(self.delta))
         object.__setattr__(self, "unit_inverse", invert_unit(self.spec, self.unit))
+        f1, f2 = self.spec.reduction[1:]  # T = Tr(eps), S = N Tr(1/eps); Tr(1, theta, theta^2) = (3, -f2, f2^2 - 2 f1)
+        t, s = (3 * g[0] - f2 * g[1] + (f2 * f2 - 2 * f1) * g[2] for g in (self.unit, self.unit_inverse))
+        index = isqrt(poly_discriminant((-n, n * s, -t, 1)) // self.delta)  # disc g = index^2 Delta
+        object.__setattr__(self, "unit_poly", (t, n * s, n, index))
 
 
 def load_cubic_fields(data_dir=None) -> dict[int, CubicFieldRecord]:
@@ -368,10 +375,9 @@ def classify_cubic_prime(rec: CubicFieldRecord, p: int, mode: str) -> Verdict:
 
 # -- batched scan kernel ---------------------------------------------------------
 #
-# A scan chunk classifies its primes together, one int64 lane per prime, with
-# the tests of classify_cubic_prime in the same order, on the lane ring order_arith.Lanes(m, f),
-# z coming from the Frobenius quotient as in _z_coeffs.  The unit, its inverse, h_E, f and the
-# adjugate of f'(theta) enter as residues or digit tables, (Delta/p) and 1/N(f'(theta)) by per-field tables.
+# A scan chunk classifies its primes together, one int64 lane per prime, on the lane ring order_arith.Lanes(m, f): from
+# eps^p mod p^2 and the polynomial of eps, z as in _z_coeffs only where needed.  The unit, its inverse, T, S, h_E, f
+# and the adjugate of f'(theta) enter as residues or digit tables, (Delta/p) and 1/N(f'(theta)) by per-field tables.
 
 
 def _equals(a, c):
@@ -379,10 +385,10 @@ def _equals(a, c):
     return (a[0] == c[0]) & (a[1] == c[1]) & (a[2] == c[2])
 
 
-def _z_lanes(unit, inv, f, p, xp):
-    """_z_coeffs lane by lane, with the same guards: z at the primes p where
-    theta^p mod (f, p) is xp, for the exact unit and its exact inverse: one power, eps^p
-    mod p^2; 1/det mod p for det = N(f'(theta)) = -Delta comes from a table (inverse)."""
+def _z_lanes(up, inv, f, p, xp):
+    """_z_coeffs lane by lane, with the same guards: z at the primes p where theta^p mod (f, p)
+    is xp, from up = eps^p mod p^2 and the exact inverse of eps; 1/det mod p for
+    det = N(f'(theta)) = -Delta comes from a table (inverse)."""
     m = p * p
     rp = Lanes(p, f)
     rm = Lanes(m, f)
@@ -406,12 +412,22 @@ def _z_lanes(unit, inv, f, p, xp):
     sigma_adj = rp.apply(tuple(residues(c, p) for c in adj), images)
     step = rp.mul(tuple(c // p * dinv % p for c in ft), sigma_adj)
     s1 = tuple((c - p * s) % m for c, s in zip(xp, step))
-    t = rm.frobenius_quotient(p, rm.pow(unit, p), inv, (s1, rm.square(s1)))
+    t = rm.frobenius_quotient(p, up, inv, (s1, rm.square(s1)))
     return rp.apply(rp.apply(t, images), images)
 
 
 def _cubic_chunk(args: tuple[CubicFieldRecord, str], primes: np.ndarray) -> Block:
-    """classify_cubic_prime for every prime of the int64 array, args = (rec, mode)."""
+    """classify_cubic_prime for every prime of the int64 array, args = (rec, mode), by two lane powers: y = eps^p mod
+    p^2 on every lane with (Delta/p) = 1 passing the filter, and theta^p mod p (_z_lanes) on the hits (their aux is z)
+    and where p divides the index of Z[eps].  The rest decide from y and g = x^3 - T x^2 + S x - N, the polynomial of
+    eps.  y = sigma(eps)(1 + p t) = sigma(eps) + p sigma(eps) t mod p^2 for the Frobenius quotient t (z = sigma^2(t),
+    _z_coeffs), and sigma(eps) is a root of g, so by Taylor g(y) = p t sigma(eps) g'(sigma(eps)) mod p^2: g(y) = 0 mod
+    p (the guard), and u = g(y)/p = t v mod p for v = y g'(y), as y = sigma(eps) mod p.  disc g = index^2 Delta =
+    -N(g'(eps)), so where p divides neither, v is a unit and O/p = F_p[eps]: at (Delta/p) = 1 p splits exactly when
+    y = eps mod p (eps generates F_(p^3) at an inert p); z = 0 exactly when u = 0, g(y) = 0 mod p^2; and, sigma keeping
+    F_p, z^3 is in F_p exactly when t^3 = u^3 / v^3 is: when u^3 and v^3 != 0 are F_p-proportional, their 2x2 minors
+    zero (decide; v = 1 for u = z).  By apply, g(y) = y^3 - N + S y - T y^2 mod p^2 takes two products, and
+    v = 3 g(y) + T y^2 - 2 S y + 3N = 3N - 2 S y + T y^2 mod p one square."""
     rec, mode = args
     f = rec.spec.reduction
     code = np.full(len(primes), CLEAR_CODE, dtype=np.int8)  # clear marks the lanes still live
@@ -419,31 +435,49 @@ def _cubic_chunk(args: tuple[CubicFieldRecord, str], primes: np.ndarray) -> Bloc
     def exclude(lanes, reason):
         code[lanes[code[lanes] == CLEAR_CODE]] = CODES.index(reason)
 
+    def decide(lanes, p, u, y=None):  # excludes u = 0 in ordinary mode, returns the hits; v = y g'(y), or 1
+        hit = zero = _equals(u, (0, 0, 0))
+        if mode == MODE_ORDINARY:
+            exclude(lanes[zero], "z_zero")
+            rp = Lanes(p, f)
+            v = rp.one if y is None else rp.apply([residues(c, p) for c in (3 * N, -2 * S, T)], (y, rp.square(y)))
+            u3, v3 = (rp.mul(rp.square(x), x) for x in (u, v))
+            hit = ~zero & _equals([(u3[i] * v3[j] - u3[j] * v3[i]) % p for i, j in ((0, 1), (0, 2), (1, 2))], [0] * 3)
+        return hit
+
+    T, S, N, index = rec.unit_poly
     every = np.arange(len(primes))
     chi = legendre(rec.delta, primes)  # 0 at the ramified p > 3, -1 where Frobenius has order 2
     exclude(every[(primes == 2) | (primes == 3)], "hyp1_divides_6")
     exclude(every[chi == 0], "hyp2_ramified")
     if rec.class_number_e is not None:
-        exclude(every[residues(rec.class_number_e, primes) == 0], "hyp3_class_number")
+        exclude(every[divides(rec.class_number_e, primes)], "hyp3_class_number")
     exclude(every[np.isin(primes, sorted(h5_set(rec.ramified)))], "hyp5_in_H5")
     if mode == MODE_ORDINARY:
         exclude(every[primes % 3 == 2], "p_2_mod_3")
     exclude(every[chi != 1], "frob_order_not_3")
     live = np.flatnonzero(code == CLEAR_CODE)
     p = primes[live]
+    up = Lanes(p * p, f).pow(rec.unit, p)
+    again = divides(index, p)  # the lanes of the second power: these, and the hits found below
+    split = ~again & _equals([c % p for c in up], [residues(c, p) for c in rec.unit])
+    exclude(live[split], "frob_order_not_3")
+    inert = np.flatnonzero(~again & ~split)
+    q, y = p[inert], tuple(c[inert] for c in up)
+    ring = Lanes(m := q * q, f)
+    y2 = ring.square(y)
+    gy = [(a + b) % m for a, b in zip(ring.mul(y2, y), ring.apply([residues(c, m) for c in (-N, S, -T)], (y, y2)))]
+    bad = ~_equals([c % q for c in gy], (0, 0, 0))
+    if bad.any():
+        raise ArithmeticError(f"g(eps^p) is not 0 mod {q[bad][0]} for g the polynomial of eps: corrupt inputs")
+    again[inert[decide(live[inert], q, tuple(c // q for c in gy), tuple(c % q for c in y))]] = True
+    live, p, up = live[again], p[again], tuple(c[again] for c in up)
     xp = Lanes(p, f).pow((0, 1, 0), p)
     split = _equals(xp, (0, 1, 0))
     exclude(live[split], "frob_order_not_3")
-    live, p, xp = live[~split], p[~split], tuple(c[~split] for c in xp)
-    z = _z_lanes(rec.unit, rec.unit_inverse, f, p, xp)
-    zero = _equals(z, (0, 0, 0))
-    if mode == MODE_ORDINARY:
-        exclude(live[zero], "z_zero")
-        lanes = Lanes(p, f)
-        cube = lanes.mul(lanes.square(z), z)
-        hit = ~zero & (cube[1] == 0) & (cube[2] == 0)
-    else:
-        hit = zero
+    live, p, up, xp = live[~split], p[~split], *(tuple(c[~split] for c in x) for x in (up, xp))
+    z = _z_lanes(up, rec.unit_inverse, f, p, xp)
+    hit = decide(live, p, z)
     code[live[hit]] = HIT_CODE
     # N(eps) = +-1 puts z in the trace-zero plane of O/p, where z = 0 has probability 1/p^2
     # and z^3 in F_p* (z on the lines of gamma, gamma^2; gamma^3 a non-cube) 2/(p+1)

@@ -17,8 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from ._parallel import run_chunked
-from .order_arith import Lanes, residues
-from .primes import PrimeRange, prime_divisors, primes_in, require_prime  # the benchmark traces primes_in
+from .order_arith import Lanes
+from .primes import PrimeRange, divides, prime_divisors, primes_in, require_prime  # the benchmark traces primes_in
 from .report import _RECIP_BITS, CLEAR_CODE, CODES, HIT_CODE, Block, ScanReport, assemble_report
 
 __all__ = [
@@ -196,7 +196,7 @@ def _wieferich_lanes(base: int, p: np.ndarray) -> np.ndarray:
 
 def _wieferich_chunk(base: int, primes: np.ndarray) -> Block:
     """The hits among the primes of the int64 array; those dividing base are excluded."""
-    tested = np.flatnonzero(residues(base, primes) != 0)
+    tested = np.flatnonzero(~divides(base, primes))
     code = np.full(len(primes), CODES.index("divides_base"), dtype=np.int8)
     code[tested] = np.where(_wieferich_lanes(base, primes[tested]) == 1, HIT_CODE, CLEAR_CODE)
     return Block.of(primes, code, hits_only=True)

@@ -9,6 +9,8 @@ from typing import Iterator
 
 import numpy as np
 
+from .order_arith import residues
+
 RANGE_LIMIT = 10**9
 SEGMENT_SIZE = 1 << 20  # odd numbers, one sieve byte each, per segment of primes_in and count_primes
 
@@ -65,6 +67,12 @@ def prime_divisors(n: int) -> frozenset[int]:
     if n > 1:
         out.add(n)
     return frozenset(out)
+
+
+def divides(c: int, primes: np.ndarray) -> np.ndarray:
+    """The lanes of the ascending int64 primes dividing the int c: only p <= |c| divides c != 0, so % runs on those."""
+    n = np.searchsorted(primes, min(abs(c), 1 << 62) or 1 << 62, side="right")
+    return np.concatenate((residues(c, primes[:n]) == 0, np.zeros(len(primes) - n, dtype=bool)))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ unit-theoretic criterion for the relevant degree-two cohomology not to vanish.
 The code decides it by the Frobenius quotient eps^p * sigma(eps)^-1 = 1 + p*t
 mod p^2 (order_arith), one power by p: sigma fixes sqrt(D) when (D/p) = 1 and
 negates it when (D/p) = -1.  With eps = w(1 + p*y), w the Teichmueller lift,
-eps^(p^2-1) = 1 - p*y and t = -sigma(y) mod p, so p is a hit exactly when t = 0.
+eps^(p^2-1) = 1 - p*y and t = -sigma(y) mod p: p is a hit exactly when t = 0, eps^p = sigma(eps) mod p^2.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from ._data import DataFileError, data_path, read_table_rows
 from ._parallel import run_chunked
 # pow2 is poly_pow, called through this module global: the benchmark traces that name
 from .order_arith import Lanes, OrderSpec, frobenius_quotient, legendre, poly_pow as pow2, residues
-from .primes import PrimeRange, prime_divisors, primes_in, require_prime  # the benchmark traces primes_in
+from .primes import PrimeRange, divides, prime_divisors, primes_in, require_prime  # the benchmark traces primes_in
 from .report import (CLEAR, CLEAR_CODE, CODES, EXCLUDED, HIT, HIT_CODE, Block, ScanReport,
                      Verdict, assemble_report)
 
@@ -205,23 +205,24 @@ def classify_quad_prime(rec: QuadFieldRecord, p: int) -> Verdict:
 
 
 def _quad_chunk(rec: QuadFieldRecord, primes: np.ndarray) -> Block:
-    """classify_quad_prime for every prime of the int64 array."""
+    """classify_quad_prime for every prime of the int64 array: a hit where eps^p = sigma(eps) mod p^2 (t = 0), with
+    sigma(a + b*omega) read off (D/p): itself at a split p, at an inert one a - b*f1 - b*omega = a + b*conj(omega)."""
     u = rec.unit
     code = np.full(len(primes), CLEAR_CODE, dtype=np.int8)  # clear marks the lanes still live
     chi = legendre(rec.d, primes)  # (D/p), 0 exactly at the odd p dividing 4D: the ramified ones
     # the exclusions in the order classify_quad_prime applies them
     excluded = {"below_min_p": primes < MIN_SCAN_PRIME, "ramified": chi == 0,
-                "divides_class_number": residues(rec.class_number, primes) == 0}
+                "divides_class_number": divides(rec.class_number, primes)}
     for reason, mask in excluded.items():
         code[(code == CLEAR_CODE) & mask] = CODES.index(reason)
     live = np.flatnonzero(code == CLEAR_CODE)
     p = primes[live]
     m = p * p
-    ring = Lanes(m, rec.reduction)
+    up = Lanes(m, rec.reduction).pow((u.a, u.b), p)
     inert = chi[live] != 1
-    image = (np.where(inert, -rec.reduction[1] % m, 0), np.where(inert, m - 1, 1))
-    t = ring.frobenius_quotient(p, ring.pow((u.a, u.b), p), rec.unit_inverse, (image,))
-    code[live[(t[0] == 0) & (t[1] == 0)]] = HIT_CODE
+    hit = up[1] == np.where(inert, residues(-u.b, m), residues(u.b, m))
+    hit &= up[0] == np.where(inert, residues(u.a - u.b * rec.reduction[1], m), residues(u.a, m))
+    code[live[hit]] = HIT_CODE
     return Block.of(primes, code)
 
 

@@ -120,7 +120,7 @@ def _exclusions(primes, reasons) -> Block:
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Hits, exclusions (a Block, built here from Verdicts if given those) and clears: disjoint, each ascending."""
+    """Hits, exclusions (a Block, or Verdicts made one), clears (a tuple, or lanes made one): disjoint, ascending."""
 
     field_id: str
     mode: str
@@ -143,8 +143,10 @@ class ScanReport:
         ex = self.excluded
         if ex is not None and not isinstance(ex, Block):
             object.__setattr__(self, "excluded", _exclusions([v.p for v in ex], [v.reason for v in ex]))
-        lists = [v.p for v in self.hits], [] if self.excluded is None else self.excluded.primes, self.clears or ()
-        cols = [np.array(c, dtype=np.int64) for c in lists]
+        lists = [v.p for v in self.hits], None if self.excluded is None else self.excluded.primes, self.clears
+        cols = [np.asarray(() if c is None else c, dtype=np.int64) for c in lists]
+        if isinstance(self.clears, np.ndarray):
+            object.__setattr__(self, "clears", tuple(cols[2].tolist()))
         first = max(self.lo, 2)
         for name, col in zip(("hits", "excluded", "clears"), cols):
             down = np.flatnonzero(col[1:] <= col[:-1])
@@ -184,7 +186,7 @@ def assemble_report(
     if full_verdicts:
         out = codes > HIT_CODE
         excluded = Block.of(primes[out], codes[out])
-        clears = tuple(primes[codes == CLEAR_CODE].tolist())
+        clears = primes[codes == CLEAR_CODE]
     counts = verdicts.counts.tolist()
     return ScanReport(
         field_id=field_id,

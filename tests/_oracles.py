@@ -17,6 +17,7 @@ from fractions import Fraction
 from math import isqrt
 
 import numpy as np
+import sympy
 
 
 def trial_division_primes(lo: int, hi: int) -> list[int]:
@@ -271,6 +272,63 @@ def cubic_z_oracle(poly, unit, p: int) -> tuple[tuple[int, int, int], bool]:
     z = [c // p % p for c in u]
     ordinary = any(z) and cubic_powmod(z, 3 * (p - 1), poly, p) == [1, 0, 0]
     return tuple(z), ordinary
+
+
+def cubic_char_poly(poly, unit) -> tuple[tuple[int, ...], int]:
+    """The characteristic polynomial g of eps = a + b*theta + c*theta^2 (coefficients
+    ascending, monic), as the sympy resultant Res_t(f(t), x - eps(t)), and the index
+    [Z[theta] : Z[eps]], the square root of disc(g) / disc(f)."""
+    x, t = sympy.symbols("x t")
+    f = sympy.Poly(list(reversed(poly)), t).as_expr()
+    g = sympy.Poly(sympy.resultant(f, x - (unit[0] + unit[1] * t + unit[2] * t * t), t), x).monic()
+    ratio = sympy.Rational(sympy.discriminant(g), sympy.discriminant(f, t))
+    index = isqrt(int(ratio))
+    assert ratio.q == 1 and index * index == ratio
+    return tuple(int(c) for c in reversed(g.all_coeffs())), index
+
+
+def cubic_unit_criterion(poly, unit, g, p: int) -> tuple[bool, bool, bool]:
+    """From y = eps^p mod (f, p^2) by direct powering and the characteristic
+    polynomial g of eps (ascending): whether y = eps mod p, whether g(y) = 0
+    mod p^2, and whether u^3 and v^3 have rank at most 1 over F_p, for
+    u = g(y)/p and v = y g'(y) mod p, each evaluated term by term."""
+    m = p * p
+
+    def evaluate(coeffs, y, mod):  # sum of c_k y^k in (Z/mod)[x]/(f)
+        acc, power = [0, 0, 0], [1, 0, 0]
+        for c in coeffs:
+            acc = [(a + c * w) % mod for a, w in zip(acc, power)]
+            power = _cubic_mulmod(power, y, poly, mod)
+        return acc
+
+    y = cubic_powmod([c % m for c in unit], p, poly, m)
+    gy = evaluate(g, y, m)
+    assert all(c % p == 0 for c in gy), "g(eps^p) is not 0 mod p"
+    u = [c // p for c in gy]
+    v = evaluate([0] + [k * c for k, c in enumerate(g)][1:], [c % p for c in y], p)  # y g'(y)
+    cubes = [cubic_powmod(w, 3, poly, p) for w in (u, v)]
+    return [c % p for c in y] == [c % p for c in unit], not any(gy), rank_mod_p(cubes, p) <= 1
+
+
+def quad_frobenius_naive(d: int, a: int, b: int, p: int) -> bool:
+    """eps^p = sigma(eps) mod p^2 for eps = a + b*omega at an odd prime p not
+    dividing d, with sigma(sqrt(d)) = (d/p) sqrt(d), (d/p) by Euler's criterion:
+    in the coordinates 2 eps = A + B sqrt(d), by square and multiply with
+    schoolbook products, as (A + B sqrt(d))^p = 2^(p-1) (A + (d/p) B sqrt(d))."""
+    m = p * p
+    big_a, big_b = (2 * a + b, b) if d % 4 == 1 else (2 * a, 2 * b)
+    chi = 1 if pow(d, (p - 1) // 2, p) == 1 else -1
+
+    def mul(x, y):
+        return (x[0] * y[0] + d * x[1] * y[1]) % m, (x[0] * y[1] + x[1] * y[0]) % m
+
+    out = (1, 0)
+    for bit in bin(p)[2:]:
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, (big_a % m, big_b % m))
+    two = pow(2, p - 1, m)
+    return out == (two * big_a % m, two * chi * big_b % m)
 
 
 def quad_hit_naive(d: int, a: int, b: int, p: int) -> bool:

@@ -34,16 +34,18 @@ from unitscan.cubic import (
     _z_cubed_in_fp,
     _z_lanes,
 )
-from unitscan.order_arith import OrderSpec, fold_rows, poly_pow
+from unitscan.order_arith import Lanes, OrderSpec, fold_rows, poly_pow
 from unitscan.primes import PrimeRange, prime_divisors, primes_in
 from unitscan.report import EXCLUDED, HIT
 
 from _blocks import NEAR_LIMIT, Family, check_scans, check_straddle, check_tiny_chunks, check_workers
 from _oracles import (
+    cubic_char_poly,
     cubic_is_inert,
     cubic_mul,
     cubic_norm_float,
     cubic_powmod,
+    cubic_unit_criterion,
     cubic_z_oracle,
     trial_division_primes,
 )
@@ -322,20 +324,31 @@ def test_z_rejects_inconsistent_inputs(cubic_records):
 
 
 def test_z_and_ordinary_match_naive_oracle(cubic_records):
-    # every inert prime p <= 3e4 passing the hypothesis filter, all 14 fields:
-    # z against eps^(p^3-1) by direct powering, and the ordinary decision of
-    # both the readable API and the scan against z^(3(p-1)) = 1
+    # every prime 5 <= p <= 3e4 passing the hypothesis filter with (Delta/p) = 1, all 14 fields.
+    # At each, the scan kernel's criterion, in the oracles' arithmetic from eps^p and the
+    # characteristic polynomial g of eps alone (the index is 1 or 2): split exactly when
+    # eps^p = eps mod p, and at the inert ones z = 0 exactly when g(eps^p) = 0 mod p^2, and
+    # z^3 in F_p exactly when u^3 and v^3 have rank at most 1.  At the inert ones, z against
+    # eps^(p^3-1) by direct powering, and the ordinary decision of both the readable API and
+    # the scan against z^(3(p-1)) = 1
     pairs = 0
     primes = trial_division_primes(5, 30_000)
     for delta, rec in cubic_records.items():
         poly = rec.spec.defining_poly
         f = rec.spec.reduction
+        g, index = cubic_char_poly(poly, rec.unit)
+        assert index in (1, 2) and rec.unit_poly == (-g[2], g[1], -g[0], index), delta
         want_hits = []
         for p in primes:
-            if hyp_filter(rec, p) is not None or not cubic_is_inert(poly, p):
+            if hyp_filter(rec, p) is not None or pow(delta % p, (p - 1) // 2, p) != 1:
+                continue
+            split, zero, cubed = cubic_unit_criterion(poly, rec.unit, g, p)
+            assert split != cubic_is_inert(poly, p), (delta, p)
+            if split:
                 continue
             pairs += 1
             z, ordinary = cubic_z_oracle(poly, rec.unit, p)
+            assert (zero, cubed) == (z == (0, 0, 0), ordinary or z == (0, 0, 0)), (delta, p)
             assert _z_coeffs(rec.unit, f, p) == z, (delta, p)
             if p % 3 == 1 and z != (0, 0, 0):
                 assert ordinary_test(rec, p) == ordinary, (delta, p)
@@ -429,7 +442,7 @@ def _fold_sum(f):
 _DENOMINATORS = {MODE_H2: lambda p: p * p, MODE_ORDINARY: lambda p: (p + 1) // 2}
 
 
-# two lane powers per chunk in either mode: theta^p mod p and eps^p mod p^2
+# two lane powers per chunk in either mode: eps^p mod p^2, then theta^p mod p
 CUBIC = {mode: Family(cubic, "classify_cubic_prime", partial(scan_cubic, mode=mode, full_verdicts=True),
                       partial(classify_cubic_prime, mode=mode), 2, _DENOMINATORS[mode]) for mode in _DENOMINATORS}
 
@@ -463,6 +476,37 @@ def test_z_zero_at_a_power_of_the_unit(cubic_records):
     rng = PrimeRange(2, 3000)
     (h2,), (ordinary,) = (check_scans(family, [rec], rng) for family in CUBIC.values())
     assert [v.p for v in h2.hits] == [13] and ordinary.excluded_counts["z_zero"] == 1
+
+
+def test_each_lane_power_sees_its_lanes(cubic_records):
+    # eps^915 of Delta = -23: its index [Z[theta] : Z[eps^915]] has the prime factors 13
+    # (inert) and 211 (split), where eps^p cannot decide.  The chunk's first lane power,
+    # eps^p mod p^2, takes every prime with (Delta/p) = 1 that passes the filter; the second,
+    # theta^p mod p, the hits and those two alone
+    rec23 = cubic_records[-23]
+    unit = rec23.unit
+    for _ in range(914):
+        unit = cubic_mul(unit, rec23.unit, rec23.spec.defining_poly)
+    rec = CubicFieldRecord(-23, rec23.spec, None, unit, "derived")
+    index = rec.unit_poly[3]
+    assert index % (13 * 211) == 0
+    rng = PrimeRange(2, 3000)
+    power = Lanes.pow
+    for mode, family in CUBIC.items():
+        seen = []
+
+        def recorded(lanes, a, e):
+            seen.append((lanes.m.tolist(), e.tolist()))
+            return power(lanes, a, e)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(Lanes, "pow", recorded)
+            rep, = check_scans(family, [rec], rng)
+        first = [p for p in primes_in(rng) if hyp_filter(rec, p) is None and pow(-23 % p, (p - 1) // 2, p) == 1
+                 and (mode == MODE_H2 or p % 3 == 1)]
+        second = [p for p in first if index % p == 0 or p in {v.p for v in rep.hits}]
+        assert second == [13, 211], mode  # 13 is an ordinary hit, as for eps
+        assert seen == [([p * p for p in first], first), (second, second)], mode
 
 
 def _shifted_record(rec23, c):
@@ -536,6 +580,9 @@ def test_z_lanes_rejects_what_z_coeffs_rejects(cubic_records):
         xp = tuple(np.array([g, b], dtype=np.int64) for g, b in zip(xp_of(13, 13), xp_bad))
         return p, xp
 
+    def z_lanes(unit, unit_inv, p, xp):  # _z_lanes takes eps^p mod p^2, the chunk's first power
+        return _z_lanes(Lanes(p * p, f).pow(unit, p), unit_inv, f, p, xp)
+
     cases = [
         (13, (1, 0, 0), rec.unit, inv, "not a root"),
         (7, xp_of(7, 7), rec.unit, inv, "not inert"),
@@ -547,8 +594,8 @@ def test_z_lanes_rejects_what_z_coeffs_rejects(cubic_records):
         with pytest.raises(ArithmeticError, match=message):
             _z_coeffs(unit, f, p_bad, xp_bad, unit_inv)
         with pytest.raises(ArithmeticError, match=message):
-            _z_lanes(unit, unit_inv, f, *lanes(p_bad, xp_bad))
-    good = _z_lanes(rec.unit, inv, f, *lanes(13, xp_of(13, 13)))
+            z_lanes(unit, unit_inv, *lanes(p_bad, xp_bad))
+    good = z_lanes(rec.unit, inv, *lanes(13, xp_of(13, 13)))
     assert [c.tolist() for c in good] == [[z, z] for z in _z_coeffs(rec.unit, f, 13)]
 
 

@@ -4,7 +4,7 @@ import pytest
 from unitscan import primes as primes_mod
 from unitscan.cubic import z_value
 from unitscan.heuristics import injective_probability, level_raising_densities, monte_carlo_injective
-from unitscan.primes import (PrimeRange, count_primes, is_prime, prime_array, primes_in, require_prime,
+from unitscan.primes import (PrimeRange, count_primes, divides, is_prime, prime_array, primes_in, require_prime,
                              sieve_upto)
 from unitscan.quadratic import quad_unit_test
 
@@ -75,6 +75,13 @@ def test_sieve_edge_ranges():
     got = list(primes_in(PrimeRange(lo, hi)))
     assert got == [n for n in range(lo, hi + 1) if is_prime(n)]
     assert all(type(q) is int for q in got)
+
+
+@pytest.mark.parametrize("c", [0, 1, -1, 6, -35, 997, 1000, 3 * 7919, (1 << 63) - 1, (1 << 63) + 1, 3 << 70])
+def test_divides_matches_python_modulo(c):
+    # the % runs only on the primes up to |c|; 0 is divisible by all, and |c| past 2^63 takes Python ints
+    for primes in (prime_array(2, 10_000), prime_array(9_000, 9_100), prime_array(2, 2)[:0]):
+        assert divides(c, primes).tolist() == [c % p == 0 for p in primes.tolist()], c
 
 
 def test_prime_counting():

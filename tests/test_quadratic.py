@@ -33,7 +33,7 @@ from unitscan.report import EXCLUDED, HIT, HIT_CODE, Block, Verdict
 
 from _blocks import (NEAR_LIMIT, Family, assert_same_report, check_scans, check_straddle, check_tiny_chunks,
                      check_workers)
-from _oracles import narrow_class_number_bqf, quad_hit_naive, quad_unit_exhaustive
+from _oracles import narrow_class_number_bqf, quad_frobenius_naive, quad_hit_naive, quad_unit_exhaustive
 
 SQUAREFREE_TO_30 = [d for d in range(2, 31) if is_squarefree(d)]
 
@@ -108,7 +108,8 @@ def test_lanes_match_classify_to_2e5(quad_records):
 
 
 def test_lanes_and_classify_match_naive_power(quad_records):
-    # both paths against the literal eps^(p^2-1) of the oracle, p <= 3e4
+    # both paths against the literal eps^(p^2-1) of the oracle, p <= 3e4, and so the
+    # lane kernel's criterion eps^p = sigma(eps) mod p^2 in the oracles' own coordinates
     rng = PrimeRange(2, 30_000)
     for d, rec in quad_records.items():
         rep = scan_quadratic(rec, rng, full_verdicts=True)
@@ -117,6 +118,7 @@ def test_lanes_and_classify_match_naive_power(quad_records):
         assert hits.isdisjoint(rep.clears)
         want = {p for p in tested if quad_hit_naive(d, rec.unit.a, rec.unit.b, p)}
         assert hits == want, d
+        assert {p for p in tested if quad_frobenius_naive(d, rec.unit.a, rec.unit.b, p)} == want, d
         assert {p for p in tested if classify_quad_prime(rec, p).status == HIT} == want, d
         assert tested == [p for p in primes_in(rng) if p > 2 and rec.field_disc % p
                           and rec.class_number % p]

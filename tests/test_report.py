@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import zipfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,16 @@ def sample_report(full=False):
         excluded_counts={"hyp5_in_H5": 1, "p_2_mod_3": 12},
         expected_hits=0.3125,
     )
+
+
+def test_clears_from_lanes_or_a_tuple():
+    # assemble_report hands ScanReport its clear lanes, and the report shows them as a tuple
+    base = sample_report(True)
+    lanes = replace(base, clears=np.array(base.clears, dtype=np.int64), checksum="")
+    assert type(lanes.clears) is tuple and lanes.clears == base.clears
+    assert lanes == base and lanes.checksum == base.checksum
+    with pytest.raises(ValueError, match="clears must be strictly ascending"):
+        replace(base, clears=np.array(base.clears[::-1], dtype=np.int64), checksum="")
 
 
 def test_block_join_keeps_range_order():
