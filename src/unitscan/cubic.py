@@ -8,7 +8,9 @@ ring O/p is the field with p^3 elements, and the fundamental unit eps
 satisfies eps^(p^3-1) = 1 + z*p mod p^2 for a unique z in O/p.  The
 invariant z decides the two tests: degree-two cohomology vanishes iff
 z != 0, and for p = 1 mod 3 the ordinary subspace is nonzero iff
-z^(3(p-1)) = 1.  A scan needs z only at its hits and where p divides [O : Z[eps]] (_cubic_chunk).
+z^(3(p-1)) = 1.  A scan chunk takes one lane power, eps^p mod p^2, and z per
+prime (classify_cubic_prime) only at its hits and where p divides [O : Z[eps]]
+(_cubic_chunk).
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ import numpy as np
 from ._data import DataFileError, data_path, read_table_rows
 from ._parallel import run_chunked
 # pow3 is poly_pow, called through this module global: the benchmark traces that name
-from .order_arith import (Lanes, OrderSpec, frobenius_quotient, inverse, legendre, mul3, poly_discriminant,
-                          poly_pow as pow3, residues, ring_apply)
+from .order_arith import (Lanes, OrderSpec, frobenius_quotient, legendre, mul3, poly_discriminant, poly_pow as pow3,
+                          residues, ring_apply)
 from .primes import PrimeRange, divides, prime_divisors, primes_in, require_prime  # the benchmark traces primes_in
-from .report import (CLEAR, CLEAR_CODE, CODES, EXCLUDED, HIT, HIT_CODE, Block, ScanReport,
+from .report import (CLEAR, CLEAR_CODE, CODES, EXCLUDED, HIT, Block, ScanReport,
                      Verdict, assemble_report)
 
 __all__ = [
@@ -375,9 +377,9 @@ def classify_cubic_prime(rec: CubicFieldRecord, p: int, mode: str) -> Verdict:
 
 # -- batched scan kernel ---------------------------------------------------------
 #
-# A scan chunk classifies its primes together, one int64 lane per prime, on the lane ring order_arith.Lanes(m, f): from
-# eps^p mod p^2 and the polynomial of eps, z as in _z_coeffs only where needed.  The unit, its inverse, T, S, h_E, f
-# and the adjugate of f'(theta) enter as residues or digit tables, (Delta/p) and 1/N(f'(theta)) by per-field tables.
+# A scan chunk classifies its primes together, one int64 lane per prime, on the lane ring order_arith.Lanes(m, f), from
+# one lane power eps^p mod p^2 and the polynomial of eps; z per prime (classify_cubic_prime) only where needed.  The
+# unit, T, S, N and h_E enter as residues or digit tables, (Delta/p) by a per-field table.
 
 
 def _equals(a, c):
@@ -385,105 +387,61 @@ def _equals(a, c):
     return (a[0] == c[0]) & (a[1] == c[1]) & (a[2] == c[2])
 
 
-def _z_lanes(up, inv, f, p, xp):
-    """_z_coeffs lane by lane, with the same guards: z at the primes p where theta^p mod (f, p)
-    is xp, from up = eps^p mod p^2 and the exact inverse of eps; 1/det mod p for
-    det = N(f'(theta)) = -Delta comes from a table (inverse)."""
-    m = p * p
-    rp = Lanes(p, f)
-    rm = Lanes(m, f)
-    # sigma(theta) mod p^2: one Newton step s - f(s)/f'(s) from s = theta^p.
-    t2 = rm.square(xp)  # f(s) is s^3 plus f0 + f1 x + f2 x^2 at x = s
-    rest = rm.apply(tuple(residues(c, m) for c in f), (xp, t2))
-    ft = [(c + s) % m for c, s in zip(rm.mul(t2, xp), rest)]
-    bad = ~_equals([c % p for c in ft], (0, 0, 0))
-    if bad.any():
-        raise ArithmeticError(f"theta^p is not a root of f mod {p[bad][0]}: corrupt inputs")
-    images = (xp, tuple(c % p for c in t2))  # sigma(theta), sigma(theta^2) mod p
-    bad = _equals(xp, (0, 1, 0)) | _equals(rp.apply(xp, images), (0, 1, 0))
-    if bad.any():
-        raise ArithmeticError(f"p={p[bad][0]} is not inert: theta^p or theta^(p^2) is theta")
-    # 1/f'(sigma(theta)) mod p is sigma(adj) / det, where f'(theta) * adj = det
-    adj, det = _adjugate((f[1], 2 * f[2], 3), f)
-    bad = residues(det, p) == 0
-    if bad.any():
-        raise ArithmeticError(f"f'(theta) is not invertible mod {p[bad][0]}")
-    dinv = inverse(det, p)
-    sigma_adj = rp.apply(tuple(residues(c, p) for c in adj), images)
-    step = rp.mul(tuple(c // p * dinv % p for c in ft), sigma_adj)
-    s1 = tuple((c - p * s) % m for c, s in zip(xp, step))
-    t = rm.frobenius_quotient(p, up, inv, (s1, rm.square(s1)))
-    return rp.apply(rp.apply(t, images), images)
-
-
 def _cubic_chunk(args: tuple[CubicFieldRecord, str], primes: np.ndarray) -> Block:
-    """classify_cubic_prime for every prime of the int64 array, args = (rec, mode), by two lane powers: y = eps^p mod
-    p^2 on every lane with (Delta/p) = 1 passing the filter, and theta^p mod p (_z_lanes) on the hits (their aux is z)
-    and where p divides the index of Z[eps].  The rest decide from y and g = x^3 - T x^2 + S x - N, the polynomial of
-    eps.  y = sigma(eps)(1 + p t) = sigma(eps) + p sigma(eps) t mod p^2 for the Frobenius quotient t (z = sigma^2(t),
-    _z_coeffs), and sigma(eps) is a root of g, so by Taylor g(y) = p t sigma(eps) g'(sigma(eps)) mod p^2: g(y) = 0 mod
-    p (the guard), and u = g(y)/p = t v mod p for v = y g'(y), as y = sigma(eps) mod p.  disc g = index^2 Delta =
-    -N(g'(eps)), so where p divides neither, v is a unit and O/p = F_p[eps]: at (Delta/p) = 1 p splits exactly when
-    y = eps mod p (eps generates F_(p^3) at an inert p); z = 0 exactly when u = 0, g(y) = 0 mod p^2; and, sigma keeping
-    F_p, z^3 is in F_p exactly when t^3 = u^3 / v^3 is: when u^3 and v^3 != 0 are F_p-proportional, their 2x2 minors
-    zero (decide; v = 1 for u = z).  By apply, g(y) = y^3 - N + S y - T y^2 mod p^2 takes two products, and
-    v = 3 g(y) + T y^2 - 2 S y + 3N = 3N - 2 S y + T y^2 mod p one square."""
+    """classify_cubic_prime for every prime of the int64 array, args = (rec, mode), by one lane power: y = eps^p mod
+    p^2 on every lane with (Delta/p) = 1 passing the filter.  classify_cubic_prime itself takes the hits (their aux is
+    z) and the primes dividing the index of Z[eps]; the rest decide from y and g = x^3 - T x^2 + S x - N, the
+    polynomial of eps.  y = sigma(eps)(1 + p t) = sigma(eps) + p sigma(eps) t mod p^2 for the Frobenius quotient t
+    (z = sigma^2(t), _z_coeffs), and sigma(eps) is a root of g, so by Taylor g(y) = p t sigma(eps) g'(sigma(eps)) mod
+    p^2: g(y) = 0 mod p (the guard), and u = g(y)/p = t v mod p for v = y g'(y), as y = sigma(eps) mod p.  disc g =
+    index^2 Delta = -N(g'(eps)), so where p divides neither, v is a unit and O/p = F_p[eps]: at (Delta/p) = 1 p splits
+    exactly when y = eps mod p (eps generates F_(p^3) at an inert p); z = 0 exactly when u = 0, g(y) = 0 mod p^2; and,
+    sigma keeping F_p, z^3 is in F_p exactly when t^3 = u^3 / v^3 is: when u^3 and v^3 != 0 are F_p-proportional,
+    their 2x2 minors zero.  By Horner g(y) = ((y - T) y + S) y - N mod p^2 takes two products; the first, w = y^2 - T y,
+    gives y^2 = w + T y mod p, so v = 3 g(y) + T y^2 - 2 S y + 3N = 3N + (T^2 - 2S) y + T w mod p takes none."""
     rec, mode = args
-    f = rec.spec.reduction
-    code = np.full(len(primes), CLEAR_CODE, dtype=np.int8)  # clear marks the lanes still live
-
-    def exclude(lanes, reason):
-        code[lanes[code[lanes] == CLEAR_CODE]] = CODES.index(reason)
-
-    def decide(lanes, p, u, y=None):  # excludes u = 0 in ordinary mode, returns the hits; v = y g'(y), or 1
-        hit = zero = _equals(u, (0, 0, 0))
-        if mode == MODE_ORDINARY:
-            exclude(lanes[zero], "z_zero")
-            rp = Lanes(p, f)
-            v = rp.one if y is None else rp.apply([residues(c, p) for c in (3 * N, -2 * S, T)], (y, rp.square(y)))
-            u3, v3 = (rp.mul(rp.square(x), x) for x in (u, v))
-            hit = ~zero & _equals([(u3[i] * v3[j] - u3[j] * v3[i]) % p for i, j in ((0, 1), (0, 2), (1, 2))], [0] * 3)
-        return hit
-
     T, S, N, index = rec.unit_poly
-    every = np.arange(len(primes))
     chi = legendre(rec.delta, primes)  # 0 at the ramified p > 3, -1 where Frobenius has order 2
-    exclude(every[(primes == 2) | (primes == 3)], "hyp1_divides_6")
-    exclude(every[chi == 0], "hyp2_ramified")
+    reasons = [("hyp1_divides_6", (primes == 2) | (primes == 3)), ("hyp2_ramified", chi == 0)]
     if rec.class_number_e is not None:
-        exclude(every[divides(rec.class_number_e, primes)], "hyp3_class_number")
-    exclude(every[np.isin(primes, sorted(h5_set(rec.ramified)))], "hyp5_in_H5")
+        reasons.append(("hyp3_class_number", divides(rec.class_number_e, primes)))
+    reasons.append(("hyp5_in_H5", np.isin(primes, sorted(h5_set(rec.ramified)))))
     if mode == MODE_ORDINARY:
-        exclude(every[primes % 3 == 2], "p_2_mod_3")
-    exclude(every[chi != 1], "frob_order_not_3")
+        reasons.append(("p_2_mod_3", primes % 3 == 2))
+    reasons.append(("frob_order_not_3", chi != 1))
+    code = np.full(len(primes), CLEAR_CODE, dtype=np.int8)  # clear marks the lanes still live
+    for reason, mask in reversed(reasons):  # last first, so that each lane keeps its first reason
+        code[mask] = CODES.index(reason)
     live = np.flatnonzero(code == CLEAR_CODE)
     p = primes[live]
-    up = Lanes(p * p, f).pow(rec.unit, p)
-    again = divides(index, p)  # the lanes of the second power: these, and the hits found below
-    split = ~again & _equals([c % p for c in up], [residues(c, p) for c in rec.unit])
-    exclude(live[split], "frob_order_not_3")
+    y = Lanes(p * p, rec.spec.reduction).pow(rec.unit, p)
+    again = divides(index, p)  # the lanes classified per prime: these, and the hits found below
+    split = ~again & _equals([c % p for c in y], [residues(c, p) for c in rec.unit])
+    code[live[split]] = CODES.index("frob_order_not_3")
     inert = np.flatnonzero(~again & ~split)
-    q, y = p[inert], tuple(c[inert] for c in up)
-    ring = Lanes(m := q * q, f)
-    y2 = ring.square(y)
-    gy = [(a + b) % m for a, b in zip(ring.mul(y2, y), ring.apply([residues(c, m) for c in (-N, S, -T)], (y, y2)))]
+    q, y = p[inert], tuple(c[inert] for c in y)
+    ring = Lanes(m := q * q, rec.spec.reduction)
+    w = ring.mul(((y[0] - residues(T, m)) % m, *y[1:]), y)
+    gy = ring.mul(((w[0] + residues(S, m)) % m, *w[1:]), y)
+    gy = ((gy[0] - residues(N, m)) % m, *gy[1:])
     bad = ~_equals([c % q for c in gy], (0, 0, 0))
     if bad.any():
         raise ArithmeticError(f"g(eps^p) is not 0 mod {q[bad][0]} for g the polynomial of eps: corrupt inputs")
-    again[inert[decide(live[inert], q, tuple(c // q for c in gy), tuple(c % q for c in y))]] = True
-    live, p, up = live[again], p[again], tuple(c[again] for c in up)
-    xp = Lanes(p, f).pow((0, 1, 0), p)
-    split = _equals(xp, (0, 1, 0))
-    exclude(live[split], "frob_order_not_3")
-    live, p, up, xp = live[~split], p[~split], *(tuple(c[~split] for c in x) for x in (up, xp))
-    z = _z_lanes(up, rec.unit_inverse, f, p, xp)
-    hit = decide(live, p, z)
-    code[live[hit]] = HIT_CODE
+    u = tuple(c // q for c in gy)
+    hit = zero = _equals(u, (0, 0, 0))
+    if mode == MODE_ORDINARY:
+        code[live[inert[zero]]] = CODES.index("z_zero")
+        rp = Lanes(q, rec.spec.reduction)
+        v = rp.apply([residues(c, q) for c in (3 * N, T * T - 2 * S, T)], [[c % q for c in x] for x in (y, w)])
+        u3, v3 = (rp.mul(rp.square(x), x) for x in (u, v))
+        hit = ~zero & _equals([(u3[i] * v3[j] - u3[j] * v3[i]) % q for i, j in ((0, 1), (0, 2), (1, 2))], [0] * 3)
+    again[inert[hit]] = True
+    verdicts = [classify_cubic_prime(rec, x, mode) for x in p[again].tolist()]  # the global: traced and spied
+    code[live[again]] = [CODES.index(v.reason or v.status) for v in verdicts]
     # N(eps) = +-1 puts z in the trace-zero plane of O/p, where z = 0 has probability 1/p^2
     # and z^3 in F_p* (z on the lines of gamma, gamma^2; gamma^3 a non-cube) 2/(p+1)
     denominators = primes * primes if mode == MODE_H2 else (primes + 1) >> 1
-    aux = tuple(zip(*(c[hit].tolist() for c in z)))
-    return Block.of(primes, code, aux, denominators=denominators)
+    return Block.of(primes, code, tuple(v.aux for v in verdicts if v.status == HIT), denominators=denominators)
 
 
 def scan_cubic(

@@ -9,16 +9,16 @@ and lane by lane (the scans) by Lanes(m, f), for a monic f of any degree d and Z
 itself (f = (), d = 1), on int64 lanes: constants of any size enter as per-lane
 residues (residues).  Lanes.pow is the one lane power, in every ring; below 2^25 it
 runs on float64 lanes where every sum it forms stays below 2^53 (Lanes._square).
-The quadratic and cubic scans decide on one Frobenius quotient, also once per
-side: t in O/p with eps^p * sigma(eps)^-1 = 1 + p*t mod p^2 at an unramified p,
-for the Frobenius sigma that the caller supplies (images of x, ..., x^(d-1)).
+The per-prime classifiers decide on the Frobenius quotient (frobenius_quotient):
+t in O/p with eps^p * sigma(eps)^-1 = 1 + p*t mod p^2 at an unramified p, for
+the Frobenius sigma that the caller supplies (images of x, ..., x^(d-1)).  The
+lane scans take no quotient: they decide from eps^p mod p^2 itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
-from math import gcd
 from operator import add, iadd
 
 import numpy as np
@@ -34,7 +34,6 @@ __all__ = [
     "Lanes",
     "residues",
     "legendre",
-    "inverse",
     "pow_lanes",
     "fold_rows",
 ]
@@ -127,28 +126,24 @@ def ring_apply(a, images, m):
                  for k in range(len(a)))
 
 
-def _quotient(w, p):
-    """t = (w - 1)/p for w = 1 mod p, on ints or lanes; ArithmeticError otherwise."""
-    w = (w[0] - 1, *w[1:])
-    bad = reduce(np.logical_or, [c % p != 0 for c in w])
-    if np.any(bad):
-        raise ArithmeticError(f"eps^p * sigma(eps^-1) is not 1 mod {np.extract(bad, p)[0]}: "
-                              "impossible at an unramified prime, this indicates corrupt inputs")
-    return tuple(c // p for c in w)
-
-
 def frobenius_quotient(up, inv, images, f, p):
     """t in O/p with eps^p * sigma(eps^-1) = 1 + p*t mod (f, p^2), for up = eps^p
     mod p^2, the exact inverse inv of eps (any representative mod p^2 will do)
-    and the images under sigma of x, ..., x^(d-1) mod p^2, d = len(f)."""
+    and the images under sigma of x, ..., x^(d-1) mod p^2, d = len(f);
+    ArithmeticError when the product w is not 1 mod p."""
     m = p * p
-    return _quotient((mul2 if len(f) == 2 else mul3)(up, ring_apply(inv, images, m), f, m), p)
+    w = (mul2 if len(f) == 2 else mul3)(up, ring_apply(inv, images, m), f, m)
+    w = (w[0] - 1, *w[1:])
+    if any(c % p for c in w):
+        raise ArithmeticError(f"eps^p * sigma(eps^-1) is not 1 mod {p}: "
+                              "impossible at an unramified prime, this indicates corrupt inputs")
+    return tuple(c // p for c in w)
 
 
 # -- lane arithmetic: one numpy lane per modulus -------------------------------
 
 MULMOD_PMAX = 1 << 25  # moduli below it multiply in plain int64; p^2 < 2^50 for primes below it
-TABLE_MAX = 1 << 16  # entries of the largest per-constant table; past it legendre and inverse take Lanes.pow
+TABLE_MAX = 1 << 16  # entries of the largest character table; past it legendre takes Lanes.pow
 
 
 def residues(c, m):
@@ -171,11 +166,6 @@ def _characters(a):  # (a/r) at odd r < 4|a|, 0 at even r
     return np.array([_jacobi(a, r) if r & 1 else 0 for r in range(4 * abs(a))], dtype=np.int8)
 
 
-@lru_cache(maxsize=None)
-def _inverses(c):  # r^-1 mod c at r < c, 0 where there is none
-    return np.array([pow(r, -1, c) if gcd(r, c) == 1 else 0 for r in range(c)], dtype=np.int32)
-
-
 def legendre(a, p):
     """(a/p) in {-1, 0, 1} lane by lane for an int a and odd primes p, read off p mod 4|a|
     (quadratic reciprocity) in a table cached per a; past TABLE_MAX by Euler's criterion,
@@ -183,14 +173,6 @@ def legendre(a, p):
     if 0 < 4 * abs(a) <= TABLE_MAX:
         return _characters(a)[p % (4 * abs(a))]
     return ((Lanes(p).pow((a,), (p - 1) >> 1)[0] + 1) % p - 1).astype(np.int8)
-
-
-def inverse(c, p):
-    """c^-1 mod p lane by lane for an int c and primes p < 2^34 not dividing it: ((1 - p*u) // c) % p
-    for u = p^-1 mod |c| read off p mod |c| in a table cached per |c| (p*u < 2^50); by Fermat past TABLE_MAX."""
-    if 0 < abs(c) <= TABLE_MAX:
-        return (1 - p * _inverses(abs(c))[p % abs(c)]) // c % p
-    return Lanes(p).pow((c,), p - 2)[0]
 
 
 def pow_lanes(e, w, lead, first, square, times):
@@ -427,11 +409,6 @@ class Lanes:
         """a0 + a1 x + ... -> a0 + a1 s1 + ..., for the images s1, ... of x, ..., x^(d-1)."""
         return tuple(self.dot([(c, s[k]) for c, s in zip(a[1:], images)], None if k else a[0])
                      for k in range(self.d))
-
-    def frobenius_quotient(self, p, up, inv, images):
-        """frobenius_quotient lane by lane over m = p^2: up and the images are lanes
-        mod m, inv the exact inverse (its entries enter as residues)."""
-        return _quotient(self.mul(up, self.apply(tuple(residues(c, self.m) for c in inv), images)), p)
 
 
 def fold_rows(f) -> list[tuple[int, ...]]:

@@ -59,7 +59,10 @@ class Family:
     powers (calls of Lanes.pow).  The checks shadow Lanes.__init__,
     Lanes.pow, module's run_chunked, its global per_prime
     (else the builtin) and, if named, kernel: a lane kernel whose last
-    argument must hold exactly the tested primes."""
+    argument must hold exactly the tested primes.  A scan calls per_prime
+    with exactly the argument tuples per_prime_calls(rec, verdicts) gives for
+    the reference verdicts of its range, in that order, or never when it is
+    None."""
 
     module: ModuleType
     per_prime: str
@@ -69,6 +72,7 @@ class Family:
     denominators: Callable | None = None
     full_verdicts: bool = True
     kernel: str | None = None
+    per_prime_calls: Callable | None = None
 
 
 @contextmanager
@@ -130,7 +134,8 @@ def assert_same_report(rep, ref, label):
 
 def check_scans(family: Family, records, rng: PrimeRange, paths=None) -> list:
     """Each record's scan of rng against the report assembled from
-    family.reference: no per-prime call, family.powers lane powers in every
+    family.reference: the per-prime calls of family.per_prime_calls (none by
+    default), family.powers lane powers in every
     chunk, one chunk on each product path in turn when paths are given, and the
     kernel, if named, on the tested primes.
     Returns the reports."""
@@ -144,7 +149,8 @@ def check_scans(family: Family, records, rng: PrimeRange, paths=None) -> list:
                               block_of(verdicts, family.denominators), family.full_verdicts)
         label = (rec, rep.mode)
         assert_same_report(rep, ref, label)
-        assert calls["per_prime"] == [], label
+        want = [] if family.per_prime_calls is None else family.per_prime_calls(rec, verdicts)
+        assert calls["per_prime"] == want, label
         assert calls["powers"] == [family.powers] * len(calls["paths"]), label
         if paths is not None:
             assert calls["paths"] == list(paths), label

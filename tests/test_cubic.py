@@ -4,7 +4,6 @@ import tracemalloc
 from fractions import Fraction
 from functools import partial
 
-import numpy as np
 import pytest
 import sympy
 
@@ -32,7 +31,6 @@ from unitscan.cubic import (
     _embed,
     _z_coeffs,
     _z_cubed_in_fp,
-    _z_lanes,
 )
 from unitscan.order_arith import Lanes, OrderSpec, fold_rows, poly_pow
 from unitscan.primes import PrimeRange, prime_divisors, primes_in
@@ -308,19 +306,28 @@ def test_z_representative_independence(cubic_records):
         assert _z_coeffs(shifted, f, p) == base
 
 
+def _double_root(f, p):
+    return next(r for r in range(p) if (r**3 + f[2] * r * r + f[1] * r + f[0]) % p == 0
+                and (3 * r * r + 2 * f[2] * r + f[1]) % p == 0)
+
+
 def test_z_rejects_inconsistent_inputs(cubic_records):
     rec = cubic_records[-23]
     f = rec.spec.reduction
     p = 13
     with pytest.raises(ArithmeticError):
         _z_coeffs((p, 0, p), f, p)  # not a unit mod p
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match="not a root"):
         _z_coeffs(rec.unit, f, p, (1, 0, 0))  # not a root of f mod p
     with pytest.raises(ArithmeticError, match="not inert"):
         _z_coeffs(rec.unit, f, 7)  # Frobenius order 2
     fp = tuple(c % p for c in f)
     with pytest.raises(ArithmeticError, match="not 1 mod"):
         _z_coeffs(rec.unit, f, p, poly_pow((0, 1, 0), p * p, fp, p))  # theta^(p^2), not theta^p
+    with pytest.raises(ArithmeticError, match="not 1 mod"):
+        _z_coeffs(rec.unit, f, p, None, (1, 0, 0))  # 1 is not the inverse of eps
+    with pytest.raises(ArithmeticError, match="not invertible"):
+        _z_coeffs(rec.unit, f, 23, (_double_root(f, 23), 0, 0))  # f'(theta) = 0 mod 23 at a double root
 
 
 def test_z_and_ordinary_match_naive_oracle(cubic_records):
@@ -442,9 +449,22 @@ def _fold_sum(f):
 _DENOMINATORS = {MODE_H2: lambda p: p * p, MODE_ORDINARY: lambda p: (p + 1) // 2}
 
 
-# two lane powers per chunk in either mode: eps^p mod p^2, then theta^p mod p
+def _per_prime_calls(mode):
+    """The chunk's per-prime calls in mode: its hits, and each prime that reaches its lane
+    power (the filter passed, (Delta/p) = 1) and divides the index of Z[eps], ascending."""
+    def calls(rec, verdicts):
+        reaches = lambda p: (hyp_filter(rec, p) is None and (mode == MODE_H2 or p % 3 == 1)
+                             and pow(rec.delta % p, (p - 1) // 2, p) == 1)
+        return [(rec, v.p, mode) for v in verdicts
+                if v.status == HIT or rec.unit_poly[3] % v.p == 0 and reaches(v.p)]
+
+    return calls
+
+
+# one lane power per chunk in either mode, eps^p mod p^2, and z per prime at the hits and the index primes
 CUBIC = {mode: Family(cubic, "classify_cubic_prime", partial(scan_cubic, mode=mode, full_verdicts=True),
-                      partial(classify_cubic_prime, mode=mode), 2, _DENOMINATORS[mode]) for mode in _DENOMINATORS}
+                      partial(classify_cubic_prime, mode=mode), 1, _DENOMINATORS[mode],
+                      per_prime_calls=_per_prime_calls(mode)) for mode in _DENOMINATORS}
 
 
 @pytest.mark.parametrize("delta", DELTAS)
@@ -480,9 +500,9 @@ def test_z_zero_at_a_power_of_the_unit(cubic_records):
 
 def test_each_lane_power_sees_its_lanes(cubic_records):
     # eps^915 of Delta = -23: its index [Z[theta] : Z[eps^915]] has the prime factors 13
-    # (inert) and 211 (split), where eps^p cannot decide.  The chunk's first lane power,
-    # eps^p mod p^2, takes every prime with (Delta/p) = 1 that passes the filter; the second,
-    # theta^p mod p, the hits and those two alone
+    # (inert) and 211 (split), where eps^p cannot decide.  The chunk's one lane power,
+    # eps^p mod p^2, takes every prime with (Delta/p) = 1 that passes the filter; the
+    # per-prime classifier, the hits and those two alone (check_scans)
     rec23 = cubic_records[-23]
     unit = rec23.unit
     for _ in range(914):
@@ -506,7 +526,7 @@ def test_each_lane_power_sees_its_lanes(cubic_records):
                  and (mode == MODE_H2 or p % 3 == 1)]
         second = [p for p in first if index % p == 0 or p in {v.p for v in rep.hits}]
         assert second == [13, 211], mode  # 13 is an ordinary hit, as for eps
-        assert seen == [([p * p for p in first], first), (second, second)], mode
+        assert seen == [([p * p for p in first], first)], mode
 
 
 def _shifted_record(rec23, c):
@@ -561,42 +581,19 @@ def test_large_coefficients_take_int64_lanes(cubic_records):
         check_scans(family, records, NEAR_LIMIT, ("digits",))
 
 
-def _double_root(f, p):
-    return next(r for r in range(p) if (r**3 + f[2] * r * r + f[1] * r + f[0]) % p == 0
-                and (3 * r * r + 2 * f[2] * r + f[1]) % p == 0)
-
-
-def test_z_lanes_rejects_what_z_coeffs_rejects(cubic_records):
-    # each corrupt input is put in one lane next to a good lane (p = 13)
-    rec = cubic_records[-23]
-    f = rec.spec.reduction
-    inv = rec.unit_inverse
-
-    def xp_of(p, e):
-        return poly_pow((0, 1, 0), e, tuple(c % p for c in f), p)
-
-    def lanes(p_bad, xp_bad):
-        p = np.array([13, p_bad], dtype=np.int64)
-        xp = tuple(np.array([g, b], dtype=np.int64) for g, b in zip(xp_of(13, 13), xp_bad))
-        return p, xp
-
-    def z_lanes(unit, unit_inv, p, xp):  # _z_lanes takes eps^p mod p^2, the chunk's first power
-        return _z_lanes(Lanes(p * p, f).pow(unit, p), unit_inv, f, p, xp)
-
-    cases = [
-        (13, (1, 0, 0), rec.unit, inv, "not a root"),
-        (7, xp_of(7, 7), rec.unit, inv, "not inert"),
-        (13, xp_of(13, 13 * 13), rec.unit, inv, "not 1 mod"),
-        (13, xp_of(13, 13), rec.unit, (1, 0, 0), "not 1 mod"),
-        (23, (_double_root(f, 23), 0, 0), rec.unit, inv, "not invertible"),
-    ]
-    for p_bad, xp_bad, unit, unit_inv, message in cases:
-        with pytest.raises(ArithmeticError, match=message):
-            _z_coeffs(unit, f, p_bad, xp_bad, unit_inv)
-        with pytest.raises(ArithmeticError, match=message):
-            z_lanes(unit, unit_inv, *lanes(p_bad, xp_bad))
-    good = z_lanes(rec.unit, inv, *lanes(13, xp_of(13, 13)))
-    assert [c.tolist() for c in good] == [[z, z] for z in _z_coeffs(rec.unit, f, 13)]
+def test_scan_rejects_a_wrong_unit_polynomial(cubic_records):
+    # T off by one: g(eps^p) becomes -eps^2p, a unit mod p, so the chunk's guard names
+    # its first prime past the filter, the split test and the index (1 for Delta = -23)
+    rec23 = cubic_records[-23]
+    rec = CubicFieldRecord(-23, rec23.spec, None, rec23.unit, "derived")
+    T, S, N, index = rec.unit_poly
+    object.__setattr__(rec, "unit_poly", (T + 1, S, N, index))
+    rng = PrimeRange(2, 3000)
+    for mode in (MODE_H2, MODE_ORDINARY):
+        good = scan_cubic(rec23, rng, mode=mode, full_verdicts=True)
+        first = min(good.clears + tuple(v.p for v in good.hits))
+        with pytest.raises(ArithmeticError, match=rf"^g\(eps\^p\) is not 0 mod {first} for g the polynomial of eps"):
+            scan_cubic(rec, rng, mode=mode)
 
 
 def test_scan_unit_normalization_invariance(cubic_records):
@@ -645,8 +642,8 @@ def test_scan_parallel_determinism(cubic_records, chunk_counts):
 
 
 def test_hits_only_cubic_scan_memory(cubic_records):
-    # 26,153 primes tested in 2^18-wide chunks: each chunk's lane kernel (two lane
-    # powers, the Frobenius step and their temporaries, the float64 sums of the
+    # 26,153 primes tested in 2^18-wide chunks: each chunk's lane kernel (one lane
+    # power, the two products of g(eps^p) and their temporaries, the float64 sums of the
     # balanced squares among them) and the hits-only Blocks stay within the bound
     # of the quadratic test (about 3.7 MiB with numpy 2.4)
     tracemalloc.start()

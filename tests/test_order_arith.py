@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from unitscan import order_arith
-from unitscan.cubic import _adjugate, _inert_xp
+from unitscan.cubic import _inert_xp
 from unitscan.order_arith import (
     MULMOD_PMAX,
     TABLE_MAX,
@@ -15,7 +15,6 @@ from unitscan.order_arith import (
     OrderSpec,
     fold_rows,
     frobenius_quotient,
-    inverse,
     legendre,
     mul2,
     mul3,
@@ -331,25 +330,23 @@ def test_residues_of_any_size():
 # for base-p digits, and of the last chunk below RANGE_LIMIT
 TABLE_WINDOWS = {"small": PrimeRange(3, 200_000), "straddle": PrimeRange(MULMOD_PMAX - 3000, MULMOD_PMAX + 3000),
                  "near_limit": PrimeRange(RANGE_LIMIT - 20_000, RANGE_LIMIT)}
-# the largest constants with a table and the smallest without, for each helper:
-# legendre's table has 4|a| entries, inverse's |c|
+# legendre's table has 4|a| entries: the largest constant with a table, the smallest
+# without, and two past both
 TABLE_EDGES = (1 << 14, -((1 << 14) + 1), -(1 << 16), (1 << 16) + 1)
 
 
 @pytest.fixture(scope="module")
 def table_constants(quad_records, cubic_records):
-    """Every bundled D, Delta and det = N(f'(theta)) (= -Delta), small constants and TABLE_EDGES."""
-    dets = [_adjugate((f[1], 2 * f[2], 3), f)[1] for f in (r.spec.reduction for r in cubic_records.values())]
-    assert dets == [-delta for delta in cubic_records]
-    return sorted({*quad_records, *cubic_records, *dets, 1, -1, 2, -4, *TABLE_EDGES})
+    """Every bundled D and Delta, small constants and TABLE_EDGES."""
+    return sorted({*quad_records, *cubic_records, 1, -1, 2, -4, *TABLE_EDGES})
 
 
 @pytest.mark.parametrize("window", TABLE_WINDOWS)
-def test_legendre_and_inverse_match_builtin_pow(window, table_constants, monkeypatch):
-    # (a/p) against Euler's criterion and c^-1 mod p against pow(c, -1, p), by
-    # builtin pow, on each window: from the tables, with no lane power, for the
-    # constants within TABLE_MAX; by Lanes.pow past it, and for every constant
-    # with the bound at 0: both branches give the same arrays
+def test_legendre_matches_builtin_pow(window, table_constants, monkeypatch):
+    # (a/p) against Euler's criterion, by builtin pow, on each window: from the
+    # table, with no lane power, for the constants within TABLE_MAX; by Lanes.pow
+    # past it, and for every constant with the bound at 0: both branches give
+    # the same arrays
     ps = list(primes_in(TABLE_WINDOWS[window]))
     powers, power = [], Lanes.pow
 
@@ -360,16 +357,12 @@ def test_legendre_and_inverse_match_builtin_pow(window, table_constants, monkeyp
     monkeypatch.setattr(Lanes, "pow", counted)
     for c in table_constants:
         symbols = [{0: 0, 1: 1, p - 1: -1}[pow(c, (p - 1) // 2, p)] for p in ps]
-        coprime = [p for p in ps if c % p]
-        inverses = [pow(c, -1, p) for p in coprime]
         for bound in (TABLE_MAX, 0):
             monkeypatch.setattr(order_arith, "TABLE_MAX", bound)
             powers.clear()
             got = legendre(c, lanes_of(ps))
             assert got.dtype == np.int8 and got.tolist() == symbols, (c, bound)
-            got = inverse(c, lanes_of(coprime))
-            assert got.dtype == np.int64 and got.tolist() == inverses, (c, bound)
-            assert len(powers) == (4 * abs(c) > bound) + (abs(c) > bound), (c, bound)
+            assert len(powers) == (4 * abs(c) > bound), (c, bound)
 
 
 # -- the lane ring: Z/m (f = ()) and (Z/m)[x]/(f), on every lane kind --------------
@@ -870,35 +863,23 @@ QUOTIENT_UNITS = {
 
 
 @pytest.mark.parametrize("f, unit, inv", QUOTIENT_UNITS.values(), ids=QUOTIENT_UNITS.keys())
-def test_frobenius_quotient_lanes_match_scalar(f, unit, inv):
-    # the lane step against the tuple step at split and inert primes, on the
-    # exact path below 2^25 and on base-p digits above; both raise on a wrong
-    # inverse or a wrong image, naming a prime where w is not 1 mod p
+def test_frobenius_quotient_rejects_corrupt_inputs(f, unit, inv):
+    # the quotient step at split and inert primes, below 2^25 and above: t in
+    # O/p, and a wrong inverse or a wrong image raises, naming the prime where
+    # w is not 1 mod p
     d = len(f)
     assert (mul2 if d == 2 else mul3)(unit, inv, f, 1 << 80) == (1,) + (0,) * (d - 1)
     identity = tuple(tuple(int(j == k) for j in range(d)) for k in range(1, d))
-    for lo, path in ((5, "exact"), (MULMOD_PMAX, "digits")):
+    for lo in (5, MULMOD_PMAX):
         primes = [p for p in primes_in(PrimeRange(lo, lo + 3000))
                   if poly_discriminant(f + (1,)) % p][:24]
-        P = lanes_of(primes)
         inert, images = zip(*(_frobenius_images(f, p) for p in primes))
         assert any(inert) and not all(inert)
-        ups = [poly_pow(unit, p, f, p * p) for p in primes]
-        want = [frobenius_quotient(u, inv, s, f, p) for u, s, p in zip(ups, images, primes)]
-        assert all(0 <= c < p for t, p in zip(want, primes) for c in t)
-        ring = Lanes(P * P, f)
-        assert lanes_path(ring) == path
-        cols = lambda rows: tuple(lanes_of(c) for c in zip(*rows))
-        up, im = cols(ups), tuple(map(cols, zip(*images)))
-        assert _transpose(ring.frobenius_quotient(P, up, inv, im)) == want
-        for p, u, s, i in zip(primes, ups, images, inert):
+        for p, s, i in zip(primes, images, inert):
+            u = poly_pow(unit, p, f, p * p)
+            assert all(0 <= c < p for c in frobenius_quotient(u, inv, s, f, p))
             with pytest.raises(ArithmeticError, match=f"not 1 mod {p}:"):
                 frobenius_quotient(u, unit, s, f, p)  # eps is not its own inverse
             if i:
                 with pytest.raises(ArithmeticError, match=f"not 1 mod {p}:"):
                     frobenius_quotient(u, inv, identity, f, p)  # sigma is not the identity
-        with pytest.raises(ArithmeticError, match=f"not 1 mod {primes[0]}:"):
-            ring.frobenius_quotient(P, up, unit, im)
-        fixed = tuple(cols([s] * len(primes)) for s in identity)
-        with pytest.raises(ArithmeticError, match=f"not 1 mod {primes[inert.index(True)]}:"):
-            ring.frobenius_quotient(P, up, inv, fixed)
