@@ -7,8 +7,8 @@ The ring (Z/m)[x]/(f) is written once per side: on tuples (the scalar
 references) by the products mul2 and mul3 under the one power loop poly_pow,
 and lane by lane (the scans) by Lanes(m, f), for a monic f of any degree d and Z/m
 itself (f = (), d = 1), on int64 lanes: constants of any size enter as per-lane
-residues (residues).  Lanes.pow is the one lane power, in every ring; below 2^25 it
-runs on float64 lanes where every sum it forms stays below 2^53 (Lanes._square).
+residues (residues).  Lanes.pow is the one lane power, in every ring; below 2^50 its
+squares take balanced residues and a float64 quotient (Lanes.mulmod, Lanes._square).
 The per-prime classifiers decide on the Frobenius quotient (frobenius_quotient):
 t in O/p with eps^p * sigma(eps)^-1 = 1 + p*t mod p^2 at an unramified p, for
 the Frobenius sigma that the caller supplies (images of x, ..., x^(d-1)).  The
@@ -196,11 +196,11 @@ def _sum(pairs, extra=None):
 
 
 @lru_cache(maxsize=None)
-def _powers(a, f, bound):
+def _powers(a, f):
     """The exact powers a^0, a^1, ... of the d-tuple of ints a in Z[x]/(f) while every coefficient
-    c has |c| <= bound < 2^63, at most 64 (a 6-bit digit), as int64 rows: Lanes.table's and Lanes.pow's."""
+    c has |c| < 2^63, at most 64 (a 6-bit digit), as int64 rows: Lanes.table's and Lanes.pow's."""
     ring, powers = Lanes(np.zeros(0, np.int64), f), [(1,) + (0,) * (len(a) - 1)]
-    while len(powers) < 64 and max(map(abs, x := ring.mul(powers[-1], a, _sum))) <= bound:
+    while len(powers) < 64 and max(map(abs, x := ring.mul(powers[-1], a, _sum))) < 1 << 63:
         powers.append(x)
     return np.array(powers, np.int64)
 
@@ -211,17 +211,15 @@ class Lanes:
     monic f of degree d = len(f) <= 64, or f = () for Z/m (d = 1).  Products act on
     d-tuples of residue arrays in [0, m) by one plan and fold by fold_rows(f), the bounds of
     every path in d: x^k sums at most d pairs a_i*b_j, i + j = k, and x^k below x^d folds in at
-    most d - 1 high sums x^d, ..., x^(2d-2), by weights adding up to at most F (fold_weight).
-    pow powers on float64 lanes below 2^25 while (d + (d - 1)F) * (max m)^2 < 2^53 (_square)."""
+    most d - 1 high sums x^d, ..., x^(2d-2), by weights adding up to at most F (fold_weight)."""
 
-    # 1/m below 2^50 and m in float64 on the exact path, built where read: dot on the float path, _near
+    # 1/m below 2^50, built where read: dot on the float path, _near
     minv = cached_property(lambda self: 1.0 / self.m if self.q is None else None)
-    fm = cached_property(lambda self: self.m.astype(np.float64) if self.exact else None)
 
     def __init__(self, m, f=()):
         self.m, self.d, self.f, self.rows = m, max(len(f), 1), tuple(f), fold_rows(f)
         top = int(m.max(initial=0))
-        self.exact = top < MULMOD_PMAX  # plain int64 products in dot; pow on float64 lanes (fm) where balanced
+        self.exact = top < MULMOD_PMAX  # plain int64 products in dot
         self.q = np.sqrt(m).round().astype(np.int64) if top >= 1 << 50 else None
         if self.q is not None and (top >= 1 << 60 or np.any(self.q * self.q != m)):
             raise ValueError(f"moduli from 2^50 must be squares below 2^60, got up to {top}")
@@ -239,10 +237,9 @@ class Lanes:
         self.fold_weight = F = max((sum(map(abs, column)) for column in zip(*self.rows)), default=0)
         self.lane_folds = ([[(j, self._split(residues(c, m))) for j, c in fold] for fold in self.folds]
                            if self.q is not None or F >= 1 << 12 else None)
-        # pow on balanced residues: float64 lanes below 2^25, else mulmod in Z/m and _square below 2^40 (bounds there)
-        K = d + (d - 1) * F
-        self.balanced = self.q is None and (K * top * top < 1 << 53 if self.exact else d == 1
-                                            or top < 1 << 40 and F < 64 and (2 * d + 2) * K <= 1 << 12)
+        # pow on balanced residues: mulmod in Z/m, _square in rings below 2^40 within its bound
+        self.balanced = self.q is None and (d == 1 or top < 1 << 40 and F < 64
+                                            and (2 * d + 2) * (d + (d - 1) * F) <= 1 << 12)
 
     def dot(self, pairs, extra=None):
         """(s = sum of a*b over the pairs + extra) mod m, for n <= 64 pairs of a in [0, m)
@@ -311,21 +308,22 @@ class Lanes:
         return self._product((*a, *(c + c for c in a[1:])), self.square_plan, reduction)
 
     def mulmod(self, x, y):
-        """x*y mod m in (-m, m), written over x, on the int64 lanes of the float path: r = x*y - q*m
-        for q = rint(fl(x) * fl(y) * minv), exact in wrapping int64 since |r| < 2^63 (float64 lanes: _square).
-        Three roundings of 2^-53 put the estimate within |x*y/m| * 3 * 2^-53 of x*y/m.
-        For |x|, |y| < m < 2^50 that is below 0.375, so q is off by at most 0.875 and
-        |r| < 0.875 m; for y an entry of table, |x*y| < m*|y| < 2^63 by its width rule,
-        so |y| < 2^63 / 2^25 = 2^38 is exact in float64 and q is off by at most 0.5 + 2^-13."""
+        """x*y mod m, written over x, for m below 2^50: r = x*y - q*m for q = rint(fl(x) * fl(y) * minv),
+        exact in wrapping int64 since |r| < 2^63.  Three roundings of 2^-53 put the estimate within
+        |x*y/m| * 3 * 2^-53 of x*y/m.  For |x|, |y| < m < 2^50 that is below 0.375, so q is off by at
+        most 0.875 and |r| < 0.875 m.  For y an entry of table, |x*y| < m*|y| and |y| < 2^63 / max m by
+        its width rule, and fl(y) may be a fourth rounding: q is off by at most 0.5 + 2^12.01 / max m,
+        so |r| < m from max m = 2^14 ((0.5 + 2^-13) m from 2^25, where |y| < 2^38 is exact), and below it
+        |r| < m/2 + 2^12.01 < 2^14, which the next square (x*x < 2^28: q off by at most 0.5 + 2^-23) takes
+        back into (-m, m)."""
         est = x.astype(np.float64)  # two temporaries, the rest in place: fresh arrays page-fault
         est *= est if y is x else y
         return self._near(np.multiply(x, y, out=x), est)
 
-    def _near(self, s, est=None):  # s - rint(est * minv) * m in place on s and est; exact float64 s is its own est
-        est = s * self.minv if est is None else np.multiply(est, self.minv, out=est)
-        q = np.rint(est, out=est)
-        q, m = (q, self.fm) if s.dtype == np.float64 else (q.astype(np.int64), self.m)
-        q *= m
+    def _near(self, s, est):  # s - rint(est * minv) * m, in place on the int64 s and its float64 estimate
+        est *= self.minv
+        q = np.rint(est, out=est).astype(np.int64)
+        q *= self.m
         return np.subtract(s, q, out=s)
 
     def table(self, a):
@@ -334,9 +332,8 @@ class Lanes:
         (sum of |a^k| + F) * max m < 2^63, F the fold weight (0 for d = 1),
         since in any degree a coefficient of r * a^k is at most (m - 1) times the sum of
         |a^k| from its pairs (each entry of a^k once) plus (m - 1) * F from the reduced
-        high terms folded back.  None when a^1 misses.  Float64 lanes (pow) fold the high
-        terms unreduced and need (1 + F) * (sum of |a^k|) * max m < 2^53 too (_square)."""
-        powers, top = _powers(a, self.f, (1 << 63) - 1)[:8].tolist(), int(self.m.max(initial=1))
+        high terms folded back.  None when a^1 misses."""
+        powers, top = _powers(a, self.f)[:8].tolist(), int(self.m.max(initial=1))
         fits = lambda t: (sum(map(abs, t)) + self.fold_weight) * top < 1 << 63
         for w in (3, 2, 1):
             if len(powers) >> w and all(map(fits, powers[: 1 << w])):
@@ -344,66 +341,49 @@ class Lanes:
         return None
 
     def pow(self, a, e):
-        """a^e lane by lane for a d-tuple a and e >= 0 by pow_lanes.  Ints are one exact constant:
-        its leading value e >> top < n gathers a^(e >> top) from the n <= 64 exact powers whose every
-        coefficient c fits the first reduction (_powers): |c| < 2^63 for one int64 %;
-        |c| <= 2^52 on float64 lanes, where _near's q = rint(fl(c * minv)) is within 1/2 + (1 + 2^-54)/m
-        of c/m: |r| <= m/2 + 1 + 2^-54 < m for m >= 3 (exact at m = 2^k), q*m < 2^53.  Each later digit
-        multiplies by table(a), gathered from d columns, with one exact product and reduction per
-        coefficient; residues per lane, and ints with no table (as residues), take w = 1 and mul.
-        Where balanced, squares run on residues in (-m, m) with no %.  Below 2^25 so do digit products,
-        on float64 lanes converted once, where the table keeps (1 + F) * (sum of |a^k|) * max m < 2^53
-        too (_square, _fused: exact); one % in int64 ends the power.  On the float path, by mulmod in
-        Z/m, digit products too, and one % ends the power; by _square in rings, whose digit products
-        (_product) reduce by %.  Other rings, and float64 lanes whose table misses, square by dot."""
-        m, top, F = self.m, int(self.m.max(initial=0)), self.fold_weight
+        """a^e lane by lane for a d-tuple a and e >= 0 by pow_lanes.  Ints are one exact constant: its
+        leading value e >> top < n gathers a^(e >> top) from the n <= 64 exact powers whose every
+        coefficient is below 2^63 (_powers), reduced by one int64 %.  Each later digit multiplies by
+        table(a), gathered from d columns, with one exact product and reduction per coefficient;
+        residues per lane, and ints with no table (as residues), take w = 1 and mul.  Where balanced
+        (below 2^50) squares run on residues in (-m, m) with no %: by mulmod in Z/m, digit
+        products too, and one % ends the power; by _square in rings, whose digit products (_product)
+        reduce by %.  Other rings square by dot."""
+        m = self.m
         table = None if any(map(np.ndim, a)) else self.table(a := tuple(map(int, a)))
-        floats = self.exact and self.balanced and all((1 + F) * sum(map(abs, t)) * top < 1 << 53 for t in table or ())
-        balanced, dtype = self.balanced and not self.exact, np.float64 if floats else np.int64
-        reduction = (lambda pairs, extra=None: self.mulmod(*pairs[0])) if self.d == 1 and balanced else None
-        square = self._square if floats or self.d > 1 and balanced else lambda r: self.square(r, reduction)
+        reduction = (lambda pairs, extra=None: self.mulmod(*pairs[0])) if self.d == 1 and self.balanced else None
+        square = self._square if self.d > 1 and self.balanced else lambda r: self.square(r, reduction)
         if table is None:
-            a = tuple(np.asarray(residues(c, m), dtype) for c in a)
+            a = tuple(residues(c, m) for c in a)
             w, n, first = 1, 2, lambda d: tuple(np.where(d == 1, c, o) for c, o in zip(a, self.one))
             operand, exact = first, reduction
         else:
-            leading = _powers(a, self.f, 1 << 52 if floats else (1 << 63) - 1)
-            cols, lead = (np.array(t, dtype).T for t in (table, leading))
+            leading = _powers(a, self.f)
+            cols, lead = (np.array(t, np.int64).T for t in (table, leading))
             w, n, operand = len(table).bit_length() - 1, len(leading), lambda d: tuple(c[d] for c in cols)
-            first = lambda d: tuple(self._near(c[d]) if floats else c[d] % m for c in lead)
+            first = lambda d: tuple(c[d] % m for c in lead)
             exact = reduction or (lambda pairs, extra=None: _sum(pairs, extra) % m)
-        times = ((lambda r, d: self._fused([(*r, *operand(d))], self.mul_plan)) if floats else
-                 lambda r, d: self._product((*r, *operand(d)), self.mul_plan, exact))
+        times = lambda r, d: self._product((*r, *operand(d)), self.mul_plan, exact)
         r = pow_lanes(e, w, n, first, square, times)
-        return r if reduction is None and not floats else tuple(c.astype(np.int64, copy=False) % m for c in r)
+        return r if reduction is None else (r[0] % m,)
 
     def _square(self, a):
-        """square(a) for pow in a balanced ring, |a_i| < m, by _fused on a and 2a.  On the int64 lanes of
-        the float path each x^k is the wrapping int64 sum s of its pairs and the float64 sum est of the
-        same pairs (a in float64 once), x^d, ..., x^(2d-2) folded back unreduced, and r = s - rint(est * minv) * m.
+        """square(a) for pow in a balanced ring, |a_i| < m: each x^k by the wrapping int64 sum s
+        of its pairs (of a and 2a) and the float64 sum est of the same pairs (a in float64 once),
+        x^d, ..., x^(2d-2) folded back unreduced, and r = s - rint(est * minv) * m by _near.
         A leaf takes a product, a fold factor and at most 2d - 3 additions (a high sum has at most
         d/2 pairs, a low one (d + 1)/2, and d - 1 folds), so |est - s| <= (2d - 1) * 2^-53 * S for S
         the sum of |leaves|, below (d + (d - 1)F) m^2, and with est * minv 2 roundings more, |r| < m/2
         + (2d + 1.01)(d + (d - 1)F) * 2^-13 m below m = 2^40, exact in wrapping int64: below 0.62 m for
         d <= 3 and F < 64, and below m while (2d + 2)(d + (d - 1)F) <= 2^12, for every F < 64 to d = 5
-        (F = 1 to d = 31), and for F <= 57 at d = 6, F <= 41 at 7, 19 at 10 and 11 at 13.
-        Float64 lanes (below 2^25, any d) take s alone, exact: for |a_i| <= m - 1 a leaf of at most d pairs
-        (a_i * 2a_j counting twice) and d - 1 high sums folded by weights adding up to at most F has
-        |s| <= K (m - 1)^2 < 2^53 (1 - 1/m), K = d + (d - 1)F, where K (max m)^2 < 2^53; a digit product
-        r * a^k (pow, _fused) has |s| <= (1 + F) * (sum of |a^k|) * (m - 1), a leading entry |s| < 2^53 / max m,
-        as small where (1 + F) * (sum of |a^k|) * max m < 2^53.  So all sums are integers below 2^53, q =
-        rint(s * minv) (two roundings of 2^-53) is within 1/2 + 2^-52 (1 + 2^-54) |s|/m of s/m, and |r| < m/2
-        + 2(1 - 1/m)(1 + 2^-54) < m for m >= 3 (all exact at m = 2^k): |r| <= m - 1, q*m < |s| + m < 2^53."""
-        twins = [a] if a[0].dtype == np.float64 else [a, [c.astype(np.float64) for c in a]]
-        return self._fused([(*x, *(c + c for c in x[1:])) for x in twins], self.square_plan)
-
-    def _fused(self, sets, plan):
-        """The plan's sums in each operand set (int64 and float64 twins, or float64), highs folded unreduced."""
-        def sums(ij, fold=()):  # the pair and fold terms of x^k, summed in each set
+        (F = 1 to d = 31), and for F <= 57 at d = 6, F <= 41 at 7, 19 at 10 and 11 at 13."""
+        sets = [(*x, *(c + c for c in x[1:])) for x in (a, [c.astype(np.float64) for c in a])]
+        def sums(ij, fold=()):  # the pair and fold terms of x^k, summed in int64 and in float64
             return [reduce(iadd, [h[n] if c == 1 else h[n] * c for h, c in fold], _sum([(o[i], o[j]) for i, j in ij]))
                     for n, o in enumerate(sets)]
-        high = [sums(ij) for ij in plan[self.d:]]
-        return tuple(self._near(*sums(ij, [(high[j], c) for j, c in fold])) for ij, fold in zip(plan, self.folds))
+        high = [sums(ij) for ij in self.square_plan[self.d:]]
+        return tuple(self._near(*sums(ij, [(high[j], c) for j, c in fold]))
+                     for ij, fold in zip(self.square_plan, self.folds))
 
     def apply(self, a, images):
         """a0 + a1 x + ... -> a0 + a1 s1 + ..., for the images s1, ... of x, ..., x^(d-1)."""

@@ -26,8 +26,8 @@ NEAR_LIMIT = PrimeRange(RANGE_LIMIT - 20_000, RANGE_LIMIT)  # one chunk, on the 
 
 # the product paths of Lanes, narrowest first: exact int64 below 2^25, the float
 # quotient below 2^50, base-q digits on squares q^2 from there; whether the ring
-# squares of Lanes.pow are balanced (Lanes.balanced: float64 lanes below 2^25, the
-# float path below 2^40) is not recorded here: test_order_arith pins it at each cut
+# squares of Lanes.pow are balanced (Lanes.balanced: below 2^40 within the bound of
+# Lanes._square) is not recorded here: test_order_arith pins it at each cut
 PATHS = ("exact", "float", "digits")
 
 

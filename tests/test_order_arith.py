@@ -1,7 +1,6 @@
 import bisect
 import itertools
 import random
-from math import isqrt
 
 import numpy as np
 import pytest
@@ -231,12 +230,12 @@ def test_float_quotient_mulmod_exact(kind):
     for _ in range(100):
         n = rng.randint(2, 3)
         check([(rng.choice(operands), rng.choice(operands)) for _ in range(n)], rng.choice(extras))
-    if kind != "float":
+    if kind == "digits":
         return
-    # mulmod, the one pair of the balanced Z/m powers on the float path: x and y
+    # mulmod, the one pair of the balanced Z/m powers below 2^50: x and y
     # in (-m, m) give |r| < 0.875 m; x times an entry y of the table of a base at
-    # each width boundary of the largest modulus, negative ones too, gives
-    # |r| < (0.5 + 2^-13) m; a rounded quotient, never a truncated one
+    # each width boundary of the largest modulus (near 2^25 or 2^50), negative ones
+    # too, gives |r| < (0.5 + 2^-13) m; a rounded quotient, never a truncated one
     balanced = operands + [[-c for c in x] for x in operands] + [[1] * len(ms), [-1] * len(ms)]
 
     def check_mulmod(x, y, bound):
@@ -260,29 +259,26 @@ def test_lanes_path_follows_the_largest_modulus():
                      ([3, (1 << 50) - 1], "float"), ([9, 1 << 50], "digits"),
                      ([4, ((1 << 30) - 1) ** 2], "digits")):
         lanes = Lanes(lanes_of(ms))
-        # Lanes.pow runs Z/m on balanced residues where minv is set, below 2^50: on float64
-        # lanes (fm, m in float64) on the exact path, by mulmod on the float path
+        # Lanes.pow runs Z/m on balanced residues by mulmod where minv is set, below 2^50
         assert lanes_path(lanes) == path and (lanes.minv is not None) == (path != "digits"), ms
-        assert (lanes.fm is not None) == (path == "exact"), ms
         assert lanes.balanced == (path != "digits"), ms
     assert Lanes(lanes_of([9, 1 << 50])).q.tolist() == [3, 1 << 25]
     for ms in ([(1 << 50) + 1], [3, 1 << 50], [1 << 60], [9, (1 << 62) - 1]):
         with pytest.raises(ValueError, match="squares below 2\\^60"):
             Lanes(lanes_of(ms))
-    # the squares of ring powers: balanced on the float64 lanes of the exact path while
-    # (d + (d - 1)F) * top^2 < 2^53 (K = 7 for x^3 - x - 1, 8 for x^2 + 6 and 9 for x^2 + 7
-    # at 2^25 - 1; 8193 for x^3 + 4095 fits to top = 1,048,512), on the float path
-    # (Lanes._square) below 2^40 with F < 64, by dot from 2^40, for F >= 64 and on the digit path
+    # the squares of ring powers: balanced (Lanes._square) below 2^40 with F < 64 and
+    # (2d + 2)(d + (d - 1)F) <= 2^12, with the same answer on either side of 2^25 (x^2 + 7
+    # and x^7 - 1 included), by dot from 2^40, for F >= 64 (x^3 + 4095 at any top, no lanes
+    # included) and on the digit path
+    for top in (MULMOD_PMAX - 1, MULMOD_PMAX):
+        for f, balanced in (((-1, -1, 0), True), ((6, 0), True), ((7, 0), True),
+                            ((-1,) + (0,) * 6, True), ((4095, 0, 0), False)):
+            assert Lanes(lanes_of([3, top]), f).balanced == balanced, (top, f)
     for ms, f, balanced in (
-            ([3, MULMOD_PMAX - 1], (-1, -1, 0), True),
-            ([3, MULMOD_PMAX - 1], (6, 0), True),
-            ([3, MULMOD_PMAX - 1], (7, 0), False),
-            ([3, MULMOD_PMAX - 1], (4095, 0, 0), False),
-            ([3, 1_048_512], (4095, 0, 0), True),
+            ([3, 1_048_512], (4095, 0, 0), False),
             ([3, 1_048_513], (4095, 0, 0), False),
-            ([], (4095, 0, 0), True),
-            ([3, MULMOD_PMAX], (-1, -1, 0), True),
-            ([3, MULMOD_PMAX], (4095, 0, 0), False),
+            ([], (4095, 0, 0), False),
+            ([], (-1, -1, 0), True),
             ([3, (1 << 40) - 1], (63, 0), True),
             ([3, (1 << 40) - 1], (64, 0), False),
             ([3, (1 << 40) - 1], (63, 0, 0), True),
@@ -558,34 +554,21 @@ def test_ring_exact_digit_pow_matches_poly_pow(kind, f):
 
 def primes_around(cut, n=8):
     """The n largest primes below the cut and the n smallest from it on."""
-    return (list(primes_in(PrimeRange(cut - 2000, cut - 1)))[-n:],
+    return (list(primes_in(PrimeRange(max(cut - 2000, 2), cut - 1)))[-n:],
             list(primes_in(PrimeRange(cut, cut + 2000)))[:n])
 
 
-# the cuts of the ring squares, in p, and whether the moduli are p^2 (else p): balanced
-# squares on float64 lanes below 2^25 while K * top^2 < 2^53 (K = d + (d - 1)F), on int64
-# lanes with float64 twins from 2^25 below 2^40 = (2^20)^2 for F < 64, dot elsewhere; a
-# ring changes regime at the 2^40 cut when F < 64, and at the 2^25 cut its lanes change kind
+# the cuts of the ring powers, in p, and whether the moduli are p^2 (else p): balanced
+# squares on int64 lanes with float64 twins below 2^40 = (2^20)^2 for F < 64, dot elsewhere;
+# a ring changes regime at the 2^40 cut when F < 64, and keeps it across the 2^25 cut of dot
 POW_CUTS = {"balanced": (1 << 20, True), "exact to float": (MULMOD_PMAX, False)}
 
 
 def square_regime(f, top):
-    """Lanes(m, f).balanced by its largest modulus, below 2^50: on the exact path while
-    (d + (d - 1)F) * top^2 < 2^53, on the float path below 2^40 for F < 64 and within
-    (2d + 2)(d + (d - 1)F) <= 2^12 (Lanes._square)."""
+    """Lanes(m, f).balanced by its largest modulus, below 2^50: Z/m always, a ring below 2^40
+    for F < 64 and within (2d + 2)(d + (d - 1)F) <= 2^12 (Lanes._square)."""
     d, F = max(len(f), 1), fold_weight(f)
-    K = d + (d - 1) * F
-    return K * top * top < 1 << 53 if top < MULMOD_PMAX else top < 1 << 40 and F < 64 and (2 * d + 2) * K <= 1 << 12
-
-
-def float_lanes(a, f, top):
-    """Whether Lanes(m, f).pow(a, e) runs on float64 lanes, for the largest modulus top: a
-    balanced ring below 2^25, and for a d-tuple of ints a whose table (table_width) is
-    not None, every entry keeping (1 + F) * (sum of |a^k|) * top < 2^53; residues always."""
-    if not (top < MULMOD_PMAX and square_regime(f, top)):
-        return False
-    w = 0 if any(map(np.ndim, a)) else table_width(a, f, top)
-    return not w or all((1 + fold_weight(f)) * sum(map(abs, t)) * top < 1 << 53 for t in exact_powers(a, f, 1 << w))
+    return d == 1 or top < 1 << 40 and F < 64 and (2 * d + 2) * (d + (d - 1) * F) <= 1 << 12
 
 
 @pytest.fixture
@@ -609,8 +592,7 @@ def test_ring_pow_on_either_side_of_each_cut(f, cut, lane_kinds):
     # pow against poly_pow in every ring on the 8 largest moduli below each cut and
     # the 8 smallest from it on: all-(m - 1) and random elements as residues, and the
     # exact constants by their tables, to the exponents 2^k - 1, so that every square
-    # follows a digit product whose output may be near m; each power on float64 lanes
-    # exactly where float_lanes says, on int64 lanes otherwise
+    # follows a digit product whose output may be near m; each power on int64 lanes
     rng = random.Random(61)
     d, (p, square) = len(f), POW_CUTS[cut]
     exps = lanes_of([(1 << k) - 1 for k in (1, 2, 3, 5, 18, 40, 62, 63)])
@@ -624,15 +606,15 @@ def test_ring_pow_on_either_side_of_each_cut(f, cut, lane_kinds):
             lx = tuple(lanes_of(c) for c in zip(*x))
             got = ring.pow(lx, exps)
             assert _transpose(got) == [scalar_pow(y, e, m) for y, e, m in zip(x, exps.tolist(), ms)]
-            assert lane_kinds[-1] == {"float64" if float_lanes(lx, f, max(ms)) else "int64"}, ps
+            assert lane_kinds[-1] == {"int64"}, ps
         for a in RING_CONSTANTS:
             a += (0,) * (d - len(a))
             assert _transpose(ring.pow(a, exps)) == [scalar_pow(a, e, m) for e, m in zip(exps.tolist(), ms)], a
-            assert lane_kinds[-1] == {"float64" if float_lanes(a, f, max(ms)) else "int64"}, (ps, a)
+            assert lane_kinds[-1] == {"int64"}, (ps, a)
     if cut == "balanced":
         assert (regimes[0] != regimes[1]) == (fold_weight(f) < 64), regimes
-    else:  # float64 lanes below 2^25 for K * (2^25)^2 < 2^53, int64 lanes from it
-        assert regimes[0] == (d + (d - 1) * fold_weight(f) <= 8), regimes
+    else:  # one regime on either side of 2^25
+        assert regimes[0] == regimes[1], regimes
 
 
 @pytest.mark.parametrize("f", [RING_POLYS["x2-x-1"], RING_POLYS["x3-x-1"], (63, 0), (63, 0, 0)],
@@ -679,10 +661,8 @@ def test_any_degree_lanes_match_schoolbook(d, F):
     # mul of every pair and square and pow (exponents 2^k - 1) of each of the
     # all-(m - 1), (m - 1 - k)_k and random elements, and pow of the exact constant
     # 1 + x, against long division by the monic f, on each side of each cut; the
-    # squares are balanced on float64 lanes below 2^25 while (d + (d - 1)F) * top^2 < 2^53
-    # (x^d - 1 to d = 4 here, at top near 2^25), and on the float path below 2^40 for F < 64
-    # within their bound (Lanes._square): x^d - 1 at every d here and x^d + 63 to d = 4, not
-    # from d = 7 on; F = 64 never
+    # squares are balanced below 2^40 for F < 64 within their bound (Lanes._square):
+    # x^d - 1 at every d here and x^d + 63 to d = 4, not from d = 7 on; F = 64 never
     rng = random.Random(67)
     f = (-1 if F == 1 else F,) + (0,) * (d - 1)
     poly, one_plus_x = f + (1,), (1, 1) + (0,) * (d - 2)
@@ -693,7 +673,7 @@ def test_any_degree_lanes_match_schoolbook(d, F):
     for name, ms in grid_moduli().items():
         ring = Lanes(lanes_of(ms), f)
         assert ring.balanced == square_regime(f, max(ms)), name
-        assert name != "from 2^25" or ring.balanced == within, name
+        assert name not in ("below 2^25", "from 2^25") or ring.balanced == within, name
         assert not Lanes(lanes_of(ms), (64,) + (0,) * (d - 1)).balanced, name
         es = [exps[i % len(exps)] for i in range(len(ms))]
         elements = [[(m - 1,) * d for m in ms], [tuple(m - 1 - k for k in range(d)) for m in ms],
@@ -710,62 +690,79 @@ def test_any_degree_lanes_match_schoolbook(d, F):
         assert _transpose(ring.pow(one_plus_x, lanes_of(es))) == want, name
 
 
-# -- float64 lanes: ring powers below 2^25 while (d + (d - 1)F) * (max m)^2 < 2^53 ------
+# -- no float64 lanes: every power on int64 lanes, below 2^25 as from it ------------------
 
-def float_cut(d, F):
-    """The smallest largest modulus off the float64 lanes of a ring of degree d and fold
-    weight F: the first top with (d + (d - 1)F) * top^2 >= 2^53, or 2^25."""
-    return min(isqrt(((1 << 53) - 1) // (d + (d - 1) * F)) + 1, MULMOD_PMAX)
-
-
-# Z/m, then x^d + F (x^d at F = 0) for d = 2, 3, 7; F = 2^20 puts the cut below 2^17 (92,682 at d = 2)
+# Z/m, then x^d + F (x^d at F = 0) for d = 2, 3, 7; F = 2^20 squares by dot with per-lane fold entries
 FLOAT_RINGS = [(1, 0)] + [(d, F) for d in (2, 3, 7) for F in (0, 1, 8, 30, 63, 1 << 20)]
 
 
 @pytest.mark.parametrize("d, F", FLOAT_RINGS, ids=[f"d{d}-F{F}" for d, F in FLOAT_RINGS])
-def test_float64_lanes_either_side_of_their_cut(d, F, lane_kinds):
-    # pow against the schoolbook power on the 8 largest moduli below the cut of the float64
-    # lanes with the cut - 1 and with the cut itself as the largest, on the 8 smallest from
-    # it, and on moduli below 2^25 - 1 with 2^25 - 1 (the cut is 2^24 = 2^53 / 32 at d = 2,
-    # F = 30, equality included): the all-(m - 1), (m - 1 - k)_k and random residues, 1 + x,
-    # and the constants a and a + 1 on either side of the table bound of the largest
-    # modulus, to exponents 2^k - 1 and 2^k; float64 lanes exactly where float_lanes says
+def test_float64_lanes_either_side_of_their_cut(d, F, lane_kinds, monkeypatch):
+    # pow on int64 lanes on either side of 2^25, the cut below which it once ran on float64
+    # lanes, against the schoolbook power: on the 8 largest primes below 2^7 (where mulmod by a
+    # table entry may leave |r| >= m) and below 2^14, the 8 smallest from 2^14, the 8 largest
+    # below 2^25 with 2^25 - 1, and the 8 smallest from 2^25; the all-(m - 1), (m - 1 - k)_k and
+    # random residues, 1 + x, and the constants a and a + 1 on either side of the table bound
+    # of the largest modulus (a table [1, a], and none), to exponents 2^k - 1 and 2^k; residues
+    # take w = 1, so each of their powers squares, by mulmod or _square exactly where balanced
     rng = random.Random(83)
+    reductions = []
+    for name in ("mulmod", "_square"):
+        monkeypatch.setattr(Lanes, name, lambda self, *x, run=getattr(Lanes, name): (reductions.append(1), run(self, *x))[1])
     f = (F,) + (0,) * (d - 1) if d > 1 else ()
     poly = (f or (0,)) + (1,)
     assert fold_weight(f) == F
-    cut = float_cut(d, F)
-    (below, above), (top_below, _) = primes_around(cut), primes_around(MULMOD_PMAX)
-    sets = {"below the cut": below + [cut - 1], "at the cut": below + [cut], "from the cut": above,
-            "at 2^25 - 1": top_below + [MULMOD_PMAX - 1]}
+    (tiny, _), (small, above_small), (below, above) = map(primes_around, (1 << 7, 1 << 14, MULMOD_PMAX))
+    sets = {"below 2^7": tiny, "below 2^14": small, "from 2^14": above_small,
+            "at 2^25 - 1": below + [MULMOD_PMAX - 1], "from 2^25": above}
     exps = [(1 << k) - j for k in (1, 2, 3, 5, 8, 13, 21, 30) for j in (1, 0)]
     pad = lambda a: a + (0,) * (d - len(a))
     for name, ms in sets.items():
         top = max(ms)
         ring = Lanes(lanes_of(ms), f)
-        assert ring.balanced == square_regime(f, top) and (top < cut) == (ring.exact and ring.balanced), name
-        edge = ((1 << 53) - 1) // ((1 + F) * top)  # the largest a whose table [1, a] keeps the bound
+        assert ring.balanced == square_regime(f, top) and ring.exact == (top < MULMOD_PMAX), name
+        edge = ((1 << 63) - 1) // top - F  # the largest a whose table [1, a] keeps (a + F) * top < 2^63
         elements = [[(m - 1,) * d for m in ms], [tuple(m - 1 - k for k in range(d)) for m in ms],
                     [tuple(rng.randrange(m) for _ in range(d)) for m in ms]]
         constants = [pad((1, 1)[:d]), pad((edge,)), pad((edge + 1,))]
-        if F < 64 and top < cut:  # the edge constant takes float64 lanes, one more int64 lanes
-            assert float_lanes(constants[1], f, top) and not float_lanes(constants[2], f, top), name
+        assert [table_width(a, f, top) for a in constants[1:]] == [1, 0], name
         for es in (exps[:len(ms)], exps[len(ms):] + exps[:2 * len(ms) - len(exps)]):
             for a in [tuple(lanes_of(c) for c in zip(*x)) for x in elements] + constants:
+                reductions.clear()
                 got = _transpose(ring.pow(a, lanes_of(es)))
+                assert isinstance(a[0], int) or bool(reductions) == ring.balanced, (name, a)
                 lane = lambda j: tuple(c if isinstance(c, int) else int(c[j]) for c in a)
                 assert got == [poly_powmod(lane(j), e, poly, m) for j, (e, m) in enumerate(zip(es, ms))], (name, a)
-                assert lane_kinds[-1] == {"float64" if float_lanes(a, f, top) else "int64"}, (name, a)
+                assert lane_kinds[-1] == {"int64"}, (name, a)
 
 
-# -- the leading table of Lanes.pow: exact powers while every coefficient fits the first reduction --
+def test_mulmod_by_table_entries_on_small_moduli():
+    # x in (-m, m) times the entries y of the widest tables of a base (|y| < 2^63 / max m): q is
+    # off by at most 0.5 + 2^12.01 / max m, so |r| < m from max m = 2^14, and below it |r| may
+    # pass m (it does below 2^7) but stays below m/2 + 2^12.01, and the square of r is back in (-m, m)
+    for ms in (primes_around(1 << 7)[0], primes_around(1 << 14)[0], primes_around(1 << 14)[1]):
+        lanes, top, passed = Lanes(lanes_of(ms)), max(ms), False
+        xs = [[m - 1 for m in ms], [1 - m for m in ms], [m // 2 for m in ms], [1] * len(ms)]
+        for w in (3, 2, 1):
+            a = bisect.bisect(range(1 << 62), False, key=lambda a: len(lanes.table((a,)) or ()) < 1 << w) - 1
+            for c in (c for base in (a, -a) for (c,) in lanes.table((base,))):
+                for x in xs:
+                    r = lanes.mulmod(lanes_of(x), lanes_of([c] * len(ms)))
+                    rs = r.tolist()
+                    assert [(u - v * c) % m for u, v, m in zip(rs, x, ms)] == [0] * len(ms)
+                    assert all(abs(u) < m * (0.5 + 2**12.01 / top) for u, m in zip(rs, ms)), (ms, c)
+                    passed |= any(abs(u) >= m for u, m in zip(rs, ms))
+                    assert top < 1 << 14 or not passed, (ms, c)
+                    squares = lanes.mulmod(r, r).tolist()  # written over r
+                    assert all(abs(u) < m and (u - v * v) % m == 0 for u, v, m in zip(squares, rs, ms))
+        assert passed == (top < 1 << 7), ms
 
-LEADING_BOUNDS = {"float64": 1 << 52, "int64": (1 << 63) - 1}
 
+# -- the leading table of Lanes.pow: exact powers while every coefficient fits one int64 % --
 
-def leading_length(a, f, bound):
-    """n, the exact powers a^0, ..., a^(n - 1) kept while every coefficient has |c| <= bound, at most 64."""
-    return next((k for k, t in enumerate(exact_powers(a, f, 65)) if max(map(abs, t)) > bound), 64)
+def leading_length(a, f):
+    """n, the exact powers a^0, ..., a^(n - 1) kept while every coefficient has |c| < 2^63, at most 64."""
+    return next((k for k, t in enumerate(exact_powers(a, f, 65)) if max(map(abs, t)) >= 1 << 63), 64)
 
 
 @pytest.fixture
@@ -791,38 +788,36 @@ def pow_steps(monkeypatch):
     return steps
 
 
-# a constant, its ring and the lengths of its leading tables on float64 and int64 lanes: 2 and 3
-# in Z/m (2^52 and 2^62, 3^32 and 3^39 last), 1 + sqrt 2, and -1 in Z/m and the root x of
-# x^3 - x - 1, whose powers stay below 2^24 to x^63, at the cap of 64 entries
-LEADING_CONSTANTS = {"2": ((), (2,), (53, 63)), "3": ((), (3,), (33, 40)), "-1": ((), (-1,), (64, 64)),
-                     "1+sqrt2": ((-2, 0), (1, 1), (42, 51)), "x3-x-1 root": ((-1, -1, 0), (0, 1, 0), (64, 64))}
+# a constant, its ring and the length of its leading table: 2 and 3 in Z/m (2^62 and 3^39 last),
+# 1 + sqrt 2, and -1 in Z/m and the root x of x^3 - x - 1, whose powers stay below 2^24 to x^63,
+# at the cap of 64 entries
+LEADING_CONSTANTS = {"2": ((), (2,), 63), "3": ((), (3,), 40), "-1": ((), (-1,), 64),
+                     "1+sqrt2": ((-2, 0), (1, 1), 51), "x3-x-1 root": ((-1, -1, 0), (0, 1, 0), 64)}
 
 
-@pytest.mark.parametrize("lanes", LEADING_BOUNDS)
+# the 8 largest primes below 2^25 (where pow once ran on float64 lanes) and the 8 smallest from it
+@pytest.mark.parametrize("below", [True, False], ids=["float64", "int64"])
 @pytest.mark.parametrize("name", LEADING_CONSTANTS)
-def test_leading_table_either_side_of_its_cut(name, lanes, pow_steps):
-    # on float64 lanes (the 8 largest primes below 2^25) the leading table keeps the exact powers
-    # while every coefficient has |c| <= 2^52, on int64 lanes (the 8 smallest primes from 2^25,
-    # the float path) while |c| < 2^63, at most 64: powers whose largest exponent leads with the
+def test_leading_table_either_side_of_its_cut(name, below, pow_steps):
+    # on int64 lanes either side of 2^25 the leading table keeps the exact powers while every
+    # coefficient has |c| < 2^63, at most 64: powers whose largest exponent leads with the
     # table's last index n - 1, to the full later digits, and with n, one past it, match
     # poly_powmod, and start at the least multiple top of w with e.max() >> top < n: top squares
     # and top / w digit products
     rng = random.Random(89)
-    f, a, lengths = LEADING_CONSTANTS[name]
-    ms = primes_around(MULMOD_PMAX)[lanes == "int64"]
-    bound, top, poly = LEADING_BOUNDS[lanes], max(ms), (f or (0,)) + (1,)
-    n, w = leading_length(a, f, bound), table_width(a, f, top)
-    assert n == lengths[lanes == "int64"]
+    f, a, n = LEADING_CONSTANTS[name]
+    ms = primes_around(MULMOD_PMAX)[not below]
+    top, poly, w = max(ms), (f or (0,)) + (1,), table_width(a, f, max(ms))
+    assert leading_length(a, f) == n and w == 3
     powers = exact_powers(a, f, n + 1)
-    assert max(map(abs, powers[n - 1])) <= bound and (n == 64 or max(map(abs, powers[n])) > bound)
-    assert float_lanes(a, f, top) == (lanes == "float64") and w == 3
+    assert max(map(abs, powers[n - 1])) < 1 << 63 and (n == 64 or max(map(abs, powers[n])) >= 1 << 63)
     ring = Lanes(lanes_of(ms), f)
     for k in (0, 1, 2, 7):
         for e in (((n - 1) << k * w) + (1 << k * w) - 1, n << k * w):
             es = [e] + [rng.randrange(e + 1) for _ in ms[1:]]
             assert _transpose(ring.pow(a, lanes_of(es))) == [poly_powmod(a, x, poly, m) for x, m in zip(es, ms)]
             start = next(t for t in itertools.count(0, w) if e >> t < n)
-            assert pow_steps[-1] == {"n": n, "dtype": lanes, "squares": start, "products": start // w}, e
+            assert pow_steps[-1] == {"n": n, "dtype": "int64", "squares": start, "products": start // w}, e
 
 
 def test_wide_leading_digit_squares(pow_steps):

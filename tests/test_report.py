@@ -227,15 +227,16 @@ def test_scan_report_integration(quad_records):
 def pinned_reports(quad_records, cubic_records):
     """(key, report) of the scans whose checksums data/full_verdict_checksums.json
     holds: every quadratic field and every cubic field in both modes, full
-    verdicts to 2e4, and the Wieferich scans of bases 2, 3 and 5 to 1e5.  The
-    file was written by the dict-based encoders; it changes only with the
-    report format."""
-    rng = PrimeRange(2, 20_000)
-    for d, rec in sorted(quad_records.items()):
-        yield f"quad D={d}", scan_quadratic(rec, rng, full_verdicts=True)
-    for delta, rec in sorted(cubic_records.items()):
-        for mode in (MODE_H2, MODE_ORDINARY):
-            yield f"cubic delta={delta} {mode}", scan_cubic(rec, rng, mode=mode, full_verdicts=True)
+    verdicts to 2e4 and to 5,700 (one chunk whose every p^2 is below 2^25), and
+    the Wieferich scans of bases 2, 3 and 5 to 1e5.  The file was written by the
+    dict-based encoders; it changes only with the report format."""
+    for hi, suffix in ((20_000, ""), (5_700, " to 5700")):
+        rng = PrimeRange(2, hi)
+        for d, rec in sorted(quad_records.items()):
+            yield f"quad D={d}{suffix}", scan_quadratic(rec, rng, full_verdicts=True)
+        for delta, rec in sorted(cubic_records.items()):
+            for mode in (MODE_H2, MODE_ORDINARY):
+                yield f"cubic delta={delta} {mode}{suffix}", scan_cubic(rec, rng, mode=mode, full_verdicts=True)
     for base in (2, 3, 5):
         yield f"wieferich base={base}", scan_wieferich(base, PrimeRange(2, 100_000))
 
