@@ -1,14 +1,14 @@
 """Exact arithmetic in quotient rings O/p^k O of monogenic orders O = Z[theta].
 
-The order is described by the monic integer polynomial f that theta
-satisfies (degree 2 or 3 in an OrderSpec).  Ring elements are coefficient vectors
-on the power basis 1, theta, ..., with entries reduced into [0, m) for m = p^k.
-The ring (Z/m)[x]/(f) is written once per side: on tuples (the scalar
-references) by the products mul2 and mul3 under the one power loop poly_pow,
-and lane by lane (the scans) by Lanes(m, f), for a monic f of any degree d and Z/m
-itself (f = (), d = 1), on int64 lanes: constants of any size enter as per-lane
-residues (residues).  Lanes.pow is the one lane power, in every ring; below 2^50 its
-squares take balanced residues and a float64 quotient (Lanes.mulmod, Lanes._square).
+The order is described by the monic integer polynomial f that theta satisfies (degree
+2 or 3 in an OrderSpec).  Ring elements are coefficient vectors on the power basis 1,
+theta, ..., with entries reduced into [0, m) for m = p^k.  The ring (Z/m)[x]/(f) is
+written once per side: on tuples (the scalar references) by the products mul2 and mul3
+under the one power loop poly_pow, and lane by lane (the scans) by Lanes(m, f), for a
+monic f of any degree d and Z/m itself (f = (), d = 1), on int64 lanes: constants of any
+size enter as per-lane residues (residues).  Lanes.pow is the one lane power, in every
+ring; below 2^50 its squares and digit products take balanced residues and a float64
+quotient with no int64 % (Lanes.mulmod, Lanes._square, Lanes._near), and one % ends it.
 The per-prime classifiers decide on the Frobenius quotient (frobenius_quotient):
 t in O/p with eps^p * sigma(eps)^-1 = 1 + p*t mod p^2 at an unramified p, for
 the Frobenius sigma that the caller supplies (images of x, ..., x^(d-1)).  The
@@ -242,18 +242,18 @@ class Lanes:
                                             and (2 * d + 2) * (d + (d - 1) * F) <= 1 << 12)
 
     def dot(self, pairs, extra=None):
-        """(s = sum of a*b over the pairs + extra) mod m, for n <= 64 pairs of a in [0, m)
-        ((-m, m) off the digit path) and b in [0, 2m) (b = 2a' in a square), so that P, the sum
-        of |a*b|, is below 2n m^2, and |extra| < 2^62 (no extra term when None): any ring product.
+        """(s = sum of a*b over the pairs + extra) mod m, for n <= 64 pairs of a in [0, m) and b in [0, 2m)
+        (b = 2a' in a square), or (-m, m) and (-2m, 2m) off the digit path (pow's balanced residues, in
+        rings from 2^40 or F >= 64), so that P, the sum of |a*b|, is below 2n m^2, and |extra| < 2^62
+        (no extra term when None): any ring product.
 
-        While every modulus is below MULMOD_PMAX, |s| < 2n * 2^50 + 2^62 < 2^63 is
-        exact in int64.  Below 2^50 this is the float-quotient MulMod of Shoup's NTL:
-        q is s/m computed in float64 and truncated.  A term takes at most n + 3 roundings
-        of 2^-53 (a product or the extra's conversion, n additions, minv and est * minv),
-        which put q within (n + 3) * 2^-53 * (P + 2^62)/m + 1 of s/m, so r = s - q*m has
-        |r| < m + (n + 3) * 2^-53 * (2n m^2 + 2^62) < 2^61.  Wrapping int64
-        arithmetic gets s and q*m right modulo 2^64, hence r exactly, and
-        r % m is the residue.
+        While every modulus is below MULMOD_PMAX, |s| < 2n * 2^50 + 2^62 < 2^63 is exact in
+        int64, also for pow's a below 2^14 that may pass m (Lanes.pow).  Below 2^50 this is the
+        float-quotient MulMod of Shoup's NTL: q is s/m computed in float64 and truncated.  A term
+        takes at most n + 3 roundings of 2^-53 (a product or the extra's conversion, n additions,
+        minv and est * minv), which put q within (n + 3) * 2^-53 * (P + 2^62)/m + 1 of s/m, so
+        r = s - q*m has |r| < m + (n + 3) * 2^-53 * (2n m^2 + 2^62) < 2^61.  Wrapping int64
+        arithmetic gets s and q*m right modulo 2^64, hence r exactly, and r % m is the residue.
 
         On squares m = q^2 < 2^60 the operands split into base-q digits, a = a0 + q*a1,
         and a*b = a0*b0 + q*(a0*b1 + a1*b0) mod m, for any n: a pair's low term is below
@@ -287,8 +287,8 @@ class Lanes:
         by dot when reduction is None, through dot pairs of the per-lane fold
         entries where lane_folds holds them (the digit path, or F >= 2^12: a fold of reduced
         highs, up to F * (m - 1), would pass the 2^62 extra term of dot for m below 2^50).
-        A first operand |r| < m (pow's balanced squares) keeps a digit product by table exact,
-        below (sum of |a^k| + F) * max m < 2^63, and a mul within the bounds of dot."""
+        A digit product by table, first operand |r| < m, stays exact in int64 by its rule, also with
+        pow's float-quotient highs (Lanes.pow), and a mul within the bounds of dot."""
         folds, fold = self.folds, lambda terms: reduce(add, [h if c == 1 else h * c for h, c in terms])
         split = lambda h: h
         if reduction is None:
@@ -328,11 +328,11 @@ class Lanes:
 
     def table(self, a):
         """The exact powers a^0, ..., a^(2^w - 1) of the d-tuple of ints a for the
-        widest w <= 3 keeping each digit product r * a^k, r in [0, m), in int64:
+        widest w <= 3 keeping each digit product r * a^k, |r| < m, in int64:
         (sum of |a^k| + F) * max m < 2^63, F the fold weight (0 for d = 1),
         since in any degree a coefficient of r * a^k is at most (m - 1) times the sum of
         |a^k| from its pairs (each entry of a^k once) plus (m - 1) * F from the reduced
-        high terms folded back.  None when a^1 misses."""
+        high terms |h| < m folded back (pow bounds those that pass m).  None when a^1 misses."""
         powers, top = _powers(a, self.f)[:8].tolist(), int(self.m.max(initial=1))
         fits = lambda t: (sum(map(abs, t)) + self.fold_weight) * top < 1 << 63
         for w in (3, 2, 1):
@@ -345,10 +345,16 @@ class Lanes:
         leading value e >> top < n gathers a^(e >> top) from the n <= 64 exact powers whose every
         coefficient is below 2^63 (_powers), reduced by one int64 %.  Each later digit multiplies by
         table(a), gathered from d columns, with one exact product and reduction per coefficient;
-        residues per lane, and ints with no table (as residues), take w = 1 and mul.  Where balanced
-        (below 2^50) squares run on residues in (-m, m) with no %: by mulmod in Z/m, digit
-        products too, and one % ends the power; by _square in rings, whose digit products (_product)
-        reduce by %.  Other rings square by dot."""
+        residues per lane, and ints with no table (as residues), take w = 1 and mul.  Below 2^50 digit
+        products, and squares where balanced, run on residues in (-m, m) with no %, and one % per
+        coefficient ends the power: squares by mulmod in Z/m (digit products too) and _square in rings,
+        else by dot.  A ring digit product reduces each sum s, the highs before they fold back, to
+        r = s - rint(fl(s) * minv) * m (_near).  With |r| < m and highs |h| < m, |s| <= (A + F) m < 2^63
+        for A the sum of |a^k| (table), and 3 roundings put q within 1/2 + 3.01 * 2^-53 |s| / m of s/m:
+        |r| < m/2 + 3.01 * 2^10 m / max m, below 0.69 m from max m = 2^14 and below m/2 + 3.01 * 2^10 <
+        2^14 under it, which the next square takes back into (-m, m) (_square, dot).  A high passes m
+        only where 3.01 * 2^-53 A >= 1/2, so below max m = 6.02 * 2^10, and there F < 2^38 (else the
+        products keep %) keeps |s| <= (m - 1) A + F (m/2 + 3.01 * 2^-53 m A) < (A + F) m."""
         m = self.m
         table = None if any(map(np.ndim, a)) else self.table(a := tuple(map(int, a)))
         reduction = (lambda pairs, extra=None: self.mulmod(*pairs[0])) if self.d == 1 and self.balanced else None
@@ -362,10 +368,12 @@ class Lanes:
             cols, lead = (np.array(t, np.int64).T for t in (table, leading))
             w, n, operand = len(table).bit_length() - 1, len(leading), lambda d: tuple(c[d] for c in cols)
             first = lambda d: tuple(c[d] % m for c in lead)
-            exact = reduction or (lambda pairs, extra=None: _sum(pairs, extra) % m)
+            near = self.q is None and self.fold_weight < 1 << 38
+            exact = reduction or (lambda pairs, extra=None: self._near(s := _sum(pairs, extra), s.astype(np.float64))
+                                  if near else _sum(pairs, extra) % m)
         times = lambda r, d: self._product((*r, *operand(d)), self.mul_plan, exact)
         r = pow_lanes(e, w, n, first, square, times)
-        return r if reduction is None else (r[0] % m,)
+        return r if self.q is not None else tuple(c % m for c in r)
 
     def _square(self, a):
         """square(a) for pow in a balanced ring, |a_i| < m: each x^k by the wrapping int64 sum s
@@ -376,7 +384,8 @@ class Lanes:
         the sum of |leaves|, below (d + (d - 1)F) m^2, and with est * minv 2 roundings more, |r| < m/2
         + (2d + 1.01)(d + (d - 1)F) * 2^-13 m below m = 2^40, exact in wrapping int64: below 0.62 m for
         d <= 3 and F < 64, and below m while (2d + 2)(d + (d - 1)F) <= 2^12, for every F < 64 to d = 5
-        (F = 1 to d = 31), and for F <= 57 at d = 6, F <= 41 at 7, 19 at 10 and 11 at 13."""
+        (F = 1 to d = 31), and for F <= 57 at d = 6, F <= 41 at 7, 19 at 10 and 11 at 13.  Below max
+        m = 2^14 pow's |a_i| < 2^14 (Lanes.pow) give S < 2^38: est = s is exact and |r| <= m/2."""
         sets = [(*x, *(c + c for c in x[1:])) for x in (a, [c.astype(np.float64) for c in a])]
         def sums(ij, fold=()):  # the pair and fold terms of x^k, summed in int64 and in float64
             return [reduce(iadd, [h[n] if c == 1 else h[n] * c for h, c in fold], _sum([(o[i], o[j]) for i, j in ij]))

@@ -758,6 +758,83 @@ def test_mulmod_by_table_entries_on_small_moduli():
         assert passed == (top < 1 << 7), ms
 
 
+# -- ring digit products by float quotient: |r| < m/2 + 3.01 * 2^10 m / max m below 2^50 --------
+
+# d = 2 and d = 3 with balanced squares, F = 64 (squared by dot) and F = 2^20 (dot through lane_folds)
+DIGIT_RINGS = {"x2-x-1": (-1, -1), "x3-x-1": (-1, -1, 0), "x2+64": (64, 0), "x3+2^20": (1 << 20, 0, 0)}
+
+
+def digit_moduli():
+    """Eight moduli below max m = 2^7, either side of 2^14 (m = p), 2^40 and 2^50 (m = p^2):
+    the digit products take the float quotient below 2^50 and % on the digit path from it."""
+    (tiny, _), (small, above_small) = primes_around(1 << 7), primes_around(1 << 14)
+    (low, high), (below, above) = primes_around(1 << 20), primes_around(MULMOD_PMAX)
+    squares = lambda ps: [p * p for p in ps]
+    return {"below 2^7": tiny, "below 2^14": small, "from 2^14": above_small, "below 2^40": squares(low),
+            "from 2^40": squares(high), "below 2^50": squares(below), "from 2^50": squares(above)}
+
+
+@pytest.fixture
+def pow_events(monkeypatch):
+    """Per Lanes.pow, what each square and each digit product (times) returns, in order, as lists."""
+    events, power = [], order_arith.pow_lanes
+
+    def spied(e, w, n, first, square, times):
+        events.append(seen := [])
+        log = lambda kind, r: (seen.append((kind, list(zip(*(c.tolist() for c in r))))), r)[1]
+        return power(e, w, n, first, lambda r: log("square", square(r)), lambda r, d: log("times", times(r, d)))
+
+    monkeypatch.setattr(order_arith, "pow_lanes", spied)
+    return events
+
+
+@pytest.mark.parametrize("f", DIGIT_RINGS.values(), ids=DIGIT_RINGS.keys())
+def test_ring_digit_products_within_their_bound(f, pow_events):
+    # powers of a, -a, a x and a - a x for the largest a of each table width, whose |a^k| sum to
+    # about 2^63 / max m: below 2^50 every digit product leaves |r| < m/2 + 3.01 * 2^10 m / max m
+    # (Lanes.pow), below 0.69 m from max m = 2^14 and past m below 2^7, where a high r_1 * a passes
+    # m too; every square, the one after a digit product included, is back in (-m, m); on the digit
+    # path, and with no table (dot), the products stay in [0, m); every power is in [0, m) and
+    # matches poly_powmod
+    rng = random.Random(97)
+    d, poly = len(f), f + (1,)
+    for name, ms in digit_moduli().items():
+        ring, top, passed = Lanes(lanes_of(ms), f), max(ms), False
+        es = [rng.randrange(1 << 30) | 1 << 29 for _ in ms]
+        constants = []
+        for w, shape in itertools.product((3, 2, 1), ((1,), (-1,), (0, 1), (1, -1))):
+            scaled = lambda a: tuple(a * c for c in shape) + (0,) * (d - len(shape))
+            a = bisect.bisect(range(1 << 62), False, key=lambda a: table_width(scaled(a), f, top) < w) - 1
+            constants.append(scaled(a))
+        for a in constants:
+            got = _transpose(ring.pow(a, lanes_of(es)))
+            assert got == [poly_powmod(a, e, poly, m) for e, m in zip(es, ms)], (name, a)
+            assert all(0 <= c < m for r, m in zip(got, ms) for c in r), (name, a)
+            assert pow_events[-1], (name, a)
+            floats = ring.q is None and ring.table(a) is not None  # else dot (no table) or %
+            for kind, lanes in pow_events[-1]:
+                # balanced: _square or a float-quotient product, else dot or % in [0, m)
+                balanced = ring.balanced if kind == "square" else floats
+                for r, m in zip(lanes, ms):
+                    bound = m if kind == "square" else m / 2 + 3.01 * 2**10 * m / top
+                    assert all(abs(c) < bound if balanced else 0 <= c < m for c in r), (name, a, kind, m, r)
+                    passed |= kind == "times" and max(map(abs, r)) >= m
+        assert passed == (name == "below 2^7"), name
+
+
+def test_huge_fold_weight_keeps_int64_remainders():
+    # x^2 + 2^56 on the primes 7 to 31 and 1 + a x, (1 + a + F) * max m just below 2^63: a high
+    # r_1 * a reduced by the float quotient would reach |h| = 758 at m = 29, and its fold by 2^56
+    # passes 2^63 from |h| = 2^7; from F = 2^38 the digit products keep % (Lanes.pow), and the powers
+    # match poly_powmod
+    f, ms = (1 << 56, 0), primes_around(1 << 5)[0]
+    a = (1, (1 << 63) // max(ms) - (1 << 56) - 2)
+    ring = Lanes(lanes_of(ms), f)
+    assert table_width(a, f, max(ms)) == 1 and ring.fold_weight == 1 << 56
+    es = [(1 << k) - 1 for k in (2, 3, 5, 8, 13, 21, 30, 40)]
+    assert _transpose(ring.pow(a, lanes_of(es))) == [poly_powmod(a, e, f + (1,), m) for e, m in zip(es, ms)]
+
+
 # -- the leading table of Lanes.pow: exact powers while every coefficient fits one int64 % --
 
 def leading_length(a, f):
